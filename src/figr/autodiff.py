@@ -7,6 +7,13 @@ ops; running backward with ``create_graph=True`` therefore records the
 backward pass onto the same tape and the returned gradients are
 differentiable tensors.  That one mechanism provides the second-order
 derivatives the gradient penalty needs.
+
+A first-order backward (no ``create_graph``) consumes the tape and
+releases its nodes.  Each node's backward rule closes over its input
+tensors and every tensor points back to its graph, so a live tape is a
+reference cycle; emptying it lets reference counting free the saved
+activations as soon as the gradients are taken, not at the next cyclic
+garbage collection.
 """
 
 from __future__ import annotations
@@ -53,8 +60,11 @@ class Graph:
     """Append-only tape confined to one thread.
 
     Acts as a context manager; ops executed inside record onto it.  A
-    backward() without create_graph marks the graph dead: its saved
-    values are gone for differentiation purposes.
+    backward() without create_graph marks the graph dead and empties
+    ``nodes``, releasing every saved value; a later backward() on it
+    raises DeadGraph.  Ops recorded outside any ``with Graph()`` block go
+    to a per-thread implicit graph, which is replaced by a fresh one once
+    a backward() has consumed it.
     """
 
     __slots__ = ("nodes", "precision", "dead")
@@ -86,6 +96,7 @@ class Graph:
 class _ThreadState(threading.local):
     def __init__(self):
         self.stack: list[Graph] = []
+        self.implicit: Graph | None = None
         self.grad_enabled = True
 
 
@@ -97,10 +108,13 @@ def _state() -> _ThreadState:
 
 
 def active_graph() -> Graph:
+    """The innermost ``with Graph()`` block, else the thread's implicit graph."""
     st = _state()
-    if not st.stack:
-        st.stack.append(Graph())
-    return st.stack[-1]
+    if st.stack:
+        return st.stack[-1]
+    if st.implicit is None or st.implicit.dead:
+        st.implicit = Graph()
+    return st.implicit
 
 
 class no_grad:
@@ -110,21 +124,6 @@ class no_grad:
         st = _state()
         self._prev = st.grad_enabled
         st.grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _state().grad_enabled = self._prev
-        return False
-
-
-class _grad_mode:
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-
-    def __enter__(self):
-        st = _state()
-        self._prev = st.grad_enabled
-        st.grad_enabled = self.enabled
         return self
 
     def __exit__(self, *exc):
@@ -799,7 +798,9 @@ def backward(loss: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
 
     Returns a map keyed by leaf tensor.  With create_graph=True the
     returned gradients are graph tensors and the tape stays alive;
-    otherwise the graph is consumed.
+    otherwise the graph is consumed: it is marked dead and its nodes are
+    released, so the activations they saved are freed once the caller
+    drops its own references.
     """
     if loss.data.size != 1:
         raise NotScalar(f"loss must be scalar, got shape {loss.shape}")
@@ -849,6 +850,7 @@ def backward(loss: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
 
     if not create_graph:
         g.dead = True
+        nodes.clear()
     return result
 
 

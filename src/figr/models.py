@@ -351,18 +351,3 @@ class Discriminator(_ResNetBase):
         flat = ad.reshape(h, (b, -1))
         return _dense(flat, p["score.w"], p["score.b"])
 
-
-def build_generator(cfg: ModelConfig, rng: np.random.Generator) -> ParameterSet:
-    return Generator(cfg).init_params(rng)
-
-
-def build_discriminator(cfg: ModelConfig, rng: np.random.Generator) -> ParameterSet:
-    return Discriminator(cfg).init_params(rng)
-
-
-def generator_forward(cfg: ModelConfig, params: ParameterSet, z: Tensor) -> Tensor:
-    return Generator(cfg).forward(params, z)
-
-
-def discriminator_forward(cfg: ModelConfig, params: ParameterSet, images: Tensor) -> Tensor:
-    return Discriminator(cfg).forward(params, images)

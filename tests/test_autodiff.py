@@ -430,11 +430,22 @@ class TestBackward:
                 backward(loss)
 
     def test_create_graph_keeps_graph_alive(self):
-        with Graph("double"):
+        with Graph("double") as g:
             x = tensor(np.ones(3), requires_grad=True)
             loss = ad.square(x).sum()
             backward(loss, create_graph=True)
+            assert not g.dead and len(g.nodes) > 0
             backward(loss)  # still alive
+            assert g.dead and len(g.nodes) == 0   # a first-order backward releases the tape
+
+    def test_implicit_graph_renewed_after_backward(self):
+        # outside any `with Graph()` block each backward consumes the
+        # thread's implicit graph, and the next op records on a fresh one
+        for _ in range(2):
+            x = tensor(np.ones(3), requires_grad=True)
+            grad = backward(ad.square(x).sum())[x]
+            np.testing.assert_array_equal(grad.data, [2.0, 2.0, 2.0])
+            assert len(ad.active_graph().nodes) == 0
 
     def test_grad_accumulates_over_multiple_uses(self):
         with Graph("double"):
@@ -535,9 +546,10 @@ class TestGraph:
         with Graph("double") as g:
             x = tensor(np.ones((2, 2)), requires_grad=True)
             y = ad.square(ad.add(ad.mul(x, 2.0), 1.0)).sum()
+            assert len(g.nodes) > 1
+            for idx, node in enumerate(g.nodes):
+                assert all(j < idx for j in node.input_ids)
             backward(y)
-        for idx, node in enumerate(g.nodes):
-            assert all(j < idx for j in node.input_ids)
 
     def test_requires_grad_propagation(self):
         with Graph("double"):

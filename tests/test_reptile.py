@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,31 @@ class TestGenerate:
                       np.random.default_rng(0), np.random.default_rng(1), count=2)
         np.testing.assert_array_equal(phi_d.vector, snap_d)
         np.testing.assert_array_equal(phi_g.vector, snap_g)
+
+
+class TestTapeRelease:
+    def test_adaptation_leaves_no_cyclic_garbage(self):
+        # each first-order backward releases its tape, so reference counting
+        # alone frees the inner steps' activations
+        disc, gen = tiny_models(CFG32)
+        rng = np.random.default_rng(43)
+        phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
+        x = task_images(CFG32, 2, seed=6)
+        cfg = InnerConfig(k=2, n=2, inner_lr=1e-4)
+
+        def adapt_and_generate():
+            inner_loop(phi_d, phi_g, disc, gen, x, cfg, LOSS,
+                       np.random.default_rng(0), np.random.default_rng(1))
+            figr_generate(phi_d, phi_g, disc, gen, x, cfg, LOSS,
+                          np.random.default_rng(2), np.random.default_rng(3), count=2)
+
+        adapt_and_generate()                 # warm-up
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            adapt_and_generate()
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
