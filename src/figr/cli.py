@@ -71,12 +71,18 @@ def _build_models(cfg: RunConfig) -> tuple[Discriminator, Generator]:
     return Discriminator(mc), Generator(mc)
 
 
-def _state_from_checkpoint(cfg: RunConfig, data: CheckpointData,
-                           disc: Discriminator, gen: Generator) -> MetaState:
+def _restore(cfg: RunConfig, path) -> tuple[Discriminator, Generator, MetaState,
+                                           CheckpointData]:
+    """Load a checkpoint written under this config and rebuild its state."""
+    data = load_checkpoint(path)
+    if data.fingerprint != fingerprint(cfg):
+        raise CliError("config fingerprint does not match the checkpoint; "
+                       "refusing to use it with drifted hyperparameters")
+    disc, gen = _build_models(cfg)
     if data.phi_d.size != disc.param_count() or data.phi_g.size != gen.param_count():
         raise BadCheckpoint("checkpoint parameter counts do not match the config")
     dtype = model_config(cfg).dtype
-    return MetaState(
+    state = MetaState(
         phi_d=disc.init_params(np.random.default_rng(0)).with_vector(
             data.phi_d.astype(dtype)),
         phi_g=gen.init_params(np.random.default_rng(0)).with_vector(
@@ -85,6 +91,25 @@ def _state_from_checkpoint(cfg: RunConfig, data: CheckpointData,
         outer_lr=cfg.outer_lr, beta1=cfg.beta1, beta2=cfg.beta2,
         adam_eps=cfg.adam_eps, step=data.step,
     )
+    return disc, gen, state, data
+
+
+def _reconcile_log(path: Path, step: int) -> None:
+    """Cut the train log back to its header and the rows of steps 1..step.
+
+    A run starting from the checkpoint of `step` then appends the steps
+    after it, so the log agrees with the checkpoints on disk whether the
+    run resumes in place, into a fresh directory, or from an earlier
+    checkpoint than the log's last row.
+    """
+    width = CSV_HEADER.count(",") + 1
+    rows = []
+    if path.exists():
+        for line in path.read_text(encoding="utf-8").splitlines():
+            fields = line.split(",")
+            if len(fields) == width and fields[0].isdigit() and int(fields[0]) <= step:
+                rows.append(line)
+    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
 
 
 def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, streams,
@@ -110,17 +135,13 @@ def cmd_train(args) -> int:
     target = cfg.meta_steps if args.steps is None else args.steps
 
     dataset = build_dataset(cfg)
-    disc, gen = _build_models(cfg)
 
     if args.resume:
-        data = load_checkpoint(args.resume)
-        if data.fingerprint != fp:
-            raise CliError("config fingerprint does not match the checkpoint; "
-                           "refusing to resume with drifted hyperparameters")
-        state = _state_from_checkpoint(cfg, data, disc, gen)
+        disc, gen, state, data = _restore(cfg, args.resume)
         streams = restore_streams(data)
         print(f"resumed from {args.resume} at step {state.step}")
     else:
+        disc, gen = _build_models(cfg)
         streams = make_streams(cfg.seed)
         state = init_meta_state(disc, gen, streams.init,
                                 outer_lr=cfg.outer_lr, beta1=cfg.beta1,
@@ -129,11 +150,10 @@ def cmd_train(args) -> int:
         (out_dir / "config.cfg").write_text(canonical_text(cfg), encoding="utf-8")
 
     log_path = out_dir / "train_log.csv"
+    _reconcile_log(log_path, state.step)
     icfg, lcfg = inner_config(cfg), loss_config(cfg)
     t_start = time.perf_counter()
     with open(log_path, "a", encoding="utf-8") as log:
-        if state.step == 0:
-            log.write(CSV_HEADER + "\n")
         while state.step < target:
             state, rec = meta_step(state, disc, gen, dataset, icfg, lcfg, streams)
             log.write(f"{rec.step},{rec.task_id},{rec.critic_loss:.9g},"
@@ -157,11 +177,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
-    data = load_checkpoint(args.checkpoint)
-    if data.fingerprint != fingerprint(cfg):
-        raise CliError("config fingerprint does not match the checkpoint")
-    disc, gen = _build_models(cfg)
-    state = _state_from_checkpoint(cfg, data, disc, gen)
+    disc, gen, state, _ = _restore(cfg, args.checkpoint)
     dataset = build_dataset(cfg)
 
     n = args.n or cfg.n
@@ -250,11 +266,7 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    data = load_checkpoint(args.checkpoint)
-    if data.fingerprint != fingerprint(cfg):
-        raise CliError("config fingerprint does not match the checkpoint")
-    disc, gen = _build_models(cfg)
-    state = _state_from_checkpoint(cfg, data, disc, gen)
+    disc, gen, state, _ = _restore(cfg, args.checkpoint)
     dataset = build_dataset(cfg)
     reports = evaluate_checkpoint(cfg, state, dataset, disc, gen,
                                   trials=args.trials, seed=args.seed)

@@ -6,13 +6,21 @@ kept verbatim (shards round-trip bit-exactly); the task pipeline then
 resizes with bilinear interpolation, normalizes to [-1, 1], and splits
 classes into train/validation pools.  A deterministic synthetic glyph
 generator provides desk-scale corpora for experiments.
+
+A task class builds its float32 images the first time they are read and
+caches them, so splitting classes, looking one up by name or counting
+them touches no pixels, and a run pays only for the classes it samples
+(a meta-step reads one).  Every image has its own seed, so the order in
+which classes are first read cannot change a pixel.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -245,14 +253,42 @@ def normalize(img: np.ndarray) -> np.ndarray:
 # task datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TaskClass:
-    name: str
-    images: np.ndarray  # float32 [N, 1, S, S] in [-1, 1]
+    """One named class of task images, float32 [N, 1, S, S] in [-1, 1].
+
+    Give the images, or a zero-argument `load` that builds them.  A loader
+    runs the first time `.images` is read; its result is checked for
+    finiteness, cached, and the loader dropped, so `name` never costs a
+    pixel.
+    """
+
+    def __init__(self, name: str, images: np.ndarray | None = None, *,
+                 load: Callable[[], np.ndarray] | None = None):
+        if (images is None) == (load is None):
+            raise ValueError("give a class either its images or a loader")
+        self.name = name
+        self._images = images
+        self._load = load
+
+    @property
+    def images(self) -> np.ndarray:
+        if self._images is None:
+            images = self._load()
+            if not np.all(np.isfinite(images)):
+                raise ValueError(f"class {self.name!r} produced non-finite pixels")
+            self._images, self._load = images, None
+        return self._images
 
 
 @dataclass(frozen=True)
 class TaskDataset:
+    """Task classes plus the train/validation split over their indices.
+
+    The classes build their images on first access (see `TaskClass`);
+    datasets derived with `split_classes` share the same class objects,
+    and with them the cached images.
+    """
+
     classes: tuple[TaskClass, ...]
     image_size: int
     train_ids: tuple[int, ...]
@@ -278,15 +314,14 @@ def _to_task_images(stack: np.ndarray, size: int) -> np.ndarray:
 
 
 def build_tasks(raw: RawDataset, image_size: int) -> TaskDataset:
-    """Resize + normalize every class; all classes start in the train split."""
+    """Task classes that resize + normalize on first access; all classes
+    start in the train split."""
     classes = []
     for rc in raw.classes:
         if rc.images.shape[0] < 1:
             raise ValueError(f"class {rc.name!r} has no images")
-        imgs = _to_task_images(rc.images, image_size)
-        if not np.all(np.isfinite(imgs)):
-            raise ValueError(f"class {rc.name!r} produced non-finite pixels")
-        classes.append(TaskClass(name=rc.name, images=imgs))
+        classes.append(TaskClass(
+            rc.name, load=partial(_to_task_images, rc.images, image_size)))
     return TaskDataset(classes=tuple(classes), image_size=image_size,
                        train_ids=tuple(range(len(classes))), val_ids=())
 
@@ -420,17 +455,27 @@ def synth_glyph_image(seed: int, class_idx: int, sample_idx: int, size: int) -> 
 
 def synth_glyph_dataset(n_classes: int, per_class: int, size: int,
                         seed: int) -> TaskDataset:
-    """Deterministic stroke-glyph tasks; stand-in for icon/character corpora."""
+    """Deterministic stroke-glyph tasks; stand-in for icon/character corpora.
+
+    Each class renders its glyphs when its images are first read."""
     if size not in (8, 16, 32):
         raise InvalidSize(f"size must be 8, 16 or 32, got {size}")
     if n_classes < 1 or per_class < 1:
         raise ValueError("need at least one class and one image per class")
-    classes = []
-    for c in range(n_classes):
-        stack = np.stack([synth_glyph_image(seed, c, s, size)
-                          for s in range(per_class)])
-        classes.append(RawClass(name=f"glyph{c:05d}", images=stack))
-    return build_tasks(RawDataset(classes=tuple(classes)), size)
+    classes = tuple(
+        TaskClass(f"glyph{c:05d}",
+                  load=partial(_synth_class_images, seed, c, per_class, size))
+        for c in range(n_classes))
+    return TaskDataset(classes=classes, image_size=size,
+                       train_ids=tuple(range(n_classes)), val_ids=())
+
+
+def _synth_class_images(seed: int, class_idx: int, per_class: int,
+                        size: int) -> np.ndarray:
+    """One synthetic class's loader: render its glyphs, then normalize."""
+    stack = np.stack([synth_glyph_image(seed, class_idx, s, size)
+                      for s in range(per_class)])
+    return _to_task_images(stack, size)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,14 @@ class EmptyDataset(ValueError):
     pass
 
 
+class NonFiniteStep(ValueError):
+    """A meta-step's inner losses or Reptile deltas hold a NaN or inf.
+
+    Raised before the outer Adam update, so phi and the moments keep the
+    last finite values.
+    """
+
+
 @dataclass(frozen=True)
 class InnerConfig:
     k: int = 10
@@ -220,6 +228,14 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator,
                                  cfg, loss_cfg, streams.latent, streams.eps)
     pseudo_d = params_delta(state.phi_d, w_d)
     pseudo_g = params_delta(state.phi_g, w_g)
+    bad = [name for name, value in (("critic loss", stats.final_critic_loss),
+                                    ("generator loss", stats.final_gen_loss),
+                                    ("critic delta", pseudo_d),
+                                    ("generator delta", pseudo_g))
+           if not np.isfinite(value).all()]
+    if bad:
+        raise NonFiniteStep(f"meta-step {state.step + 1} on task {task_id}: "
+                            f"non-finite {', '.join(bad)}")
     phi_d, adam_d = adam_step(state.adam_d, state.phi_d, pseudo_d,
                               state.outer_lr, state.beta1, state.beta2, state.adam_eps)
     phi_g, adam_g = adam_step(state.adam_g, state.phi_g, pseudo_g,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import figr.cli
 from figr.cli import main
 from figr.data import load_shard, read_pgm, write_pgm
 
@@ -72,6 +73,46 @@ class TestTrain:
                 "--resume", part / "ckpt_000003.figr")
         assert (full / "ckpt_000006.figr").read_bytes() == \
                (part / "ckpt_000006.figr").read_bytes()
+
+    def test_resume_reconciles_log_with_checkpoint(self, cfg_path, tmp_path):
+        def rows(out):
+            lines = (out / "train_log.csv").read_text().splitlines()
+            assert lines[0].startswith("step,task_id")
+            return [line.split(",")[:-1] for line in lines[1:]]   # drop seconds
+
+        full, fresh = tmp_path / "full", tmp_path / "fresh"
+        run_cli("train", "--config", cfg_path, "--out", full)
+        uninterrupted = rows(full)
+        assert [r[0] for r in uninterrupted] == ["1", "2", "3", "4", "5", "6"]
+        # resume in place from an earlier checkpoint than the log's last row
+        assert run_cli("train", "--config", cfg_path, "--out", full,
+                       "--resume", full / "ckpt_000003.figr") == 0
+        assert rows(full) == uninterrupted
+        # resume into a directory with no log
+        assert run_cli("train", "--config", cfg_path, "--out", fresh,
+                       "--resume", full / "ckpt_000003.figr") == 0
+        assert rows(fresh) == uninterrupted[3:]
+
+    def test_non_finite_step_stops_run(self, cfg_path, tmp_path, monkeypatch, capsys):
+        clean, bad = tmp_path / "clean", tmp_path / "bad"
+        run_cli("train", "--config", cfg_path, "--out", clean, "--steps", 0)
+
+        real = figr.cli.build_dataset
+
+        def poisoned(cfg):
+            ds = real(cfg)
+            for c in ds.classes:
+                c.images[:, 0, 0, 0] = np.nan
+            return ds
+
+        monkeypatch.setattr(figr.cli, "build_dataset", poisoned)
+        rc = run_cli("train", "--config", cfg_path, "--out", bad, "--steps", 3)
+        assert rc == 2
+        assert "meta-step 1 on task" in capsys.readouterr().err
+        assert sorted(p.name for p in bad.glob("ckpt_*.figr")) == ["ckpt_000000.figr"]
+        assert (bad / "ckpt_000000.figr").read_bytes() == \
+               (clean / "ckpt_000000.figr").read_bytes()
+        assert len((bad / "train_log.csv").read_text().splitlines()) == 1
 
     def test_resume_rejects_drifted_config(self, cfg_path, tmp_path):
         out = tmp_path / "drift"

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import figr.data
+from figr.config import RunConfig, build_dataset
 from figr.data import (
     BadMagic,
     CountMismatch,
@@ -299,6 +302,71 @@ class TestTaskDataset:
         p = 1.0 / k
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) < 5 * sigma)
+
+
+class TestLazyTasks:
+    """Task classes build their images on first access and cache them."""
+
+    @pytest.mark.parametrize("source", ["idx", "shard"])
+    def test_build_tasks_matches_eager_pipeline(self, source, monkeypatch):
+        rng = np.random.default_rng(2)
+        if source == "idx":
+            images = rng.integers(0, 256, size=(5, 4, 3), dtype=np.uint8)
+            raw = idx_to_raw(*parse_idx(*make_idx_pair(images, [7, 1, 7, 3, 1])))
+        else:
+            raw = load_shard(pack_shard(TestShard().sample_classes()))
+        calls = []
+        real = figr.data.bilinear_resize
+        monkeypatch.setattr(figr.data, "bilinear_resize",
+                            lambda *a: calls.append(1) or real(*a))
+        ds = build_tasks(raw, image_size=8)
+        assert [c.name for c in ds.classes] == [rc.name for rc in raw.classes]
+        assert calls == []
+        first = ds.classes[0].images
+        assert len(calls) == raw.classes[0].images.shape[0]
+        assert ds.classes[0].images is first
+        for got, rc in zip(ds.classes, raw.classes):
+            want = [normalize(real(img, 8, 8)).astype(np.float32) for img in rc.images]
+            np.testing.assert_array_equal(got.images[:, 0], np.stack(want))
+
+    def test_non_finite_load_rejected(self):
+        task = figr.data.TaskClass("c", load=lambda: np.full((1, 1, 2, 2), np.inf))
+        with pytest.raises(ValueError, match="'c' produced non-finite"):
+            task.images
+
+    def test_empty_class_rejected_before_any_pixel(self):
+        raw = RawDataset(classes=(RawClass("void", np.zeros((0, 4, 4), np.uint8)),))
+        with pytest.raises(ValueError, match="no images"):
+            build_tasks(raw, 8)
+
+    def test_default_build_renders_nothing(self, monkeypatch):
+        calls = []
+        real = figr.data.synth_glyph_image
+        monkeypatch.setattr(figr.data, "synth_glyph_image",
+                            lambda *a: calls.append(a) or real(*a))
+        ds = build_dataset(RunConfig())
+        assert len(ds.classes) == 200 and len(ds.val_ids) == 10
+        assert calls == []
+        task = ds.classes[ds.val_ids[0]]
+        assert task.images is task.images
+        assert len(calls) == RunConfig().synth_per_class
+
+    # sha256 over every class's images in class order, taken from the
+    # eager renderer; first access must not change a byte
+    @pytest.mark.parametrize("args,digest", [
+        ((200, 16, 32, 0),
+         "37c28b3ebccefd1e3d2b3a87b36e00df69754dbfa5ee76a358e17c7d853e1686"),
+        ((6, 4, 8, 0),
+         "65b2842ab270b024d1872e28ef388eff4ff8a1b719f10c66281797c58c63e14f"),
+    ])
+    def test_synth_images_match_eager_digest(self, args, digest):
+        ds = synth_glyph_dataset(*args)
+        h = hashlib.sha256()
+        for c in reversed(ds.classes):      # touch order must not matter
+            c.images
+        for c in ds.classes:
+            h.update(c.images.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestSynthGlyphs:

@@ -11,6 +11,7 @@ from figr.reptile import (
     InnerConfig,
     MetaState,
     adam_step,
+    NonFiniteStep,
     figr_generate,
     init_meta_state,
     inner_loop,
@@ -255,6 +256,35 @@ class TestMetaStep:
         np.testing.assert_array_equal(a.phi_g.vector, b.phi_g.vector)
         np.testing.assert_array_equal(a.adam_d.m, b.adam_d.m)
         assert a.step == b.step == 10
+
+    def test_step_renders_only_the_sampled_class(self, monkeypatch):
+        import figr.data
+        calls = []
+        real = figr.data.synth_glyph_image
+        monkeypatch.setattr(figr.data, "synth_glyph_image",
+                            lambda *a: calls.append(a) or real(*a))
+        ds = figr.data.synth_glyph_dataset(6, 4, CFG32.image_size, seed=0)
+        disc, gen = tiny_models(CFG32)
+        state = init_meta_state(disc, gen, np.random.default_rng(0))
+        _, rec = meta_step(state, disc, gen, ds, InnerConfig(k=1, n=2), LOSS,
+                           make_streams(0))
+        assert len(calls) == 4
+        assert {c[1] for c in calls} == {rec.task_id}
+
+    def test_non_finite_step_leaves_state(self):
+        disc, gen = tiny_models(CFG32)
+        state = init_meta_state(disc, gen, np.random.default_rng(21))
+        snap = (state.phi_d.vector.copy(), state.phi_g.vector.copy(),
+                state.adam_d.m.copy(), state.adam_g.v.copy())
+        ds = self.make_dataset(CFG32, n_classes=1)
+        ds.classes[0].images[:, 0, 0, 0] = np.nan
+        with pytest.raises(NonFiniteStep, match=r"meta-step 1 on task 0: non-finite"):
+            meta_step(state, disc, gen, ds, InnerConfig(k=2, n=2, inner_lr=1e-4),
+                      LOSS, make_streams(0))
+        for before, after in zip(snap, (state.phi_d.vector, state.phi_g.vector,
+                                        state.adam_d.m, state.adam_g.v)):
+            np.testing.assert_array_equal(before, after)
+        assert state.step == 0 and state.adam_d.t == 0
 
     def test_empty_dataset(self):
         from figr.data import TaskDataset
