@@ -19,7 +19,7 @@ garbage collection.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -115,20 +115,6 @@ def active_graph() -> Graph:
     if st.implicit is None or st.implicit.dead:
         st.implicit = Graph()
     return st.implicit
-
-
-class no_grad:
-    """Disable tape recording inside the block."""
-
-    def __enter__(self):
-        st = _state()
-        self._prev = st.grad_enabled
-        st.grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _state().grad_enabled = self._prev
-        return False
 
 
 class Tensor:
@@ -377,25 +363,6 @@ def sqrt(a: Tensor) -> Tensor:
     return out
 
 
-def exp(a: Tensor) -> Tensor:
-    out_ref = []
-
-    def vjp(g, needs):
-        return (mul(g, out_ref[0]),)
-
-    with np.errstate(over="ignore"):
-        out = _apply("exp", np.exp(a.data), (a,), vjp)
-    out_ref.append(out)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    def vjp(g, needs):
-        return (div(g, a),)
-
-    return _apply("log", np.log(a.data), (a,), vjp)
-
-
 def tanh(a: Tensor) -> Tensor:
     out_ref = []
 
@@ -405,42 +372,6 @@ def tanh(a: Tensor) -> Tensor:
     out = _apply("tanh", np.tanh(a.data), (a,), vjp)
     out_ref.append(out)
     return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_ref = []
-
-    def vjp(g, needs):
-        o = out_ref[0]
-        return (mul(g, mul(o, sub(1.0, o))),)
-
-    x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-    out = _apply("sigmoid", out_data, (a,), vjp)
-    out_ref.append(out)
-    return out
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), stable for logits of either sign."""
-
-    def vjp(g, needs):
-        return (mul(g, sigmoid(a)),)
-
-    return _apply("softplus", np.logaddexp(0.0, a.data), (a,), vjp)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = Tensor((a.data > 0).astype(a.data.dtype))
-
-    def vjp(g, needs):
-        return (mul(g, mask),)
-
-    return _apply("relu", np.maximum(a.data, 0), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -852,33 +783,3 @@ def backward(loss: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
         g.dead = True
         nodes.clear()
     return result
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-# ---------------------------------------------------------------------------
-
-def finite_difference_gradient(f: Callable[[np.ndarray], float],
-                               x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central differences (f(x+h*e_i) - f(x-h*e_i)) / 2h, in double precision."""
-    x = np.array(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(x))
-        flat[i] = orig - h
-        fm = float(f(x))
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def max_relative_error(a: np.ndarray, b: np.ndarray, clamp: float = 1e-12) -> float:
-    """max |a-b| / max(|a|,|b|,clamp), elementwise."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), clamp)
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0

@@ -7,8 +7,9 @@
     figr stats     --shard SHARD [--csv PATH]
     figr gradcheck [--trials N] [--seed S]
 
-Every command is deterministic under its seed; training writes an
-append-only CSV log, periodic checkpoints, and sample montages.
+Every command is deterministic under its seed.  Training writes a CSV log,
+reconciled on start to the checkpoint the run starts from, periodic
+checkpoints, and sample montages.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,6 @@ from .config import (
     fingerprint,
     inner_config,
     load_config,
-    loss_config,
     model_config,
 )
 from .data import (
@@ -120,8 +121,7 @@ def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, streams,
     split = "validation" if dataset.val_ids else "train"
     _, task = sample_task(dataset, streams.sample, split=split)
     x = sample_images(task, cfg.n, streams.sample)
-    generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x,
-                              inner_config(cfg), loss_config(cfg),
+    generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, inner_config(cfg),
                               streams.sample, streams.sample, count=3 * cfg.n)
     tiles = np.concatenate([x, generated], axis=0)
     out_path.write_bytes(write_pgm(montage(tiles, columns=cfg.n, separator_px=2)))
@@ -151,11 +151,11 @@ def cmd_train(args) -> int:
 
     log_path = out_dir / "train_log.csv"
     _reconcile_log(log_path, state.step)
-    icfg, lcfg = inner_config(cfg), loss_config(cfg)
+    icfg = inner_config(cfg)
     t_start = time.perf_counter()
     with open(log_path, "a", encoding="utf-8") as log:
         while state.step < target:
-            state, rec = meta_step(state, disc, gen, dataset, icfg, lcfg, streams)
+            state, rec = meta_step(state, disc, gen, dataset, icfg, streams)
             log.write(f"{rec.step},{rec.task_id},{rec.critic_loss:.9g},"
                       f"{rec.gen_loss:.9g},{rec.delta_d_norm:.9g},"
                       f"{rec.delta_g_norm:.9g},{rec.seconds:.6f}\n")
@@ -180,8 +180,8 @@ def cmd_generate(args) -> int:
     disc, gen, state, _ = _restore(cfg, args.checkpoint)
     dataset = build_dataset(cfg)
 
-    n = args.n or cfg.n
-    k = args.k or cfg.k
+    icfg = replace(inner_config(cfg), k=cfg.k if args.k is None else args.k,
+                   n=cfg.n if args.n is None else args.n)
     ids = dataset.class_ids(args.split)
     if args.class_name:
         matches = [i for i in ids if dataset.classes[i].name == args.class_name]
@@ -192,28 +192,26 @@ def cmd_generate(args) -> int:
         rng0 = np.random.default_rng(args.seed)
         cid = ids[int(rng0.integers(len(ids)))]
     task = dataset.classes[cid]
-    if task.images.shape[0] < n:
+    if task.images.shape[0] < icfg.n:
         raise InsufficientImages(
-            f"class {task.name!r} has {task.images.shape[0]} images, need n={n}")
+            f"class {task.name!r} has {task.images.shape[0]} images, need n={icfg.n}")
 
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(cid,)))
-    idx = rng.choice(task.images.shape[0], size=n, replace=False)
+    idx = rng.choice(task.images.shape[0], size=icfg.n, replace=False)
     x = task.images[idx]
-    from .reptile import InnerConfig
-    icfg = InnerConfig(k=k, n=n, inner_lr=cfg.inner_lr)
     generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, icfg,
-                              loss_config(cfg), rng, rng, count=args.count)
+                              rng, rng, count=args.count)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tiles = np.concatenate([x, generated], axis=0)
     (out_dir / "montage.pgm").write_bytes(
-        write_pgm(montage(tiles, columns=n, separator_px=2)))
+        write_pgm(montage(tiles, columns=icfg.n, separator_px=2)))
     from .data import pack_shard
     from .evaluation import to_uint8
     shard = pack_shard([(task.name, to_uint8(generated[:, 0]))])
     (out_dir / "generated.fgr8").write_bytes(shard)
-    print(f"adapted to class {task.name!r} (n={n}, k={k}); "
+    print(f"adapted to class {task.name!r} (n={icfg.n}, k={icfg.k}); "
           f"wrote montage + {args.count} samples to {out_dir}")
     return 0
 
@@ -226,15 +224,15 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
     The baseline arm repeats the identical protocol from a fresh random
     initialization; both arms share per-class rng so the comparison is paired.
     """
-    from .reptile import InnerConfig
-
     ids = dataset.class_ids("validation")
     if not ids:
         raise CliError("validation split is empty")
+    if trials < 1:
+        raise CliError(f"--trials must be >= 1, got {trials}")
     if trials > len(ids):
         print(f"warning: --trials {trials} capped at {len(ids)} validation classes")
         trials = len(ids)
-    icfg, lcfg = inner_config(cfg), loss_config(cfg)
+    icfg = inner_config(cfg)
     baseline_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xB, 0)))
     base_state = init_meta_state(disc, gen, baseline_rng)
     reports = []
@@ -253,7 +251,7 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
         for arm, phi_d, phi_g in (("meta", state.phi_d, state.phi_g),
                                   ("base", base_state.phi_d, base_state.phi_g)):
             arm_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cid, 2)))
-            samples[arm] = figr_generate(phi_d, phi_g, disc, gen, x, icfg, lcfg,
+            samples[arm] = figr_generate(phi_d, phi_g, disc, gen, x, icfg,
                                          arm_rng, arm_rng, count=count)
         reports.append(EvalReport(
             task_id=cid, task_name=task.name,
@@ -380,9 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "count", None) is not None and args.command == "generate":
-        if args.count < 1:
-            parser.error("--count must be >= 1")
+    if args.command == "generate" and args.count < 1:
+        parser.error("--count must be >= 1")
     try:
         return args.fn(args)
     except (CliError, ConfigError, BadCheckpoint, FileNotFoundError, ValueError) as exc:

@@ -15,7 +15,6 @@ from .data import (
     split_classes,
     synth_glyph_dataset,
 )
-from .losses import LossConfig
 from .models import ModelConfig
 from .reptile import InnerConfig
 
@@ -32,7 +31,7 @@ class RunConfig:
     base_width: int = 16
     n_blocks: int = 3
     precision: str = "single"
-    # loss
+    # loss; WGAN-GP is the only mode, the key stays so fingerprints hold
     loss_mode: str = "wasserstein_gp"
     gp_lambda: float = 10.0
     # inner loop
@@ -62,6 +61,8 @@ class RunConfig:
     def __post_init__(self):
         if self.dataset_format not in ("synth", "idx", "fgr8"):
             raise ConfigError(f"unknown dataset_format {self.dataset_format!r}")
+        if self.loss_mode != "wasserstein_gp":
+            raise ConfigError(f"loss_mode must be wasserstein_gp, not {self.loss_mode!r}")
 
 
 # cadence and paths steer artifact emission, not the trajectory; leaving them
@@ -127,11 +128,8 @@ def model_config(cfg: RunConfig) -> ModelConfig:
 
 
 def inner_config(cfg: RunConfig) -> InnerConfig:
-    return InnerConfig(k=cfg.k, n=cfg.n, inner_lr=cfg.inner_lr)
-
-
-def loss_config(cfg: RunConfig) -> LossConfig:
-    return LossConfig(mode=cfg.loss_mode, gp_lambda=cfg.gp_lambda)
+    return InnerConfig(k=cfg.k, n=cfg.n, inner_lr=cfg.inner_lr,
+                       gp_lambda=cfg.gp_lambda)
 
 
 def build_dataset(cfg: RunConfig) -> TaskDataset:

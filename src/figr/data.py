@@ -344,6 +344,9 @@ def split_classes(ds: TaskDataset, n_validation: int, seed: int,
         unknown = [x for x in explicit if x not in byname]
         if unknown:
             raise ValueError(f"unknown validation classes {unknown}")
+        repeated = sorted({x for x in explicit if explicit.count(x) > 1})
+        if repeated:
+            raise ValueError(f"validation classes named more than once: {repeated}")
         val = tuple(sorted(byname[x] for x in explicit))
         if len(val) >= n:
             raise TooManyValidation("every class would be validation")

@@ -1,9 +1,9 @@
-"""Critic and generator objectives: Wasserstein with gradient penalty, plus
-a binary cross-entropy variant for simple setups."""
+"""Critic and generator objectives of WGAN-GP, the only objective figr
+trains: the Wasserstein critic and generator losses and the gradient
+penalty on random interpolates (Gulrajani et al., arXiv:1704.00028)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -12,18 +12,6 @@ from . import autodiff as ad
 from .autodiff import ShapeMismatch, Tensor, backward
 
 NORM_FLOOR = 1e-12  # inside the sqrt, avoids the derivative singularity at 0
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    mode: str = "wasserstein_gp"
-    gp_lambda: float = 10.0
-
-    def __post_init__(self):
-        if self.mode not in ("wasserstein_gp", "bce"):
-            raise ValueError(f"unknown loss mode {self.mode!r}")
-        if self.gp_lambda < 0:
-            raise ValueError("gp_lambda must be non-negative")
 
 
 def critic_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
@@ -70,18 +58,3 @@ def gradient_penalty(critic: Callable[[Tensor], Tensor],
     norms = ad.sqrt(ad.add(ad.tsum(ad.square(flat), axes=(1,)), NORM_FLOOR))
     return ad.mul(ad.tmean(ad.square(ad.sub(norms, 1.0))), float(gp_lambda))
 
-
-def bce_gan_losses(real_scores: Tensor, fake_scores: Tensor) -> tuple[Tensor, Tensor]:
-    """Non-saturating GAN losses on pre-sigmoid logits.
-
-    d_loss = BCE(real -> 1) + BCE(fake -> 0), g_loss = BCE(fake -> 1),
-    evaluated in log-sum-exp form so huge logits stay finite.
-    """
-    d_loss = ad.add(ad.tmean(ad.softplus(ad.neg(real_scores))),
-                    ad.tmean(ad.softplus(fake_scores)))
-    g_loss = bce_generator_loss(fake_scores)
-    return d_loss, g_loss
-
-
-def bce_generator_loss(fake_scores: Tensor) -> Tensor:
-    return ad.tmean(ad.softplus(ad.neg(fake_scores)))

@@ -11,14 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
-from .losses import (
-    LossConfig,
-    bce_gan_losses,
-    bce_generator_loss,
-    critic_loss,
-    generator_loss,
-    gradient_penalty,
-)
+from .losses import critic_loss, generator_loss, gradient_penalty
 from .models import (
     Discriminator,
     Generator,
@@ -28,10 +21,6 @@ from .models import (
     sample_latent,
 )
 from .rng import RngStreams
-
-
-class EmptyDataset(ValueError):
-    pass
 
 
 class NonFiniteStep(ValueError):
@@ -47,10 +36,11 @@ class InnerConfig:
     k: int = 10
     n: int = 4
     inner_lr: float = 1e-4
+    gp_lambda: float = 10.0
 
     def __post_init__(self):
-        if self.k < 1 or self.n < 1 or self.inner_lr < 0:
-            raise ValueError("need k >= 1, n >= 1, inner_lr >= 0")
+        if self.k < 1 or self.n < 1 or self.inner_lr < 0 or self.gp_lambda < 0:
+            raise ValueError("need k >= 1, n >= 1, inner_lr >= 0, gp_lambda >= 0")
 
 
 @dataclass
@@ -106,16 +96,6 @@ def init_meta_state(disc: Discriminator, gen: Generator, rng: np.random.Generato
     )
 
 
-def sgd_step(w: ParameterSet, grads: np.ndarray, lr: float) -> ParameterSet:
-    """Plain gradient descent, no momentum: w - lr * grads."""
-    if grads.shape != (w.total_len,):
-        raise LayoutMismatch(f"gradient of {grads.shape} for {w.total_len} parameters")
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    stepped = w.vector.astype(np.float64) - lr * grads.astype(np.float64)
-    return w.with_vector(stepped.astype(w.vector.dtype))
-
-
 def adam_step(adam: AdamState, params: ParameterSet, pseudo_grad: np.ndarray,
               lr: float, beta1: float, beta2: float, eps: float
               ) -> tuple[ParameterSet, AdamState]:
@@ -142,11 +122,11 @@ class InnerStats:
 
 def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
                disc: Discriminator, gen: Generator,
-               x_task: np.ndarray, cfg: InnerConfig, loss_cfg: LossConfig,
+               x_task: np.ndarray, cfg: InnerConfig,
                latent_rng: np.random.Generator, eps_rng: np.random.Generator,
                grad_trace: list | None = None
                ) -> tuple[ParameterSet, ParameterSet, InnerStats]:
-    """K alternating critic/generator SGD steps on copies of phi.
+    """K alternating WGAN-GP critic/generator SGD steps on copies of phi.
 
     The same n real images are reused at every iteration; a fresh latent
     batch of size n is drawn before each critic step and again before
@@ -159,7 +139,6 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
         raise ValueError(f"x_task has {x_task.shape[0]} images, expected n={cfg.n}")
     precision = "single" if phi_d.vector.dtype == np.float32 else "double"
     x_task = np.ascontiguousarray(x_task, dtype=phi_d.vector.dtype)
-    wasserstein = loss_cfg.mode == "wasserstein_gp"
 
     phi_d64 = phi_d.vector.astype(np.float64)
     phi_g64 = phi_g.vector.astype(np.float64)
@@ -176,13 +155,10 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
             bound_d = w_d.bind()
             real_scores = disc.forward(bound_d, x_real)
             fake_scores = disc.forward(bound_d, fake)
-            if wasserstein:
-                loss_d = ad.add(
-                    critic_loss(real_scores, fake_scores),
-                    gradient_penalty(lambda v: disc.forward(bound_d, v),
-                                     x_real, fake, loss_cfg.gp_lambda, rng=eps_rng))
-            else:
-                loss_d, _ = bce_gan_losses(real_scores, fake_scores)
+            loss_d = ad.add(
+                critic_loss(real_scores, fake_scores),
+                gradient_penalty(lambda v: disc.forward(bound_d, v),
+                                 x_real, fake, cfg.gp_lambda, rng=eps_rng))
             gd = bound_d.flatten_grads(backward(loss_d))
             d_val = loss_d.item()
         acc_d += gd
@@ -195,10 +171,7 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
             bound_g = w_g.bind()
             fake2_scores = disc.forward(w_d.bind(trainable=False),
                                         gen.forward(bound_g, z2))
-            if wasserstein:
-                loss_g = generator_loss(fake2_scores)
-            else:
-                loss_g = bce_generator_loss(fake2_scores)
+            loss_g = generator_loss(fake2_scores)
             gg = bound_g.flatten_grads(backward(loss_g))
             g_val = loss_g.item()
         acc_g += gg
@@ -212,20 +185,18 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
     return w_d, w_g, InnerStats(d_val, g_val)
 
 
-def meta_step(state: MetaState, disc: Discriminator, gen: Generator,
-              dataset, cfg: InnerConfig, loss_cfg: LossConfig,
-              streams: RngStreams) -> tuple[MetaState, TrainRecord]:
+def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
+              cfg: InnerConfig, streams: RngStreams
+              ) -> tuple[MetaState, TrainRecord]:
     """One outer iteration: sample a task, adapt copies, move phi toward them."""
     from .data import sample_images, sample_task
 
     t0 = time.perf_counter()
-    if not dataset.train_ids:
-        raise EmptyDataset("dataset has no training classes")
     task_id, task = sample_task(dataset, streams.task, split="train")
     x = sample_images(task, cfg.n, streams.task)
 
     w_d, w_g, stats = inner_loop(state.phi_d, state.phi_g, disc, gen, x,
-                                 cfg, loss_cfg, streams.latent, streams.eps)
+                                 cfg, streams.latent, streams.eps)
     pseudo_d = params_delta(state.phi_d, w_d)
     pseudo_g = params_delta(state.phi_g, w_g)
     bad = [name for name, value in (("critic loss", stats.final_critic_loss),
@@ -255,7 +226,7 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator,
 
 def figr_generate(phi_d: ParameterSet, phi_g: ParameterSet,
                   disc: Discriminator, gen: Generator,
-                  x_task: np.ndarray, cfg: InnerConfig, loss_cfg: LossConfig,
+                  x_task: np.ndarray, cfg: InnerConfig,
                   latent_rng: np.random.Generator, eps_rng: np.random.Generator,
                   count: int) -> np.ndarray:
     """Adapt copies on the conditioning images, then sample `count` images.
@@ -264,7 +235,7 @@ def figr_generate(phi_d: ParameterSet, phi_g: ParameterSet,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg, loss_cfg,
+    _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg,
                            latent_rng, eps_rng)
     with Graph("single" if phi_g.vector.dtype == np.float32 else "double"):
         z = sample_latent(count, gen.cfg, latent_rng)

@@ -12,13 +12,12 @@ from figr.autodiff import (
     Tensor,
     backward,
     conv2d,
-    finite_difference_gradient,
     layer_norm,
     matmul,
-    max_relative_error,
     prelu,
     tensor,
 )
+from figr.gradcheck import finite_difference_gradient, max_relative_error
 
 FD_TOL = 1e-6
 
@@ -82,11 +81,6 @@ class TestElementwise:
         [
             ("square", lambda x: float(np.sum(x ** 2)), lambda x: ad.square(x).sum()),
             ("tanh", lambda x: float(np.sum(np.tanh(x))), lambda x: ad.tanh(x).sum()),
-            ("exp", lambda x: float(np.sum(np.exp(x))), lambda x: ad.exp(x).sum()),
-            ("sigmoid", lambda x: float(np.sum(1 / (1 + np.exp(-x)))),
-             lambda x: ad.sigmoid(x).sum()),
-            ("softplus", lambda x: float(np.sum(np.logaddexp(0, x))),
-             lambda x: ad.softplus(x).sum()),
             ("mul-div", lambda x: float(np.sum(x * 3.0 / (x ** 2 + 1))),
              lambda x: ad.div(ad.mul(x, 3.0), ad.add(ad.square(x), 1.0)).sum()),
         ],
@@ -100,7 +94,6 @@ class TestElementwise:
         "name,f_np,f_ad",
         [
             ("sqrt", lambda x: float(np.sum(np.sqrt(x))), lambda x: ad.sqrt(x).sum()),
-            ("log", lambda x: float(np.sum(np.log(x))), lambda x: ad.log(x).sum()),
         ],
     )
     def test_positive_domain_gradients(self, name, f_np, f_ad):
@@ -497,14 +490,6 @@ class TestBackward:
             return ad.square(gv).sum()
 
         fd_check(penalty_np, penalty_ad, w0, tol=1e-5)
-
-    def test_no_grad_blocks_recording(self):
-        with Graph("double"):
-            x = tensor(np.ones(3), requires_grad=True)
-            with ad.no_grad():
-                y = ad.square(x)
-            assert not y.requires_grad
-            assert y.node is None
 
 
 class TestFiniteDifference:

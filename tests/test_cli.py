@@ -161,6 +161,13 @@ class TestGenerateEval:
                      "--n", 99, "--out", tmp_path / "x")
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--k", "--n"])
+    def test_generate_rejects_zero_k_and_n(self, cfg_path, trained, tmp_path, flag):
+        out = tmp_path / "x"
+        assert run_cli("generate", "--config", cfg_path, "--checkpoint", trained,
+                       flag, 0, "--out", out) == 2
+        assert not out.exists()
+
     def test_eval_emits_rows(self, cfg_path, trained, tmp_path, capsys):
         csv = tmp_path / "eval.csv"
         assert run_cli("eval", "--config", cfg_path, "--checkpoint", trained,
@@ -168,6 +175,13 @@ class TestGenerateEval:
         rows = csv.read_text().strip().splitlines()
         assert rows[0] == "task_id,name,mmd2,baseline_mmd2,nn_distance,win"
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_eval_rejects_trials_below_one(self, cfg_path, trained, tmp_path, trials):
+        csv = tmp_path / "eval.csv"
+        assert run_cli("eval", "--config", cfg_path, "--checkpoint", trained,
+                       "--trials", trials, "--out", csv) == 2
+        assert not csv.exists()
 
     def test_eval_caps_trials(self, cfg_path, trained, tmp_path, capsys):
         assert run_cli("eval", "--config", cfg_path, "--checkpoint", trained,

@@ -14,10 +14,11 @@ from figr.config import (
     RunConfig,
     canonical_text,
     fingerprint,
+    inner_config,
     parse_config,
 )
 from figr.models import Discriminator, Generator, ModelConfig
-from figr.reptile import init_meta_state
+from figr.reptile import InnerConfig, init_meta_state
 from figr.rng import make_streams, state_from_bytes, state_to_bytes
 
 
@@ -58,6 +59,24 @@ class TestConfig:
         assert a != fingerprint(RunConfig(inner_lr=2e-4))
         assert a != fingerprint(RunConfig(seed=1))
         assert len(a) == 32
+
+    @pytest.mark.parametrize("mode", ["bce", "hinge"])
+    def test_loss_mode_other_than_wgan_gp_rejected(self, mode):
+        with pytest.raises(ConfigError, match="loss_mode"):
+            parse_config(f"loss_mode = {mode}\n")
+
+    def test_negative_gp_lambda_rejected(self):
+        with pytest.raises(ValueError):
+            InnerConfig(gp_lambda=-1.0)
+
+    def test_inner_config_carries_gp_lambda(self):
+        assert inner_config(RunConfig(gp_lambda=2.5)).gp_lambda == 2.5
+
+    def test_default_fingerprint_pinned(self):
+        # loss_mode stays a key so that this, and every checkpoint's
+        # fingerprint, does not change
+        assert fingerprint(RunConfig()).hex() == (
+            "0feeac716134481a6bae72f16017bdb1200d345b30d32700ef818d7117395a29")
 
     def test_fingerprint_ignores_operational_fields(self):
         a = fingerprint(RunConfig())

@@ -264,6 +264,12 @@ class TestTaskDataset:
         assert ds.val_ids == (9,)
         assert 9 not in ds.train_ids
 
+    def test_repeated_explicit_class_rejected(self):
+        # a repeated name would score that class twice in `figr eval`
+        with pytest.raises(ValueError, match="c1"):
+            split_classes(build_tasks(self.raw(5), 8), 0, seed=0,
+                          explicit=["c1", "c1"])
+
     def test_too_many_validation(self):
         with pytest.raises(TooManyValidation):
             split_classes(build_tasks(self.raw(3), 8), 3, seed=0)

@@ -11,18 +11,11 @@ from figr.autodiff import (
     ShapeMismatch,
     Tensor,
     backward,
-    finite_difference_gradient,
     matmul,
-    max_relative_error,
     tensor,
 )
-from figr.losses import (
-    LossConfig,
-    bce_gan_losses,
-    critic_loss,
-    generator_loss,
-    gradient_penalty,
-)
+from figr.gradcheck import finite_difference_gradient, max_relative_error
+from figr.losses import critic_loss, generator_loss, gradient_penalty
 
 
 def scores(*vals):
@@ -185,48 +178,6 @@ class TestGradientPenalty:
             grads = backward(pen)
         assert w in grads
         assert x not in grads and y not in grads
-
-
-class TestBceLosses:
-    def test_zero_logits(self):
-        d, g = bce_gan_losses(scores(0, 0), scores(0, 0))
-        assert math.isclose(d.item(), 2 * math.log(2), rel_tol=1e-12)
-        assert math.isclose(g.item(), math.log(2), rel_tol=1e-12)
-
-    def test_saturated_real_term_vanishes(self):
-        d, _ = bce_gan_losses(scores(40.0), scores(0.0))
-        # real term ~ exp(-40); only the fake half of the loss remains
-        assert math.isclose(d.item(), math.log(2), rel_tol=1e-9)
-
-    def test_finite_for_huge_logits(self):
-        d, g = bce_gan_losses(scores(1e4, -1e4), scores(-1e4, 1e4))
-        assert np.isfinite(d.item()) and np.isfinite(g.item())
-
-    def test_gradient_matches_fd(self):
-        rng = np.random.default_rng(10)
-        fake0 = rng.standard_normal(5)
-        real = rng.standard_normal((5, 1))
-
-        def f_np(fakes):
-            d = np.mean(np.logaddexp(0, -real)) + np.mean(np.logaddexp(0, fakes))
-            return float(d)
-
-        with Graph("double"):
-            ft = tensor(fake0.reshape(-1, 1).copy(), requires_grad=True)
-            d, _ = bce_gan_losses(tensor(real.copy()), ft)
-            g = backward(d)[ft].data
-        fd = finite_difference_gradient(lambda f: f_np(f.reshape(-1, 1)), fake0, h=1e-6)
-        assert max_relative_error(g.ravel(), fd) < 1e-6
-
-
-class TestLossConfig:
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            LossConfig(mode="hinge")
-
-    def test_negative_lambda(self):
-        with pytest.raises(ValueError):
-            LossConfig(gp_lambda=-1.0)
 
 
 @settings(max_examples=30, deadline=None)

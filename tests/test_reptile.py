@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from figr.autodiff import Graph, Tensor, backward
-from figr.losses import LossConfig, critic_loss, generator_loss, gradient_penalty
+from figr.losses import critic_loss, generator_loss, gradient_penalty
 from figr.models import Discriminator, Generator, LayoutMismatch, ModelConfig, params_delta
 from figr.reptile import (
     AdamState,
@@ -16,13 +16,11 @@ from figr.reptile import (
     init_meta_state,
     inner_loop,
     meta_step,
-    sgd_step,
 )
 from figr.rng import make_streams
 
 CFG64 = ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="double")
 CFG32 = ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="single")
-LOSS = LossConfig()
 
 
 def tiny_models(cfg):
@@ -32,38 +30,6 @@ def tiny_models(cfg):
 def task_images(cfg, n, seed=0):
     rng = np.random.default_rng(seed)
     return np.tanh(rng.standard_normal((n, 1, cfg.image_size, cfg.image_size))).astype(cfg.dtype)
-
-
-class TestSgdStep:
-    def test_zero_gradient_unchanged(self):
-        disc, _ = tiny_models(CFG64)
-        w = disc.init_params(np.random.default_rng(0))
-        out = sgd_step(w, np.zeros(w.total_len), 0.1)
-        np.testing.assert_array_equal(out.vector, w.vector)
-
-    def test_arithmetic(self):
-        _, gen = tiny_models(CFG64)
-        base = gen.init_params(np.random.default_rng(0))
-        w = base.with_vector(np.ones(base.total_len))
-        g = np.zeros(base.total_len)
-        g[0], g[1] = 1.0, -1.0
-        out = sgd_step(w, g, 0.5)
-        assert out.vector[0] == 0.5 and out.vector[1] == 1.5
-        np.testing.assert_array_equal(out.vector[2:], 1.0)
-
-    def test_two_steps_equal_one_double_step(self):
-        _, gen = tiny_models(CFG64)
-        w = gen.init_params(np.random.default_rng(1))
-        g = np.random.default_rng(2).standard_normal(w.total_len)
-        twice = sgd_step(sgd_step(w, g, 0.01), g, 0.01)
-        once = sgd_step(w, g, 0.02)
-        np.testing.assert_allclose(twice.vector, once.vector, rtol=1e-12)
-
-    def test_layout_guard(self):
-        _, gen = tiny_models(CFG64)
-        w = gen.init_params(np.random.default_rng(0))
-        with pytest.raises(LayoutMismatch):
-            sgd_step(w, np.zeros(w.total_len + 1), 0.1)
 
 
 class TestAdamStep:
@@ -110,7 +76,7 @@ class TestInnerLoop:
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         cfg = InnerConfig(k=3, n=2, inner_lr=0.0)
         w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, task_images(CFG64, 2),
-                                 cfg, LOSS, np.random.default_rng(6), np.random.default_rng(7))
+                                 cfg, np.random.default_rng(6), np.random.default_rng(7))
         np.testing.assert_array_equal(w_d.vector, phi_d.vector)
         np.testing.assert_array_equal(w_g.vector, phi_g.vector)
 
@@ -120,7 +86,7 @@ class TestInnerLoop:
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         before_d, before_g = phi_d.vector.copy(), phi_g.vector.copy()
         inner_loop(phi_d, phi_g, disc, gen, task_images(CFG64, 2),
-                   InnerConfig(k=2, n=2, inner_lr=1e-3), LOSS,
+                   InnerConfig(k=2, n=2, inner_lr=1e-3),
                    np.random.default_rng(9), np.random.default_rng(10))
         np.testing.assert_array_equal(phi_d.vector, before_d)
         np.testing.assert_array_equal(phi_g.vector, before_g)
@@ -131,7 +97,7 @@ class TestInnerLoop:
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         x = task_images(CFG32, 2, seed=1)
         cfg = InnerConfig(k=2, n=2, inner_lr=1e-4)
-        run = lambda: inner_loop(phi_d, phi_g, disc, gen, x, cfg, LOSS,
+        run = lambda: inner_loop(phi_d, phi_g, disc, gen, x, cfg,
                                  np.random.default_rng(12), np.random.default_rng(13))
         a_d, a_g, _ = run()
         b_d, b_g, _ = run()
@@ -145,7 +111,7 @@ class TestInnerLoop:
         cfg = InnerConfig(k=4, n=2, inner_lr=1e-3)
         trace = []
         w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, task_images(CFG64, 2, 2),
-                                 cfg, LOSS, np.random.default_rng(15),
+                                 cfg, np.random.default_rng(15),
                                  np.random.default_rng(16), grad_trace=trace)
         assert len(trace) == 4
         sum_d = cfg.inner_lr * np.sum([gd for gd, _ in trace], axis=0)
@@ -164,7 +130,7 @@ class TestInnerLoop:
         cfg = InnerConfig(k=4, n=2, inner_lr=1e-3)
         trace = []
         w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, task_images(CFG32, 2, 2),
-                                 cfg, LOSS, np.random.default_rng(15),
+                                 cfg, np.random.default_rng(15),
                                  np.random.default_rng(16), grad_trace=trace)
         eps32 = np.finfo(np.float32).eps
         for phi, w, idx in ((phi_d, w_d, 0), (phi_g, w_g, 1)):
@@ -192,7 +158,7 @@ class TestMetaStep:
         state = init_meta_state(disc, gen, np.random.default_rng(21))
         ds = self.make_dataset(CFG32)
         new, rec = meta_step(state, disc, gen, ds,
-                             InnerConfig(k=2, n=2, inner_lr=0.0), LOSS, make_streams(0))
+                             InnerConfig(k=2, n=2, inner_lr=0.0), make_streams(0))
         np.testing.assert_array_equal(new.phi_d.vector, state.phi_d.vector)
         np.testing.assert_array_equal(new.phi_g.vector, state.phi_g.vector)
         assert new.step == state.step + 1
@@ -208,7 +174,7 @@ class TestMetaStep:
         x = task_images(CFG64, 2, seed=3)
 
         lat_seed, eps_seed = 23, 24
-        w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, cfg, LOSS,
+        w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, cfg,
                                  np.random.default_rng(lat_seed),
                                  np.random.default_rng(eps_seed))
         pseudo_d = params_delta(phi_d, w_d).astype(np.float64)
@@ -225,7 +191,7 @@ class TestMetaStep:
             bound_d = phi_d.bind()
             loss_d = critic_loss(disc.forward(bound_d, xt), disc.forward(bound_d, fake)) \
                 + gradient_penalty(lambda v: disc.forward(bound_d, v), xt, fake,
-                                   LOSS.gp_lambda, rng=eps_rng)
+                                   cfg.gp_lambda, rng=eps_rng)
             gd = bound_d.flatten_grads(backward(loss_d))
         w_d_manual = phi_d.with_vector(phi_d.vector - cfg.inner_lr * gd)
         with Graph("double"):
@@ -248,7 +214,7 @@ class TestMetaStep:
             state = init_meta_state(disc, gen, np.random.default_rng(30))
             streams = make_streams(31)
             for _ in range(10):
-                state, _ = meta_step(state, disc, gen, ds, cfg, LOSS, streams)
+                state, _ = meta_step(state, disc, gen, ds, cfg, streams)
             return state
 
         a, b = run(), run()
@@ -266,7 +232,7 @@ class TestMetaStep:
         ds = figr.data.synth_glyph_dataset(6, 4, CFG32.image_size, seed=0)
         disc, gen = tiny_models(CFG32)
         state = init_meta_state(disc, gen, np.random.default_rng(0))
-        _, rec = meta_step(state, disc, gen, ds, InnerConfig(k=1, n=2), LOSS,
+        _, rec = meta_step(state, disc, gen, ds, InnerConfig(k=1, n=2),
                            make_streams(0))
         assert len(calls) == 4
         assert {c[1] for c in calls} == {rec.task_id}
@@ -280,20 +246,19 @@ class TestMetaStep:
         ds.classes[0].images[:, 0, 0, 0] = np.nan
         with pytest.raises(NonFiniteStep, match=r"meta-step 1 on task 0: non-finite"):
             meta_step(state, disc, gen, ds, InnerConfig(k=2, n=2, inner_lr=1e-4),
-                      LOSS, make_streams(0))
+                      make_streams(0))
         for before, after in zip(snap, (state.phi_d.vector, state.phi_g.vector,
                                         state.adam_d.m, state.adam_g.v)):
             np.testing.assert_array_equal(before, after)
         assert state.step == 0 and state.adam_d.t == 0
 
     def test_empty_dataset(self):
-        from figr.data import TaskDataset
-        from figr.reptile import EmptyDataset
+        from figr.data import EmptySplit, TaskDataset
         disc, gen = tiny_models(CFG32)
         state = init_meta_state(disc, gen, np.random.default_rng(0))
         ds = TaskDataset(classes=(), image_size=8, train_ids=(), val_ids=())
-        with pytest.raises(EmptyDataset):
-            meta_step(state, disc, gen, ds, InnerConfig(k=1, n=1), LOSS, make_streams(0))
+        with pytest.raises(EmptySplit):
+            meta_step(state, disc, gen, ds, InnerConfig(k=1, n=1), make_streams(0))
 
 
 class TestGenerate:
@@ -302,7 +267,7 @@ class TestGenerate:
         rng = np.random.default_rng(40)
         with pytest.raises(ValueError):
             figr_generate(disc.init_params(rng), gen.init_params(rng), disc, gen,
-                          task_images(CFG32, 2), InnerConfig(k=1, n=2), LOSS,
+                          task_images(CFG32, 2), InnerConfig(k=1, n=2),
                           np.random.default_rng(0), np.random.default_rng(1), count=0)
 
     def test_deterministic_and_nondegenerate(self):
@@ -313,7 +278,7 @@ class TestGenerate:
         cfg = InnerConfig(k=2, n=2, inner_lr=1e-4)
 
         def run(seed):
-            return figr_generate(phi_d, phi_g, disc, gen, x, cfg, LOSS,
+            return figr_generate(phi_d, phi_g, disc, gen, x, cfg,
                                  np.random.default_rng(seed),
                                  np.random.default_rng(seed + 1), count=3)
 
@@ -329,7 +294,7 @@ class TestGenerate:
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         snap_d, snap_g = phi_d.vector.copy(), phi_g.vector.copy()
         figr_generate(phi_d, phi_g, disc, gen, task_images(CFG32, 2, 5),
-                      InnerConfig(k=3, n=2, inner_lr=1e-3), LOSS,
+                      InnerConfig(k=3, n=2, inner_lr=1e-3),
                       np.random.default_rng(0), np.random.default_rng(1), count=2)
         np.testing.assert_array_equal(phi_d.vector, snap_d)
         np.testing.assert_array_equal(phi_g.vector, snap_g)
@@ -346,9 +311,9 @@ class TestTapeRelease:
         cfg = InnerConfig(k=2, n=2, inner_lr=1e-4)
 
         def adapt_and_generate():
-            inner_loop(phi_d, phi_g, disc, gen, x, cfg, LOSS,
+            inner_loop(phi_d, phi_g, disc, gen, x, cfg,
                        np.random.default_rng(0), np.random.default_rng(1))
-            figr_generate(phi_d, phi_g, disc, gen, x, cfg, LOSS,
+            figr_generate(phi_d, phi_g, disc, gen, x, cfg,
                           np.random.default_rng(2), np.random.default_rng(3), count=2)
 
         adapt_and_generate()                 # warm-up
