@@ -3,10 +3,17 @@
 The engine is a Wengert tape: every operation appends one node to the
 active Graph, so node inputs always precede the node (topological order
 by construction).  Backward rules are themselves written with the public
-ops; running backward with ``create_graph=True`` therefore records the
+ops; running backward with ``create_graph`` therefore records the
 backward pass onto the same tape and the returned gradients are
 differentiable tensors.  That one mechanism provides the second-order
-derivatives the gradient penalty needs.
+derivatives the gradient penalty needs.  ``create_graph`` names the
+leaves to differentiate with respect to: the penalty passes ``(xhat,)``,
+so the critic's parameter gradients, which it would throw away, are
+neither computed nor recorded.
+
+Fused ops (conv2d, prelu, layer_norm) are one node each: the forward
+runs in numpy, and the backward rule re-derives in graph ops whatever a
+recorded backward must differentiate again.
 
 A first-order backward (no ``create_graph``) consumes the tape and
 releases its nodes.  Each node's backward rule closes over its input
@@ -18,6 +25,7 @@ garbage collection.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -419,10 +427,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     axes = tuple(axes)
-    inverse = tuple(int(i) for i in np.argsort(axes))
 
     def vjp(g, needs):
-        return (permute(g, inverse),)
+        return (permute(g, tuple(sorted(range(len(axes)), key=axes.__getitem__))),)
 
     return _apply("permute", a.data.transpose(axes), (a,), vjp)
 
@@ -679,13 +686,12 @@ def prelu(x: Tensor, a: Tensor) -> Tensor:
     _check_same_dtype(x, a)
 
     xd = x.data
-    pos = xd >= 0
-    ab = a.data.reshape(bshape)
-    out_data = np.where(pos, xd, ab * xd)
-    posm = Tensor(pos.astype(xd.dtype))
-    negm = Tensor((~pos).astype(xd.dtype))
+    out_data = np.where(xd >= 0, xd, a.data.reshape(bshape) * xd)
 
     def vjp(g, needs):
+        pos = xd >= 0
+        posm = Tensor(pos.astype(xd.dtype))
+        negm = Tensor((~pos).astype(xd.dtype))
         dx = da = None
         a_full = expand(reshape(a, bshape), x.shape)
         if needs[0]:
@@ -702,7 +708,10 @@ def prelu(x: Tensor, a: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each sample over all non-batch axes, then apply affine.
 
-    gain and bias must have shape x.shape[1:].
+    gain and bias must have shape x.shape[1:].  One node: the forward runs
+    in numpy with the float operations of the composite mean / centre /
+    variance / sqrt / divide / affine chain, so its output is bitwise what
+    that chain gives.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -710,28 +719,63 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != feat or bias.shape != feat:
         raise ShapeMismatch(
             f"gain/bias {gain.shape}/{bias.shape} do not match normalized extent {feat}")
+    _check_same_dtype(x, gain, bias)
     axes = tuple(range(1, x.ndim))
-    mu = tmean(x, axes=axes, keepdims=True)
-    xc = sub(x, expand(mu, x.shape))
-    var = tmean(square(xc), axes=axes, keepdims=True)
-    xn = div(xc, expand(sqrt(add(var, eps)), x.shape))
     bshape = (1,) + feat
-    out = mul(xn, expand(reshape(gain, bshape), x.shape))
-    return add(out, expand(reshape(bias, bshape), x.shape))
+    xd = x.data
+    inv_count = np.asarray(1.0 / math.prod(feat), dtype=xd.dtype)
+    xc = xd - xd.sum(axis=axes, keepdims=True) * inv_count
+    std = np.sqrt(np.square(xc).sum(axis=axes, keepdims=True) * inv_count
+                  + np.asarray(eps, dtype=xd.dtype))
+    xn = xc / std
+    out_data = xn * gain.data.reshape(bshape) + bias.data.reshape(bshape)
+
+    def vjp(g, needs):
+        if _state().grad_enabled and x.requires_grad:
+            # a recorded backward must stay differentiable in x: re-derive
+            # the normalized input as graph ops, as conv2d re-records unfold3x3
+            xc_t = sub(x, expand(tmean(x, axes, keepdims=True), x.shape))
+            std_t = expand(sqrt(add(tmean(square(xc_t), axes, keepdims=True), eps)),
+                           x.shape)
+            xn_t = div(xc_t, std_t)
+        else:
+            xn_t, std_t = Tensor(xn), Tensor(np.broadcast_to(std, x.shape))
+        dx = dgain = dbias = None
+        if needs[0]:
+            # d/dx of (x - mean) / std: centre the output gradient, remove
+            # its component along xn, divide by std
+            dxn = mul(g, expand(reshape(gain, bshape), x.shape))
+            proj = mul(xn_t, expand(tmean(mul(dxn, xn_t), axes, keepdims=True), x.shape))
+            dx = div(sub(sub(dxn, expand(tmean(dxn, axes, keepdims=True), x.shape)), proj),
+                     std_t)
+        if needs[1]:
+            dgain = tsum(mul(g, xn_t), axes=(0,))
+        if needs[2]:
+            dbias = tsum(g, axes=(0,))
+        return (dx, dgain, dbias)
+
+    return _apply("layer_norm", out_data, (x, gain, bias), vjp)
 
 
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
+def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
     """Accumulate d(loss)/d(leaf) for every reachable requires_grad leaf.
 
-    Returns a map keyed by leaf tensor.  With create_graph=True the
-    returned gradients are graph tensors and the tape stays alive;
-    otherwise the graph is consumed: it is marked dead and its nodes are
-    released, so the activations they saved are freed once the caller
-    drops its own references.
+    Returns a map keyed by leaf tensor.  A first-order call
+    (create_graph=False) consumes the graph: it is marked dead and its
+    nodes are released, so the activations they saved are freed once the
+    caller drops its own references.
+
+    Otherwise create_graph names the leaves to differentiate with respect
+    to, e.g. ``create_graph=(xhat,)``.  The backward pass is then recorded
+    onto the same tape, so the returned gradients are graph tensors, and
+    the tape stays alive.  Only nodes that depend on those leaves are
+    visited and only their input gradients computed, and the map holds
+    only those leaves: gradients nobody asked for are neither computed nor
+    recorded.
     """
     if loss.data.size != 1:
         raise NotScalar(f"loss must be scalar, got shape {loss.shape}")
@@ -749,6 +793,22 @@ def backward(loss: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
         if reach[i]:
             for j in nodes[i].input_ids:
                 reach[j] = 1
+    record = create_graph is not False
+    depends = None
+    if record:
+        if create_graph is True:
+            raise TypeError("create_graph takes the leaves to differentiate "
+                            "with respect to, e.g. create_graph=(x,)")
+        # restrict to the nodes that depend on the requested leaves; inputs
+        # precede their node, so one forward sweep settles every node
+        depends = bytearray(start + 1)
+        for leaf in create_graph:
+            if leaf.graph is g and leaf.node is not None and leaf.node <= start:
+                depends[leaf.node] = 1
+        for i in range(start + 1):
+            if reach[i] and not depends[i]:
+                depends[i] = any(depends[j] for j in nodes[i].input_ids)
+        reach = depends
 
     grads: dict[int, Tensor] = {start: Tensor(np.ones((), dtype=loss.data.dtype))}
     if loss.shape != ():
@@ -758,7 +818,7 @@ def backward(loss: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
     st = _state()
     st.stack.append(g)
     prev_mode = st.grad_enabled
-    st.grad_enabled = create_graph
+    st.grad_enabled = record
     try:
         for i in range(start, -1, -1):
             if not reach[i] or i not in grads:
@@ -770,7 +830,11 @@ def backward(loss: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
                 if leaf is not None and leaf.requires_grad:
                     result[leaf] = gi
                 continue
-            for j, dj in zip(node.input_ids, node.vjp(gi, node.needs)):
+            needs = node.needs
+            if depends is not None:
+                needs = tuple(n and depends[j] == 1
+                              for n, j in zip(needs, node.input_ids))
+            for j, dj in zip(node.input_ids, node.vjp(gi, needs)):
                 if dj is None:
                     continue
                 acc = grads.get(j)
@@ -779,7 +843,7 @@ def backward(loss: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
         st.grad_enabled = prev_mode
         st.stack.pop()
 
-    if not create_graph:
+    if not record:
         g.dead = True
         nodes.clear()
     return result

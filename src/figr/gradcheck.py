@@ -22,9 +22,9 @@ CHECK_CFG = ModelConfig(image_size=8, latent_dim=5, base_width=4, n_blocks=1,
                         precision="double")
 DEFAULT_TOL = 1e-4
 FD_H = 1e-6
-# central differences at h=1e-6 carry ~1e-10 absolute noise; a coordinate whose
-# gradient sits under this floor on both sides is indistinguishable from zero
-NOISE_FLOOR = 1e-8
+# relative accuracy of one evaluation of a check's loss: a few units in the
+# last place of the O(1) scores and images it is built from
+FD_ROUNDOFF = 8 * np.finfo(np.float64).eps
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -57,16 +57,19 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, clamp: float = 1e-12) -> fl
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def agreement_error(ad: np.ndarray, fd: np.ndarray,
-                    noise_floor: float = NOISE_FLOOR) -> float:
-    """Max relative error, ignoring coordinates that are zero up to FD noise."""
-    ad = np.asarray(ad, dtype=np.float64)
-    fd = np.asarray(fd, dtype=np.float64)
-    mag = np.maximum(np.abs(ad), np.abs(fd))
-    live = mag >= noise_floor
-    if not np.any(live):
-        return 0.0
-    return max_relative_error(ad[live], fd[live])
+def agreement_error(ad: np.ndarray, fd: np.ndarray, f_value: float) -> float:
+    """Max relative error of ad against central differences fd of f.
+
+    fl(f) is off by about FD_ROUNDOFF * max(|f|, 1) at x + h and at x - h,
+    so fd is off by about that over h.  The denominator of each ratio is
+    clamped at this round-off bound divided by DEFAULT_TOL: a coordinate
+    too small for finite differences to resolve to DEFAULT_TOL is judged
+    by its absolute gap against the bound.  The scale is at least 1
+    because |f| understates the values f is computed from when they
+    cancel (a critic loss can read 0.009 from scores near 1).
+    """
+    bound = FD_ROUNDOFF * max(abs(float(f_value)), 1.0) / FD_H
+    return max_relative_error(ad, fd, clamp=bound / DEFAULT_TOL)
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,8 @@ class CheckResult:
 def _fd_error(value, x: np.ndarray, grad: np.ndarray, rng, coords: int) -> float:
     """Agreement of grad with central differences at `coords` random entries of x."""
     idxs = rng.choice(x.size, size=min(coords, x.size), replace=False)
-    return agreement_error(grad[idxs], finite_difference_gradient(value, x, coords=idxs))
+    return agreement_error(grad[idxs], finite_difference_gradient(value, x, coords=idxs),
+                           value(np.array(x, dtype=np.float64)))
 
 
 def _check_generator_params(disc, gen, rng, coords, sign) -> float:
@@ -106,18 +110,16 @@ def _check_discriminator_params(disc, gen, rng, coords, sign) -> float:
     s = disc.cfg.image_size
     x = np.tanh(rng.standard_normal((2, 1, s, s)))
     y = np.tanh(rng.standard_normal((2, 1, s, s)))
+    xy = np.concatenate([x, y])
 
     def value(vec):
         ps = phi_d.with_vector(vec)
         with Graph("double"):
-            bound = ps.bind(trainable=False)
-            return critic_loss(disc.forward(bound, Tensor(x.copy())),
-                               disc.forward(bound, Tensor(y.copy()))).item()
+            return critic_loss(disc.forward(ps.bind(trainable=False), Tensor(xy))).item()
 
     with Graph("double"):
         bound = phi_d.bind()
-        loss = critic_loss(disc.forward(bound, Tensor(x.copy())),
-                           disc.forward(bound, Tensor(y.copy())))
+        loss = critic_loss(disc.forward(bound, Tensor(xy)))
         grad = sign * bound.flatten_grads(backward(loss))
     return _fd_error(value, phi_d.vector, grad, rng, coords)
 

@@ -1,6 +1,14 @@
 """Critic and generator objectives of WGAN-GP, the only objective figr
 trains: the Wasserstein critic and generator losses and the gradient
-penalty on random interpolates (Gulrajani et al., arXiv:1704.00028)."""
+penalty on random interpolates (Gulrajani et al., arXiv:1704.00028).
+
+The critic loss reads the scores of one critic forward over the joint
+batch [real; fake].  The penalty takes its input gradient with a
+backward recorded onto the tape but restricted to the interpolates
+(``create_graph=(xhat,)``): the critic's own parameter gradients of that
+inner pass are never used, so they are neither computed nor recorded,
+and the penalty's parameter gradient comes from the caller's one
+first-order backward through the recorded pass."""
 
 from __future__ import annotations
 
@@ -14,12 +22,23 @@ from .autodiff import ShapeMismatch, Tensor, backward
 NORM_FLOOR = 1e-12  # inside the sqrt, avoids the derivative singularity at 0
 
 
-def critic_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
-    """mean(fake) - mean(real); the critic drives this down."""
-    if real_scores.shape != fake_scores.shape:
+def critic_loss(scores: Tensor) -> Tensor:
+    """mean(fake) - mean(real) on one joint score batch; the critic drives
+    this down.
+
+    The first half of the rows scores the real batch and the second half
+    the fake one, so a single critic forward over both batches feeds it.
+    Each half is summed on its own and the two sums are weighted -1/n and
+    +1/n, so swapping the halves negates the loss exactly.
+    """
+    rows = scores.shape[0] if scores.ndim else 0
+    if rows == 0 or rows % 2:
         raise ShapeMismatch(
-            f"score batches differ: {real_scores.shape} vs {fake_scores.shape}")
-    return ad.sub(ad.tmean(fake_scores), ad.tmean(real_scores))
+            f"joint score batch needs equal real and fake halves, got {scores.shape}")
+    n = rows // 2
+    sums = ad.tsum(ad.reshape(scores, (2, -1)), axes=(1,))
+    weights = np.array([-1.0 / n, 1.0 / n], dtype=scores.dtype)
+    return ad.tsum(ad.mul(sums, Tensor(weights)))
 
 
 def generator_loss(fake_scores: Tensor) -> Tensor:
@@ -37,7 +56,8 @@ def gradient_penalty(critic: Callable[[Tensor], Tensor],
 
     xhat = eps*x + (1-eps)*y with one eps ~ U(0,1) per sample.  The
     interpolate is treated as an input: the returned scalar carries
-    gradient only into the critic's parameters.  An explicit eps array
+    gradient only into the critic's parameters.  The input gradient is
+    taken with respect to xhat alone.  An explicit eps array
     overrides the rng draw (used by the oracle tests).
     """
     xd = x.data if isinstance(x, Tensor) else np.asarray(x)
@@ -53,7 +73,7 @@ def gradient_penalty(critic: Callable[[Tensor], Tensor],
 
     xhat = Tensor((eps * xd + (1.0 - eps) * yd).astype(xd.dtype), requires_grad=True)
     scores = critic(xhat)
-    grad_x = backward(scores.sum(), create_graph=True)[xhat]
+    grad_x = backward(scores.sum(), create_graph=(xhat,))[xhat]
     flat = ad.reshape(grad_x, (b, -1))
     norms = ad.sqrt(ad.add(ad.tsum(ad.square(flat), axes=(1,)), NORM_FLOOR))
     return ad.mul(ad.tmean(ad.square(ad.sub(norms, 1.0))), float(gp_lambda))

@@ -149,16 +149,16 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
 
     for _ in range(cfg.k):
         with Graph(precision):
-            x_real = Tensor(x_task)
             z = sample_latent(cfg.n, gen.cfg, latent_rng)
-            fake = gen.forward(w_g.bind(trainable=False), z)
+            fake = gen.forward(w_g.bind(trainable=False), z).data
             bound_d = w_d.bind()
-            real_scores = disc.forward(bound_d, x_real)
-            fake_scores = disc.forward(bound_d, fake)
+            # neither batch carries gradient to its input and every layer
+            # is per-sample, so one forward scores real and fake together
+            scores = disc.forward(bound_d, Tensor(np.concatenate([x_task, fake])))
             loss_d = ad.add(
-                critic_loss(real_scores, fake_scores),
+                critic_loss(scores),
                 gradient_penalty(lambda v: disc.forward(bound_d, v),
-                                 x_real, fake, cfg.gp_lambda, rng=eps_rng))
+                                 x_task, fake, cfg.gp_lambda, rng=eps_rng))
             gd = bound_d.flatten_grads(backward(loss_d))
             d_val = loss_d.item()
         acc_d += gd

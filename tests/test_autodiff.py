@@ -18,6 +18,7 @@ from figr.autodiff import (
     tensor,
 )
 from figr.gradcheck import finite_difference_gradient, max_relative_error
+from figr.models import Discriminator, ModelConfig
 
 FD_TOL = 1e-6
 
@@ -290,7 +291,72 @@ X = RNG0.standard_normal((2, 3, 4, 4))
 A0 = RNG0.uniform(0.1, 0.5, size=3)
 
 
+def layer_norm_composite(x, gain, bias, eps):
+    """layer_norm as the chain of primitive ops that it fuses into one node."""
+    axes = tuple(range(1, x.ndim))
+    mu = ad.tmean(x, axes=axes, keepdims=True)
+    xc = ad.sub(x, ad.expand(mu, x.shape))
+    var = ad.tmean(ad.square(xc), axes=axes, keepdims=True)
+    xn = ad.div(xc, ad.expand(ad.sqrt(ad.add(var, eps)), x.shape))
+    bshape = (1,) + x.shape[1:]
+    out = ad.mul(xn, ad.expand(ad.reshape(gain, bshape), x.shape))
+    return ad.add(out, ad.expand(ad.reshape(bias, bshape), x.shape))
+
+
 class TestLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
+    def test_forward_bitwise_equal_to_composite(self, dtype):
+        rng = np.random.default_rng(12)
+        x = tensor((3.0 * rng.standard_normal((3, 4, 5, 5)) + 1.0).astype(dtype))
+        gain = tensor(rng.standard_normal((4, 5, 5)).astype(dtype))
+        bias = tensor(rng.standard_normal((4, 5, 5)).astype(dtype))
+        out = layer_norm(x, gain, bias, 1e-5).data
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, layer_norm_composite(x, gain, bias, 1e-5).data)
+
+    def test_records_one_node(self):
+        rng = np.random.default_rng(13)
+        with Graph("double") as g:
+            x = tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+            gain = tensor(rng.standard_normal((3, 4)), requires_grad=True)
+            bias = tensor(rng.standard_normal((3, 4)), requires_grad=True)
+            layer_norm(x, gain, bias)
+            assert [node.op for node in g.nodes if node.op != "leaf"] == ["layer_norm"]
+
+    def test_double_backward_matches_fd(self):
+        # P = ||d/dx sum(c * LN(x; gain, bias))||^2, differentiated in x and
+        # in gain through the recorded backward, against central differences
+        # of P evaluated with a first-order backward
+        rng = np.random.default_rng(14)
+        x0 = rng.standard_normal((2, 3, 2, 2))
+        gain0 = rng.standard_normal((3, 2, 2))
+        bias = rng.standard_normal((3, 2, 2))
+        c = rng.standard_normal((2, 3, 2, 2))
+
+        def penalty(x, gain, create_graph):
+            s = ad.mul(layer_norm(x, gain, tensor(bias), 1e-5), tensor(c)).sum()
+            gx = backward(s, create_graph=create_graph)[x]
+            return gx if create_graph is False else ad.square(gx).sum()
+
+        def value_x(xv):
+            with Graph("double"):
+                gx = penalty(tensor(xv.copy(), requires_grad=True), tensor(gain0), False)
+                return float(np.sum(gx.data ** 2))
+
+        def value_gain(gv):
+            with Graph("double"):
+                gx = penalty(tensor(x0.copy(), requires_grad=True), tensor(gv.copy()), False)
+                return float(np.sum(gx.data ** 2))
+
+        with Graph("double"):
+            x = tensor(x0.copy(), requires_grad=True)
+            gain = tensor(gain0.copy(), requires_grad=True)
+            grads = backward(penalty(x, gain, (x,)))
+        fd_x = finite_difference_gradient(value_x, x0)
+        fd_gain = finite_difference_gradient(value_gain, gain0)
+        assert max_relative_error(grads[x].data, fd_x) < 1e-5
+        assert max_relative_error(grads[gain].data, fd_gain) < 1e-5
+
     def test_constant_input_zeroed(self):
         x = np.repeat(np.array([[2.0], [5.0]]), 6, axis=1).reshape(2, 6)
         out = layer_norm(tensor(x), tensor(np.ones(6)), tensor(np.zeros(6)), eps=1e-5)
@@ -426,10 +492,16 @@ class TestBackward:
         with Graph("double") as g:
             x = tensor(np.ones(3), requires_grad=True)
             loss = ad.square(x).sum()
-            backward(loss, create_graph=True)
+            backward(loss, create_graph=(x,))
             assert not g.dead and len(g.nodes) > 0
             backward(loss)  # still alive
             assert g.dead and len(g.nodes) == 0   # a first-order backward releases the tape
+
+    def test_create_graph_takes_leaves_not_true(self):
+        with Graph("double"):
+            x = tensor(np.ones(3), requires_grad=True)
+            with pytest.raises(TypeError, match="leaves"):
+                backward(ad.square(x).sum(), create_graph=True)
 
     def test_implicit_graph_renewed_after_backward(self):
         # outside any `with Graph()` block each backward consumes the
@@ -452,7 +524,7 @@ class TestBackward:
         with Graph("double"):
             x = tensor(np.full((3,), 2.0), requires_grad=True)
             loss = ad.mul(ad.mul(x, x), x).sum()
-            g1 = backward(loss, create_graph=True)[x]
+            g1 = backward(loss, create_graph=(x,))[x]
             g2 = backward(g1.sum())[x].data
         np.testing.assert_allclose(g2, 12.0)
 
@@ -468,7 +540,7 @@ class TestBackward:
         with Graph("double"):
             x = tensor(x0, requires_grad=True)
             loss = ad.mul(ad.mul(x, x), x).sum()
-            g1 = backward(loss, create_graph=True)[x]
+            g1 = backward(loss, create_graph=(x,))[x]
             g2 = backward(g1.sum())[x].data
         assert max_relative_error(g2, fd) < 1e-5
 
@@ -486,10 +558,37 @@ class TestBackward:
         def penalty_ad(w):
             vt = tensor(v.copy(), requires_grad=True)
             s = ad.tanh(matmul(vt, w)).sum()
-            gv = backward(s, create_graph=True)[vt]
+            gv = backward(s, create_graph=(vt,))[vt]
             return ad.square(gv).sum()
 
         fd_check(penalty_np, penalty_ad, w0, tol=1e-5)
+
+    @staticmethod
+    def critic_input_grad(restrict):
+        cfg = ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1)
+        disc = Discriminator(cfg)
+        rng = np.random.default_rng(23)
+        phi = disc.init_params(rng)
+        x0 = np.tanh(rng.standard_normal((2, 1, 8, 8))).astype(np.float32)
+        with Graph("single") as g:
+            x = tensor(x0, requires_grad=True)
+            bound = phi.bind()
+            scores = disc.forward(bound, x)
+            start = len(g.nodes)
+            leaves = (x,) if restrict else (x, *bound.values())
+            grads = backward(scores.sum(), create_graph=leaves)
+            ops = {node.op for node in g.nodes[start:]}
+        return grads, x, bound, ops
+
+    def test_create_graph_restricted_to_input(self):
+        full, x_full, bound, ops_full = self.critic_input_grad(restrict=False)
+        part, x_part, _, ops_part = self.critic_input_grad(restrict=True)
+        np.testing.assert_array_equal(part[x_part].data, full[x_full].data)
+        assert list(part) == [x_part]
+        # differentiating in every leaf records each weight gradient, unfold included
+        assert "unfold3x3" in ops_full and bound["stem.w"] in full
+        assert "unfold3x3" not in ops_part
+        assert part[x_part].requires_grad
 
 
 class TestFiniteDifference:

@@ -4,6 +4,7 @@ import pytest
 from figr.autodiff import Graph
 from figr.gradcheck import (
     DEFAULT_TOL,
+    agreement_error,
     finite_difference_gradient,
     max_relative_error,
     run_gradcheck,
@@ -22,11 +23,38 @@ class TestRunGradcheck:
             assert [r.name for r in results if r.trial == trial] == NAMES
 
     def test_each_check_catches_a_sign_flip(self):
-        _, results, ok = run_gradcheck(trials=1, seed=0, corrupt=True)
+        _, results, ok = run_gradcheck(trials=20, seed=0, corrupt=True)
         assert not ok
-        assert [r.name for r in results] == NAMES
+        assert [r.name for r in results] == NAMES * 20
         for r in results:
-            assert r.max_rel_err > DEFAULT_TOL, r.name
+            assert r.max_rel_err > DEFAULT_TOL, (r.trial, r.name)
+
+
+class TestAgreementError:
+    # the case that read 8.274e-05 against 1e-4 with a fixed 1e-8 floor:
+    # trial 7 generator-params, |f| = 1.2, one coordinate at 3.58e-06 with a
+    # finite-difference gap of 3.0e-10, which is round-off
+    def test_round_off_gap_on_a_small_coordinate_passes(self):
+        ad = np.array([3.6e-06, -0.81])
+        fd = np.array([3.6e-06 - 3e-10, -0.81])
+        # with a margin: the fixed floor read it at 8.3e-05
+        assert agreement_error(ad, fd, f_value=1.2) < DEFAULT_TOL / 4
+
+    def test_sign_flip_on_a_small_coordinate_fails(self):
+        ad = np.array([1e-06, -0.81])
+        fd = np.array([-1e-06, -0.81])
+        assert agreement_error(ad, fd, f_value=1.2) > DEFAULT_TOL
+
+    def test_round_off_on_a_cancelling_loss_passes(self):
+        # a critic loss of 0.009 from scores near 1: an exactly zero gradient
+        # reads two units in the last place of those scores over 2h
+        ad = np.array([0.0, 0.26])
+        fd = np.array([4.44e-10, 0.26])
+        assert agreement_error(ad, fd, f_value=0.009) < DEFAULT_TOL
+
+    def test_large_coordinates_stay_relative(self):
+        ad = np.array([0.5])
+        assert agreement_error(ad, ad * (1 + 2e-4), f_value=1.0) > DEFAULT_TOL
 
 
 class TestFiniteDifference:

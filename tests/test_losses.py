@@ -22,29 +22,36 @@ def scores(*vals):
     return tensor(np.array(vals, dtype=np.float64).reshape(-1, 1))
 
 
+def joint(real, fake):
+    """The score batch of one critic forward over [real; fake]."""
+    return tensor(np.concatenate([real.data, fake.data]))
+
+
 class TestCriticLoss:
     def test_identical_distributions(self):
-        assert critic_loss(scores(1, 1), scores(1, 1)).item() == 0.0
+        assert critic_loss(joint(scores(1, 1), scores(1, 1))).item() == 0.0
 
     def test_arithmetic(self):
-        assert critic_loss(scores(2, 4), scores(1, 1)).item() == -2.0
+        assert critic_loss(joint(scores(2, 4), scores(1, 1))).item() == -2.0
 
     def test_antisymmetry_exact(self):
         rng = np.random.default_rng(0)
         a = scores(*rng.standard_normal(6))
         b = scores(*rng.standard_normal(6))
-        assert critic_loss(a, b).item() == -critic_loss(b, a).item()
+        assert critic_loss(joint(a, b)).item() == -critic_loss(joint(b, a)).item()
 
     def test_batch_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            critic_loss(scores(1, 2), scores(1, 2, 3))
+            critic_loss(scores(1, 2, 3))
+        with pytest.raises(ShapeMismatch):
+            critic_loss(tensor(np.float64(1.0)))
 
     def test_linearity_in_scale(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal(5)
         b = rng.standard_normal(5)
-        base = critic_loss(scores(*a), scores(*b)).item()
-        scaled = critic_loss(scores(*(3.0 * a)), scores(*(3.0 * b))).item()
+        base = critic_loss(joint(scores(*a), scores(*b))).item()
+        scaled = critic_loss(joint(scores(*(3.0 * a)), scores(*(3.0 * b)))).item()
         assert math.isclose(scaled, 3.0 * base, rel_tol=1e-12)
 
 
@@ -187,4 +194,4 @@ def test_critic_loss_antisymmetry_property(xs, ys):
     n = min(len(xs), len(ys))
     a = scores(*xs[:n])
     b = scores(*ys[:n])
-    assert critic_loss(a, b).item() == -critic_loss(b, a).item()
+    assert critic_loss(joint(a, b)).item() == -critic_loss(joint(b, a)).item()

@@ -189,7 +189,8 @@ class TestMetaStep:
             z = sample_latent(2, gen.cfg, lat)
             fake = gen.forward(phi_g.bind(trainable=False), z)
             bound_d = phi_d.bind()
-            loss_d = critic_loss(disc.forward(bound_d, xt), disc.forward(bound_d, fake)) \
+            scores = disc.forward(bound_d, Tensor(np.concatenate([xt.data, fake.data])))
+            loss_d = critic_loss(scores) \
                 + gradient_penalty(lambda v: disc.forward(bound_d, v), xt, fake,
                                    cfg.gp_lambda, rng=eps_rng)
             gd = bound_d.flatten_grads(backward(loss_d))
@@ -326,3 +327,42 @@ class TestTapeRelease:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+class TestInnerStepTape:
+    @pytest.mark.parametrize("cfg", [CFG32, CFG64, ModelConfig()],
+                             ids=["tiny-single", "tiny-double", "default"])
+    def test_joint_critic_scores_equal_separate_forwards(self, cfg):
+        # every critic layer is per-sample, so scoring [real; fake] in one
+        # forward gives each image the score a forward of its own batch gives
+        disc = Discriminator(cfg)
+        phi = disc.init_params(np.random.default_rng(50))
+        real, fake = task_images(cfg, 4, seed=51), task_images(cfg, 4, seed=52)
+        with Graph(cfg.precision):
+            bound = phi.bind()
+            joint = disc.forward(bound, Tensor(np.concatenate([real, fake]))).data
+            apart = np.concatenate([disc.forward(bound, Tensor(real)).data,
+                                    disc.forward(bound, Tensor(fake)).data])
+        np.testing.assert_array_equal(joint, apart)
+
+    def test_tape_nodes_per_step_pinned(self, monkeypatch):
+        # nodes on the tape when each step's first-order backward starts, on
+        # the 8 px tiny model; a change that re-inflates the tape of an inner
+        # step fails here (these read 481 and 193 with the gradient
+        # penalty's backward unrestricted and layer_norm as 12 nodes)
+        import figr.reptile
+        counts = []
+        real_backward = figr.reptile.backward
+
+        def counting(loss, create_graph=False):
+            counts.append(len(loss.graph.nodes))
+            return real_backward(loss, create_graph=create_graph)
+
+        monkeypatch.setattr(figr.reptile, "backward", counting)
+        disc, gen = tiny_models(CFG32)
+        rng = np.random.default_rng(53)
+        phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
+        inner_loop(phi_d, phi_g, disc, gen, task_images(CFG32, 2, seed=54),
+                   InnerConfig(k=1, n=2), np.random.default_rng(55),
+                   np.random.default_rng(56))
+        assert counts == [242, 91]
