@@ -13,7 +13,16 @@ neither computed nor recorded.
 
 Fused ops (conv2d, prelu, layer_norm) are one node each: the forward
 runs in numpy, and the backward rule re-derives in graph ops whatever a
-recorded backward must differentiate again.
+recorded backward must differentiate again.  A first-order backward needs
+no graph, so conv2d's runs on numpy kernels directly.  Those kernels
+work on one zero-padded, channel-major grid (see _Geometry) in which
+each of the nine 3x3 taps is a fixed offset: im2col is one long-run copy
+per sample, col2im nine contiguous adds, and the weight gradient nine
+GEMMs against the grid itself.  The forward keeps one GEMM per sample,
+so a sample's output does not depend on the rest of its batch.
+unfold3x3 and fold3x3, the adjoint pair a recorded backward
+differentiates, run on the same kernels; the stride is a parameter of
+the grid, not a second implementation.
 
 A first-order backward (no ``create_graph``) consumes the tape and
 releases its nodes.  Each node's backward rule closes over its input
@@ -25,6 +34,7 @@ garbage collection.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from typing import Callable, Sequence
@@ -463,8 +473,27 @@ def expand(a: Tensor, shape) -> Tensor:
         r = tsum(g, axes=axes, keepdims=True)
         return (reshape(r, a.shape),)
 
-    out_data = np.broadcast_to(a.data.reshape(src), shape)
-    return _apply("expand", out_data, (a,), vjp)
+    return _apply("expand", _broadcast(a.data.reshape(src), shape), (a,), vjp)
+
+
+def _broadcast(base: np.ndarray, shape: tuple) -> np.ndarray:
+    """np.broadcast_to(base, shape) for a base of the same rank."""
+    if not (base.flags.c_contiguous or base.flags.f_contiguous):
+        return np.broadcast_to(base, shape)
+    return _view(base, shape, tuple(st if s == t else 0
+                                    for s, t, st in zip(base.shape, shape, base.strides)))
+
+
+def _view(base: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
+    """Read-only view of a contiguous array's memory; strides and offset in bytes.
+
+    The ndarray constructor is what np.broadcast_to and as_strided arrive
+    at through several Python-level calls; numpy still checks that the
+    view stays inside base.
+    """
+    out = np.ndarray(shape, base.dtype, base, offset, strides)
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +501,11 @@ def expand(a: Tensor, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; also accepts a leading batch axis on a (and then b).
+    """Matrix product; also accepts a leading batch axis on either operand.
 
-    [m,k]@[k,n], [B,m,k]@[k,n] and [B,m,k]@[B,k,n] are supported.  Batched
-    forms run one GEMM per sample, so each sample's result is independent
-    of its position in the batch.
+    [m,k]@[k,n], [B,m,k]@[k,n], [m,k]@[B,k,n] and [B,m,k]@[B,k,n] are
+    supported.  Batched forms run one GEMM per sample, so each sample's
+    result is independent of its position in the batch.
     """
     if a.ndim == 2 and b.ndim == 2:
         if a.shape[1] != b.shape[0]:
@@ -496,6 +525,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             db = None
             if needs[1]:
                 db = tsum(matmul(permute(a, (0, 2, 1)), g), axes=(0,))
+            return (da, db)
+
+    elif a.ndim == 2 and b.ndim == 3:
+        if a.shape[1] != b.shape[1]:
+            raise ShapeMismatch(f"inner dims differ: {a.shape} x {b.shape}")
+
+        def vjp(g, needs):
+            da = None
+            if needs[0]:
+                da = tsum(matmul(g, permute(b, (0, 2, 1))), axes=(0,))
+            db = matmul(transpose2d(a), g) if needs[1] else None
             return (da, db)
 
     elif a.ndim == 3 and b.ndim == 3:
@@ -521,54 +561,160 @@ def _out_hw(h: int, w: int, stride: int) -> tuple[int, int]:
     return -(-h // stride), -(-w // stride)
 
 
-def _unfold_data(x: np.ndarray, stride: int) -> np.ndarray:
-    b, c, h, w = x.shape
-    h2, w2 = _out_hw(h, w, stride)
-    xp = np.zeros((b, c, h + 2, w + 2), dtype=x.dtype)
-    xp[:, :, 1:h + 1, 1:w + 1] = x
-    cols = np.empty((b, c, 3, 3, h2, w2), dtype=x.dtype)
-    for i in range(3):
-        for j in range(3):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * h2:stride, j:j + stride * w2:stride]
-    return cols.reshape(b, c * 9, h2 * w2)
+class _Geometry:
+    """Where a [B,C,H,W] input and its 3x3 taps sit on the padded grid.
+
+    The grid is one zero array [C, s*s, B*S + tail], channel-major: for
+    each channel, the s*s polyphase planes of the zero-padded input, each
+    plane holding every sample's hg x wg block (S = hg*wg) in turn, with
+    block (a, b) of a sample at [r, q] = padded[s*r + a, s*q + b].  At
+    stride 1 the one plane is the padded input itself.  Tap (i, j) of
+    output (y, x) reads plane (i % s, j % s) at (y + i//s, x + j//s), so in
+    the flattened plane every tap is one fixed offset, and a sample's
+    outputs are H2 rows of wg "wide" columns, of which the last wg - W2
+    are never used.  A block leaves out the padded input's last row and
+    column: a read past a row's end lands on the next row's left pad, and
+    past a block's last row on the next block's top pad, which are the
+    same zeros.  Columns, input gradients and weight gradients are then
+    long contiguous runs of the grid at nine offsets; the stride changes
+    the planes and offsets, not the kernels.
+    """
+
+    def __init__(self, shape: tuple, stride: int):
+        b, c, h, w = shape
+        s = stride
+        self.b, self.c, self.h, self.w, self.s = b, c, h, w, s
+        self.h2, self.w2 = _out_hw(h, w, s)
+        self.hg, self.wg = -(-(h + 1) // s), -(-(w + 1) // s)
+        self.plane = self.hg * self.wg
+        # the wide columns of the whole batch: each sample's H2 rows, and
+        # between two samples the rest of a block.  The weight gradient's
+        # GEMMs reduce over them, and OpenBLAS blocks a reduction whose
+        # length is not a multiple of 32 differently at different thread
+        # counts; a multiple of 64 keeps results independent of the count.
+        self.span = -(-((b - 1) * self.plane + self.h2 * self.wg) // 64) * 64
+        reach = (2 // s) * (self.wg + 1) + self.span          # farthest tap read, exclusive
+        self.tail = reach - b * self.plane
+        self.taps = tuple((i, j, (i % s) * s + j % s, (i // s) * self.wg + j // s)
+                          for i in range(3) for j in range(3))
+        # per plane: its rows and columns that hold input, and the input they hold
+        self.phases = tuple((a * s + b2, rows, cols, xrows, xcols)
+                            for a, (rows, xrows) in enumerate(_phase_axis(h, s))
+                            for b2, (cols, xcols) in enumerate(_phase_axis(w, s)))
 
 
-def _fold_data(cols: np.ndarray, hw: tuple[int, int], stride: int) -> np.ndarray:
-    b = cols.shape[0]
-    c = cols.shape[1] // 9
-    h, w = hw
-    h2, w2 = _out_hw(h, w, stride)
-    six = cols.reshape(b, c, 3, 3, h2, w2)
-    buf = np.zeros((b, c, h + 2, w + 2), dtype=cols.dtype)
-    for i in range(3):
-        for j in range(3):
-            buf[:, :, i:i + stride * h2:stride, j:j + stride * w2:stride] += six[:, :, i, j]
-    return buf[:, :, 1:h + 1, 1:w + 1]
+def _phase_axis(n: int, s: int) -> list[tuple[slice, slice]]:
+    """Per phase a of an input axis of length n: (plane indices, input indices)."""
+    out = []
+    for a in range(s):
+        r0 = (s - a) // s                  # first plane index past the zero pad
+        x0 = s * r0 + a - 1                # the input index it holds
+        out.append((slice(r0, r0 + len(range(x0, n, s))), slice(x0, n, s)))
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _geometry(shape: tuple, stride: int) -> _Geometry:
+    return _Geometry(shape, stride)
+
+
+def _to_grid(x: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """Scatter [B,C,H,W] onto a fresh zero grid."""
+    grid = np.zeros((geo.c, geo.s * geo.s, geo.b * geo.plane + geo.tail), dtype=x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
+    for ph, rows, cols, xrows, xcols in geo.phases:
+        planes = grid[:, ph, :geo.b * geo.plane].reshape(geo.c, geo.b, geo.hg, geo.wg)
+        planes[:, :, rows, cols] = xt[:, :, xrows, xcols]
+    return grid
+
+
+def _from_grid(grid: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """Gather the input positions of a grid back to [B,C,H,W] (adjoint of _to_grid)."""
+    out = np.empty((geo.b, geo.c, geo.h, geo.w), dtype=grid.dtype)
+    ot = out.transpose(1, 0, 2, 3)
+    for ph, rows, cols, xrows, xcols in geo.phases:
+        planes = grid[:, ph, :geo.b * geo.plane].reshape(geo.c, geo.b, geo.hg, geo.wg)
+        ot[:, :, xrows, xcols] = planes[:, :, rows, cols]
+    return out
+
+
+def _tap_views(grid: np.ndarray, geo: _Geometry, width: int) -> list:
+    """Per plane: its tap rows and columns, and a view [B, C, taps_i, taps_j, H2, width].
+
+    width = wg gives each sample's wide columns (the last two axes are one
+    contiguous run), width = W2 the exact ones.
+    """
+    s, it = geo.s, grid.itemsize
+    strides = (geo.plane * it, grid.strides[0], geo.wg * it, it, geo.wg * it, it)
+    views = []
+    for a in range(s):
+        for b2 in range(s):
+            shape = (geo.b, geo.c, len(range(a, 3, s)), len(range(b2, 3, s)), geo.h2, width)
+            views.append((slice(a, 3, s), slice(b2, 3, s),
+                          _view(grid, shape, strides, grid.strides[1] * (a * s + b2))))
+    return views
+
+
+def _col2im(dcols: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """Sum wide columns [C, 3, 3, span] onto the grid: nine contiguous adds, then a crop."""
+    dgrid = np.zeros((geo.c, geo.s * geo.s, geo.b * geo.plane + geo.tail), dtype=dcols.dtype)
+    for i, j, ph, off in geo.taps:
+        dgrid[:, ph, off:off + geo.span] += dcols[:, i, j]
+    return _from_grid(dgrid, geo)
+
+
+def _wide(a: np.ndarray, geo: _Geometry) -> np.ndarray:
+    """[B, K, H2, W2] -> [K, span]: the grid's wide columns, zero where unused."""
+    k, n = a.shape[1], geo.b * geo.plane
+    out = np.zeros((k, n + geo.tail), dtype=a.dtype)
+    out[:, :n].reshape(k, geo.b, geo.hg, geo.wg)[:, :, :geo.h2, :geo.w2] = a.transpose(1, 0, 2, 3)
+    return out[:, :geo.span]
+
+
+def _check_stride(stride: int):
+    if stride not in (1, 2):
+        raise ValueError("stride must be 1 or 2")
 
 
 def unfold3x3(a: Tensor, stride: int) -> Tensor:
-    """Extract padded 3x3 patches: [B,C,H,W] -> [B, C*9, H2*W2]."""
+    """Extract padded 3x3 patches: [B,C,H,W] -> [B, C*9, H2*W2].
+
+    Built from the padded grid in one strided copy per polyphase plane
+    (one at stride 1); row c*9 + 3*i + j holds tap (i, j) of channel c.
+    """
     if a.ndim != 4:
         raise ShapeMismatch(f"unfold3x3 expects B,C,H,W, got {a.shape}")
-    if stride not in (1, 2):
-        raise ValueError("stride must be 1 or 2")
+    _check_stride(stride)
     hw = a.shape[2:]
+    geo = _geometry(a.shape, stride)
+    cols = np.empty((geo.b, geo.c, 3, 3, geo.h2, geo.w2), dtype=a.data.dtype)
+    for ti, tj, view in _tap_views(_to_grid(a.data, geo), geo, geo.w2):
+        cols[:, :, ti, tj] = view
 
     def vjp(g, needs):
         return (fold3x3(g, hw, stride),)
 
-    return _apply("unfold3x3", _unfold_data(a.data, stride), (a,), vjp)
+    return _apply("unfold3x3", cols.reshape(geo.b, geo.c * 9, geo.h2 * geo.w2), (a,), vjp)
 
 
 def fold3x3(cols: Tensor, hw: tuple[int, int], stride: int) -> Tensor:
-    """Adjoint of unfold3x3: scatter-add patches back to [B,C,H,W]."""
+    """Adjoint of unfold3x3: scatter-add patches back to [B,C,H,W].
+
+    The patches are laid out as the grid's wide columns and summed with
+    the same nine adds that give conv2d its input gradient.
+    """
     if cols.ndim != 3 or cols.shape[1] % 9:
         raise ShapeMismatch(f"fold3x3 expects B,C*9,P, got {cols.shape}")
+    _check_stride(stride)
+    hw = tuple(hw)
+    bsz, k, _ = cols.shape
+    geo = _geometry((bsz, k // 9) + hw, stride)
+    wide = _wide(cols.data.reshape(bsz, k, geo.h2, geo.w2), geo)
 
     def vjp(g, needs):
         return (unfold3x3(g, stride),)
 
-    return _apply("fold3x3", _fold_data(cols.data, tuple(hw), stride), (cols,), vjp)
+    return _apply("fold3x3", _col2im(wide.reshape(geo.c, 3, 3, geo.span), geo), (cols,), vjp)
 
 
 def upsample2(a: Tensor) -> Tensor:
@@ -628,6 +774,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
     """3x3 cross-correlation, pad 1, stride 1 or 2.
 
     x: [B,C,H,W], w: [F,C,3,3], b: [F] or None -> [B,F,ceil(H/s),ceil(W/s)]
+
+    x is laid out once on the padded grid (see _Geometry).  The forward
+    copies a sample's wide columns out of it, one long run per polyphase
+    plane, and multiplies them in one GEMM per sample, so each sample's
+    output is independent of its batch and the column buffer holds one
+    sample, not the batch.  A first-order backward works on the same grid: the input gradient is
+    one GEMM of the whole batch onto the grid's wide columns, nine
+    contiguous adds and a crop; the weight gradient is nine GEMMs of the
+    output gradient against x's grid shifted by each tap's offset, not a
+    second im2col.
+    A recorded backward builds the same gradients from matmul, fold3x3 and
+    unfold3x3, which run on the same grid kernels and stay differentiable.
+    Stride 2 changes only the grid's planes and tap offsets.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeMismatch(f"conv2d expects 4-d input and weight, got {x.shape}, {w.shape}")
@@ -635,34 +794,54 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
         raise ShapeMismatch(f"conv2d kernels are fixed at 3x3, got {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeMismatch(f"channel mismatch: input {x.shape[1]}, weight {w.shape[1]}")
-    if stride not in (1, 2):
-        raise ValueError("stride must be 1 or 2")
+    _check_stride(stride)
     _check_same_dtype(x, w)
-
-    bsz, c, h, wd = x.shape
     f = w.shape[0]
-    h2, w2 = _out_hw(h, wd, stride)
-    cols = _unfold_data(x.data, stride)                     # B, C9, P
-    wm = w.data.reshape(f, c * 9)
-    out_data = np.matmul(wm[None], cols).reshape(bsz, f, h2, w2)
-    if b is not None:
-        if b.shape != (f,):
-            raise ShapeMismatch(f"bias shape {b.shape} != ({f},)")
-        out_data = out_data + b.data[None, :, None, None]
+    if b is not None and b.shape != (f,):
+        raise ShapeMismatch(f"bias shape {b.shape} != ({f},)")
+
+    geo = _geometry(x.shape, stride)
+    bsz, c, h2, w2, wg = geo.b, geo.c, geo.h2, geo.w2, geo.wg
+    dtype = x.data.dtype
+    grid = _to_grid(x.data, geo)
+    k, p = c * 9, h2 * wg
+    wm = w.data.reshape(f, k)
+    cols = np.empty((c, 3, 3, h2, wg), dtype=dtype)          # one sample's wide columns
+    wide = np.empty((f, h2, wg), dtype=dtype)
+    out_data = np.empty((bsz, f, h2, w2), dtype=dtype)
+    views = _tap_views(grid, geo, wg)
+    for n in range(bsz):
+        for ti, tj, view in views:
+            cols[:, ti, tj] = view[n]
+        np.matmul(wm, cols.reshape(k, p), out=wide.reshape(f, p))
+        if b is None:
+            out_data[n] = wide[:, :, :w2]
+        else:
+            np.add(wide[:, :, :w2], b.data[:, None, None], out=out_data[n])
 
     def vjp(g, needs):
-        p = h2 * w2
-        g2 = reshape(permute(g, (1, 0, 2, 3)), (f, bsz * p))
         dx = dw = db = None
-        if needs[0]:
-            wm_t = reshape(w, (f, c * 9))
-            dcols = matmul(transpose2d(wm_t), g2)           # C9, B*P
-            dcols = permute(reshape(dcols, (c * 9, bsz, p)), (1, 0, 2))
-            dx = fold3x3(dcols, (h, wd), stride)
-        if needs[1]:
-            cols_t = unfold3x3(x, stride)                   # recompute as graph op
-            cols2 = reshape(permute(cols_t, (1, 0, 2)), (c * 9, bsz * p))
-            dw = reshape(matmul(g2, transpose2d(cols2)), (f, c, 3, 3))
+        if _state().grad_enabled:
+            # recorded: stay differentiable in g, w and x
+            g3 = reshape(g, (bsz, f, h2 * w2))
+            if needs[0]:
+                wt = transpose2d(reshape(w, (f, c * 9)))
+                dx = fold3x3(matmul(wt, g3), (geo.h, geo.w), stride)
+            if needs[1]:
+                cols_t = permute(unfold3x3(x, stride), (0, 2, 1))
+                dw = reshape(tsum(matmul(g3, cols_t), axes=(0,)), w.shape)
+        else:
+            gw = _wide(g.data.reshape(bsz, f, h2, w2), geo)          # F, span
+            if needs[0]:
+                dcols = np.matmul(wm.T, gw).reshape(c, 3, 3, geo.span)
+                dx = Tensor(_col2im(dcols, geo))
+            if needs[1]:
+                # laid out again rather than kept: the tape would hold a grid per conv
+                xgrid = _to_grid(x.data, geo)
+                dwt = np.empty((3, 3, f, c), dtype=dtype)
+                for i, j, ph, off in geo.taps:
+                    np.matmul(gw, xgrid[:, ph, off:off + geo.span].T, out=dwt[i, j])
+                dw = Tensor(np.ascontiguousarray(dwt.transpose(2, 3, 0, 1)))
         if len(needs) > 2 and needs[2]:
             db = tsum(g, axes=(0, 2, 3))
         return (dx, dw, db) if b is not None else (dx, dw)
@@ -684,20 +863,28 @@ def prelu(x: Tensor, a: Tensor) -> Tensor:
     else:
         raise ShapeMismatch(f"prelu slopes must be scalar or per-channel, got {a.shape}")
     _check_same_dtype(x, a)
+    return _prelu(x, a, x.data >= 0, bshape, reduce_axes)
 
+
+def _prelu(x: Tensor, a: Tensor, pos: np.ndarray, bshape: tuple, reduce_axes: tuple) -> Tensor:
+    """x where pos, a*x elsewhere: prelu with its mask given.
+
+    prelu's input gradient is this op on the output gradient with the
+    forward's mask, so the vjp of that gradient is the same op again.
+    """
     xd = x.data
-    out_data = np.where(xd >= 0, xd, a.data.reshape(bshape) * xd)
+    out_data = np.where(pos, xd, a.data.reshape(bshape) * xd)
 
     def vjp(g, needs):
-        pos = xd >= 0
-        posm = Tensor(pos.astype(xd.dtype))
-        negm = Tensor((~pos).astype(xd.dtype))
-        dx = da = None
-        a_full = expand(reshape(a, bshape), x.shape)
-        if needs[0]:
-            dx = mul(g, add(posm, mul(negm, a_full)))
+        dx = _prelu(g, a, pos, bshape, reduce_axes) if needs[0] else None
+        da = None
         if needs[1]:
-            da = tsum(mul(mul(g, negm), x), axes=reduce_axes, keepdims=False)
+            if _state().grad_enabled and x.requires_grad:
+                # a recorded backward must stay differentiable in x
+                xneg = mul(x, Tensor((~pos).astype(xd.dtype)))
+            else:
+                xneg = Tensor(np.where(pos, 0, xd))          # min(x, 0) for prelu itself
+            da = tsum(mul(g, xneg), axes=reduce_axes)
             if a.ndim == 0:
                 da = reshape(da, ())
         return (dx, da)
@@ -739,7 +926,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                            x.shape)
             xn_t = div(xc_t, std_t)
         else:
-            xn_t, std_t = Tensor(xn), Tensor(np.broadcast_to(std, x.shape))
+            xn_t, std_t = Tensor(xn), Tensor(_broadcast(std, x.shape))
         dx = dgain = dbias = None
         if needs[0]:
             # d/dx of (x - mean) / std: centre the output gradient, remove

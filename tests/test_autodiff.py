@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +26,7 @@ from figr.gradcheck import finite_difference_gradient, max_relative_error
 from figr.models import Discriminator, ModelConfig
 
 FD_TOL = 1e-6
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def fd_check(f_np, f_ad, x0, tol=FD_TOL, h=1e-6):
@@ -131,6 +137,18 @@ class TestReductionsStructure:
 
         fd_check(f_np, f_ad, x0)
 
+    @pytest.mark.parametrize("base, shape", [
+        (np.arange(3, dtype=np.float32).reshape(3, 1), (2, 3, 4)),
+        (np.arange(6, dtype=np.float32).reshape(2, 3).T, (4, 3, 2)),       # F-contiguous
+        (np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2], (4, 3, 2)),  # strided
+    ], ids=["contiguous", "transposed", "strided"])
+    def test_expand_is_the_broadcast_view(self, base, shape):
+        out = ad.expand(tensor(base), shape).data
+        ref = np.broadcast_to(base, shape)
+        np.testing.assert_array_equal(out, ref)
+        assert out.strides == ref.strides and not out.flags.writeable
+        assert np.shares_memory(out, base)
+
 
 class TestMatmul:
     def test_identity(self):
@@ -154,6 +172,17 @@ class TestMatmul:
             lambda a: matmul(a, tensor(b)).sum(),
             rng.standard_normal((2, 3)),
         )
+
+    def test_shared_left_operand_grads(self):
+        # [m,k] @ [B,k,n]: one GEMM per sample, the left gradient summed over B
+        rng = np.random.default_rng(9)
+        a0, b0 = rng.standard_normal((2, 3)), rng.standard_normal((4, 3, 5))
+        fd_check(lambda a: float(np.sum((a @ b0) ** 2)),
+                 lambda a: ad.square(matmul(a, tensor(b0))).sum(), a0)
+        fd_check(lambda b: float(np.sum((a0 @ b) ** 2)),
+                 lambda b: ad.square(matmul(tensor(a0), b)).sum(), b0)
+        with pytest.raises(ShapeMismatch):
+            matmul(tensor(a0), tensor(np.ones((4, 2, 5))))
 
     def test_grad_wrt_right_operand(self):
         rng = np.random.default_rng(6)
@@ -202,16 +231,59 @@ class TestConv2d:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_matches_reference(self, stride):
+        # odd and non-square sizes: an index slip on the padded grid would
+        # show here, while the models only use powers of two
         rng = np.random.default_rng(42)
-        x = rng.standard_normal((2, 3, 6, 6))
-        w = rng.standard_normal((4, 3, 3, 3))
-        b = rng.standard_normal(4)
-        out = conv2d(tensor(x), tensor(w), tensor(b), stride=stride)
-        np.testing.assert_allclose(out.data, conv2d_reference(x, w, b, stride), atol=1e-12)
+        for hw in ((6, 6), (5, 5), (7, 4)):
+            x = rng.standard_normal((2, 3) + hw)
+            w = rng.standard_normal((4, 3, 3, 3))
+            b = rng.standard_normal(4)
+            ref = conv2d_reference(x, w, b, stride)
+            for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+                out = conv2d(tensor(x.astype(dtype)), tensor(w.astype(dtype)),
+                             tensor(b.astype(dtype)), stride=stride)
+                assert out.data.dtype == dtype
+                np.testing.assert_allclose(out.data, ref, atol=atol)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_each_sample_independent_of_batch(self, stride):
+        # one GEMM per sample: a sample's output does not depend on the batch
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((3, 5, 7, 6)).astype(np.float32)
+        w = tensor(rng.standard_normal((4, 5, 3, 3)).astype(np.float32))
+        b = tensor(rng.standard_normal(4).astype(np.float32))
+        batch = conv2d(tensor(x), w, b, stride=stride).data
+        for n in range(3):
+            alone = conv2d(tensor(x[n:n + 1]), w, b, stride=stride).data
+            np.testing.assert_array_equal(batch[n:n + 1], alone)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatch):
             conv2d(tensor(np.ones((1, 2, 4, 4))), tensor(np.ones((1, 3, 3, 3))), None, 1)
+
+    def test_gradients_independent_of_blas_threads(self):
+        # the weight gradient reduces over the padded grid; OpenBLAS blocks
+        # some reduction lengths differently at different thread counts
+        code = (
+            "import hashlib, numpy as np\n"
+            "from figr import autodiff as ad\n"
+            "rng = np.random.default_rng(0)\n"
+            "h = hashlib.sha256()\n"
+            "for b, c, f, hw, s in ((8, 16, 32, 32, 2), (4, 32, 16, 32, 1), (3, 32, 32, 15, 1)):\n"
+            "    x = ad.tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32), requires_grad=True)\n"
+            "    w = ad.tensor(rng.standard_normal((f, c, 3, 3)).astype(np.float32), requires_grad=True)\n"
+            "    y = ad.conv2d(x, w, None, s)\n"
+            "    g = ad.backward(ad.mul(y, ad.tensor(rng.standard_normal(y.shape).astype(np.float32))).sum())\n"
+            "    h.update(g[w].data.tobytes() + g[x].data.tobytes() + y.data.tobytes())\n"
+            "print(h.hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_weight_gradient_matches_fd(self, stride):
@@ -284,6 +356,56 @@ class TestPRelu:
             lambda x: ad.square(prelu(x, tensor(A0))).sum(),
             X,
         )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
+    def test_first_order_gradients_bitwise_equal_to_mask_products(self, dtype):
+        rng = np.random.default_rng(14)
+        x0 = rng.standard_normal((3, 4, 5, 5)).astype(dtype)
+        a0 = rng.standard_normal(4).astype(dtype)
+        g0 = rng.standard_normal(x0.shape).astype(dtype)
+        with Graph("single" if dtype == np.float32 else "double"):
+            x, a = tensor(x0, requires_grad=True), tensor(a0, requires_grad=True)
+            grads = backward(ad.mul(prelu(x, a), tensor(g0)).sum())
+        pos = (x0 >= 0).astype(dtype)
+        neg = (x0 < 0).astype(dtype)
+        np.testing.assert_array_equal(grads[x].data, g0 * (pos + neg * a0.reshape(1, 4, 1, 1)))
+        np.testing.assert_array_equal(grads[a].data, ((g0 * neg) * x0).sum(axis=(0, 2, 3)))
+
+    def test_recorded_input_gradient_matches_fd_in_g_and_a(self):
+        # dx = g where x >= 0, a*g elsewhere, recorded as one prelu node
+        def dx_np(g, a):
+            return np.where(X >= 0, g, a.reshape(1, -1, 1, 1) * g)
+
+        def dx_ad(g, a):
+            x = tensor(X, requires_grad=True)
+            return backward(ad.mul(prelu(x, a), g).sum(), create_graph=(x,))[x]
+
+        g0 = np.random.default_rng(15).standard_normal(X.shape)
+        fd_check(lambda g: float(np.sum(dx_np(g, A0) ** 2)),
+                 lambda g: ad.square(dx_ad(g, tensor(A0))).sum(), g0)
+        fd_check(lambda a: float(np.sum(dx_np(g0, a) ** 2)),
+                 lambda a: ad.square(dx_ad(tensor(g0), a)).sum(), A0)
+
+    def test_recorded_slope_gradient_matches_fd_in_x(self):
+        # da = sum of g * min(x, 0) per channel, recorded in x
+        g0 = np.random.default_rng(16).standard_normal(X.shape)
+
+        def da_ad(x):
+            a = tensor(A0, requires_grad=True)
+            return backward(ad.mul(prelu(x, a), tensor(g0)).sum(), create_graph=(x, a))[a]
+
+        fd_check(lambda x: float(np.sum((g0 * np.minimum(x, 0)).sum(axis=(0, 2, 3)) ** 2)),
+                 lambda x: ad.square(da_ad(x)).sum(), X)
+
+    def test_records_one_node_per_gradient(self):
+        with Graph("double") as g:
+            x = tensor(X, requires_grad=True)
+            a = tensor(A0, requires_grad=True)
+            y = prelu(x, a).sum()
+            start = len(g.nodes)
+            backward(y, create_graph=(x,))
+            assert [node.op for node in g.nodes[start:]].count("prelu") == 1
+            assert "mul" not in {node.op for node in g.nodes[start:]}
 
 
 RNG0 = np.random.default_rng(123)
@@ -451,12 +573,13 @@ class TestSpatialPrimitives:
     def test_unfold_fold_adjoint(self):
         # <unfold(x), c> == <x, fold(c)> for all x, c: defining adjoint property
         rng = np.random.default_rng(13)
-        for stride in (1, 2):
-            x = rng.standard_normal((2, 3, 4, 4))
-            u = ad.unfold3x3(tensor(x), stride).data
-            c = rng.standard_normal(u.shape)
-            f = ad.fold3x3(tensor(c), (4, 4), stride).data
-            assert np.isclose(np.sum(u * c), np.sum(x * f))
+        for hw in ((4, 4), (5, 5), (7, 4)):
+            for stride in (1, 2):
+                x = rng.standard_normal((2, 3) + hw)
+                u = ad.unfold3x3(tensor(x), stride).data
+                c = rng.standard_normal(u.shape)
+                f = ad.fold3x3(tensor(c), hw, stride).data
+                np.testing.assert_allclose(np.sum(u * c), np.sum(x * f), rtol=1e-12)
 
 
 class TestBackward:
