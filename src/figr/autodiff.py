@@ -1,15 +1,20 @@
 """Reverse-mode automatic differentiation on N-d numpy arrays.
 
-The engine is a Wengert tape: every operation appends one node to the
-active Graph, so node inputs always precede the node (topological order
-by construction).  Backward rules are themselves written with the public
-ops; running backward with ``create_graph`` therefore records the
-backward pass onto the same tape and the returned gradients are
-differentiable tensors.  That one mechanism provides the second-order
-derivatives the gradient penalty needs.  ``create_graph`` names the
-leaves to differentiate with respect to: the penalty passes ``(xhat,)``,
-so the critic's parameter gradients, which it would throw away, are
-neither computed nor recorded.
+The engine is a Wengert tape: every operation a gradient flows through
+appends one node to the active Graph, so node inputs always precede the
+node (topological order by construction).  Constants (no requires_grad)
+are not on the tape: an op on constants alone makes no node, and a
+constant input of a recorded op has the handle None, not a leaf node.
+Biases and gains reach their outputs by the suffix broadcasting of add
+and mul, and matmul has one backward rule for every operand form.
+
+Backward rules are themselves written with the public ops; running
+backward with ``create_graph`` therefore records the backward pass onto
+the same tape and the returned gradients are differentiable tensors.
+That one mechanism provides the second-order derivatives the gradient
+penalty needs.  ``create_graph`` names the leaves to differentiate with
+respect to: the penalty passes ``(xhat,)``, so the critic's parameter
+gradients, which it would throw away, are neither computed nor recorded.
 
 Fused ops (conv2d, prelu, layer_norm) are one node each: the forward
 runs in numpy, and the backward rule re-derives in graph ops whatever a
@@ -62,14 +67,18 @@ _DTYPES = {"single": np.float32, "double": np.float64}
 
 
 class Node:
-    """One tape entry: op id, input node handles, and the saved backward rule."""
+    """One tape entry: op id, input node handles, and the saved backward rule.
 
-    __slots__ = ("op", "input_ids", "needs", "vjp", "leaf")
+    Only inputs a gradient flows to are on the tape: a constant input (no
+    requires_grad) has the handle None, and an input wants a gradient
+    exactly when its handle is not None.
+    """
 
-    def __init__(self, op, input_ids, needs, vjp, leaf=None):
+    __slots__ = ("op", "input_ids", "vjp", "leaf")
+
+    def __init__(self, op, input_ids, vjp, leaf=None):
         self.op = op
-        self.input_ids = input_ids      # handles of inputs; always < own index
-        self.needs = needs              # which inputs want a gradient
+        self.input_ids = input_ids      # handles of inputs (< own index) or None
         self.vjp = vjp                  # out-grad -> tuple of input grads
         self.leaf = leaf                # the Tensor itself, for leaf nodes
 
@@ -222,13 +231,6 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(arr, requires_grad=requires_grad)
 
 
-def _coerce(x, like: Tensor) -> Tensor:
-    """Turn a python scalar into a 0-d constant of the companion dtype."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
-
 def _register(t: Tensor, g: Graph) -> int:
     """Ensure t has a node handle in g, creating a leaf entry if needed."""
     if t.graph is g and t.node is not None:
@@ -238,7 +240,7 @@ def _register(t: Tensor, g: Graph) -> int:
             "a non-leaf tensor from another graph was used here; detach() it first"
         )
     t.graph = g
-    t.node = g.append(Node("leaf", (), (), None, leaf=t))
+    t.node = g.append(Node("leaf", (), None, leaf=t))
     return t.node
 
 
@@ -250,11 +252,10 @@ def _apply(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     out = Tensor(out_data, requires_grad=requires)
     if requires:
         g = active_graph()
-        input_ids = tuple(_register(i, g) for i in inputs)
-        needs = tuple(i.requires_grad for i in inputs)
+        input_ids = tuple(_register(i, g) if i.requires_grad else None for i in inputs)
         out.is_leaf = False
         out.graph = g
-        out.node = g.append(Node(op, input_ids, needs, vjp))
+        out.node = g.append(Node(op, input_ids, vjp))
     return out
 
 
@@ -293,16 +294,23 @@ def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
     return tsum(g, axes=lead)
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """A python scalar on either side becomes a 0-d constant of the other's dtype."""
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    _check_same_dtype(a, b)
+    _broadcast_shape(a.shape, b.shape)
+    return a, b
+
+
 # ---------------------------------------------------------------------------
 # elementwise primitives
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _coerce(a, b)
-    b = _coerce(b, a)
-    _check_same_dtype(a, b)
-    _broadcast_shape(a.shape, b.shape)
+    a, b = _operands(a, b)
 
     def vjp(g, needs):
         return (_unbroadcast(g, a.shape) if needs[0] else None,
@@ -312,11 +320,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _coerce(a, b)
-    b = _coerce(b, a)
-    _check_same_dtype(a, b)
-    _broadcast_shape(a.shape, b.shape)
+    a, b = _operands(a, b)
 
     def vjp(g, needs):
         return (_unbroadcast(g, a.shape) if needs[0] else None,
@@ -326,11 +330,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _coerce(a, b)
-    b = _coerce(b, a)
-    _check_same_dtype(a, b)
-    _broadcast_shape(a.shape, b.shape)
+    a, b = _operands(a, b)
 
     def vjp(g, needs):
         return (_unbroadcast(mul(g, b), a.shape) if needs[0] else None,
@@ -340,11 +340,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = _coerce(a, b)
-    b = _coerce(b, a)
-    _check_same_dtype(a, b)
-    _broadcast_shape(a.shape, b.shape)
+    a, b = _operands(a, b)
 
     def vjp(g, needs):
         da = _unbroadcast(div(g, b), a.shape) if needs[0] else None
@@ -416,10 +412,7 @@ def tsum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
-    ax = _norm_axes(axes, a.ndim)
-    count = 1
-    for i in ax:
-        count *= a.shape[i]
+    count = math.prod(a.shape[i] for i in _norm_axes(axes, a.ndim))
     return mul(tsum(a, axes, keepdims), 1.0 / count)
 
 
@@ -442,12 +435,6 @@ def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
         return (permute(g, tuple(sorted(range(len(axes)), key=axes.__getitem__))),)
 
     return _apply("permute", a.data.transpose(axes), (a,), vjp)
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeMismatch(f"transpose2d expects a matrix, got shape {a.shape}")
-    return permute(a, (1, 0))
 
 
 def expand(a: Tensor, shape) -> Tensor:
@@ -500,56 +487,34 @@ def _view(base: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
 # matmul
 # ---------------------------------------------------------------------------
 
+def _swap_last2(a: Tensor) -> Tensor:
+    """Transpose the two trailing axes (the matrices of a batch)."""
+    n = a.ndim
+    return permute(a, tuple(range(n - 2)) + (n - 1, n - 2))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; also accepts a leading batch axis on either operand.
 
     [m,k]@[k,n], [B,m,k]@[k,n], [m,k]@[B,k,n] and [B,m,k]@[B,k,n] are
     supported.  Batched forms run one GEMM per sample, so each sample's
-    result is independent of its position in the batch.
+    result is independent of its position in the batch.  One backward
+    rule serves all four: g @ b^T and a^T @ g, summed over the batch axis
+    for an operand that had none.
     """
-    if a.ndim == 2 and b.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeMismatch(f"inner dims differ: {a.shape} x {b.shape}")
-
-        def vjp(g, needs):
-            da = matmul(g, transpose2d(b)) if needs[0] else None
-            db = matmul(transpose2d(a), g) if needs[1] else None
-            return (da, db)
-
-    elif a.ndim == 3 and b.ndim == 2:
-        if a.shape[2] != b.shape[0]:
-            raise ShapeMismatch(f"inner dims differ: {a.shape} x {b.shape}")
-
-        def vjp(g, needs):
-            da = matmul(g, transpose2d(b)) if needs[0] else None
-            db = None
-            if needs[1]:
-                db = tsum(matmul(permute(a, (0, 2, 1)), g), axes=(0,))
-            return (da, db)
-
-    elif a.ndim == 2 and b.ndim == 3:
-        if a.shape[1] != b.shape[1]:
-            raise ShapeMismatch(f"inner dims differ: {a.shape} x {b.shape}")
-
-        def vjp(g, needs):
-            da = None
-            if needs[0]:
-                da = tsum(matmul(g, permute(b, (0, 2, 1))), axes=(0,))
-            db = matmul(transpose2d(a), g) if needs[1] else None
-            return (da, db)
-
-    elif a.ndim == 3 and b.ndim == 3:
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise ShapeMismatch(f"batched shapes differ: {a.shape} x {b.shape}")
-
-        def vjp(g, needs):
-            da = matmul(g, permute(b, (0, 2, 1))) if needs[0] else None
-            db = matmul(permute(a, (0, 2, 1)), g) if needs[1] else None
-            return (da, db)
-
-    else:
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
         raise ShapeMismatch(f"matmul cannot combine {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeMismatch(f"inner dims differ: {a.shape} x {b.shape}")
+    if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise ShapeMismatch(f"batched shapes differ: {a.shape} x {b.shape}")
     _check_same_dtype(a, b)
+
+    def vjp(g, needs):
+        da = _unbroadcast(matmul(g, _swap_last2(b)), a.shape) if needs[0] else None
+        db = _unbroadcast(matmul(_swap_last2(a), g), b.shape) if needs[1] else None
+        return (da, db)
+
     return _apply("matmul", np.matmul(a.data, b.data), (a, b), vjp)
 
 
@@ -806,14 +771,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
     grid = _to_grid(x.data, geo)
     k, p = c * 9, h2 * wg
     wm = w.data.reshape(f, k)
-    cols = np.empty((c, 3, 3, h2, wg), dtype=dtype)          # one sample's wide columns
+    # OpenBLAS blocks a reduction longer than 384 differently at different
+    # thread counts unless its length is a multiple of 32; zero rows past
+    # K pad it to one without changing the product
+    kp = k if k <= 384 else -(-k // 32) * 32
+    wk = wm if kp == k else np.concatenate([wm, np.zeros((f, kp - k), dtype=dtype)], axis=1)
+    colbuf = np.zeros((kp, p), dtype=dtype)
+    cols = colbuf[:k].reshape(c, 3, 3, h2, wg)                # one sample's wide columns
     wide = np.empty((f, h2, wg), dtype=dtype)
     out_data = np.empty((bsz, f, h2, w2), dtype=dtype)
     views = _tap_views(grid, geo, wg)
     for n in range(bsz):
         for ti, tj, view in views:
             cols[:, ti, tj] = view[n]
-        np.matmul(wm, cols.reshape(k, p), out=wide.reshape(f, p))
+        np.matmul(wk, colbuf, out=wide.reshape(f, p))
         if b is None:
             out_data[n] = wide[:, :, :w2]
         else:
@@ -825,7 +796,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
             # recorded: stay differentiable in g, w and x
             g3 = reshape(g, (bsz, f, h2 * w2))
             if needs[0]:
-                wt = transpose2d(reshape(w, (f, c * 9)))
+                wt = _swap_last2(reshape(w, (f, c * 9)))
                 dx = fold3x3(matmul(wt, g3), (geo.h, geo.w), stride)
             if needs[1]:
                 cols_t = permute(unfold3x3(x, stride), (0, 2, 1))
@@ -908,14 +879,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"gain/bias {gain.shape}/{bias.shape} do not match normalized extent {feat}")
     _check_same_dtype(x, gain, bias)
     axes = tuple(range(1, x.ndim))
-    bshape = (1,) + feat
     xd = x.data
     inv_count = np.asarray(1.0 / math.prod(feat), dtype=xd.dtype)
     xc = xd - xd.sum(axis=axes, keepdims=True) * inv_count
     std = np.sqrt(np.square(xc).sum(axis=axes, keepdims=True) * inv_count
                   + np.asarray(eps, dtype=xd.dtype))
     xn = xc / std
-    out_data = xn * gain.data.reshape(bshape) + bias.data.reshape(bshape)
+    out_data = xn * gain.data + bias.data
 
     def vjp(g, needs):
         if _state().grad_enabled and x.requires_grad:
@@ -931,7 +901,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if needs[0]:
             # d/dx of (x - mean) / std: centre the output gradient, remove
             # its component along xn, divide by std
-            dxn = mul(g, expand(reshape(gain, bshape), x.shape))
+            dxn = mul(g, gain)
             proj = mul(xn_t, expand(tmean(mul(dxn, xn_t), axes, keepdims=True), x.shape))
             dx = div(sub(sub(dxn, expand(tmean(dxn, axes, keepdims=True), x.shape)), proj),
                      std_t)
@@ -979,7 +949,8 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
     for i in range(start, -1, -1):
         if reach[i]:
             for j in nodes[i].input_ids:
-                reach[j] = 1
+                if j is not None:
+                    reach[j] = 1
     record = create_graph is not False
     depends = None
     if record:
@@ -994,12 +965,10 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
                 depends[leaf.node] = 1
         for i in range(start + 1):
             if reach[i] and not depends[i]:
-                depends[i] = any(depends[j] for j in nodes[i].input_ids)
+                depends[i] = any(j is not None and depends[j] for j in nodes[i].input_ids)
         reach = depends
 
-    grads: dict[int, Tensor] = {start: Tensor(np.ones((), dtype=loss.data.dtype))}
-    if loss.shape != ():
-        grads[start] = Tensor(np.ones(loss.shape, dtype=loss.data.dtype))
+    grads: dict[int, Tensor] = {start: Tensor(np.ones(loss.shape, dtype=loss.data.dtype))}
     result: dict[Tensor, Tensor] = {}
 
     st = _state()
@@ -1013,15 +982,14 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
             node = nodes[i]
             gi = grads.pop(i)
             if node.vjp is None:
-                leaf = node.leaf
-                if leaf is not None and leaf.requires_grad:
-                    result[leaf] = gi
+                result[node.leaf] = gi
                 continue
-            needs = node.needs
-            if depends is not None:
-                needs = tuple(n and depends[j] == 1
-                              for n, j in zip(needs, node.input_ids))
-            for j, dj in zip(node.input_ids, node.vjp(gi, needs)):
+            ids = node.input_ids
+            if depends is None:
+                needs = tuple(j is not None for j in ids)
+            else:
+                needs = tuple(j is not None and depends[j] == 1 for j in ids)
+            for j, dj in zip(ids, node.vjp(gi, needs)):
                 if dj is None:
                     continue
                 acc = grads.get(j)

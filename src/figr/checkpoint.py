@@ -1,13 +1,17 @@
-"""Bit-exact binary snapshots of the outer-loop state.
+"""Bit-exact binary snapshots of the outer-loop state, and crash-safe writes.
 
 Layout (little-endian): magic "FIGR", version u32, config fingerprint
 (32 bytes), outer step u64, then for each network the parameter vector
-(u64 length + float32 data) and its Adam state (u64 timestep + float64
-first/second moments), then the labeled RNG stream states.
+(a dtype tag byte, b"f" float32 or b"d" float64, then u64 length + data)
+and its Adam state (u64 timestep + float64 first/second moments), then
+the labeled RNG stream states.  Version 1 files have no tag byte and
+float32 parameters; they still load.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,8 +22,9 @@ from .reptile import AdamState, MetaState
 from .rng import STATE_BYTES, STREAM_LABELS, RngStreams, streams_from_states, streams_to_states
 
 MAGIC = b"FIGR"
-VERSION = 1
+VERSION = 2
 FINGERPRINT_BYTES = 32
+_PHI_DTYPES = {b"f": np.float32, b"d": np.float64}     # version-2 tag byte -> dtype
 
 
 class BadCheckpoint(ValueError):
@@ -48,12 +53,14 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
         if self.pos + n > len(self.data):
             raise BadCheckpoint("checkpoint truncated")
-        out = self.data[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return self.data[self._advance(n):self.pos]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -62,9 +69,10 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def vector(self, dtype) -> np.ndarray:
+        """A length-prefixed array, copied once straight out of the buffer."""
         size = self.u64()
-        raw = self.take(size * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
+        start = self._advance(size * np.dtype(dtype).itemsize)
+        return np.frombuffer(self.data, dtype=dtype, count=size, offset=start).copy()
 
 
 def serialize(state: MetaState, streams: RngStreams, fingerprint: bytes) -> bytes:
@@ -74,7 +82,8 @@ def serialize(state: MetaState, streams: RngStreams, fingerprint: bytes) -> byte
     # copied once, not grown piecewise and copied again
     parts = [MAGIC, struct.pack("<I", VERSION), fingerprint, struct.pack("<Q", state.step)]
     for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
-        parts += _pack_vector(phi.vector, np.float32)
+        tag = np.dtype(phi.vector.dtype).char.encode()
+        parts += [tag, *_pack_vector(phi.vector, _PHI_DTYPES[tag])]
         parts.append(struct.pack("<Q", adam.t))
         parts += _pack_vector(adam.m, np.float64)
         parts += _pack_vector(adam.v, np.float64)
@@ -91,13 +100,19 @@ def deserialize(data: bytes) -> CheckpointData:
     if r.take(4) != MAGIC:
         raise BadCheckpoint(f"bad magic {data[:4]!r}")
     version = r.u32()
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise BadCheckpoint(f"unsupported checkpoint version {version}")
     fingerprint = r.take(FINGERPRINT_BYTES)
     step = r.u64()
     nets = []
     for _ in range(2):
-        vec = r.vector(np.float32)
+        dtype = np.float32
+        if version > 1:
+            tag = r.take(1)
+            if tag not in _PHI_DTYPES:
+                raise BadCheckpoint(f"unknown parameter dtype tag {tag!r}")
+            dtype = _PHI_DTYPES[tag]
+        vec = r.vector(dtype)
         t = r.u64()
         m = r.vector(np.float64)
         v = r.vector(np.float64)
@@ -118,9 +133,34 @@ def deserialize(data: bytes) -> CheckpointData:
                           stream_states=states)
 
 
+def atomic_write(path, data: bytes | str, durable: bool = True) -> None:
+    """Write data (a str as UTF-8) to path so that a crash leaves the old file or the new.
+
+    The data goes to a temporary file in path's directory, which is
+    renamed over path; a durable write fsyncs it first, so that it also
+    survives a power loss.  On failure the temporary file is removed and
+    path is untouched.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            if durable:
+                os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path: Path, state: MetaState, streams: RngStreams,
-                    fingerprint: bytes) -> None:
-    Path(path).write_bytes(serialize(state, streams, fingerprint))
+                    fingerprint: bytes, durable: bool = True) -> None:
+    atomic_write(path, serialize(state, streams, fingerprint), durable)
 
 
 def load_checkpoint(path: Path) -> CheckpointData:

@@ -25,6 +25,7 @@ import numpy as np
 from .checkpoint import (
     BadCheckpoint,
     CheckpointData,
+    atomic_write,
     load_checkpoint,
     restore_streams,
     save_checkpoint,
@@ -47,7 +48,7 @@ from .data import (
 )
 from .evaluation import EvalReport, median_bandwidths, mmd_squared, montage, nn_distance
 from .gradcheck import DEFAULT_TOL, run_gradcheck
-from .models import Discriminator, Generator
+from .models import Discriminator, Generator, ParameterSet
 from .reptile import MetaState, figr_generate, init_meta_state, meta_step
 from .rng import make_streams
 
@@ -84,10 +85,8 @@ def _restore(cfg: RunConfig, path) -> tuple[Discriminator, Generator, MetaState,
         raise BadCheckpoint("checkpoint parameter counts do not match the config")
     dtype = model_config(cfg).dtype
     state = MetaState(
-        phi_d=disc.init_params(np.random.default_rng(0)).with_vector(
-            data.phi_d.astype(dtype)),
-        phi_g=gen.init_params(np.random.default_rng(0)).with_vector(
-            data.phi_g.astype(dtype)),
+        phi_d=ParameterSet(data.phi_d.astype(dtype, copy=False), disc.layout),
+        phi_g=ParameterSet(data.phi_g.astype(dtype, copy=False), gen.layout),
         adam_d=data.adam_d, adam_g=data.adam_g,
         outer_lr=cfg.outer_lr, beta1=cfg.beta1, beta2=cfg.beta2,
         adam_eps=cfg.adam_eps, step=data.step,
@@ -124,7 +123,7 @@ def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, streams,
     generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, inner_config(cfg),
                               streams.sample, streams.sample, count=3 * cfg.n)
     tiles = np.concatenate([x, generated], axis=0)
-    out_path.write_bytes(write_pgm(montage(tiles, columns=cfg.n, separator_px=2)))
+    atomic_write(out_path, write_pgm(montage(tiles, columns=cfg.n, separator_px=2)))
 
 
 def cmd_train(args) -> int:
@@ -146,8 +145,10 @@ def cmd_train(args) -> int:
         state = init_meta_state(disc, gen, streams.init,
                                 outer_lr=cfg.outer_lr, beta1=cfg.beta1,
                                 beta2=cfg.beta2, adam_eps=cfg.adam_eps)
-        save_checkpoint(_ckpt_path(out_dir, 0), state, streams, fp)
-        (out_dir / "config.cfg").write_text(canonical_text(cfg), encoding="utf-8")
+        # both are a function of the config alone and a fresh start rewrites
+        # them, so they are renamed into place whole but not flushed to disk
+        save_checkpoint(_ckpt_path(out_dir, 0), state, streams, fp, durable=False)
+        atomic_write(out_dir / "config.cfg", canonical_text(cfg), durable=False)
 
     log_path = out_dir / "train_log.csv"
     _reconcile_log(log_path, state.step)
@@ -164,6 +165,7 @@ def cmd_train(args) -> int:
                 _emit_montage(cfg, dataset, disc, gen, state, streams,
                               out_dir / f"samples_{rec.step:06d}.pgm")
             if cfg.checkpoint_every and rec.step % cfg.checkpoint_every == 0:
+                log.flush()     # a resume cuts the log back, it never fills it in
                 save_checkpoint(_ckpt_path(out_dir, rec.step), state, streams, fp)
             if rec.step % 200 == 0:
                 elapsed = time.perf_counter() - t_start
@@ -205,12 +207,12 @@ def cmd_generate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tiles = np.concatenate([x, generated], axis=0)
-    (out_dir / "montage.pgm").write_bytes(
-        write_pgm(montage(tiles, columns=icfg.n, separator_px=2)))
+    atomic_write(out_dir / "montage.pgm",
+                 write_pgm(montage(tiles, columns=icfg.n, separator_px=2)))
     from .data import pack_shard
     from .evaluation import to_uint8
     shard = pack_shard([(task.name, to_uint8(generated[:, 0]))])
-    (out_dir / "generated.fgr8").write_bytes(shard)
+    atomic_write(out_dir / "generated.fgr8", shard)
     print(f"adapted to class {task.name!r} (n={icfg.n}, k={icfg.k}); "
           f"wrote montage + {args.count} samples to {out_dir}")
     return 0
@@ -277,7 +279,7 @@ def cmd_eval(args) -> int:
                      f"{r.baseline_mmd2:.9g},{r.nn_min_distance:.9g},{win}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        atomic_write(args.out, text)
     sys.stdout.write(text)
     print(f"meta-trained beats random init on {wins}/{len(reports)} classes")
     return 0
@@ -285,7 +287,7 @@ def cmd_eval(args) -> int:
 
 def cmd_pack(args) -> int:
     blob = pack_class_dirs(Path(args.input))
-    Path(args.output).write_bytes(blob)
+    atomic_write(args.output, blob)
     ds = load_shard(blob)
     total = sum(c.images.shape[0] for c in ds.classes)
     print(f"packed {len(ds.classes)} classes / {total} images into {args.output}")
@@ -304,7 +306,7 @@ def cmd_stats(args) -> int:
     for size, frac in zip(sizes, cum):
         lines.append(f"{size},{frac:.6f}")
     if args.csv:
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        atomic_write(args.csv, "\n".join(lines) + "\n")
         print(f"cumulative density written to {args.csv}")
     return 0
 

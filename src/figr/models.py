@@ -68,7 +68,7 @@ class Segment:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
 
 class ParameterSet:
@@ -174,20 +174,16 @@ def _add_norm_act(lay: _Layout, name: str, c: int, h: int, w: int) -> None:
 def _conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Pointwise channel mixing via per-sample matmul; w is [Cin, Cout]."""
     bs, c, h, wd = x.shape
-    cout = w.shape[1]
     flat = ad.reshape(ad.permute(x, (0, 2, 3, 1)), (bs, h * wd, c))
-    y = ad.add(ad.matmul(flat, w),
-               ad.expand(ad.reshape(b, (1, 1, cout)), (bs, h * wd, cout)))
-    return ad.permute(ad.reshape(y, (bs, h, wd, cout)), (0, 3, 1, 2))
+    y = ad.add(ad.matmul(flat, w), b)
+    return ad.permute(ad.reshape(y, (bs, h, wd, w.shape[1])), (0, 3, 1, 2))
 
 
 def _dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Per-sample affine map: [B,in] x [in,out] + [out]."""
     bs = x.shape[0]
-    out = w.shape[1]
-    y = ad.matmul(ad.reshape(x, (bs, 1, x.shape[1])), w)
-    y = ad.add(y, ad.expand(ad.reshape(b, (1, 1, out)), (bs, 1, out)))
-    return ad.reshape(y, (bs, out))
+    y = ad.add(ad.matmul(ad.reshape(x, (bs, 1, x.shape[1])), w), b)
+    return ad.reshape(y, (bs, w.shape[1]))
 
 
 def _norm_act(p, name: str, x: Tensor) -> Tensor:
@@ -196,14 +192,35 @@ def _norm_act(p, name: str, x: Tensor) -> Tensor:
 
 
 class _ResNetBase:
-    """Shared layout/init machinery; subclasses define blocks and forward."""
+    """Shared layout/init machinery and residual block; subclasses define forward."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
+        self.blocks: list[tuple[str, int, int, bool]] = []
         self.layout = self._build_layout()
 
     def _build_layout(self) -> tuple[Segment, ...]:
         raise NotImplementedError
+
+    def _add_block(self, lay: _Layout, name: str, cin: int, cout: int, size: int,
+                   resample: bool) -> None:
+        """conv -> norm_act -> conv -> norm_act, with a 1x1 skip where the width changes."""
+        _add_conv(lay, f"{name}.c1", cin, cout)
+        _add_norm_act(lay, f"{name}.n1", cout, size, size)
+        _add_conv(lay, f"{name}.c2", cout, cout)
+        _add_norm_act(lay, f"{name}.n2", cout, size, size)
+        if cin != cout:                 # true of every block that resamples
+            _add_proj(lay, f"{name}.skip", cin, cout)
+        self.blocks.append((name, cin, cout, resample))
+
+    @staticmethod
+    def _residual(p, name: str, h: Tensor, skip: Tensor, stride: int = 1) -> Tensor:
+        """The block's body on h, plus skip."""
+        y = ad.conv2d(h, p[f"{name}.c1.w"], p[f"{name}.c1.b"], stride=stride)
+        y = _norm_act(p, f"{name}.n1", y)
+        y = ad.conv2d(y, p[f"{name}.c2.w"], p[f"{name}.c2.b"], stride=1)
+        y = _norm_act(p, f"{name}.n2", y)
+        return ad.add(y, skip)
 
     def param_count(self) -> int:
         return self.layout[-1].offset + self.layout[-1].size
@@ -221,10 +238,7 @@ class _ResNetBase:
             elif s.name.endswith(".a"):
                 v[...] = 0.25
             elif s.name.endswith(".w"):
-                if len(s.shape) == 4:
-                    fan_in = s.shape[1] * 9
-                else:
-                    fan_in = s.shape[0]
+                fan_in = s.shape[1] * 9 if len(s.shape) == 4 else s.shape[0]
                 std = math.sqrt(2.0 / fan_in)
                 v[...] = (rng.standard_normal(s.shape) * std).astype(self.cfg.dtype)
             else:
@@ -248,27 +262,16 @@ class Generator(_ResNetBase):
         _add_proj(lay, "fc", cfg.latent_dim, w_top * 16)
         _add_norm_act(lay, "in0", w_top, 4, 4)
         n_extra = cfg.n_blocks - cfg.n_scales
-        self.blocks: list[tuple[str, int, int, int, bool]] = []
         size = 4
         width = w_top
         for i in range(n_extra):
-            self._add_block(lay, f"pre{i}", width, width, size, up=False)
+            self._add_block(lay, f"pre{i}", width, width, size, resample=False)
         for i in range(cfg.n_scales):
-            self._add_block(lay, f"up{i}", width, width // 2, size * 2, up=True)
+            self._add_block(lay, f"up{i}", width, width // 2, size * 2, resample=True)
             width //= 2
             size *= 2
         _add_conv(lay, "out", width, cfg.channels)
         return lay.done()
-
-    def _add_block(self, lay, name, cin, cout, size, up):
-        _add_conv(lay, f"{name}.c1", cin, cout)
-        _add_norm_act(lay, f"{name}.n1", cout, size, size)
-        _add_conv(lay, f"{name}.c2", cout, cout)
-        _add_norm_act(lay, f"{name}.n2", cout, size, size)
-        if cin != cout:
-            lay.add(f"{name}.skip.w", (cin, cout))
-            lay.add(f"{name}.skip.b", (cout,))
-        self.blocks.append((name, cin, cout, size, up))
 
     def forward(self, p: BoundParams | ParameterSet, z: Tensor) -> Tensor:
         if isinstance(p, ParameterSet):
@@ -280,17 +283,13 @@ class Generator(_ResNetBase):
         h = _dense(z, p["fc.w"], p["fc.b"])
         h = ad.reshape(h, (b, self.w_top, 4, 4))
         h = _norm_act(p, "in0", h)
-        for name, cin, cout, size, up in self.blocks:
+        for name, cin, cout, up in self.blocks:
             if up:
                 h = ad.upsample2(h)
             skip = h
             if cin != cout:
                 skip = _conv1x1(h, p[f"{name}.skip.w"], p[f"{name}.skip.b"])
-            y = ad.conv2d(h, p[f"{name}.c1.w"], p[f"{name}.c1.b"], stride=1)
-            y = _norm_act(p, f"{name}.n1", y)
-            y = ad.conv2d(y, p[f"{name}.c2.w"], p[f"{name}.c2.b"], stride=1)
-            y = _norm_act(p, f"{name}.n2", y)
-            h = ad.add(y, skip)
+            h = self._residual(p, name, h, skip)
         h = ad.conv2d(h, p["out.w"], p["out.b"], stride=1)
         return ad.tanh(h)
 
@@ -304,27 +303,16 @@ class Discriminator(_ResNetBase):
         s = cfg.image_size
         _add_conv(lay, "stem", cfg.channels, cfg.base_width)
         _add_norm_act(lay, "in0", cfg.base_width, s, s)
-        self.blocks: list[tuple[str, int, int, int, bool]] = []
         width = cfg.base_width
         for i in range(cfg.n_scales):
-            self._add_block(lay, f"down{i}", width, width * 2, s // 2, down=True)
+            self._add_block(lay, f"down{i}", width, width * 2, s // 2, resample=True)
             width *= 2
             s //= 2
         for i in range(cfg.n_blocks - cfg.n_scales):
-            self._add_block(lay, f"post{i}", width, width, s, down=False)
+            self._add_block(lay, f"post{i}", width, width, s, resample=False)
         self.w_top = width
         _add_proj(lay, "score", width * s * s, 1)
         return lay.done()
-
-    def _add_block(self, lay, name, cin, cout, size, down):
-        _add_conv(lay, f"{name}.c1", cin, cout)
-        _add_norm_act(lay, f"{name}.n1", cout, size, size)
-        _add_conv(lay, f"{name}.c2", cout, cout)
-        _add_norm_act(lay, f"{name}.n2", cout, size, size)
-        if cin != cout or down:
-            lay.add(f"{name}.skip.w", (cin, cout))
-            lay.add(f"{name}.skip.b", (cout,))
-        self.blocks.append((name, cin, cout, size, down))
 
     def forward(self, p: BoundParams | ParameterSet, images: Tensor) -> Tensor:
         if isinstance(p, ParameterSet):
@@ -336,18 +324,12 @@ class Discriminator(_ResNetBase):
         b = images.shape[0]
         h = ad.conv2d(images, p["stem.w"], p["stem.b"], stride=1)
         h = _norm_act(p, "in0", h)
-        for name, cin, cout, size, down in self.blocks:
-            if down:
-                skip = _conv1x1(ad.subsample2(h), p[f"{name}.skip.w"], p[f"{name}.skip.b"])
-            elif cin != cout:
-                skip = _conv1x1(h, p[f"{name}.skip.w"], p[f"{name}.skip.b"])
-            else:
-                skip = h
-            y = ad.conv2d(h, p[f"{name}.c1.w"], p[f"{name}.c1.b"], stride=2 if down else 1)
-            y = _norm_act(p, f"{name}.n1", y)
-            y = ad.conv2d(y, p[f"{name}.c2.w"], p[f"{name}.c2.b"], stride=1)
-            y = _norm_act(p, f"{name}.n2", y)
-            h = ad.add(y, skip)
+        for name, cin, cout, down in self.blocks:
+            skip = h
+            if cin != cout:
+                skip = _conv1x1(ad.subsample2(h) if down else h,
+                                p[f"{name}.skip.w"], p[f"{name}.skip.b"])
+            h = self._residual(p, name, h, skip, stride=2 if down else 1)
         flat = ad.reshape(h, (b, -1))
         return _dense(flat, p["score.w"], p["score.b"])
 

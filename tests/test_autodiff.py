@@ -184,6 +184,17 @@ class TestMatmul:
         with pytest.raises(ShapeMismatch):
             matmul(tensor(a0), tensor(np.ones((4, 2, 5))))
 
+    @pytest.mark.parametrize("sa,sb", [((5, 2, 3), (3, 4)), ((5, 2, 3), (5, 3, 4))],
+                             ids=["shared-right", "batch-batch"])
+    def test_batched_left_operand_grads(self, sa, sb):
+        # the forms the other matmul tests leave out, under the same one rule
+        rng = np.random.default_rng(10)
+        a0, b0 = rng.standard_normal(sa), rng.standard_normal(sb)
+        fd_check(lambda a: float(np.sum((a @ b0) ** 2)),
+                 lambda a: ad.square(matmul(a, tensor(b0))).sum(), a0)
+        fd_check(lambda b: float(np.sum((a0 @ b) ** 2)),
+                 lambda b: ad.square(matmul(tensor(a0), b)).sum(), b0)
+
     def test_grad_wrt_right_operand(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((2, 3))
@@ -262,14 +273,16 @@ class TestConv2d:
             conv2d(tensor(np.ones((1, 2, 4, 4))), tensor(np.ones((1, 3, 3, 3))), None, 1)
 
     def test_gradients_independent_of_blas_threads(self):
-        # the weight gradient reduces over the padded grid; OpenBLAS blocks
-        # some reduction lengths differently at different thread counts
+        # the weight gradient reduces over the padded grid and the forward
+        # over K = 9*C (720 in the last case); OpenBLAS blocks some
+        # reduction lengths differently at different thread counts
         code = (
             "import hashlib, numpy as np\n"
             "from figr import autodiff as ad\n"
             "rng = np.random.default_rng(0)\n"
             "h = hashlib.sha256()\n"
-            "for b, c, f, hw, s in ((8, 16, 32, 32, 2), (4, 32, 16, 32, 1), (3, 32, 32, 15, 1)):\n"
+            "for b, c, f, hw, s in ((8, 16, 32, 32, 2), (4, 32, 16, 32, 1), (3, 32, 32, 15, 1),\n"
+            "                       (4, 80, 80, 8, 1)):\n"
             "    x = ad.tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32), requires_grad=True)\n"
             "    w = ad.tensor(rng.standard_normal((f, c, 3, 3)).astype(np.float32), requires_grad=True)\n"
             "    y = ad.conv2d(x, w, None, s)\n"
@@ -755,8 +768,20 @@ class TestGraph:
             y = ad.square(ad.add(ad.mul(x, 2.0), 1.0)).sum()
             assert len(g.nodes) > 1
             for idx, node in enumerate(g.nodes):
-                assert all(j < idx for j in node.input_ids)
+                assert all(j < idx for j in node.input_ids if j is not None)
             backward(y)
+
+    def test_constants_make_no_tape_node(self):
+        # only what a gradient flows through is recorded: a constant input
+        # gets no leaf node, and its handle on the consuming node is None
+        with Graph("double") as g:
+            x = tensor(np.ones((2, 3)), requires_grad=True)
+            c = tensor(np.full((2, 3), 2.0))
+            y = ad.add(ad.mul(x, c), 1.0)
+            assert [node.op for node in g.nodes] == ["leaf", "mul", "add"]
+            assert [node.input_ids for node in g.nodes] == [(), (0, None), (1, None)]
+            assert c.graph is None and c.node is None
+            np.testing.assert_array_equal(backward(y.sum())[x].data, c.data)
 
     def test_requires_grad_propagation(self):
         with Graph("double"):

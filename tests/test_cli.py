@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import figr.cli
 from figr.cli import main
 from figr.data import load_shard, read_pgm, write_pgm
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 TINY_CFG = """
 # desk-scale smoke configuration
@@ -73,6 +80,39 @@ class TestTrain:
                 "--resume", part / "ckpt_000003.figr")
         assert (full / "ckpt_000006.figr").read_bytes() == \
                (part / "ckpt_000006.figr").read_bytes()
+
+    def test_double_precision_resume_is_byte_identical(self, tmp_path):
+        # parameters are checkpointed at their own precision, so a double
+        # run resumes exactly where an uninterrupted one continues
+        cfg_path = tmp_path / "double.cfg"
+        cfg_path.write_text(TINY_CFG + "precision = double\n")
+        full, part = tmp_path / "full", tmp_path / "part"
+        run_cli("train", "--config", cfg_path, "--out", full, "--steps", 4)
+        run_cli("train", "--config", cfg_path, "--out", part, "--steps", 2)
+        run_cli("train", "--config", cfg_path, "--out", part, "--steps", 4,
+                "--resume", part / "ckpt_000002.figr")
+        assert (full / "ckpt_000004.figr").read_bytes() == \
+               (part / "ckpt_000004.figr").read_bytes()
+
+    def test_hard_kill_after_checkpoint_keeps_its_steps_in_the_log(self, cfg_path, tmp_path):
+        # the log is cut back to a checkpoint on resume, never filled in, so
+        # it must hold every step of a checkpoint before the checkpoint exists
+        out = tmp_path / "killed"
+        code = ("import os, sys\n"
+                "import figr.cli\n"
+                "save = figr.cli.save_checkpoint\n"
+                "def save_then_die(path, *args, **kwargs):\n"
+                "    save(path, *args, **kwargs)\n"
+                "    if path.name == 'ckpt_000003.figr':\n"
+                "        os._exit(9)\n"
+                "figr.cli.save_checkpoint = save_then_die\n"
+                "figr.cli.main(sys.argv[1:])\n")
+        proc = subprocess.run([sys.executable, "-c", code, "train", "--config", str(cfg_path),
+                               "--out", str(out)], env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 9, proc.stderr
+        rows = (out / "train_log.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
 
     def test_resume_reconciles_log_with_checkpoint(self, cfg_path, tmp_path):
         def rows(out):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+import struct
+
 from figr.checkpoint import (
+    MAGIC,
     BadCheckpoint,
+    atomic_write,
     deserialize,
     load_checkpoint,
     restore_streams,
@@ -19,7 +23,7 @@ from figr.config import (
 )
 from figr.models import Discriminator, Generator, ModelConfig
 from figr.reptile import InnerConfig, init_meta_state
-from figr.rng import make_streams, state_from_bytes, state_to_bytes
+from figr.rng import STREAM_LABELS, make_streams, state_from_bytes, state_to_bytes, streams_to_states
 
 
 class TestConfig:
@@ -107,8 +111,8 @@ class TestRngStreams:
 CFG = ModelConfig(image_size=8, latent_dim=4, base_width=4, n_blocks=1)
 
 
-def small_state():
-    disc, gen = Discriminator(CFG), Generator(CFG)
+def small_state(cfg=CFG):
+    disc, gen = Discriminator(cfg), Generator(cfg)
     streams = make_streams(5)
     state = init_meta_state(disc, gen, streams.init)
     state.adam_d.m += 0.5
@@ -167,3 +171,72 @@ class TestCheckpoint:
         expected = streams.latent.standard_normal(5)  # what comes next
         clone = restore_streams(deserialize(blob))
         np.testing.assert_array_equal(clone.latent.standard_normal(5), expected)
+
+    def test_double_parameters_round_trip_exactly(self):
+        state, streams = small_state(ModelConfig(image_size=8, latent_dim=4, base_width=4,
+                                                 n_blocks=1, precision="double"))
+        data = deserialize(serialize(state, streams, b"\x00" * 32))
+        assert data.phi_d.dtype == np.float64 and data.phi_g.dtype == np.float64
+        np.testing.assert_array_equal(data.phi_d, state.phi_d.vector)
+        np.testing.assert_array_equal(data.phi_g, state.phi_g.vector)
+
+    def test_version_1_still_loads(self):
+        # version 1: no dtype tag, parameters always float32
+        state, streams = small_state()
+        fp = b"\x02" * 32
+        parts = [MAGIC, struct.pack("<I", 1), fp, struct.pack("<Q", state.step)]
+        for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
+            vec = phi.vector.astype(np.float32)
+            parts += [struct.pack("<Q", vec.size), vec.tobytes(), struct.pack("<Q", adam.t)]
+            for moment in (adam.m, adam.v):
+                parts += [struct.pack("<Q", moment.size), moment.tobytes()]
+        states = streams_to_states(streams)
+        parts.append(struct.pack("<I", len(STREAM_LABELS)))
+        for label in STREAM_LABELS:
+            parts += [struct.pack("<B", len(label)), label.encode("ascii"), states[label]]
+        data = deserialize(b"".join(parts))
+        assert data.fingerprint == fp and data.adam_d.t == 3
+        assert data.phi_d.dtype == np.float32
+        np.testing.assert_array_equal(data.phi_d, state.phi_d.vector)
+        np.testing.assert_array_equal(data.adam_d.m, state.adam_d.m)
+        assert serialize(state, streams, fp) == serialize(
+            state, restore_streams(data), fp)
+
+    def test_unknown_dtype_tag(self):
+        state, streams = small_state()
+        blob = bytearray(serialize(state, streams, b"\x00" * 32))
+        assert blob[48:49] == b"f"
+        blob[48:49] = b"h"
+        with pytest.raises(BadCheckpoint, match="dtype"):
+            deserialize(bytes(blob))
+
+
+class TestAtomicWrite:
+    def test_replaces_content(self, tmp_path):
+        path = tmp_path / "a.bin"
+        atomic_write(path, b"old")
+        atomic_write(path, "new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+
+    @pytest.mark.parametrize("durable,failing", [(True, "fsync"), (False, "replace")])
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, durable, failing):
+        path = tmp_path / "ckpt.figr"
+        atomic_write(path, b"earlier")
+
+        def crash(*args):
+            raise OSError("disk gone")
+
+        # the data is in the temporary file when the flush or the rename fails
+        monkeypatch.setattr(f"figr.checkpoint.os.{failing}", crash)
+        with pytest.raises(OSError, match="disk gone"):
+            atomic_write(path, b"later" * 1000, durable=durable)
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.figr"]
+
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_flushes_to_disk_when_durable(self, tmp_path, monkeypatch, durable):
+        synced = []
+        monkeypatch.setattr("figr.checkpoint.os.fsync", synced.append)
+        atomic_write(tmp_path / "a.bin", b"data", durable=durable)
+        assert len(synced) == int(durable)
