@@ -6,7 +6,10 @@ node (topological order by construction).  Constants (no requires_grad)
 are not on the tape: an op on constants alone makes no node, and a
 constant input of a recorded op has the handle None, not a leaf node.
 Biases and gains reach their outputs by the suffix broadcasting of add
-and mul, and matmul has one backward rule for every operand form.
+and mul, and matmul has one backward rule for every operand form.  Ops
+are this module's functions (add, mul, tsum, ...); a Tensor has no
+operator overloads.  Each op computes in the dtype of its operands,
+which must agree, so the tape carries no precision of its own.
 
 Backward rules are themselves written with the public ops; running
 backward with ``create_graph`` therefore records the backward pass onto
@@ -63,9 +66,6 @@ class GraphMismatch(RuntimeError):
     """A non-leaf tensor from one graph was used inside another graph."""
 
 
-_DTYPES = {"single": np.float32, "double": np.float64}
-
-
 class Node:
     """One tape entry: op id, input node handles, and the saved backward rule.
 
@@ -84,28 +84,21 @@ class Node:
 
 
 class Graph:
-    """Append-only tape confined to one thread.
+    """Append-only tape confined to one thread, with no settings of its own.
 
-    Acts as a context manager; ops executed inside record onto it.  A
-    backward() without create_graph marks the graph dead and empties
-    ``nodes``, releasing every saved value; a later backward() on it
-    raises DeadGraph.  Ops recorded outside any ``with Graph()`` block go
-    to a per-thread implicit graph, which is replaced by a fresh one once
-    a backward() has consumed it.
+    Acts as a context manager; ops of any dtype executed inside record
+    onto it.  A backward() without create_graph marks the graph dead and
+    empties ``nodes``, releasing every saved value; a later backward() on
+    it raises DeadGraph.  Ops recorded outside any ``with Graph()`` block
+    go to a per-thread implicit graph, which is replaced by a fresh one
+    once a backward() has consumed it.
     """
 
-    __slots__ = ("nodes", "precision", "dead")
+    __slots__ = ("nodes", "dead")
 
-    def __init__(self, precision: str = "single"):
-        if precision not in _DTYPES:
-            raise ValueError(f"unknown precision {precision!r}")
+    def __init__(self):
         self.nodes: list[Node] = []
-        self.precision = precision
         self.dead = False
-
-    @property
-    def dtype(self):
-        return _DTYPES[self.precision]
 
     def append(self, node: Node) -> int:
         self.nodes.append(node)
@@ -178,56 +171,21 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    # arithmetic sugar; scalars are accepted on either side
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
     def sum(self, axes=None, keepdims=False):
         return tsum(self, axes, keepdims)
 
-    def mean(self, axes=None, keepdims=False):
-        return tmean(self, axes, keepdims)
 
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
+def tensor(data, requires_grad: bool = False) -> Tensor:
     """Wrap data as a leaf tensor.
 
-    Lists, scalars and non-float arrays are cast to the active graph's
-    precision unless an explicit dtype is given; float32/float64 arrays
-    keep their dtype.
+    float32/float64 arrays keep their dtype; lists, scalars and other
+    arrays are cast to float64.
     """
     if isinstance(data, Tensor):
         raise TypeError("data is already a Tensor; use detach() to re-leaf it")
     arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(active_graph().dtype)
+    if arr.dtype not in (np.float32, np.float64):
+        arr = arr.astype(np.float64)
     return Tensor(arr, requires_grad=requires_grad)
 
 
@@ -944,13 +902,6 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
 
     nodes = g.nodes
     start = loss.node
-    reach = bytearray(start + 1)
-    reach[start] = 1
-    for i in range(start, -1, -1):
-        if reach[i]:
-            for j in nodes[i].input_ids:
-                if j is not None:
-                    reach[j] = 1
     record = create_graph is not False
     depends = None
     if record:
@@ -964,9 +915,10 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
             if leaf.graph is g and leaf.node is not None and leaf.node <= start:
                 depends[leaf.node] = 1
         for i in range(start + 1):
-            if reach[i] and not depends[i]:
+            if not depends[i]:
                 depends[i] = any(j is not None and depends[j] for j in nodes[i].input_ids)
-        reach = depends
+        if not depends[start]:
+            return {}
 
     grads: dict[int, Tensor] = {start: Tensor(np.ones(loss.shape, dtype=loss.data.dtype))}
     result: dict[Tensor, Tensor] = {}
@@ -976,8 +928,11 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
     prev_mode = st.grad_enabled
     st.grad_enabled = record
     try:
+        # a node holds a gradient only if a visited node passed it one, so
+        # nodes the loss does not reach, or (recorded) that do not depend
+        # on the requested leaves, are never visited
         for i in range(start, -1, -1):
-            if not reach[i] or i not in grads:
+            if i not in grads:
                 continue
             node = nodes[i]
             gi = grads.pop(i)

@@ -15,6 +15,7 @@ checkpoints, and sample montages.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -62,6 +63,7 @@ class InsufficientImages(CliError):
 
 
 CSV_HEADER = "step,task_id,critic_loss,gen_loss,delta_d_norm,delta_g_norm,seconds"
+EVAL_COUNT = 64     # images `figr eval` generates per class and arm
 
 
 def _ckpt_path(out_dir: Path, step: int) -> Path:
@@ -100,7 +102,9 @@ def _reconcile_log(path: Path, step: int) -> None:
     A run starting from the checkpoint of `step` then appends the steps
     after it, so the log agrees with the checkpoints on disk whether the
     run resumes in place, into a fresh directory, or from an earlier
-    checkpoint than the log's last row.
+    checkpoint than the log's last row.  The new log replaces the old whole
+    (a failed rewrite leaves the old one) and reaches disk with the next
+    checkpoint.
     """
     width = CSV_HEADER.count(",") + 1
     rows = []
@@ -109,7 +113,15 @@ def _reconcile_log(path: Path, step: int) -> None:
             fields = line.split(",")
             if len(fields) == width and fields[0].isdigit() and int(fields[0]) <= step:
                 rows.append(line)
-    path.write_text("\n".join([CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join([CSV_HEADER, *rows]) + "\n", durable=False)
+
+
+def _checkpoint(log, path: Path, state, streams, fp: bytes) -> None:
+    """Flush the log's rows to disk, then write the checkpoint that claims them:
+    a resume cuts the log back to its checkpoint but never fills it in."""
+    log.flush()
+    os.fsync(log.fileno())
+    save_checkpoint(path, state, streams, fp)
 
 
 def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, streams,
@@ -121,7 +133,7 @@ def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, streams,
     _, task = sample_task(dataset, streams.sample, split=split)
     x = sample_images(task, cfg.n, streams.sample)
     generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, inner_config(cfg),
-                              streams.sample, streams.sample, count=3 * cfg.n)
+                              streams.sample, count=3 * cfg.n)
     tiles = np.concatenate([x, generated], axis=0)
     atomic_write(out_path, write_pgm(montage(tiles, columns=cfg.n, separator_px=2)))
 
@@ -165,14 +177,13 @@ def cmd_train(args) -> int:
                 _emit_montage(cfg, dataset, disc, gen, state, streams,
                               out_dir / f"samples_{rec.step:06d}.pgm")
             if cfg.checkpoint_every and rec.step % cfg.checkpoint_every == 0:
-                log.flush()     # a resume cuts the log back, it never fills it in
-                save_checkpoint(_ckpt_path(out_dir, rec.step), state, streams, fp)
+                _checkpoint(log, _ckpt_path(out_dir, rec.step), state, streams, fp)
             if rec.step % 200 == 0:
                 elapsed = time.perf_counter() - t_start
                 print(f"step {rec.step}/{target} critic {rec.critic_loss:+.4f} "
                       f"gen {rec.gen_loss:+.4f} ({elapsed:.0f}s)", flush=True)
-    if state.step % (cfg.checkpoint_every or 1) != 0 or not cfg.checkpoint_every:
-        save_checkpoint(_ckpt_path(out_dir, state.step), state, streams, fp)
+        if state.step % (cfg.checkpoint_every or 1) != 0 or not cfg.checkpoint_every:
+            _checkpoint(log, _ckpt_path(out_dir, state.step), state, streams, fp)
     print(f"trained to step {state.step}; artifacts in {out_dir}")
     return 0
 
@@ -202,7 +213,7 @@ def cmd_generate(args) -> int:
     idx = rng.choice(task.images.shape[0], size=icfg.n, replace=False)
     x = task.images[idx]
     generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, icfg,
-                              rng, rng, count=args.count)
+                              rng, count=args.count)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -220,8 +231,9 @@ def cmd_generate(args) -> int:
 
 def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
                         disc: Discriminator, gen: Generator, trials: int,
-                        seed: int, count: int = 64) -> list[EvalReport]:
-    """Adapt on each validation class and score against its held-out images.
+                        seed: int) -> list[EvalReport]:
+    """Adapt on each validation class and score EVAL_COUNT samples against
+    its held-out images.
 
     The baseline arm repeats the identical protocol from a fresh random
     initialization; both arms share per-class rng so the comparison is paired.
@@ -254,7 +266,7 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
                                   ("base", base_state.phi_d, base_state.phi_g)):
             arm_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cid, 2)))
             samples[arm] = figr_generate(phi_d, phi_g, disc, gen, x, icfg,
-                                         arm_rng, arm_rng, count=count)
+                                         arm_rng, count=EVAL_COUNT)
         reports.append(EvalReport(
             task_id=cid, task_name=task.name,
             mmd2=mmd_squared(samples["meta"], held, bandwidths),

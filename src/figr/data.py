@@ -151,10 +151,8 @@ class RawDataset:
     classes: tuple[RawClass, ...]
 
 
-def pack_shard(classes: list[tuple[str, np.ndarray]] | RawDataset) -> bytes:
-    """Serialize named uint8 image stacks; load_shard inverts bit-exactly."""
-    if isinstance(classes, RawDataset):
-        classes = [(c.name, c.images) for c in classes.classes]
+def pack_shard(classes: list[tuple[str, np.ndarray]]) -> bytes:
+    """Serialize (name, uint8 image stack) pairs; load_shard inverts bit-exactly."""
     out = bytearray()
     out += SHARD_MAGIC
     out += struct.pack("<II", SHARD_VERSION, len(classes))
@@ -256,18 +254,15 @@ def normalize(img: np.ndarray) -> np.ndarray:
 class TaskClass:
     """One named class of task images, float32 [N, 1, S, S] in [-1, 1].
 
-    Give the images, or a zero-argument `load` that builds them.  A loader
-    runs the first time `.images` is read; its result is checked for
+    `load` is a zero-argument function that builds the images.  It runs
+    the first time `.images` is read; its result is checked for
     finiteness, cached, and the loader dropped, so `name` never costs a
     pixel.
     """
 
-    def __init__(self, name: str, images: np.ndarray | None = None, *,
-                 load: Callable[[], np.ndarray] | None = None):
-        if (images is None) == (load is None):
-            raise ValueError("give a class either its images or a loader")
+    def __init__(self, name: str, load: Callable[[], np.ndarray]):
         self.name = name
-        self._images = images
+        self._images: np.ndarray | None = None
         self._load = load
 
     @property

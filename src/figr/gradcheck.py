@@ -4,7 +4,9 @@ and figr's one finite-difference oracle (`finite_difference_gradient`).
 All checks run in double precision on small random networks: generator
 parameters (through the critic), critic parameters, the critic's input
 gradient, and the gradient penalty's parameter gradient, which exercises
-the differentiated backward pass.
+the differentiated backward pass.  A check is a ParameterSet and a loss
+of its bound tensors (the critic's input is a one-segment set); one
+routine differentiates the loss and compares with finite differences.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .autodiff import Graph, Tensor, backward
 from .losses import critic_loss, generator_loss, gradient_penalty
-from .models import Discriminator, Generator, ModelConfig
+from .models import BoundParams, Discriminator, Generator, ModelConfig, ParameterSet, Segment
 
 CHECK_CFG = ModelConfig(image_size=8, latent_dim=5, base_width=4, n_blocks=1,
                         precision="double")
@@ -79,97 +81,64 @@ class CheckResult:
     max_rel_err: float
 
 
-def _fd_error(value, x: np.ndarray, grad: np.ndarray, rng, coords: int) -> float:
-    """Agreement of grad with central differences at `coords` random entries of x."""
+def _check(params: ParameterSet, loss: Callable[[BoundParams], Tensor], rng,
+           coords: int, sign: float) -> float:
+    """Agreement of loss's autodiff gradient in params with central differences
+    at `coords` random entries of the parameter vector."""
+    def value(vec):
+        with Graph():
+            return loss(params.with_vector(vec).bind(trainable=False)).item()
+
+    with Graph():
+        bound = params.bind()
+        grad = sign * bound.flatten_grads(backward(loss(bound)))
+    x = params.vector
     idxs = rng.choice(x.size, size=min(coords, x.size), replace=False)
     return agreement_error(grad[idxs], finite_difference_gradient(value, x, coords=idxs),
                            value(np.array(x, dtype=np.float64)))
 
 
-def _check_generator_params(disc, gen, rng, coords, sign) -> float:
-    phi_d = disc.init_params(rng)
+def _generator_params(disc, gen, rng):
+    phi_d = disc.init_params(rng).bind(trainable=False)
     phi_g = gen.init_params(rng)
-    z = rng.standard_normal((2, gen.cfg.latent_dim))
-
-    def value(vec):
-        ps = phi_g.with_vector(vec)
-        with Graph("double"):
-            fake = gen.forward(ps.bind(trainable=False), Tensor(z.copy()))
-            return generator_loss(disc.forward(phi_d.bind(trainable=False), fake)).item()
-
-    with Graph("double"):
-        bound = phi_g.bind()
-        fake = gen.forward(bound, Tensor(z.copy()))
-        loss = generator_loss(disc.forward(phi_d.bind(trainable=False), fake))
-        grad = sign * bound.flatten_grads(backward(loss))
-    return _fd_error(value, phi_g.vector, grad, rng, coords)
+    z = Tensor(rng.standard_normal((2, gen.cfg.latent_dim)))
+    return phi_g, lambda p: generator_loss(disc.forward(phi_d, gen.forward(p, z)))
 
 
-def _check_discriminator_params(disc, gen, rng, coords, sign) -> float:
+def _discriminator_params(disc, gen, rng):
     phi_d = disc.init_params(rng)
     s = disc.cfg.image_size
     x = np.tanh(rng.standard_normal((2, 1, s, s)))
     y = np.tanh(rng.standard_normal((2, 1, s, s)))
-    xy = np.concatenate([x, y])
-
-    def value(vec):
-        ps = phi_d.with_vector(vec)
-        with Graph("double"):
-            return critic_loss(disc.forward(ps.bind(trainable=False), Tensor(xy))).item()
-
-    with Graph("double"):
-        bound = phi_d.bind()
-        loss = critic_loss(disc.forward(bound, Tensor(xy)))
-        grad = sign * bound.flatten_grads(backward(loss))
-    return _fd_error(value, phi_d.vector, grad, rng, coords)
+    xy = Tensor(np.concatenate([x, y]))
+    return phi_d, lambda p: critic_loss(disc.forward(p, xy))
 
 
-def _check_discriminator_input(disc, gen, rng, coords, sign) -> float:
-    phi_d = disc.init_params(rng)
+def _discriminator_input(disc, gen, rng):
+    phi_d = disc.init_params(rng).bind(trainable=False)
     s = disc.cfg.image_size
     x0 = np.tanh(rng.standard_normal((1, 1, s, s)))
-
-    def value(flat):
-        with Graph("double"):
-            xt = Tensor(flat.reshape(x0.shape).copy())
-            return disc.forward(phi_d.bind(trainable=False), xt).sum().item()
-
-    with Graph("double"):
-        xt = Tensor(x0.copy(), requires_grad=True)
-        score = disc.forward(phi_d.bind(trainable=False), xt)
-        grad = sign * backward(score.sum())[xt].data.reshape(-1)
-    return _fd_error(value, x0.reshape(-1), grad, rng, coords)
+    # the input image as the one parameter
+    image = ParameterSet(x0.reshape(-1), (Segment("x", 0, x0.shape),))
+    return image, lambda p: disc.forward(phi_d, p["x"]).sum()
 
 
-def _check_gradient_penalty(disc, gen, rng, coords, sign) -> float:
+def _gradient_penalty(disc, gen, rng):
     phi_d = disc.init_params(rng)
     s = disc.cfg.image_size
     x = np.tanh(rng.standard_normal((2, 1, s, s)))
     y = np.tanh(rng.standard_normal((2, 1, s, s)))
     eps = rng.uniform(size=(2, 1, 1, 1))
-
-    def value(vec):
-        ps = phi_d.with_vector(vec)
-        with Graph("double"):
-            bound = ps.bind(trainable=False)
-            return gradient_penalty(lambda v: disc.forward(bound, v),
-                                    Tensor(x.copy()), Tensor(y.copy()),
-                                    gp_lambda=10.0, eps=eps).item()
-
-    with Graph("double"):
-        bound = phi_d.bind()
-        pen = gradient_penalty(lambda v: disc.forward(bound, v),
-                               Tensor(x.copy()), Tensor(y.copy()),
-                               gp_lambda=10.0, eps=eps)
-        grad = sign * bound.flatten_grads(backward(pen))
-    return _fd_error(value, phi_d.vector, grad, rng, coords)
+    return phi_d, lambda p: gradient_penalty(lambda v: disc.forward(p, v), x, y,
+                                             gp_lambda=10.0, eps=eps)
 
 
+# each check gives the parameters it differentiates and its loss of them
 CHECKS = (
-    ("generator-params", _check_generator_params),
-    ("critic-params", _check_discriminator_params),
-    ("critic-input", _check_discriminator_input),
-    ("gradient-penalty", _check_gradient_penalty),
+    ("generator-params", _generator_params),
+    ("critic-params", _discriminator_params),
+    ("critic-input", _discriminator_input),
+    ("gradient-penalty", _gradient_penalty),
 )
 
 
@@ -188,8 +157,8 @@ def run_gradcheck(trials: int = 20, seed: int = 0, tol: float = DEFAULT_TOL,
     worst = 0.0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
-        for name, fn in CHECKS:
-            err = fn(disc, gen, rng, coords, sign)
+        for name, setup in CHECKS:
+            err = _check(*setup(disc, gen, rng), rng, coords, sign)
             results.append(CheckResult(name, trial, err))
             worst = max(worst, err)
             if log is not None:

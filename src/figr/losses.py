@@ -47,31 +47,28 @@ def generator_loss(fake_scores: Tensor) -> Tensor:
 
 
 def gradient_penalty(critic: Callable[[Tensor], Tensor],
-                     x: Tensor | np.ndarray,
-                     y: Tensor | np.ndarray,
+                     x: np.ndarray, y: np.ndarray,
                      gp_lambda: float,
                      rng: np.random.Generator | None = None,
                      eps: np.ndarray | None = None) -> Tensor:
     """lambda * E[(||grad_xhat critic(xhat)||_2 - 1)^2] on random interpolates.
 
-    xhat = eps*x + (1-eps)*y with one eps ~ U(0,1) per sample.  The
-    interpolate is treated as an input: the returned scalar carries
-    gradient only into the critic's parameters.  The input gradient is
-    taken with respect to xhat alone.  An explicit eps array
-    overrides the rng draw (used by the oracle tests).
+    x and y are the real and fake image arrays; xhat = eps*x + (1-eps)*y
+    with one eps ~ U(0,1) per sample, treated as an input: the returned
+    scalar carries gradient only into the critic's parameters.  The input
+    gradient is taken with respect to xhat alone.  An explicit eps array
+    overrides the rng draw (gradcheck and the oracle tests).
     """
-    xd = x.data if isinstance(x, Tensor) else np.asarray(x)
-    yd = y.data if isinstance(y, Tensor) else np.asarray(y)
-    if xd.shape != yd.shape:
-        raise ShapeMismatch(f"real/fake batches differ: {xd.shape} vs {yd.shape}")
-    b = xd.shape[0]
+    if x.shape != y.shape:
+        raise ShapeMismatch(f"real/fake batches differ: {x.shape} vs {y.shape}")
+    b = x.shape[0]
     if eps is None:
         if rng is None:
             raise ValueError("gradient_penalty needs an rng or explicit eps")
-        eps = rng.uniform(size=(b,) + (1,) * (xd.ndim - 1))
-    eps = np.asarray(eps, dtype=xd.dtype).reshape((b,) + (1,) * (xd.ndim - 1))
+        eps = rng.uniform(size=(b,) + (1,) * (x.ndim - 1))
+    eps = np.asarray(eps, dtype=x.dtype).reshape((b,) + (1,) * (x.ndim - 1))
 
-    xhat = Tensor((eps * xd + (1.0 - eps) * yd).astype(xd.dtype), requires_grad=True)
+    xhat = Tensor((eps * x + (1.0 - eps) * y).astype(x.dtype), requires_grad=True)
     scores = critic(xhat)
     grad_x = backward(scores.sum(), create_graph=(xhat,))[xhat]
     flat = ad.reshape(grad_x, (b, -1))

@@ -2,7 +2,9 @@
 
 Both networks keep their weights in one flat vector (ParameterSet) so the
 meta-learning outer loop can treat a whole network as a single point in
-parameter space.  Layer norm everywhere (no batch statistics), PReLU
+parameter space; a forward pass takes that vector's leaf tensors
+(ParameterSet.bind), trainable or not.  Images are grayscale, one
+channel.  Layer norm everywhere (no batch statistics), PReLU
 activations, tanh output for the generator, unbounded scalar score for
 the critic.
 """
@@ -31,7 +33,6 @@ class LayoutMismatch(ValueError):
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: int = 32
-    channels: int = 1
     latent_dim: int = 64
     base_width: int = 16
     n_blocks: int = 3
@@ -40,8 +41,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.image_size not in (8, 16, 32, 64):
             raise InvalidConfig(f"image_size must be 8/16/32/64, got {self.image_size}")
-        if self.channels != 1:
-            raise InvalidConfig("only grayscale (1 channel) is supported")
         if self.latent_dim < 1 or self.base_width < 1:
             raise InvalidConfig("latent_dim and base_width must be positive")
         if self.n_blocks < self.n_scales:
@@ -270,12 +269,10 @@ class Generator(_ResNetBase):
             self._add_block(lay, f"up{i}", width, width // 2, size * 2, resample=True)
             width //= 2
             size *= 2
-        _add_conv(lay, "out", width, cfg.channels)
+        _add_conv(lay, "out", width, 1)
         return lay.done()
 
-    def forward(self, p: BoundParams | ParameterSet, z: Tensor) -> Tensor:
-        if isinstance(p, ParameterSet):
-            p = p.bind(trainable=False)
+    def forward(self, p: BoundParams, z: Tensor) -> Tensor:
         cfg = self.cfg
         if z.ndim != 2 or z.shape[1] != cfg.latent_dim:
             raise ShapeMismatch(f"latent batch {z.shape} != (B, {cfg.latent_dim})")
@@ -301,7 +298,7 @@ class Discriminator(_ResNetBase):
         cfg = self.cfg
         lay = _Layout()
         s = cfg.image_size
-        _add_conv(lay, "stem", cfg.channels, cfg.base_width)
+        _add_conv(lay, "stem", 1, cfg.base_width)
         _add_norm_act(lay, "in0", cfg.base_width, s, s)
         width = cfg.base_width
         for i in range(cfg.n_scales):
@@ -314,11 +311,9 @@ class Discriminator(_ResNetBase):
         _add_proj(lay, "score", width * s * s, 1)
         return lay.done()
 
-    def forward(self, p: BoundParams | ParameterSet, images: Tensor) -> Tensor:
-        if isinstance(p, ParameterSet):
-            p = p.bind(trainable=False)
+    def forward(self, p: BoundParams, images: Tensor) -> Tensor:
         cfg = self.cfg
-        expect = (cfg.channels, cfg.image_size, cfg.image_size)
+        expect = (1, cfg.image_size, cfg.image_size)
         if images.ndim != 4 or images.shape[1:] != expect:
             raise ShapeMismatch(f"image batch {images.shape} != (B, {expect})")
         b = images.shape[0]

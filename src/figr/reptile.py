@@ -123,8 +123,7 @@ class InnerStats:
 def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
                disc: Discriminator, gen: Generator,
                x_task: np.ndarray, cfg: InnerConfig,
-               latent_rng: np.random.Generator, eps_rng: np.random.Generator,
-               grad_trace: list | None = None
+               latent_rng: np.random.Generator, eps_rng: np.random.Generator
                ) -> tuple[ParameterSet, ParameterSet, InnerStats]:
     """K alternating WGAN-GP critic/generator SGD steps on copies of phi.
 
@@ -137,7 +136,6 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
     """
     if x_task.shape[0] != cfg.n:
         raise ValueError(f"x_task has {x_task.shape[0]} images, expected n={cfg.n}")
-    precision = "single" if phi_d.vector.dtype == np.float32 else "double"
     x_task = np.ascontiguousarray(x_task, dtype=phi_d.vector.dtype)
 
     phi_d64 = phi_d.vector.astype(np.float64)
@@ -148,7 +146,7 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
     d_val = g_val = float("nan")
 
     for _ in range(cfg.k):
-        with Graph(precision):
+        with Graph():
             z = sample_latent(cfg.n, gen.cfg, latent_rng)
             fake = gen.forward(w_g.bind(trainable=False), z).data
             bound_d = w_d.bind()
@@ -166,7 +164,7 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
             w_d = w_d.with_vector(
                 (phi_d64 - cfg.inner_lr * acc_d).astype(w_d.vector.dtype))
 
-        with Graph(precision):
+        with Graph():
             z2 = sample_latent(cfg.n, gen.cfg, latent_rng)
             bound_g = w_g.bind()
             fake2_scores = disc.forward(w_d.bind(trainable=False),
@@ -178,9 +176,6 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
         if cfg.inner_lr > 0:
             w_g = w_g.with_vector(
                 (phi_g64 - cfg.inner_lr * acc_g).astype(w_g.vector.dtype))
-
-        if grad_trace is not None:
-            grad_trace.append((gd, gg))
 
     return w_d, w_g, InnerStats(d_val, g_val)
 
@@ -227,17 +222,17 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
 def figr_generate(phi_d: ParameterSet, phi_g: ParameterSet,
                   disc: Discriminator, gen: Generator,
                   x_task: np.ndarray, cfg: InnerConfig,
-                  latent_rng: np.random.Generator, eps_rng: np.random.Generator,
-                  count: int) -> np.ndarray:
+                  rng: np.random.Generator, count: int) -> np.ndarray:
     """Adapt copies on the conditioning images, then sample `count` images.
 
-    Returns an array in (-1, 1); the callers' phi are untouched.
+    The one rng serves as the inner loop's latent and interpolation
+    stream, and then draws the sampling latents.  Returns an array in
+    (-1, 1); the callers' phi are untouched.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg,
-                           latent_rng, eps_rng)
-    with Graph("single" if phi_g.vector.dtype == np.float32 else "double"):
-        z = sample_latent(count, gen.cfg, latent_rng)
+    _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg, rng, rng)
+    with Graph():
+        z = sample_latent(count, gen.cfg, rng)
         images = gen.forward(w_g.bind(trainable=False), z)
     return images.data

@@ -31,7 +31,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def fd_check(f_np, f_ad, x0, tol=FD_TOL, h=1e-6):
     """Compare reverse-mode gradient of f_ad against central differences of f_np."""
-    with Graph("double"):
+    with Graph():
         x = tensor(np.asarray(x0, dtype=np.float64), requires_grad=True)
         loss = f_ad(x)
         grad = backward(loss)[x].data
@@ -48,14 +48,14 @@ class TestElementwise:
 
     def test_mean_of_constant_is_constant(self):
         c = 0.73
-        out = tensor(np.full((4,), c, dtype=np.float64)).mean()
+        out = ad.tmean(tensor(np.full((4,), c, dtype=np.float64)))
         assert out.item() == c
 
     def test_grad_mean_of_square(self):
         # d(mean(x^2))/dx at [1,2,3] is [2/3, 4/3, 2]
         grad = fd_check(
             lambda x: float(np.mean(x ** 2)),
-            lambda x: ad.square(x).mean(),
+            lambda x: ad.tmean(ad.square(x)),
             [1.0, 2.0, 3.0],
         )
         np.testing.assert_allclose(grad, [2 / 3, 4 / 3, 2.0], rtol=1e-12)
@@ -67,16 +67,18 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data, [[1, 2, 3], [1, 2, 3]])
 
     def test_scalar_broadcast_and_sugar(self):
+        # a python scalar on either side becomes a constant of the tensor's dtype
         x = tensor([1.0, -2.0])
-        out = 2.0 * x + 1.0 - x / 2.0
+        out = ad.sub(ad.add(ad.mul(2.0, x), 1.0), ad.div(x, 2.0))
         np.testing.assert_allclose(out.data, [2.5, -2.0])
+        np.testing.assert_allclose(ad.div(1.0, ad.sub(3.0, x)).data, [0.5, 0.2])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             ad.add(tensor(np.ones((2, 3))), tensor(np.ones((3, 2))))
 
     def test_broadcast_grad_reduces(self):
-        with Graph("double"):
+        with Graph():
             b = tensor(np.array([1.0, 2.0]), requires_grad=True)
             a = tensor(np.ones((3, 2), dtype=np.float64))
             loss = ad.mul(a, b).sum()
@@ -119,7 +121,7 @@ class TestReductionsStructure:
     def test_mean_gradient(self):
         fd_check(
             lambda x: float(np.mean(x)),
-            lambda x: x.mean(),
+            lambda x: ad.tmean(x),
             np.arange(6, dtype=np.float64).reshape(2, 3),
         )
 
@@ -351,7 +353,7 @@ class TestPRelu:
 
     def test_slope_gradient(self):
         # d/da of prelu(-4, a) is -4
-        with Graph("double"):
+        with Graph():
             a = tensor(np.array(0.25), requires_grad=True)
             out = prelu(tensor(np.array([[-4.0]])), a)
             g = backward(out.sum())[a].data
@@ -376,7 +378,7 @@ class TestPRelu:
         x0 = rng.standard_normal((3, 4, 5, 5)).astype(dtype)
         a0 = rng.standard_normal(4).astype(dtype)
         g0 = rng.standard_normal(x0.shape).astype(dtype)
-        with Graph("single" if dtype == np.float32 else "double"):
+        with Graph():
             x, a = tensor(x0, requires_grad=True), tensor(a0, requires_grad=True)
             grads = backward(ad.mul(prelu(x, a), tensor(g0)).sum())
         pos = (x0 >= 0).astype(dtype)
@@ -411,7 +413,7 @@ class TestPRelu:
                  lambda x: ad.square(da_ad(x)).sum(), X)
 
     def test_records_one_node_per_gradient(self):
-        with Graph("double") as g:
+        with Graph() as g:
             x = tensor(X, requires_grad=True)
             a = tensor(A0, requires_grad=True)
             y = prelu(x, a).sum()
@@ -451,7 +453,7 @@ class TestLayerNorm:
 
     def test_records_one_node(self):
         rng = np.random.default_rng(13)
-        with Graph("double") as g:
+        with Graph() as g:
             x = tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
             gain = tensor(rng.standard_normal((3, 4)), requires_grad=True)
             bias = tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -474,16 +476,16 @@ class TestLayerNorm:
             return gx if create_graph is False else ad.square(gx).sum()
 
         def value_x(xv):
-            with Graph("double"):
+            with Graph():
                 gx = penalty(tensor(xv.copy(), requires_grad=True), tensor(gain0), False)
                 return float(np.sum(gx.data ** 2))
 
         def value_gain(gv):
-            with Graph("double"):
+            with Graph():
                 gx = penalty(tensor(x0.copy(), requires_grad=True), tensor(gv.copy()), False)
                 return float(np.sum(gx.data ** 2))
 
-        with Graph("double"):
+        with Graph():
             x = tensor(x0.copy(), requires_grad=True)
             gain = tensor(gain0.copy(), requires_grad=True)
             grads = backward(penalty(x, gain, (x,)))
@@ -597,27 +599,27 @@ class TestSpatialPrimitives:
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        with Graph("double"):
+        with Graph():
             x = tensor(np.random.default_rng(0).standard_normal((3, 2)), requires_grad=True)
             g = backward(x.sum())[x].data
         np.testing.assert_array_equal(g, np.ones((3, 2)))
 
     def test_half_square_gives_x(self):
         x0 = np.array([1.0, -2.0, 3.0])
-        with Graph("double"):
+        with Graph():
             x = tensor(x0, requires_grad=True)
             loss = ad.mul(ad.square(x).sum(), 0.5)
             g = backward(loss)[x].data
         np.testing.assert_allclose(g, x0)
 
     def test_not_scalar(self):
-        with Graph("double"):
+        with Graph():
             x = tensor(np.ones(3), requires_grad=True)
             with pytest.raises(NotScalar):
                 backward(ad.square(x))
 
     def test_dead_graph(self):
-        with Graph("double"):
+        with Graph():
             x = tensor(np.ones(3), requires_grad=True)
             loss = ad.square(x).sum()
             backward(loss)
@@ -625,7 +627,7 @@ class TestBackward:
                 backward(loss)
 
     def test_create_graph_keeps_graph_alive(self):
-        with Graph("double") as g:
+        with Graph() as g:
             x = tensor(np.ones(3), requires_grad=True)
             loss = ad.square(x).sum()
             backward(loss, create_graph=(x,))
@@ -634,10 +636,21 @@ class TestBackward:
             assert g.dead and len(g.nodes) == 0   # a first-order backward releases the tape
 
     def test_create_graph_takes_leaves_not_true(self):
-        with Graph("double"):
+        with Graph():
             x = tensor(np.ones(3), requires_grad=True)
             with pytest.raises(TypeError, match="leaves"):
                 backward(ad.square(x).sum(), create_graph=True)
+
+    def test_create_graph_on_unrelated_leaf_records_nothing(self):
+        # the loss does not depend on y: no gradient, and nothing is recorded
+        with Graph() as g:
+            x = tensor(np.ones(3), requires_grad=True)
+            y = tensor(np.ones(3), requires_grad=True)
+            loss = ad.square(x).sum()
+            ad.neg(y)                   # y is on the tape, but not under the loss
+            before = len(g.nodes)
+            assert backward(loss, create_graph=(y,)) == {}
+            assert len(g.nodes) == before and not g.dead
 
     def test_implicit_graph_renewed_after_backward(self):
         # outside any `with Graph()` block each backward consumes the
@@ -649,7 +662,7 @@ class TestBackward:
             assert len(ad.active_graph().nodes) == 0
 
     def test_grad_accumulates_over_multiple_uses(self):
-        with Graph("double"):
+        with Graph():
             x = tensor(np.array([2.0]), requires_grad=True)
             y = ad.add(ad.mul(x, x), ad.mul(x, 3.0))  # x^2 + 3x
             g = backward(y.sum())[x].data
@@ -657,7 +670,7 @@ class TestBackward:
 
     def test_double_backward_cubic(self):
         # second derivative of sum(x^3) at x=2 is 12
-        with Graph("double"):
+        with Graph():
             x = tensor(np.full((3,), 2.0), requires_grad=True)
             loss = ad.mul(ad.mul(x, x), x).sum()
             g1 = backward(loss, create_graph=(x,))[x]
@@ -673,7 +686,7 @@ class TestBackward:
             return float(np.sum(3 * x ** 2))
 
         fd = finite_difference_gradient(first_grad_sum, x0, h=1e-6)
-        with Graph("double"):
+        with Graph():
             x = tensor(x0, requires_grad=True)
             loss = ad.mul(ad.mul(x, x), x).sum()
             g1 = backward(loss, create_graph=(x,))[x]
@@ -706,7 +719,7 @@ class TestBackward:
         rng = np.random.default_rng(23)
         phi = disc.init_params(rng)
         x0 = np.tanh(rng.standard_normal((2, 1, 8, 8))).astype(np.float32)
-        with Graph("single") as g:
+        with Graph() as g:
             x = tensor(x0, requires_grad=True)
             bound = phi.bind()
             scores = disc.forward(bound, x)
@@ -763,7 +776,7 @@ class TestFiniteDifference:
 
 class TestGraph:
     def test_topological_order(self):
-        with Graph("double") as g:
+        with Graph() as g:
             x = tensor(np.ones((2, 2)), requires_grad=True)
             y = ad.square(ad.add(ad.mul(x, 2.0), 1.0)).sum()
             assert len(g.nodes) > 1
@@ -774,7 +787,7 @@ class TestGraph:
     def test_constants_make_no_tape_node(self):
         # only what a gradient flows through is recorded: a constant input
         # gets no leaf node, and its handle on the consuming node is None
-        with Graph("double") as g:
+        with Graph() as g:
             x = tensor(np.ones((2, 3)), requires_grad=True)
             c = tensor(np.full((2, 3), 2.0))
             y = ad.add(ad.mul(x, c), 1.0)
@@ -784,17 +797,17 @@ class TestGraph:
             np.testing.assert_array_equal(backward(y.sum())[x].data, c.data)
 
     def test_requires_grad_propagation(self):
-        with Graph("double"):
+        with Graph():
             a = tensor(np.ones(2), requires_grad=True)
             b = tensor(np.ones(2))
             assert ad.add(a, b).requires_grad
             assert not ad.add(b, b.detach()).requires_grad
 
-    def test_precision_field(self):
-        with Graph("double") as g:
-            assert g.dtype == np.float64
-            t = tensor([1, 2])
-            assert t.dtype == np.float64
+    def test_non_float_data_becomes_double(self):
+        # the tape has no precision to cast to; a float array keeps its own
+        assert tensor([1, 2]).dtype == np.float64
+        assert tensor(np.array([True])).dtype == np.float64
+        assert tensor(np.ones(2, dtype=np.float32)).dtype == np.float32
 
     def test_mixed_dtype_rejected(self):
         a = tensor(np.ones(2, dtype=np.float32))

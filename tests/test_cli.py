@@ -1,3 +1,5 @@
+import builtins
+import io
 import os
 import subprocess
 import sys
@@ -132,6 +134,62 @@ class TestTrain:
         assert run_cli("train", "--config", cfg_path, "--out", fresh,
                        "--resume", full / "ckpt_000003.figr") == 0
         assert rows(fresh) == uninterrupted[3:]
+
+    def test_interrupted_log_rewrite_keeps_the_old_log(self, tmp_path, monkeypatch):
+        # a rewrite that dies partway (a full disk, a kill) must not leave
+        # the log cut short: rows a checkpoint still claims would be lost
+        log = tmp_path / "train_log.csv"
+        old = figr.cli.CSV_HEADER + "\n" + "".join(f"{s},0,1,2,3,4,0.5\n" for s in (1, 2, 3))
+        log.write_text(old)
+        real_open = io.open
+
+        class HalfWritten:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                self.f.flush()
+                raise OSError("disk full")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return HalfWritten(f) if "w" in mode else f
+
+        with monkeypatch.context() as m:
+            m.setattr(builtins, "open", failing_open)
+            m.setattr(io, "open", failing_open)
+            with pytest.raises(OSError, match="disk full"):
+                figr.cli._reconcile_log(log, 2)
+        assert log.read_text() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["train_log.csv"]
+
+    def test_log_reaches_disk_before_each_checkpoint(self, cfg_path, tmp_path, monkeypatch):
+        # a power loss may keep a checkpoint whose log rows never reached the
+        # disk, and a resume cuts the log back but cannot restore rows
+        out = tmp_path / "run"
+        synced = []
+        real_fsync = os.fsync
+
+        def recording(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        assert run_cli("train", "--config", cfg_path, "--out", out) == 0
+        log = (out / "train_log.csv").stat().st_ino
+        for step in (3, 6):
+            ckpt = synced.index((out / f"ckpt_{step:06d}.figr").stat().st_ino)
+            assert ckpt > 0 and synced[ckpt - 1] == log, step
 
     def test_non_finite_step_stops_run(self, cfg_path, tmp_path, monkeypatch, capsys):
         clean, bad = tmp_path / "clean", tmp_path / "bad"

@@ -74,10 +74,6 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             ModelConfig(image_size=32, n_blocks=2)
 
-    def test_color_rejected(self):
-        with pytest.raises(InvalidConfig):
-            ModelConfig(channels=3)
-
 
 class TestParameterSet:
     def test_round_trip_views(self):
@@ -151,8 +147,8 @@ class TestForward:
         gen = Generator(TINY)
         ps = gen.init_params(np.random.default_rng(1))
         z = sample_latent(5, TINY, np.random.default_rng(2))
-        with Graph("double"):
-            out = gen.forward(ps, z)
+        with Graph():
+            out = gen.forward(ps.bind(trainable=False), z)
         assert out.shape == (5, 1, 8, 8)
         assert np.all(out.data > -1) and np.all(out.data < 1)
 
@@ -161,8 +157,8 @@ class TestForward:
         ps = gen.init_params(np.random.default_rng(1))
         row = np.random.default_rng(3).standard_normal((1, TINY.latent_dim))
         z = Tensor(np.repeat(row, 4, axis=0))
-        with Graph("double"):
-            out = gen.forward(ps, z).data
+        with Graph():
+            out = gen.forward(ps.bind(trainable=False), z).data
         for i in range(1, 4):
             np.testing.assert_array_equal(out[i], out[0])
 
@@ -170,18 +166,18 @@ class TestForward:
         gen = Generator(TINY)
         ps = gen.init_params(np.random.default_rng(1))
         z = sample_latent(3, TINY, np.random.default_rng(4))
-        with Graph("double"):
-            a = gen.forward(ps, z).data
-        with Graph("double"):
-            b = gen.forward(ps, z).data
+        with Graph():
+            a = gen.forward(ps.bind(trainable=False), z).data
+        with Graph():
+            b = gen.forward(ps.bind(trainable=False), z).data
         np.testing.assert_array_equal(a, b)
 
     def test_discriminator_shape_and_finiteness(self):
         disc = Discriminator(TINY)
         ps = disc.init_params(np.random.default_rng(1))
         x = Tensor(np.random.default_rng(5).standard_normal((6, 1, 8, 8)))
-        with Graph("double"):
-            out = disc.forward(ps, x)
+        with Graph():
+            out = disc.forward(ps.bind(trainable=False), x)
         assert out.shape == (6, 1)
         assert np.all(np.isfinite(out.data))
 
@@ -190,10 +186,10 @@ class TestForward:
         ps = disc.init_params(np.random.default_rng(1))
         x = np.random.default_rng(6).standard_normal((5, 1, 8, 8))
         perm = np.array([3, 0, 4, 1, 2])
-        with Graph("double"):
-            s1 = disc.forward(ps, Tensor(x)).data
-        with Graph("double"):
-            s2 = disc.forward(ps, Tensor(x[perm])).data
+        with Graph():
+            s1 = disc.forward(ps.bind(trainable=False), Tensor(x)).data
+        with Graph():
+            s2 = disc.forward(ps.bind(trainable=False), Tensor(x[perm])).data
         np.testing.assert_array_equal(s1[perm], s2)
 
     def test_duplicated_sample_duplicated_score(self):
@@ -201,15 +197,15 @@ class TestForward:
         ps = disc.init_params(np.random.default_rng(1))
         x = np.random.default_rng(7).standard_normal((1, 1, 8, 8))
         batch = np.concatenate([x, x], axis=0)
-        with Graph("double"):
-            s = disc.forward(ps, Tensor(batch)).data
+        with Graph():
+            s = disc.forward(ps.bind(trainable=False), Tensor(batch)).data
         np.testing.assert_array_equal(s[0], s[1])
 
     def test_latent_width_check(self):
         gen = Generator(TINY)
         ps = gen.init_params(np.random.default_rng(1))
         with pytest.raises(ad.ShapeMismatch):
-            gen.forward(ps, Tensor(np.zeros((2, 5))))
+            gen.forward(ps.bind(trainable=False), Tensor(np.zeros((2, 5))))
 
 
     def test_batch64_generator_forward_memory_pinned(self):
@@ -222,7 +218,7 @@ class TestForward:
         z = sample_latent(64, cfg, np.random.default_rng(1))
         tracemalloc.start()
         try:
-            gen.forward(phi, z)
+            gen.forward(phi.bind(trainable=False), z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -239,8 +235,8 @@ class TestGradients:
 
         def loss_for_vector(vec):
             ps2 = ps.with_vector(vec)
-            with Graph("double"):
-                out = gen.forward(ps2, Tensor(z.copy()))
+            with Graph():
+                out = gen.forward(ps2.bind(trainable=False), Tensor(z.copy()))
                 return float(ad.mul(out, Tensor(probe)).sum().item())
 
         # finite differences over one weight segment only, for speed
@@ -248,7 +244,7 @@ class TestGradients:
             np.arange(seg.offset, seg.offset + seg.size), size=12, replace=False)
         fd = finite_difference_gradient(loss_for_vector, ps.vector, coords=idxs)
 
-        with Graph("double"):
+        with Graph():
             bound = ps.bind()
             out = gen.forward(bound, Tensor(z.copy()))
             loss = ad.mul(out, Tensor(probe)).sum()
@@ -261,11 +257,11 @@ class TestGradients:
         x0 = np.random.default_rng(16).standard_normal((1, 1, 8, 8))
 
         def f_np(x):
-            with Graph("double"):
-                return float(disc.forward(ps, Tensor(x.copy())).sum().item())
+            with Graph():
+                return float(disc.forward(ps.bind(trainable=False), Tensor(x.copy())).sum().item())
 
         fd = finite_difference_gradient(f_np, x0, h=1e-6)
-        with Graph("double"):
+        with Graph():
             xt = Tensor(x0.copy(), requires_grad=True)
             s = disc.forward(ps.bind(trainable=False), xt)
             g = backward(s.sum())[xt].data
