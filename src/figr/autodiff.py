@@ -8,8 +8,11 @@ constant input of a recorded op has the handle None, not a leaf node.
 Biases and gains reach their outputs by the suffix broadcasting of add
 and mul, and matmul has one backward rule for every operand form.  Ops
 are this module's functions (add, mul, tsum, ...); a Tensor has no
-operator overloads.  Each op computes in the dtype of its operands,
-which must agree, so the tape carries no precision of its own.
+operator overloads, and item() is its one method.  Each op computes in
+the dtype of its operands, which must agree, so the tape carries no
+precision of its own.  There is no implicit tape: an op on a
+requires_grad tensor must run inside a ``with Graph()`` block, and a
+leaf is made one way, ``Tensor(data, requires_grad)``.
 
 Backward rules are themselves written with the public ops; running
 backward with ``create_graph`` therefore records the backward pass onto
@@ -66,6 +69,10 @@ class GraphMismatch(RuntimeError):
     """A non-leaf tensor from one graph was used inside another graph."""
 
 
+class NoGraph(RuntimeError):
+    """An op on a requires_grad tensor ran outside any ``with Graph()`` block."""
+
+
 class Node:
     """One tape entry: op id, input node handles, and the saved backward rule.
 
@@ -87,11 +94,10 @@ class Graph:
     """Append-only tape confined to one thread, with no settings of its own.
 
     Acts as a context manager; ops of any dtype executed inside record
-    onto it.  A backward() without create_graph marks the graph dead and
+    onto it, and an op that needs recording outside every block raises
+    NoGraph.  A backward() without create_graph marks the graph dead and
     empties ``nodes``, releasing every saved value; a later backward() on
-    it raises DeadGraph.  Ops recorded outside any ``with Graph()`` block
-    go to a per-thread implicit graph, which is replaced by a fresh one
-    once a backward() has consumed it.
+    it raises DeadGraph.
     """
 
     __slots__ = ("nodes", "dead")
@@ -105,40 +111,25 @@ class Graph:
         return len(self.nodes) - 1
 
     def __enter__(self) -> "Graph":
-        _state().stack.append(self)
+        _TLS.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _state().stack.pop()
+        _TLS.stack.pop()
         return False
 
 
 class _ThreadState(threading.local):
     def __init__(self):
         self.stack: list[Graph] = []
-        self.implicit: Graph | None = None
         self.grad_enabled = True
 
 
 _TLS = _ThreadState()
 
 
-def _state() -> _ThreadState:
-    return _TLS
-
-
-def active_graph() -> Graph:
-    """The innermost ``with Graph()`` block, else the thread's implicit graph."""
-    st = _state()
-    if st.stack:
-        return st.stack[-1]
-    if st.implicit is None or st.implicit.dead:
-        st.implicit = Graph()
-    return st.implicit
-
-
 class Tensor:
-    """Shape-carrying real array, optionally attached to the active graph."""
+    """Shape-carrying real array; a leaf, or the output of an op on a Graph."""
 
     __slots__ = ("data", "requires_grad", "graph", "node", "is_leaf")
 
@@ -164,29 +155,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    def sum(self, axes=None, keepdims=False):
-        return tsum(self, axes, keepdims)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Wrap data as a leaf tensor.
-
-    float32/float64 arrays keep their dtype; lists, scalars and other
-    arrays are cast to float64.
-    """
-    if isinstance(data, Tensor):
-        raise TypeError("data is already a Tensor; use detach() to re-leaf it")
-    arr = np.asarray(data)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    return Tensor(arr, requires_grad=requires_grad)
 
 
 def _register(t: Tensor, g: Graph) -> int:
@@ -194,9 +165,8 @@ def _register(t: Tensor, g: Graph) -> int:
     if t.graph is g and t.node is not None:
         return t.node
     if not t.is_leaf and t.requires_grad:
-        raise GraphMismatch(
-            "a non-leaf tensor from another graph was used here; detach() it first"
-        )
+        raise GraphMismatch("a non-leaf tensor from another graph was used here; "
+                            "use Tensor(t.data) to make its value a constant")
     t.graph = g
     t.node = g.append(Node("leaf", (), None, leaf=t))
     return t.node
@@ -205,11 +175,14 @@ def _register(t: Tensor, g: Graph) -> int:
 def _apply(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
            vjp: Callable) -> Tensor:
     """Create the result tensor, recording a node when gradients may flow."""
-    st = _state()
+    st = _TLS
     requires = st.grad_enabled and any(i.requires_grad for i in inputs)
     out = Tensor(out_data, requires_grad=requires)
     if requires:
-        g = active_graph()
+        if not st.stack:
+            raise NoGraph(f"{op} on a requires_grad tensor must run inside a "
+                          "`with Graph()` block")
+        g = st.stack[-1]
         input_ids = tuple(_register(i, g) if i.requires_grad else None for i in inputs)
         out.is_leaf = False
         out.graph = g
@@ -353,8 +326,6 @@ def tanh(a: Tensor) -> Tensor:
 def _norm_axes(axes, ndim) -> tuple[int, ...]:
     if axes is None:
         return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
     return tuple(a % ndim for a in axes)
 
 
@@ -374,9 +345,7 @@ def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     return mul(tsum(a, axes, keepdims), 1.0 / count)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    if not isinstance(shape, (tuple, list)):
-        shape = (shape,)
+def reshape(a: Tensor, shape: tuple) -> Tensor:
     shape = tuple(int(s) for s in shape)
     out_data = a.data.reshape(shape)
 
@@ -750,7 +719,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
 
     def vjp(g, needs):
         dx = dw = db = None
-        if _state().grad_enabled:
+        if _TLS.grad_enabled:
             # recorded: stay differentiable in g, w and x
             g3 = reshape(g, (bsz, f, h2 * w2))
             if needs[0]:
@@ -780,42 +749,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
 
 
 def prelu(x: Tensor, a: Tensor) -> Tensor:
-    """Parametric ReLU; a is one slope per channel (axis 1) or a scalar."""
-    if a.ndim == 0:
-        bshape = (1,) * x.ndim
-        reduce_axes = tuple(range(x.ndim))
-    elif a.ndim == 1:
-        if x.ndim < 2 or a.shape[0] != x.shape[1]:
-            raise ShapeMismatch(f"slope count {a.shape} != channels of {x.shape}")
-        bshape = (1, a.shape[0]) + (1,) * (x.ndim - 2)
-        reduce_axes = tuple(i for i in range(x.ndim) if i != 1)
-    else:
-        raise ShapeMismatch(f"prelu slopes must be scalar or per-channel, got {a.shape}")
+    """Parametric ReLU with one slope per channel: a is [C] for x [B,C,...]."""
+    if a.ndim != 1 or x.ndim < 2 or a.shape[0] != x.shape[1]:
+        raise ShapeMismatch(f"prelu needs one slope per channel of {x.shape}, got {a.shape}")
     _check_same_dtype(x, a)
-    return _prelu(x, a, x.data >= 0, bshape, reduce_axes)
+    return _prelu(x, a, x.data >= 0)
 
 
-def _prelu(x: Tensor, a: Tensor, pos: np.ndarray, bshape: tuple, reduce_axes: tuple) -> Tensor:
+def _prelu(x: Tensor, a: Tensor, pos: np.ndarray) -> Tensor:
     """x where pos, a*x elsewhere: prelu with its mask given.
 
     prelu's input gradient is this op on the output gradient with the
     forward's mask, so the vjp of that gradient is the same op again.
     """
     xd = x.data
-    out_data = np.where(pos, xd, a.data.reshape(bshape) * xd)
+    out_data = np.where(pos, xd, a.data.reshape((1, -1) + (1,) * (xd.ndim - 2)) * xd)
 
     def vjp(g, needs):
-        dx = _prelu(g, a, pos, bshape, reduce_axes) if needs[0] else None
+        dx = _prelu(g, a, pos) if needs[0] else None
         da = None
         if needs[1]:
-            if _state().grad_enabled and x.requires_grad:
+            if _TLS.grad_enabled and x.requires_grad:
                 # a recorded backward must stay differentiable in x
                 xneg = mul(x, Tensor((~pos).astype(xd.dtype)))
             else:
                 xneg = Tensor(np.where(pos, 0, xd))          # min(x, 0) for prelu itself
-            da = tsum(mul(g, xneg), axes=reduce_axes)
-            if a.ndim == 0:
-                da = reshape(da, ())
+            da = tsum(mul(g, xneg), axes=(0,) + tuple(range(2, xd.ndim)))
         return (dx, da)
 
     return _apply("prelu", out_data, (x, a), vjp)
@@ -846,7 +805,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data = xn * gain.data + bias.data
 
     def vjp(g, needs):
-        if _state().grad_enabled and x.requires_grad:
+        if _TLS.grad_enabled and x.requires_grad:
             # a recorded backward must stay differentiable in x: re-derive
             # the normalized input as graph ops, as conv2d re-records unfold3x3
             xc_t = sub(x, expand(tmean(x, axes, keepdims=True), x.shape))
@@ -923,7 +882,7 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
     grads: dict[int, Tensor] = {start: Tensor(np.ones(loss.shape, dtype=loss.data.dtype))}
     result: dict[Tensor, Tensor] = {}
 
-    st = _state()
+    st = _TLS
     st.stack.append(g)
     prev_mode = st.grad_enabled
     st.grad_enabled = record

@@ -162,6 +162,7 @@ def cmd_train(args) -> int:
         save_checkpoint(_ckpt_path(out_dir, 0), state, streams, fp, durable=False)
         atomic_write(out_dir / "config.cfg", canonical_text(cfg), durable=False)
 
+    saved = None if args.resume else state.step      # the last step this run saved
     log_path = out_dir / "train_log.csv"
     _reconcile_log(log_path, state.step)
     icfg = inner_config(cfg)
@@ -178,11 +179,12 @@ def cmd_train(args) -> int:
                               out_dir / f"samples_{rec.step:06d}.pgm")
             if cfg.checkpoint_every and rec.step % cfg.checkpoint_every == 0:
                 _checkpoint(log, _ckpt_path(out_dir, rec.step), state, streams, fp)
+                saved = rec.step
             if rec.step % 200 == 0:
                 elapsed = time.perf_counter() - t_start
                 print(f"step {rec.step}/{target} critic {rec.critic_loss:+.4f} "
                       f"gen {rec.gen_loss:+.4f} ({elapsed:.0f}s)", flush=True)
-        if state.step % (cfg.checkpoint_every or 1) != 0 or not cfg.checkpoint_every:
+        if saved != state.step:
             _checkpoint(log, _ckpt_path(out_dir, state.step), state, streams, fp)
     print(f"trained to step {state.step}; artifacts in {out_dir}")
     return 0
@@ -233,7 +235,8 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
                         disc: Discriminator, gen: Generator, trials: int,
                         seed: int) -> list[EvalReport]:
     """Adapt on each validation class and score EVAL_COUNT samples against
-    its held-out images.
+    its held-out images.  A scored class needs more than n images, so that
+    n condition the adaptation and the rest are held out.
 
     The baseline arm repeats the identical protocol from a fresh random
     initialization; both arms share per-class rng so the comparison is paired.
@@ -247,18 +250,20 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
         print(f"warning: --trials {trials} capped at {len(ids)} validation classes")
         trials = len(ids)
     icfg = inner_config(cfg)
+    for cid in ids[:trials]:
+        task = dataset.classes[cid]
+        if task.images.shape[0] <= icfg.n:
+            raise InsufficientImages(f"validation class {task.name!r} has {task.images.shape[0]} "
+                                     f"images; scoring needs more than n={icfg.n}")
     baseline_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xB, 0)))
     base_state = init_meta_state(disc, gen, baseline_rng)
     reports = []
     for cid in ids[:trials]:
         task = dataset.classes[cid]
-        pool = task.images.shape[0]
         pick_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cid, 1)))
-        idx = pick_rng.choice(pool, size=min(icfg.n, pool), replace=pool < icfg.n)
+        idx = pick_rng.choice(task.images.shape[0], icfg.n, replace=False)
         x = task.images[idx]
-        held = np.delete(task.images, np.unique(idx), axis=0)
-        if held.shape[0] == 0:
-            held = task.images
+        held = np.delete(task.images, idx, axis=0)
         bandwidths = median_bandwidths(held)
 
         samples = {}
@@ -326,7 +331,7 @@ def cmd_stats(args) -> int:
 def cmd_gradcheck(args) -> int:
     t0 = time.perf_counter()
     worst, _, ok = run_gradcheck(trials=args.trials, seed=args.seed,
-                                 tol=DEFAULT_TOL, corrupt=args.self_test_bug,
+                                 corrupt=args.self_test_bug,
                                  log=print if args.verbose else None)
     print(f"gradcheck: {args.trials} trials, max relative error {worst:.3e} "
           f"({time.perf_counter() - t0:.1f}s)")

@@ -6,7 +6,8 @@ parameters (through the critic), critic parameters, the critic's input
 gradient, and the gradient penalty's parameter gradient, which exercises
 the differentiated backward pass.  A check is a ParameterSet and a loss
 of its bound tensors (the critic's input is a one-segment set); one
-routine differentiates the loss and compares with finite differences.
+routine differentiates the loss and compares with finite differences at
+COORDS random entries; a run passes when every error is below DEFAULT_TOL.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
 from .losses import critic_loss, generator_loss, gradient_penalty
 from .models import BoundParams, Discriminator, Generator, ModelConfig, ParameterSet, Segment
@@ -23,6 +25,7 @@ from .models import BoundParams, Discriminator, Generator, ModelConfig, Paramete
 CHECK_CFG = ModelConfig(image_size=8, latent_dim=5, base_width=4, n_blocks=1,
                         precision="double")
 DEFAULT_TOL = 1e-4
+COORDS = 24         # random parameter entries each check compares
 FD_H = 1e-6
 # relative accuracy of one evaluation of a check's loss: a few units in the
 # last place of the O(1) scores and images it is built from
@@ -82,9 +85,9 @@ class CheckResult:
 
 
 def _check(params: ParameterSet, loss: Callable[[BoundParams], Tensor], rng,
-           coords: int, sign: float) -> float:
+           sign: float) -> float:
     """Agreement of loss's autodiff gradient in params with central differences
-    at `coords` random entries of the parameter vector."""
+    at COORDS random entries of the parameter vector."""
     def value(vec):
         with Graph():
             return loss(params.with_vector(vec).bind(trainable=False)).item()
@@ -93,7 +96,7 @@ def _check(params: ParameterSet, loss: Callable[[BoundParams], Tensor], rng,
         bound = params.bind()
         grad = sign * bound.flatten_grads(backward(loss(bound)))
     x = params.vector
-    idxs = rng.choice(x.size, size=min(coords, x.size), replace=False)
+    idxs = rng.choice(x.size, size=min(COORDS, x.size), replace=False)
     return agreement_error(grad[idxs], finite_difference_gradient(value, x, coords=idxs),
                            value(np.array(x, dtype=np.float64)))
 
@@ -120,7 +123,7 @@ def _discriminator_input(disc, gen, rng):
     x0 = np.tanh(rng.standard_normal((1, 1, s, s)))
     # the input image as the one parameter
     image = ParameterSet(x0.reshape(-1), (Segment("x", 0, x0.shape),))
-    return image, lambda p: disc.forward(phi_d, p["x"]).sum()
+    return image, lambda p: ad.tsum(disc.forward(phi_d, p["x"]))
 
 
 def _gradient_penalty(disc, gen, rng):
@@ -129,8 +132,8 @@ def _gradient_penalty(disc, gen, rng):
     x = np.tanh(rng.standard_normal((2, 1, s, s)))
     y = np.tanh(rng.standard_normal((2, 1, s, s)))
     eps = rng.uniform(size=(2, 1, 1, 1))
-    return phi_d, lambda p: gradient_penalty(lambda v: disc.forward(p, v), x, y,
-                                             gp_lambda=10.0, eps=eps)
+    return phi_d, lambda p: gradient_penalty(lambda v: disc.forward(p, v), x, y, eps,
+                                             gp_lambda=10.0)
 
 
 # each check gives the parameters it differentiates and its loss of them
@@ -142,10 +145,9 @@ CHECKS = (
 )
 
 
-def run_gradcheck(trials: int = 20, seed: int = 0, tol: float = DEFAULT_TOL,
-                  coords: int = 24, corrupt: bool = False,
+def run_gradcheck(trials: int = 20, seed: int = 0, corrupt: bool = False,
                   log=None) -> tuple[float, list[CheckResult], bool]:
-    """Returns (max error over all checks, per-check results, all under tol).
+    """Returns (max error over all checks, per-check results, all under DEFAULT_TOL).
 
     corrupt=True flips the sign of every reverse-mode gradient before the
     comparison; the run must then fail, proving the check has teeth.
@@ -158,9 +160,9 @@ def run_gradcheck(trials: int = 20, seed: int = 0, tol: float = DEFAULT_TOL,
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
         for name, setup in CHECKS:
-            err = _check(*setup(disc, gen, rng), rng, coords, sign)
+            err = _check(*setup(disc, gen, rng), rng, sign)
             results.append(CheckResult(name, trial, err))
             worst = max(worst, err)
             if log is not None:
                 log(f"trial {trial:2d} {name:18s} max rel err {err:.3e}")
-    return worst, results, worst < tol
+    return worst, results, worst < DEFAULT_TOL

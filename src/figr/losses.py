@@ -8,7 +8,8 @@ backward recorded onto the tape but restricted to the interpolates
 (``create_graph=(xhat,)``): the critic's own parameter gradients of that
 inner pass are never used, so they are neither computed nor recorded,
 and the penalty's parameter gradient comes from the caller's one
-first-order backward through the recorded pass."""
+first-order backward through the recorded pass.  The caller draws the
+interpolation weights, one per sample, so the penalty consumes no rng."""
 
 from __future__ import annotations
 
@@ -47,30 +48,25 @@ def generator_loss(fake_scores: Tensor) -> Tensor:
 
 
 def gradient_penalty(critic: Callable[[Tensor], Tensor],
-                     x: np.ndarray, y: np.ndarray,
-                     gp_lambda: float,
-                     rng: np.random.Generator | None = None,
-                     eps: np.ndarray | None = None) -> Tensor:
-    """lambda * E[(||grad_xhat critic(xhat)||_2 - 1)^2] on random interpolates.
+                     x: np.ndarray, y: np.ndarray, eps: np.ndarray,
+                     gp_lambda: float) -> Tensor:
+    """lambda * E[(||grad_xhat critic(xhat)||_2 - 1)^2] on interpolates.
 
     x and y are the real and fake image arrays; xhat = eps*x + (1-eps)*y
-    with one eps ~ U(0,1) per sample, treated as an input: the returned
-    scalar carries gradient only into the critic's parameters.  The input
-    gradient is taken with respect to xhat alone.  An explicit eps array
-    overrides the rng draw (gradcheck and the oracle tests).
+    with eps one weight per sample, in U(0,1) when training, given as an
+    array of b values (shape (b,) or (b, 1, 1, 1)) and cast to x's dtype.
+    xhat is treated as an input: the returned scalar carries gradient only
+    into the critic's parameters, and the input gradient is taken with
+    respect to xhat alone.
     """
     if x.shape != y.shape:
         raise ShapeMismatch(f"real/fake batches differ: {x.shape} vs {y.shape}")
     b = x.shape[0]
-    if eps is None:
-        if rng is None:
-            raise ValueError("gradient_penalty needs an rng or explicit eps")
-        eps = rng.uniform(size=(b,) + (1,) * (x.ndim - 1))
     eps = np.asarray(eps, dtype=x.dtype).reshape((b,) + (1,) * (x.ndim - 1))
 
     xhat = Tensor((eps * x + (1.0 - eps) * y).astype(x.dtype), requires_grad=True)
     scores = critic(xhat)
-    grad_x = backward(scores.sum(), create_graph=(xhat,))[xhat]
+    grad_x = backward(ad.tsum(scores), create_graph=(xhat,))[xhat]
     flat = ad.reshape(grad_x, (b, -1))
     norms = ad.sqrt(ad.add(ad.tsum(ad.square(flat), axes=(1,)), NORM_FLOOR))
     return ad.mul(ad.tmean(ad.square(ad.sub(norms, 1.0))), float(gp_lambda))

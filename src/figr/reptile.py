@@ -55,9 +55,6 @@ class AdamState:
     def zeros(cls, size: int) -> "AdamState":
         return cls(np.zeros(size, dtype=np.float64), np.zeros(size, dtype=np.float64))
 
-    def copy(self) -> "AdamState":
-        return AdamState(self.m.copy(), self.v.copy(), self.t)
-
 
 @dataclass
 class MetaState:
@@ -129,7 +126,8 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
 
     The same n real images are reused at every iteration; a fresh latent
     batch of size n is drawn before each critic step and again before
-    each generator step.  The adapted copies are maintained as
+    each generator step; eps_rng gives the penalty's n interpolation
+    weights ~ U(0,1) at each critic step.  The adapted copies are kept as
     w = phi - lr * (running f64 gradient sum), which is the exact SGD
     chain in real arithmetic but keeps the phi - w identity tight even
     in single precision.  The callers' phi are never mutated.
@@ -153,10 +151,11 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
             # neither batch carries gradient to its input and every layer
             # is per-sample, so one forward scores real and fake together
             scores = disc.forward(bound_d, Tensor(np.concatenate([x_task, fake])))
+            eps = eps_rng.uniform(size=(cfg.n, 1, 1, 1))
             loss_d = ad.add(
                 critic_loss(scores),
                 gradient_penalty(lambda v: disc.forward(bound_d, v),
-                                 x_task, fake, cfg.gp_lambda, rng=eps_rng))
+                                 x_task, fake, eps, cfg.gp_lambda))
             gd = bound_d.flatten_grads(backward(loss_d))
             d_val = loss_d.item()
         acc_d += gd
@@ -232,7 +231,5 @@ def figr_generate(phi_d: ParameterSet, phi_g: ParameterSet,
     if count < 1:
         raise ValueError("count must be >= 1")
     _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg, rng, rng)
-    with Graph():
-        z = sample_latent(count, gen.cfg, rng)
-        images = gen.forward(w_g.bind(trainable=False), z)
-    return images.data
+    z = sample_latent(count, gen.cfg, rng)
+    return gen.forward(w_g.bind(trainable=False), z).data

@@ -12,6 +12,8 @@ from figr import autodiff as ad
 from figr.autodiff import (
     DeadGraph,
     Graph,
+    GraphMismatch,
+    NoGraph,
     NotScalar,
     ShapeMismatch,
     Tensor,
@@ -20,7 +22,6 @@ from figr.autodiff import (
     layer_norm,
     matmul,
     prelu,
-    tensor,
 )
 from figr.gradcheck import finite_difference_gradient, max_relative_error
 from figr.models import Discriminator, ModelConfig
@@ -32,7 +33,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 def fd_check(f_np, f_ad, x0, tol=FD_TOL, h=1e-6):
     """Compare reverse-mode gradient of f_ad against central differences of f_np."""
     with Graph():
-        x = tensor(np.asarray(x0, dtype=np.float64), requires_grad=True)
+        x = Tensor(np.asarray(x0, dtype=np.float64), requires_grad=True)
         loss = f_ad(x)
         grad = backward(loss)[x].data
     fd = finite_difference_gradient(f_np, np.asarray(x0, dtype=np.float64), h=h)
@@ -43,12 +44,12 @@ def fd_check(f_np, f_ad, x0, tol=FD_TOL, h=1e-6):
 
 class TestElementwise:
     def test_add_componentwise(self):
-        out = ad.add(tensor([1.0, 2.0]), tensor([3.0, 4.0]))
+        out = ad.add(Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0])))
         np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
     def test_mean_of_constant_is_constant(self):
         c = 0.73
-        out = ad.tmean(tensor(np.full((4,), c, dtype=np.float64)))
+        out = ad.tmean(Tensor(np.full((4,), c, dtype=np.float64)))
         assert out.item() == c
 
     def test_grad_mean_of_square(self):
@@ -61,37 +62,37 @@ class TestElementwise:
         np.testing.assert_allclose(grad, [2 / 3, 4 / 3, 2.0], rtol=1e-12)
 
     def test_suffix_broadcast(self):
-        a = tensor(np.ones((2, 3), dtype=np.float32))
-        b = tensor(np.arange(3, dtype=np.float32))
+        a = Tensor(np.ones((2, 3), dtype=np.float32))
+        b = Tensor(np.arange(3, dtype=np.float32))
         out = ad.add(a, b)
         np.testing.assert_array_equal(out.data, [[1, 2, 3], [1, 2, 3]])
 
     def test_scalar_broadcast_and_sugar(self):
         # a python scalar on either side becomes a constant of the tensor's dtype
-        x = tensor([1.0, -2.0])
+        x = Tensor(np.array([1.0, -2.0]))
         out = ad.sub(ad.add(ad.mul(2.0, x), 1.0), ad.div(x, 2.0))
         np.testing.assert_allclose(out.data, [2.5, -2.0])
         np.testing.assert_allclose(ad.div(1.0, ad.sub(3.0, x)).data, [0.5, 0.2])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            ad.add(tensor(np.ones((2, 3))), tensor(np.ones((3, 2))))
+            ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
     def test_broadcast_grad_reduces(self):
         with Graph():
-            b = tensor(np.array([1.0, 2.0]), requires_grad=True)
-            a = tensor(np.ones((3, 2), dtype=np.float64))
-            loss = ad.mul(a, b).sum()
+            b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            a = Tensor(np.ones((3, 2), dtype=np.float64))
+            loss = ad.tsum(ad.mul(a, b))
             g = backward(loss)[b].data
         np.testing.assert_allclose(g, [3.0, 3.0])
 
     @pytest.mark.parametrize(
         "name,f_np,f_ad",
         [
-            ("square", lambda x: float(np.sum(x ** 2)), lambda x: ad.square(x).sum()),
-            ("tanh", lambda x: float(np.sum(np.tanh(x))), lambda x: ad.tanh(x).sum()),
+            ("square", lambda x: float(np.sum(x ** 2)), lambda x: ad.tsum(ad.square(x))),
+            ("tanh", lambda x: float(np.sum(np.tanh(x))), lambda x: ad.tsum(ad.tanh(x))),
             ("mul-div", lambda x: float(np.sum(x * 3.0 / (x ** 2 + 1))),
-             lambda x: ad.div(ad.mul(x, 3.0), ad.add(ad.square(x), 1.0)).sum()),
+             lambda x: ad.tsum(ad.div(ad.mul(x, 3.0), ad.add(ad.square(x), 1.0)))),
         ],
     )
     def test_primitive_gradients_match_fd(self, name, f_np, f_ad):
@@ -102,7 +103,7 @@ class TestElementwise:
     @pytest.mark.parametrize(
         "name,f_np,f_ad",
         [
-            ("sqrt", lambda x: float(np.sum(np.sqrt(x))), lambda x: ad.sqrt(x).sum()),
+            ("sqrt", lambda x: float(np.sum(np.sqrt(x))), lambda x: ad.tsum(ad.sqrt(x))),
         ],
     )
     def test_positive_domain_gradients(self, name, f_np, f_ad):
@@ -113,8 +114,8 @@ class TestElementwise:
 
 class TestReductionsStructure:
     def test_sum_axes_keepdims(self):
-        x = tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
-        out = x.sum(axes=(1, 2), keepdims=True)
+        x = Tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
+        out = ad.tsum(x, axes=(1, 2), keepdims=True)
         assert out.shape == (2, 1, 1)
         np.testing.assert_allclose(out.data.ravel(), [66.0, 210.0])
 
@@ -135,7 +136,7 @@ class TestReductionsStructure:
 
         def f_ad(x):
             y = ad.expand(ad.reshape(ad.permute(x, (1, 0)), (3, 2, 1)), (3, 2, 4))
-            return ad.square(y).sum()
+            return ad.tsum(ad.square(y))
 
         fd_check(f_np, f_ad, x0)
 
@@ -145,7 +146,7 @@ class TestReductionsStructure:
         (np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2], (4, 3, 2)),  # strided
     ], ids=["contiguous", "transposed", "strided"])
     def test_expand_is_the_broadcast_view(self, base, shape):
-        out = ad.expand(tensor(base), shape).data
+        out = ad.expand(Tensor(base), shape).data
         ref = np.broadcast_to(base, shape)
         np.testing.assert_array_equal(out, ref)
         assert out.strides == ref.strides and not out.flags.writeable
@@ -155,23 +156,23 @@ class TestReductionsStructure:
 class TestMatmul:
     def test_identity(self):
         b = np.arange(6, dtype=np.float32).reshape(2, 3)
-        out = matmul(tensor(np.eye(2, dtype=np.float32)), tensor(b))
+        out = matmul(Tensor(np.eye(2, dtype=np.float32)), Tensor(b))
         np.testing.assert_array_equal(out.data, b)
 
     def test_hand_arithmetic(self):
-        out = matmul(tensor([[1.0, 2.0], [3.0, 4.0]]), tensor([[1.0], [1.0]]))
+        out = matmul(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])), Tensor(np.array([[1.0], [1.0]])))
         np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            matmul(tensor(np.ones((2, 3))), tensor(np.ones((2, 3))))
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(5)
         b = rng.standard_normal((3, 4))
         fd_check(
             lambda a: float(np.sum(a @ b)),
-            lambda a: matmul(a, tensor(b)).sum(),
+            lambda a: ad.tsum(matmul(a, Tensor(b))),
             rng.standard_normal((2, 3)),
         )
 
@@ -180,11 +181,11 @@ class TestMatmul:
         rng = np.random.default_rng(9)
         a0, b0 = rng.standard_normal((2, 3)), rng.standard_normal((4, 3, 5))
         fd_check(lambda a: float(np.sum((a @ b0) ** 2)),
-                 lambda a: ad.square(matmul(a, tensor(b0))).sum(), a0)
+                 lambda a: ad.tsum(ad.square(matmul(a, Tensor(b0)))), a0)
         fd_check(lambda b: float(np.sum((a0 @ b) ** 2)),
-                 lambda b: ad.square(matmul(tensor(a0), b)).sum(), b0)
+                 lambda b: ad.tsum(ad.square(matmul(Tensor(a0), b))), b0)
         with pytest.raises(ShapeMismatch):
-            matmul(tensor(a0), tensor(np.ones((4, 2, 5))))
+            matmul(Tensor(a0), Tensor(np.ones((4, 2, 5))))
 
     @pytest.mark.parametrize("sa,sb", [((5, 2, 3), (3, 4)), ((5, 2, 3), (5, 3, 4))],
                              ids=["shared-right", "batch-batch"])
@@ -193,16 +194,16 @@ class TestMatmul:
         rng = np.random.default_rng(10)
         a0, b0 = rng.standard_normal(sa), rng.standard_normal(sb)
         fd_check(lambda a: float(np.sum((a @ b0) ** 2)),
-                 lambda a: ad.square(matmul(a, tensor(b0))).sum(), a0)
+                 lambda a: ad.tsum(ad.square(matmul(a, Tensor(b0)))), a0)
         fd_check(lambda b: float(np.sum((a0 @ b) ** 2)),
-                 lambda b: ad.square(matmul(tensor(a0), b)).sum(), b0)
+                 lambda b: ad.tsum(ad.square(matmul(Tensor(a0), b))), b0)
 
     def test_grad_wrt_right_operand(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((2, 3))
         fd_check(
             lambda b: float(np.sum((a @ b) ** 2)),
-            lambda b: ad.square(matmul(tensor(a), b)).sum(),
+            lambda b: ad.tsum(ad.square(matmul(Tensor(a), b))),
             rng.standard_normal((3, 2)),
         )
 
@@ -230,15 +231,15 @@ def conv2d_reference(x, w, b, stride):
 
 class TestConv2d:
     def test_zero_kernel(self):
-        x = tensor(np.random.default_rng(0).standard_normal((2, 3, 4, 4)).astype(np.float32))
-        w = tensor(np.zeros((5, 3, 3, 3), dtype=np.float32))
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 4, 4)).astype(np.float32))
+        w = Tensor(np.zeros((5, 3, 3, 3), dtype=np.float32))
         out = conv2d(x, w, None, stride=1)
         assert out.shape == (2, 5, 4, 4)
         np.testing.assert_array_equal(out.data, 0)
 
     def test_ones_center_is_nine(self):
-        x = tensor(np.ones((1, 1, 3, 3), dtype=np.float64))
-        w = tensor(np.ones((1, 1, 3, 3), dtype=np.float64))
+        x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float64))
+        w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float64))
         out = conv2d(x, w, None, stride=1)
         assert out.data[0, 0, 1, 1] == 9.0
 
@@ -253,8 +254,8 @@ class TestConv2d:
             b = rng.standard_normal(4)
             ref = conv2d_reference(x, w, b, stride)
             for dtype, atol in ((np.float64, 1e-12), (np.float32, 1e-5)):
-                out = conv2d(tensor(x.astype(dtype)), tensor(w.astype(dtype)),
-                             tensor(b.astype(dtype)), stride=stride)
+                out = conv2d(Tensor(x.astype(dtype)), Tensor(w.astype(dtype)),
+                             Tensor(b.astype(dtype)), stride=stride)
                 assert out.data.dtype == dtype
                 np.testing.assert_allclose(out.data, ref, atol=atol)
 
@@ -263,16 +264,16 @@ class TestConv2d:
         # one GEMM per sample: a sample's output does not depend on the batch
         rng = np.random.default_rng(43)
         x = rng.standard_normal((3, 5, 7, 6)).astype(np.float32)
-        w = tensor(rng.standard_normal((4, 5, 3, 3)).astype(np.float32))
-        b = tensor(rng.standard_normal(4).astype(np.float32))
-        batch = conv2d(tensor(x), w, b, stride=stride).data
+        w = Tensor(rng.standard_normal((4, 5, 3, 3)).astype(np.float32))
+        b = Tensor(rng.standard_normal(4).astype(np.float32))
+        batch = conv2d(Tensor(x), w, b, stride=stride).data
         for n in range(3):
-            alone = conv2d(tensor(x[n:n + 1]), w, b, stride=stride).data
+            alone = conv2d(Tensor(x[n:n + 1]), w, b, stride=stride).data
             np.testing.assert_array_equal(batch[n:n + 1], alone)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            conv2d(tensor(np.ones((1, 2, 4, 4))), tensor(np.ones((1, 3, 3, 3))), None, 1)
+            conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))), None, 1)
 
     def test_gradients_independent_of_blas_threads(self):
         # the weight gradient reduces over the padded grid and the forward
@@ -285,10 +286,12 @@ class TestConv2d:
             "h = hashlib.sha256()\n"
             "for b, c, f, hw, s in ((8, 16, 32, 32, 2), (4, 32, 16, 32, 1), (3, 32, 32, 15, 1),\n"
             "                       (4, 80, 80, 8, 1)):\n"
-            "    x = ad.tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32), requires_grad=True)\n"
-            "    w = ad.tensor(rng.standard_normal((f, c, 3, 3)).astype(np.float32), requires_grad=True)\n"
-            "    y = ad.conv2d(x, w, None, s)\n"
-            "    g = ad.backward(ad.mul(y, ad.tensor(rng.standard_normal(y.shape).astype(np.float32))).sum())\n"
+            "    x = ad.Tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32), requires_grad=True)\n"
+            "    w = ad.Tensor(rng.standard_normal((f, c, 3, 3)).astype(np.float32), requires_grad=True)\n"
+            "    with ad.Graph():\n"
+            "        y = ad.conv2d(x, w, None, s)\n"
+            "        probe = ad.Tensor(rng.standard_normal(y.shape).astype(np.float32))\n"
+            "        g = ad.backward(ad.tsum(ad.mul(y, probe)))\n"
             "    h.update(g[w].data.tobytes() + g[x].data.tobytes() + y.data.tobytes())\n"
             "print(h.hexdigest())\n")
         digests = set()
@@ -309,7 +312,7 @@ class TestConv2d:
 
         fd_check(
             lambda w: float(np.sum(conv2d_reference(x, w, b, stride) ** 2)),
-            lambda w: ad.square(conv2d(tensor(x), w, tensor(b), stride=stride)).sum(),
+            lambda w: ad.tsum(ad.square(conv2d(Tensor(x), w, Tensor(b), stride=stride))),
             w0,
         )
 
@@ -321,54 +324,56 @@ class TestConv2d:
 
         fd_check(
             lambda x: float(np.sum(conv2d_reference(x, w, b0, 2) ** 2)),
-            lambda x: ad.square(conv2d(x, tensor(w), tensor(b0), stride=2)).sum(),
+            lambda x: ad.tsum(ad.square(conv2d(x, Tensor(w), Tensor(b0), stride=2))),
             x0,
         )
         fd_check(
             lambda b: float(np.sum(conv2d_reference(x0, w, b, 1) ** 2)),
-            lambda b: ad.square(conv2d(tensor(x0), tensor(w), b, stride=1)).sum(),
+            lambda b: ad.tsum(ad.square(conv2d(Tensor(x0), Tensor(w), b, stride=1))),
             b0,
         )
 
 
 class TestPRelu:
     def test_passthrough_nonnegative(self):
-        out = prelu(tensor(np.array([[5.0, 0.0]])), tensor(np.array(0.25)))
+        out = prelu(Tensor(np.array([[5.0, 0.0]])), Tensor(np.array([0.25, 0.25])))
         np.testing.assert_array_equal(out.data, [[5.0, 0.0]])
 
     def test_negative_scaled(self):
-        out = prelu(tensor(np.array([[-4.0]])), tensor(np.array(0.25)))
-        assert out.data[0, 0] == -1.0
+        out = prelu(Tensor(np.array([[-4.0, -4.0]])), Tensor(np.array([0.25, 0.5])))
+        np.testing.assert_array_equal(out.data, [[-1.0, -2.0]])
 
     def test_passthrough_exact_for_any_slope(self):
         rng = np.random.default_rng(1)
         x = np.abs(rng.standard_normal((3, 4)).astype(np.float32))
         a = rng.standard_normal(4).astype(np.float32)
-        out = prelu(tensor(x), tensor(a))
+        out = prelu(Tensor(x), Tensor(a))
         np.testing.assert_array_equal(out.data, x)
 
     def test_slope_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            prelu(tensor(np.ones((2, 3))), tensor(np.ones(4)))
+            prelu(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+        with pytest.raises(ShapeMismatch):           # one slope per channel, not a scalar
+            prelu(Tensor(np.ones((2, 3))), Tensor(np.array(0.25)))
 
     def test_slope_gradient(self):
-        # d/da of prelu(-4, a) is -4
+        # d/da_c of sum(prelu(x, a)) is the sum of channel c's negative entries
         with Graph():
-            a = tensor(np.array(0.25), requires_grad=True)
-            out = prelu(tensor(np.array([[-4.0]])), a)
-            g = backward(out.sum())[a].data
-        assert g == -4.0
+            a = Tensor(np.array([0.25, 0.5]), requires_grad=True)
+            out = prelu(Tensor(np.array([[-4.0, 3.0], [-1.0, -2.0]])), a)
+            g = backward(ad.tsum(out))[a].data
+        np.testing.assert_array_equal(g, [-5.0, -2.0])
 
         fd_check(
             lambda a: float(np.sum(np.where(X >= 0, X, a.reshape(1, -1, 1, 1) * X) ** 2)),
-            lambda a: ad.square(prelu(tensor(X), a)).sum(),
+            lambda a: ad.tsum(ad.square(prelu(Tensor(X), a))),
             A0,
         )
 
     def test_input_gradient(self):
         fd_check(
             lambda x: float(np.sum(np.where(x >= 0, x, A0.reshape(1, -1, 1, 1) * x) ** 2)),
-            lambda x: ad.square(prelu(x, tensor(A0))).sum(),
+            lambda x: ad.tsum(ad.square(prelu(x, Tensor(A0)))),
             X,
         )
 
@@ -379,8 +384,8 @@ class TestPRelu:
         a0 = rng.standard_normal(4).astype(dtype)
         g0 = rng.standard_normal(x0.shape).astype(dtype)
         with Graph():
-            x, a = tensor(x0, requires_grad=True), tensor(a0, requires_grad=True)
-            grads = backward(ad.mul(prelu(x, a), tensor(g0)).sum())
+            x, a = Tensor(x0, requires_grad=True), Tensor(a0, requires_grad=True)
+            grads = backward(ad.tsum(ad.mul(prelu(x, a), Tensor(g0))))
         pos = (x0 >= 0).astype(dtype)
         neg = (x0 < 0).astype(dtype)
         np.testing.assert_array_equal(grads[x].data, g0 * (pos + neg * a0.reshape(1, 4, 1, 1)))
@@ -392,31 +397,31 @@ class TestPRelu:
             return np.where(X >= 0, g, a.reshape(1, -1, 1, 1) * g)
 
         def dx_ad(g, a):
-            x = tensor(X, requires_grad=True)
-            return backward(ad.mul(prelu(x, a), g).sum(), create_graph=(x,))[x]
+            x = Tensor(X, requires_grad=True)
+            return backward(ad.tsum(ad.mul(prelu(x, a), g)), create_graph=(x,))[x]
 
         g0 = np.random.default_rng(15).standard_normal(X.shape)
         fd_check(lambda g: float(np.sum(dx_np(g, A0) ** 2)),
-                 lambda g: ad.square(dx_ad(g, tensor(A0))).sum(), g0)
+                 lambda g: ad.tsum(ad.square(dx_ad(g, Tensor(A0)))), g0)
         fd_check(lambda a: float(np.sum(dx_np(g0, a) ** 2)),
-                 lambda a: ad.square(dx_ad(tensor(g0), a)).sum(), A0)
+                 lambda a: ad.tsum(ad.square(dx_ad(Tensor(g0), a))), A0)
 
     def test_recorded_slope_gradient_matches_fd_in_x(self):
         # da = sum of g * min(x, 0) per channel, recorded in x
         g0 = np.random.default_rng(16).standard_normal(X.shape)
 
         def da_ad(x):
-            a = tensor(A0, requires_grad=True)
-            return backward(ad.mul(prelu(x, a), tensor(g0)).sum(), create_graph=(x, a))[a]
+            a = Tensor(A0, requires_grad=True)
+            return backward(ad.tsum(ad.mul(prelu(x, a), Tensor(g0))), create_graph=(x, a))[a]
 
         fd_check(lambda x: float(np.sum((g0 * np.minimum(x, 0)).sum(axis=(0, 2, 3)) ** 2)),
-                 lambda x: ad.square(da_ad(x)).sum(), X)
+                 lambda x: ad.tsum(ad.square(da_ad(x))), X)
 
     def test_records_one_node_per_gradient(self):
         with Graph() as g:
-            x = tensor(X, requires_grad=True)
-            a = tensor(A0, requires_grad=True)
-            y = prelu(x, a).sum()
+            x = Tensor(X, requires_grad=True)
+            a = Tensor(A0, requires_grad=True)
+            y = ad.tsum(prelu(x, a))
             start = len(g.nodes)
             backward(y, create_graph=(x,))
             assert [node.op for node in g.nodes[start:]].count("prelu") == 1
@@ -444,9 +449,9 @@ class TestLayerNorm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
     def test_forward_bitwise_equal_to_composite(self, dtype):
         rng = np.random.default_rng(12)
-        x = tensor((3.0 * rng.standard_normal((3, 4, 5, 5)) + 1.0).astype(dtype))
-        gain = tensor(rng.standard_normal((4, 5, 5)).astype(dtype))
-        bias = tensor(rng.standard_normal((4, 5, 5)).astype(dtype))
+        x = Tensor((3.0 * rng.standard_normal((3, 4, 5, 5)) + 1.0).astype(dtype))
+        gain = Tensor(rng.standard_normal((4, 5, 5)).astype(dtype))
+        bias = Tensor(rng.standard_normal((4, 5, 5)).astype(dtype))
         out = layer_norm(x, gain, bias, 1e-5).data
         assert out.dtype == dtype
         np.testing.assert_array_equal(out, layer_norm_composite(x, gain, bias, 1e-5).data)
@@ -454,9 +459,9 @@ class TestLayerNorm:
     def test_records_one_node(self):
         rng = np.random.default_rng(13)
         with Graph() as g:
-            x = tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-            gain = tensor(rng.standard_normal((3, 4)), requires_grad=True)
-            bias = tensor(rng.standard_normal((3, 4)), requires_grad=True)
+            x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+            gain = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+            bias = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
             layer_norm(x, gain, bias)
             assert [node.op for node in g.nodes if node.op != "leaf"] == ["layer_norm"]
 
@@ -471,23 +476,23 @@ class TestLayerNorm:
         c = rng.standard_normal((2, 3, 2, 2))
 
         def penalty(x, gain, create_graph):
-            s = ad.mul(layer_norm(x, gain, tensor(bias), 1e-5), tensor(c)).sum()
+            s = ad.tsum(ad.mul(layer_norm(x, gain, Tensor(bias), 1e-5), Tensor(c)))
             gx = backward(s, create_graph=create_graph)[x]
-            return gx if create_graph is False else ad.square(gx).sum()
+            return gx if create_graph is False else ad.tsum(ad.square(gx))
 
         def value_x(xv):
             with Graph():
-                gx = penalty(tensor(xv.copy(), requires_grad=True), tensor(gain0), False)
+                gx = penalty(Tensor(xv.copy(), requires_grad=True), Tensor(gain0), False)
                 return float(np.sum(gx.data ** 2))
 
         def value_gain(gv):
             with Graph():
-                gx = penalty(tensor(x0.copy(), requires_grad=True), tensor(gv.copy()), False)
+                gx = penalty(Tensor(x0.copy(), requires_grad=True), Tensor(gv.copy()), False)
                 return float(np.sum(gx.data ** 2))
 
         with Graph():
-            x = tensor(x0.copy(), requires_grad=True)
-            gain = tensor(gain0.copy(), requires_grad=True)
+            x = Tensor(x0.copy(), requires_grad=True)
+            gain = Tensor(gain0.copy(), requires_grad=True)
             grads = backward(penalty(x, gain, (x,)))
         fd_x = finite_difference_gradient(value_x, x0)
         fd_gain = finite_difference_gradient(value_gain, gain0)
@@ -496,13 +501,13 @@ class TestLayerNorm:
 
     def test_constant_input_zeroed(self):
         x = np.repeat(np.array([[2.0], [5.0]]), 6, axis=1).reshape(2, 6)
-        out = layer_norm(tensor(x), tensor(np.ones(6)), tensor(np.zeros(6)), eps=1e-5)
+        out = layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6)), eps=1e-5)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
     def test_two_point_standardization(self):
         out = layer_norm(
-            tensor(np.array([[1.0, 3.0]])),
-            tensor(np.ones(2)), tensor(np.zeros(2)), eps=1e-12,
+            Tensor(np.array([[1.0, 3.0]])),
+            Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12,
         )
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
 
@@ -510,8 +515,8 @@ class TestLayerNorm:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 3, 5, 5))
         out = layer_norm(
-            tensor(x),
-            tensor(np.ones((3, 5, 5))), tensor(np.zeros((3, 5, 5))), eps=1e-8,
+            Tensor(x),
+            Tensor(np.ones((3, 5, 5))), Tensor(np.zeros((3, 5, 5))), eps=1e-8,
         ).data
         flat = out.reshape(4, -1)
         assert np.all(np.abs(flat.mean(axis=1)) < 1e-6)
@@ -519,7 +524,7 @@ class TestLayerNorm:
 
     def test_affine_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            layer_norm(tensor(np.ones((2, 6))), tensor(np.ones(5)), tensor(np.zeros(6)))
+            layer_norm(Tensor(np.ones((2, 6))), Tensor(np.ones(5)), Tensor(np.zeros(6)))
 
     def test_input_gradient_matches_fd(self):
         rng = np.random.default_rng(9)
@@ -536,7 +541,7 @@ class TestLayerNorm:
 
         fd_check(
             f_np,
-            lambda x: ad.square(layer_norm(x, tensor(gain), tensor(bias), 1e-5)).sum(),
+            lambda x: ad.tsum(ad.square(layer_norm(x, Tensor(gain), Tensor(bias), 1e-5))),
             x0,
             tol=1e-5,
         )
@@ -553,16 +558,16 @@ class TestLayerNorm:
                 return float(np.sum(out ** 2))
 
             def f_ad(p, which=which):
-                gain = p if which == "gain" else tensor(np.ones(4, dtype=np.float64))
-                bias = p if which == "bias" else tensor(np.zeros(4, dtype=np.float64))
-                return ad.square(layer_norm(tensor(x), gain, bias, 1e-5)).sum()
+                gain = p if which == "gain" else Tensor(np.ones(4, dtype=np.float64))
+                bias = p if which == "bias" else Tensor(np.zeros(4, dtype=np.float64))
+                return ad.tsum(ad.square(layer_norm(Tensor(x), gain, bias, 1e-5)))
 
             fd_check(f_np, f_ad, rng.standard_normal(4), tol=1e-5)
 
 
 class TestSpatialPrimitives:
     def test_upsample_subsample_shapes(self):
-        x = tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
+        x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
         up = ad.upsample2(x)
         assert up.shape == (1, 1, 8, 8)
         sub = ad.subsample2(x)
@@ -581,7 +586,7 @@ class TestSpatialPrimitives:
         rng = np.random.default_rng(12)
         fd_check(
             f_np,
-            lambda x: ad.square(op(x)).sum(),
+            lambda x: ad.tsum(ad.square(op(x))),
             rng.standard_normal((1, 2, 4, 4)),
         )
 
@@ -591,45 +596,45 @@ class TestSpatialPrimitives:
         for hw in ((4, 4), (5, 5), (7, 4)):
             for stride in (1, 2):
                 x = rng.standard_normal((2, 3) + hw)
-                u = ad.unfold3x3(tensor(x), stride).data
+                u = ad.unfold3x3(Tensor(x), stride).data
                 c = rng.standard_normal(u.shape)
-                f = ad.fold3x3(tensor(c), hw, stride).data
+                f = ad.fold3x3(Tensor(c), hw, stride).data
                 np.testing.assert_allclose(np.sum(u * c), np.sum(x * f), rtol=1e-12)
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
         with Graph():
-            x = tensor(np.random.default_rng(0).standard_normal((3, 2)), requires_grad=True)
-            g = backward(x.sum())[x].data
+            x = Tensor(np.random.default_rng(0).standard_normal((3, 2)), requires_grad=True)
+            g = backward(ad.tsum(x))[x].data
         np.testing.assert_array_equal(g, np.ones((3, 2)))
 
     def test_half_square_gives_x(self):
         x0 = np.array([1.0, -2.0, 3.0])
         with Graph():
-            x = tensor(x0, requires_grad=True)
-            loss = ad.mul(ad.square(x).sum(), 0.5)
+            x = Tensor(x0, requires_grad=True)
+            loss = ad.mul(ad.tsum(ad.square(x)), 0.5)
             g = backward(loss)[x].data
         np.testing.assert_allclose(g, x0)
 
     def test_not_scalar(self):
         with Graph():
-            x = tensor(np.ones(3), requires_grad=True)
+            x = Tensor(np.ones(3), requires_grad=True)
             with pytest.raises(NotScalar):
                 backward(ad.square(x))
 
     def test_dead_graph(self):
         with Graph():
-            x = tensor(np.ones(3), requires_grad=True)
-            loss = ad.square(x).sum()
+            x = Tensor(np.ones(3), requires_grad=True)
+            loss = ad.tsum(ad.square(x))
             backward(loss)
             with pytest.raises(DeadGraph):
                 backward(loss)
 
     def test_create_graph_keeps_graph_alive(self):
         with Graph() as g:
-            x = tensor(np.ones(3), requires_grad=True)
-            loss = ad.square(x).sum()
+            x = Tensor(np.ones(3), requires_grad=True)
+            loss = ad.tsum(ad.square(x))
             backward(loss, create_graph=(x,))
             assert not g.dead and len(g.nodes) > 0
             backward(loss)  # still alive
@@ -637,44 +642,35 @@ class TestBackward:
 
     def test_create_graph_takes_leaves_not_true(self):
         with Graph():
-            x = tensor(np.ones(3), requires_grad=True)
+            x = Tensor(np.ones(3), requires_grad=True)
             with pytest.raises(TypeError, match="leaves"):
-                backward(ad.square(x).sum(), create_graph=True)
+                backward(ad.tsum(ad.square(x)), create_graph=True)
 
     def test_create_graph_on_unrelated_leaf_records_nothing(self):
         # the loss does not depend on y: no gradient, and nothing is recorded
         with Graph() as g:
-            x = tensor(np.ones(3), requires_grad=True)
-            y = tensor(np.ones(3), requires_grad=True)
-            loss = ad.square(x).sum()
+            x = Tensor(np.ones(3), requires_grad=True)
+            y = Tensor(np.ones(3), requires_grad=True)
+            loss = ad.tsum(ad.square(x))
             ad.neg(y)                   # y is on the tape, but not under the loss
             before = len(g.nodes)
             assert backward(loss, create_graph=(y,)) == {}
             assert len(g.nodes) == before and not g.dead
 
-    def test_implicit_graph_renewed_after_backward(self):
-        # outside any `with Graph()` block each backward consumes the
-        # thread's implicit graph, and the next op records on a fresh one
-        for _ in range(2):
-            x = tensor(np.ones(3), requires_grad=True)
-            grad = backward(ad.square(x).sum())[x]
-            np.testing.assert_array_equal(grad.data, [2.0, 2.0, 2.0])
-            assert len(ad.active_graph().nodes) == 0
-
     def test_grad_accumulates_over_multiple_uses(self):
         with Graph():
-            x = tensor(np.array([2.0]), requires_grad=True)
+            x = Tensor(np.array([2.0]), requires_grad=True)
             y = ad.add(ad.mul(x, x), ad.mul(x, 3.0))  # x^2 + 3x
-            g = backward(y.sum())[x].data
+            g = backward(ad.tsum(y))[x].data
         np.testing.assert_allclose(g, [7.0])
 
     def test_double_backward_cubic(self):
         # second derivative of sum(x^3) at x=2 is 12
         with Graph():
-            x = tensor(np.full((3,), 2.0), requires_grad=True)
-            loss = ad.mul(ad.mul(x, x), x).sum()
+            x = Tensor(np.full((3,), 2.0), requires_grad=True)
+            loss = ad.tsum(ad.mul(ad.mul(x, x), x))
             g1 = backward(loss, create_graph=(x,))[x]
-            g2 = backward(g1.sum())[x].data
+            g2 = backward(ad.tsum(g1))[x].data
         np.testing.assert_allclose(g2, 12.0)
 
     def test_double_backward_matches_fd_of_analytic_gradient(self):
@@ -687,10 +683,10 @@ class TestBackward:
 
         fd = finite_difference_gradient(first_grad_sum, x0, h=1e-6)
         with Graph():
-            x = tensor(x0, requires_grad=True)
-            loss = ad.mul(ad.mul(x, x), x).sum()
+            x = Tensor(x0, requires_grad=True)
+            loss = ad.tsum(ad.mul(ad.mul(x, x), x))
             g1 = backward(loss, create_graph=(x,))[x]
-            g2 = backward(g1.sum())[x].data
+            g2 = backward(ad.tsum(g1))[x].data
         assert max_relative_error(g2, fd) < 1e-5
 
     def test_double_backward_through_matmul_chain(self):
@@ -705,10 +701,10 @@ class TestBackward:
             return float(np.sum(gv ** 2))
 
         def penalty_ad(w):
-            vt = tensor(v.copy(), requires_grad=True)
-            s = ad.tanh(matmul(vt, w)).sum()
+            vt = Tensor(v.copy(), requires_grad=True)
+            s = ad.tsum(ad.tanh(matmul(vt, w)))
             gv = backward(s, create_graph=(vt,))[vt]
-            return ad.square(gv).sum()
+            return ad.tsum(ad.square(gv))
 
         fd_check(penalty_np, penalty_ad, w0, tol=1e-5)
 
@@ -720,12 +716,12 @@ class TestBackward:
         phi = disc.init_params(rng)
         x0 = np.tanh(rng.standard_normal((2, 1, 8, 8))).astype(np.float32)
         with Graph() as g:
-            x = tensor(x0, requires_grad=True)
+            x = Tensor(x0, requires_grad=True)
             bound = phi.bind()
             scores = disc.forward(bound, x)
             start = len(g.nodes)
             leaves = (x,) if restrict else (x, *bound.values())
-            grads = backward(scores.sum(), create_graph=leaves)
+            grads = backward(ad.tsum(scores), create_graph=leaves)
             ops = {node.op for node in g.nodes[start:]}
         return grads, x, bound, ops
 
@@ -765,11 +761,11 @@ class TestFiniteDifference:
             return run_np([w0] + weights[1:])
 
         def f_ad(w0):
-            h = tensor(x_in.copy())
-            ws = [w0] + [tensor(w) for w in weights[1:]]
+            h = Tensor(x_in.copy())
+            ws = [w0] + [Tensor(w) for w in weights[1:]]
             for w in ws[:-1]:
                 h = ad.tanh(matmul(h, w))
-            return matmul(h, ws[-1]).sum()
+            return ad.tsum(matmul(h, ws[-1]))
 
         fd_check(f_np, f_ad, weights[0])
 
@@ -777,8 +773,8 @@ class TestFiniteDifference:
 class TestGraph:
     def test_topological_order(self):
         with Graph() as g:
-            x = tensor(np.ones((2, 2)), requires_grad=True)
-            y = ad.square(ad.add(ad.mul(x, 2.0), 1.0)).sum()
+            x = Tensor(np.ones((2, 2)), requires_grad=True)
+            y = ad.tsum(ad.square(ad.add(ad.mul(x, 2.0), 1.0)))
             assert len(g.nodes) > 1
             for idx, node in enumerate(g.nodes):
                 assert all(j < idx for j in node.input_ids if j is not None)
@@ -788,30 +784,44 @@ class TestGraph:
         # only what a gradient flows through is recorded: a constant input
         # gets no leaf node, and its handle on the consuming node is None
         with Graph() as g:
-            x = tensor(np.ones((2, 3)), requires_grad=True)
-            c = tensor(np.full((2, 3), 2.0))
+            x = Tensor(np.ones((2, 3)), requires_grad=True)
+            c = Tensor(np.full((2, 3), 2.0))
             y = ad.add(ad.mul(x, c), 1.0)
             assert [node.op for node in g.nodes] == ["leaf", "mul", "add"]
             assert [node.input_ids for node in g.nodes] == [(), (0, None), (1, None)]
             assert c.graph is None and c.node is None
-            np.testing.assert_array_equal(backward(y.sum())[x].data, c.data)
+            np.testing.assert_array_equal(backward(ad.tsum(y))[x].data, c.data)
 
     def test_requires_grad_propagation(self):
         with Graph():
-            a = tensor(np.ones(2), requires_grad=True)
-            b = tensor(np.ones(2))
+            a = Tensor(np.ones(2), requires_grad=True)
+            b = Tensor(np.ones(2))
             assert ad.add(a, b).requires_grad
-            assert not ad.add(b, b.detach()).requires_grad
+            assert not ad.add(b, Tensor(a.data)).requires_grad
 
-    def test_non_float_data_becomes_double(self):
-        # the tape has no precision to cast to; a float array keeps its own
-        assert tensor([1, 2]).dtype == np.float64
-        assert tensor(np.array([True])).dtype == np.float64
-        assert tensor(np.ones(2, dtype=np.float32)).dtype == np.float32
+    def test_recording_outside_a_graph_block_raises(self):
+        # there is no implicit tape: an op a gradient would flow through
+        # needs a `with Graph()` block, an op on constants does not
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(NoGraph, match="with Graph"):
+            ad.square(x)
+        assert x.graph is None
+        np.testing.assert_array_equal(ad.square(Tensor(x.data)).data, [1.0, 1.0])
+
+    def test_non_leaf_from_another_graph_rejected(self):
+        with Graph():
+            x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            y = ad.square(x)
+        with Graph():
+            with pytest.raises(GraphMismatch, match="Tensor"):
+                ad.add(y, 1.0)
+            # its value as a constant may be used, and a leaf joins any graph
+            grads = backward(ad.tsum(ad.mul(Tensor(y.data), x)))
+        np.testing.assert_array_equal(grads[x].data, [1.0, 4.0])
 
     def test_mixed_dtype_rejected(self):
-        a = tensor(np.ones(2, dtype=np.float32))
-        b = tensor(np.ones(2, dtype=np.float64))
+        a = Tensor(np.ones(2, dtype=np.float32))
+        b = Tensor(np.ones(2, dtype=np.float64))
         with pytest.raises(TypeError):
             ad.add(a, b)
 
@@ -823,8 +833,8 @@ class TestGraph:
 )
 def test_add_commutes_property(xs, ys):
     n = min(len(xs), len(ys))
-    a = tensor(np.array(xs[:n], dtype=np.float64))
-    b = tensor(np.array(ys[:n], dtype=np.float64))
+    a = Tensor(np.array(xs[:n], dtype=np.float64))
+    b = Tensor(np.array(ys[:n], dtype=np.float64))
     np.testing.assert_array_equal(ad.add(a, b).data, ad.add(b, a).data)
 
 
@@ -835,7 +845,7 @@ def test_primitive_grad_property(rows, cols, seed):
     x0 = rng.standard_normal((rows, cols))
     fd_check(
         lambda x: float(np.sum(np.tanh(x) * x)),
-        lambda x: ad.mul(ad.tanh(x), x).sum(),
+        lambda x: ad.tsum(ad.mul(ad.tanh(x), x)),
         x0,
         tol=1e-5,
     )

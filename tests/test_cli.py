@@ -10,7 +10,7 @@ import pytest
 
 import figr.cli
 from figr.cli import main
-from figr.data import load_shard, read_pgm, write_pgm
+from figr.data import load_shard, pack_shard, read_pgm, write_pgm
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -115,6 +115,16 @@ class TestTrain:
         assert proc.returncode == 9, proc.stderr
         rows = (out / "train_log.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+
+    def test_resume_at_target_into_fresh_dir_writes_its_checkpoint(self, cfg_path, tmp_path):
+        # a run that starts at its target takes no step, but its directory
+        # still gets the checkpoint it stands at
+        part, fresh = tmp_path / "part", tmp_path / "fresh"
+        run_cli("train", "--config", cfg_path, "--out", part, "--steps", 3)
+        assert run_cli("train", "--config", cfg_path, "--out", fresh, "--steps", 3,
+                       "--resume", part / "ckpt_000003.figr") == 0
+        assert (fresh / "ckpt_000003.figr").read_bytes() == \
+               (part / "ckpt_000003.figr").read_bytes()
 
     def test_resume_reconciles_log_with_checkpoint(self, cfg_path, tmp_path):
         def rows(out):
@@ -273,6 +283,27 @@ class TestGenerateEval:
         rows = csv.read_text().strip().splitlines()
         assert rows[0] == "task_id,name,mmd2,baseline_mmd2,nn_distance,win"
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_eval_refuses_class_without_held_out_images(self, tmp_path, capsys, size):
+        # n = 4 images condition the adaptation; a scored class needs at
+        # least one more to hold out, else it names the class and stops
+        rng = np.random.default_rng(0)
+        classes = [(f"c{i}", rng.integers(0, 256, size=(size if i == 0 else 6, 8, 8),
+                                          dtype=np.uint8)) for i in range(4)]
+        shard = tmp_path / "small.fgr8"
+        shard.write_bytes(pack_shard(classes))
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(TINY_CFG.replace("n = 2", "n = 4").replace(
+            "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}")
+            + "validation_classes = c0\n")
+        out = tmp_path / "small"
+        assert run_cli("train", "--config", cfg, "--steps", 0, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg, "--checkpoint",
+                       out / "ckpt_000000.figr", "--trials", 1) == 2
+        err = capsys.readouterr().err
+        assert "'c0'" in err and "more than n=4" in err
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_eval_rejects_trials_below_one(self, cfg_path, trained, tmp_path, trials):

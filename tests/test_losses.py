@@ -12,19 +12,18 @@ from figr.autodiff import (
     Tensor,
     backward,
     matmul,
-    tensor,
 )
 from figr.gradcheck import finite_difference_gradient, max_relative_error
 from figr.losses import critic_loss, generator_loss, gradient_penalty
 
 
 def scores(*vals):
-    return tensor(np.array(vals, dtype=np.float64).reshape(-1, 1))
+    return Tensor(np.array(vals, dtype=np.float64).reshape(-1, 1))
 
 
 def joint(real, fake):
     """The score batch of one critic forward over [real; fake]."""
-    return tensor(np.concatenate([real.data, fake.data]))
+    return Tensor(np.concatenate([real.data, fake.data]))
 
 
 class TestCriticLoss:
@@ -44,7 +43,7 @@ class TestCriticLoss:
         with pytest.raises(ShapeMismatch):
             critic_loss(scores(1, 2, 3))
         with pytest.raises(ShapeMismatch):
-            critic_loss(tensor(np.float64(1.0)))
+            critic_loss(Tensor(np.float64(1.0)))
 
     def test_linearity_in_scale(self):
         rng = np.random.default_rng(1)
@@ -72,11 +71,11 @@ class TestGeneratorLoss:
             return float(-np.mean(np.tanh(z @ w) @ c))
 
         def f_ad(w):
-            fake = matmul(ad.tanh(matmul(tensor(z.copy()), w)), tensor(c.copy()))
+            fake = matmul(ad.tanh(matmul(Tensor(z.copy()), w)), Tensor(c.copy()))
             return generator_loss(fake)
 
         with Graph():
-            w = tensor(rng.standard_normal((4, 5)), requires_grad=True)
+            w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
             g = backward(f_ad(w))[w].data
         fd = finite_difference_gradient(f_np, w.data, h=1e-6)
         assert max_relative_error(g, fd) < 1e-6
@@ -84,13 +83,18 @@ class TestGeneratorLoss:
 
 def linear_critic(w_row: np.ndarray):
     """D(v) = <w, v> per sample; input gradient is w everywhere."""
-    wt = tensor(w_row.reshape(-1, 1).astype(np.float64))
+    wt = Tensor(w_row.reshape(-1, 1).astype(np.float64))
 
     def critic(v: Tensor) -> Tensor:
         flat = ad.reshape(v, (v.shape[0], -1))
         return matmul(flat, wt)
 
     return critic
+
+
+def draw_eps(seed: int, b: int) -> np.ndarray:
+    """One interpolation weight per sample, drawn as the inner loop draws them."""
+    return np.random.default_rng(seed).uniform(size=(b, 1, 1, 1))
 
 
 class TestGradientPenalty:
@@ -101,8 +105,7 @@ class TestGradientPenalty:
         x = rng.standard_normal((4, 1, 4, 4))
         y = rng.standard_normal((4, 1, 4, 4))
         with Graph():
-            pen = gradient_penalty(linear_critic(w), x, y,
-                                   gp_lambda=10.0, rng=np.random.default_rng(4))
+            pen = gradient_penalty(linear_critic(w), x, y, draw_eps(4, 4), gp_lambda=10.0)
         assert abs(pen.item()) < 1e-9
 
     def test_norm_three_gives_forty(self):
@@ -112,8 +115,7 @@ class TestGradientPenalty:
         x = rng.standard_normal((6, 1, 4, 4))
         y = rng.standard_normal((6, 1, 4, 4))
         with Graph():
-            pen = gradient_penalty(linear_critic(w), x, y,
-                                   gp_lambda=10.0, rng=np.random.default_rng(6))
+            pen = gradient_penalty(linear_critic(w), x, y, draw_eps(6, 6), gp_lambda=10.0)
         assert abs(pen.item() - 40.0) < 1e-5
 
     def test_penalty_nonnegative(self):
@@ -123,8 +125,8 @@ class TestGradientPenalty:
             x = rng.standard_normal((3, 1, 2, 4))
             y = rng.standard_normal((3, 1, 2, 4))
             with Graph():
-                pen = gradient_penalty(linear_critic(w), x, y,
-                                       gp_lambda=5.0, rng=np.random.default_rng(seed))
+                pen = gradient_penalty(linear_critic(w), x, y, draw_eps(seed, 3),
+                                       gp_lambda=5.0)
             assert pen.item() >= 0.0
 
     def test_shape_mismatch(self):
@@ -132,7 +134,7 @@ class TestGradientPenalty:
             with pytest.raises(ShapeMismatch):
                 gradient_penalty(linear_critic(np.ones(4)),
                                  np.ones((2, 1, 2, 2)), np.ones((3, 1, 2, 2)),
-                                 10.0, rng=np.random.default_rng(0))
+                                 draw_eps(0, 2), 10.0)
 
     def test_gradient_wrt_critic_params_matches_fd(self):
         # two-layer critic; penalty differentiated through the double backward
@@ -145,42 +147,40 @@ class TestGradientPenalty:
 
         def penalty_value(w1_arr):
             with Graph():
-                w1t = tensor(np.asarray(w1_arr).copy())
+                w1t = Tensor(np.asarray(w1_arr).copy())
 
                 def critic(v):
                     h = ad.tanh(matmul(ad.reshape(v, (b, d)), w1t))
-                    return matmul(h, tensor(w2.copy()))
+                    return matmul(h, Tensor(w2.copy()))
 
-                pen = gradient_penalty(critic, x, y,
-                                       gp_lambda=10.0, eps=eps)
+                pen = gradient_penalty(critic, x, y, eps, gp_lambda=10.0)
                 return float(pen.item())
 
         w1_0 = rng.standard_normal((d, hdim))
         fd = finite_difference_gradient(penalty_value, w1_0, h=1e-6)
 
         with Graph():
-            w1 = tensor(w1_0.copy(), requires_grad=True)
+            w1 = Tensor(w1_0.copy(), requires_grad=True)
 
             def critic(v):
                 h = ad.tanh(matmul(ad.reshape(v, (b, d)), w1))
-                return matmul(h, tensor(w2.copy()))
+                return matmul(h, Tensor(w2.copy()))
 
-            pen = gradient_penalty(critic, x, y,
-                                   gp_lambda=10.0, eps=eps)
+            pen = gradient_penalty(critic, x, y, eps, gp_lambda=10.0)
             g = backward(pen)[w1].data
         assert max_relative_error(g, fd) < 1e-4
 
     def test_penalty_flows_only_into_critic(self):
         rng = np.random.default_rng(9)
         with Graph():
-            w = tensor(rng.standard_normal((4, 1)), requires_grad=True)
+            w = Tensor(rng.standard_normal((4, 1)), requires_grad=True)
             x = rng.standard_normal((2, 1, 2, 2))
             y = rng.standard_normal((2, 1, 2, 2))
 
             def critic(v):
                 return matmul(ad.reshape(v, (2, 4)), w)
 
-            pen = gradient_penalty(critic, x, y, 10.0, rng=np.random.default_rng(1))
+            pen = gradient_penalty(critic, x, y, draw_eps(1, 2), 10.0)
             grads = backward(pen)
         assert w in grads
         # the interpolate is a fresh input: no gradient reaches the real or fake data

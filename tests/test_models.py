@@ -237,7 +237,7 @@ class TestGradients:
             ps2 = ps.with_vector(vec)
             with Graph():
                 out = gen.forward(ps2.bind(trainable=False), Tensor(z.copy()))
-                return float(ad.mul(out, Tensor(probe)).sum().item())
+                return float(ad.tsum(ad.mul(out, Tensor(probe))).item())
 
         # finite differences over one weight segment only, for speed
         idxs = np.random.default_rng(14).choice(
@@ -247,7 +247,7 @@ class TestGradients:
         with Graph():
             bound = ps.bind()
             out = gen.forward(bound, Tensor(z.copy()))
-            loss = ad.mul(out, Tensor(probe)).sum()
+            loss = ad.tsum(ad.mul(out, Tensor(probe)))
             grads = bound.flatten_grads(backward(loss))
         assert max_relative_error(grads[idxs], fd) < 1e-5
 
@@ -258,13 +258,13 @@ class TestGradients:
 
         def f_np(x):
             with Graph():
-                return float(disc.forward(ps.bind(trainable=False), Tensor(x.copy())).sum().item())
+                return float(ad.tsum(disc.forward(ps.bind(trainable=False), Tensor(x.copy()))).item())
 
         fd = finite_difference_gradient(f_np, x0, h=1e-6)
         with Graph():
             xt = Tensor(x0.copy(), requires_grad=True)
             s = disc.forward(ps.bind(trainable=False), xt)
-            g = backward(s.sum())[xt].data
+            g = backward(ad.tsum(s))[xt].data
         assert max_relative_error(g, fd) < 1e-6
 
 

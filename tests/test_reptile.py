@@ -216,7 +216,8 @@ class TestMetaStep:
             scores = disc.forward(bound_d, Tensor(np.concatenate([xt.data, fake.data])))
             loss_d = add(critic_loss(scores),
                          gradient_penalty(lambda v: disc.forward(bound_d, v), xt.data,
-                                          fake.data, cfg.gp_lambda, rng=eps_rng))
+                                          fake.data, eps_rng.uniform(size=(2, 1, 1, 1)),
+                                          cfg.gp_lambda))
             gd = bound_d.flatten_grads(backward(loss_d))
         w_d_manual = phi_d.with_vector(phi_d.vector - cfg.inner_lr * gd)
         with Graph():
