@@ -22,10 +22,12 @@ penalty needs.  ``create_graph`` names the leaves to differentiate with
 respect to: the penalty passes ``(xhat,)``, so the critic's parameter
 gradients, which it would throw away, are neither computed nor recorded.
 
-Fused ops (conv2d, prelu, layer_norm) are one node each: the forward
-runs in numpy, and the backward rule re-derives in graph ops whatever a
-recorded backward must differentiate again.  A first-order backward needs
-no graph, so conv2d's runs on numpy kernels directly.  Those kernels
+Fused ops (conv2d, affine, prelu, layer_norm) are one node each: the
+forward runs in numpy, and the backward rule re-derives in graph ops
+whatever a recorded backward must differentiate again.  A first-order
+backward needs no graph: there each fused rule runs on arrays, with its
+graph-op rule's float operations in the same order, and backward sums
+gradients in numpy, so the results are bitwise equal.  conv2d's kernels
 work on one zero-padded, channel-major grid (see _Geometry) in which
 each of the nine 3x3 taps is a fixed offset: im2col is one long-run copy
 per sample, col2im nine contiguous adds, and the weight gradient nine
@@ -731,8 +733,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
         else:
             gw = _wide(g.data.reshape(bsz, f, h2, w2), geo)          # F, span
             if needs[0]:
-                dcols = np.matmul(wm.T, gw).reshape(c, 3, 3, geo.span)
-                dx = Tensor(_col2im(dcols, geo))
+                # at F = 1 each entry is one product, and an outer product
+                # computes it faster than a GEMM with K = 1
+                dcols = wm.T * gw if f == 1 else np.matmul(wm.T, gw)
+                dx = Tensor(_col2im(dcols.reshape(c, 3, 3, geo.span), geo))
             if needs[1]:
                 # laid out again rather than kept: the tape would hold a grid per conv
                 xgrid = _to_grid(x.data, geo)
@@ -741,11 +745,61 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
                     np.matmul(gw, xgrid[:, ph, off:off + geo.span].T, out=dwt[i, j])
                 dw = Tensor(np.ascontiguousarray(dwt.transpose(2, 3, 0, 1)))
         if len(needs) > 2 and needs[2]:
-            db = tsum(g, axes=(0, 2, 3))
+            db = (tsum(g, axes=(0, 2, 3)) if _TLS.grad_enabled
+                  else Tensor(g.data.sum(axis=(0, 2, 3))))
         return (dx, dw, db) if b is not None else (dx, dw)
 
     inputs = (x, w) if b is None else (x, w, b)
     return _apply("conv2d", out_data, inputs, vjp)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Per-position channel mixing: x [B,C,*S], w [C,F], b [F] -> [B,F,*S].
+
+    A dense layer is S = (), a 1x1 convolution S = (H, W).  One node: the
+    forward copies x channels-last to [B, P, C] (P = prod(S)), multiplies
+    it by w in one GEMM per sample and adds b.  A first-order backward runs
+    the transposed GEMMs in numpy; a recorded one builds them from permute,
+    reshape and matmul and stays differentiable in x, w and b.
+    """
+    if x.ndim < 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeMismatch(f"affine cannot map {x.shape} by {w.shape}")
+    bsz, c, space = x.shape[0], x.shape[1], x.shape[2:]
+    f, p, nd = w.shape[1], math.prod(space), x.ndim
+    if b.shape != (f,):
+        raise ShapeMismatch(f"bias shape {b.shape} != ({f},)")
+    _check_same_dtype(x, w, b)
+    last = (0,) + tuple(range(2, nd)) + (1,)            # channels to the last axis
+    first = (0, nd - 1) + tuple(range(1, nd - 1))       # and back
+    flat = x.data.transpose(last).reshape(bsz, p, c)
+    y = np.matmul(flat, w.data) + b.data
+    out_data = y.reshape((bsz,) + space + (f,)).transpose(first)
+
+    move = (lambda t, axes: t) if nd == 2 else permute  # a dense layer has no axis to move
+
+    def vjp(g, needs):
+        dx = dw = db = None
+        if not _TLS.grad_enabled:
+            g3 = g.data.transpose(last).reshape(bsz, p, f)
+            if needs[0]:
+                dflat = np.matmul(g3, w.data.T)
+                dx = Tensor(dflat.reshape((bsz,) + space + (c,)).transpose(first))
+            if needs[1]:
+                dw = Tensor(np.matmul(flat.transpose(0, 2, 1), g3).sum(axis=(0,)))
+            if needs[2]:
+                db = Tensor(g3.sum(axis=(0, 1)))
+            return (dx, dw, db)
+        g3 = reshape(move(g, last), (bsz, p, f))
+        if needs[0]:
+            dx = move(reshape(matmul(g3, _swap_last2(w)), (bsz,) + space + (c,)), first)
+        if needs[1]:
+            flat_t = reshape(move(x, last), (bsz, p, c))
+            dw = tsum(matmul(_swap_last2(flat_t), g3), axes=(0,))
+        if needs[2]:
+            db = tsum(g3, axes=(0, 1))
+        return (dx, dw, db)
+
+    return _apply("affine", out_data, (x, w, b), vjp)
 
 
 def prelu(x: Tensor, a: Tensor) -> Tensor:
@@ -763,18 +817,21 @@ def _prelu(x: Tensor, a: Tensor, pos: np.ndarray) -> Tensor:
     forward's mask, so the vjp of that gradient is the same op again.
     """
     xd = x.data
-    out_data = np.where(pos, xd, a.data.reshape((1, -1) + (1,) * (xd.ndim - 2)) * xd)
+    slopes = a.data.reshape((1, -1) + (1,) * (xd.ndim - 2))
+    out_data = np.where(pos, xd, slopes * xd)
+    red = (0,) + tuple(range(2, xd.ndim))
 
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            gd = g.data
+            return (Tensor(np.where(pos, gd, slopes * gd)) if needs[0] else None,
+                    Tensor((gd * np.where(pos, 0, xd)).sum(axis=red)) if needs[1] else None)
         dx = _prelu(g, a, pos) if needs[0] else None
         da = None
         if needs[1]:
-            if _TLS.grad_enabled and x.requires_grad:
-                # a recorded backward must stay differentiable in x
-                xneg = mul(x, Tensor((~pos).astype(xd.dtype)))
-            else:
-                xneg = Tensor(np.where(pos, 0, xd))          # min(x, 0) for prelu itself
-            da = tsum(mul(g, xneg), axes=(0,) + tuple(range(2, xd.ndim)))
+            # a recorded backward must stay differentiable in x
+            xneg = mul(x, Tensor((~pos).astype(xd.dtype)))
+            da = tsum(mul(g, xneg), axes=red)
         return (dx, da)
 
     return _apply("prelu", out_data, (x, a), vjp)
@@ -805,16 +862,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data = xn * gain.data + bias.data
 
     def vjp(g, needs):
-        if _TLS.grad_enabled and x.requires_grad:
-            # a recorded backward must stay differentiable in x: re-derive
-            # the normalized input as graph ops, as conv2d re-records unfold3x3
-            xc_t = sub(x, expand(tmean(x, axes, keepdims=True), x.shape))
-            std_t = expand(sqrt(add(tmean(square(xc_t), axes, keepdims=True), eps)),
-                           x.shape)
-            xn_t = div(xc_t, std_t)
-        else:
-            xn_t, std_t = Tensor(xn), Tensor(_broadcast(std, x.shape))
         dx = dgain = dbias = None
+        if not _TLS.grad_enabled:
+            # the rule below on arrays, in the same float order
+            gd = g.data
+            if needs[0]:
+                dxn = gd * gain.data
+                proj = xn * ((dxn * xn).sum(axis=axes, keepdims=True) * inv_count)
+                dx = Tensor((dxn - dxn.sum(axis=axes, keepdims=True) * inv_count - proj) / std)
+            if needs[1]:
+                dgain = Tensor((gd * xn).sum(axis=(0,)))
+            if needs[2]:
+                dbias = Tensor(gd.sum(axis=(0,)))
+            return (dx, dgain, dbias)
+        # a recorded backward must stay differentiable in x: re-derive the
+        # normalized input as graph ops, as conv2d re-records unfold3x3
+        xc_t = sub(x, expand(tmean(x, axes, keepdims=True), x.shape))
+        std_t = expand(sqrt(add(tmean(square(xc_t), axes, keepdims=True), eps)), x.shape)
+        xn_t = div(xc_t, std_t)
         if needs[0]:
             # d/dx of (x - mean) / std: centre the output gradient, remove
             # its component along xn, divide by std
@@ -907,7 +972,9 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
                 if dj is None:
                     continue
                 acc = grads.get(j)
-                grads[j] = dj if acc is None else add(acc, dj)
+                if acc is not None:
+                    dj = add(acc, dj) if record else Tensor(acc.data + dj.data)
+                grads[j] = dj
     finally:
         st.grad_enabled = prev_mode
         st.stack.pop()

@@ -150,8 +150,11 @@ def run_gradcheck(trials: int = 20, seed: int = 0, corrupt: bool = False,
     """Returns (max error over all checks, per-check results, all under DEFAULT_TOL).
 
     corrupt=True flips the sign of every reverse-mode gradient before the
-    comparison; the run must then fail, proving the check has teeth.
+    comparison; the run must then fail, proving the check has teeth.  A
+    run of no trials would check nothing, so trials < 1 raises ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     disc = Discriminator(CHECK_CFG)
     gen = Generator(CHECK_CFG)
     sign = -1.0 if corrupt else 1.0

@@ -6,7 +6,9 @@ parameter space; a forward pass takes that vector's leaf tensors
 (ParameterSet.bind), trainable or not.  Images are grayscale, one
 channel.  Layer norm everywhere (no batch statistics), PReLU
 activations, tanh output for the generator, unbounded scalar score for
-the critic.
+the critic.  Each weighted layer is one fused autodiff op: 3x3
+convolutions are conv2d; the latent projection, the 1x1 skips and the
+score are affine.
 """
 
 from __future__ import annotations
@@ -170,21 +172,6 @@ def _add_norm_act(lay: _Layout, name: str, c: int, h: int, w: int) -> None:
     lay.add(f"{name}.a", (c,))
 
 
-def _conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Pointwise channel mixing via per-sample matmul; w is [Cin, Cout]."""
-    bs, c, h, wd = x.shape
-    flat = ad.reshape(ad.permute(x, (0, 2, 3, 1)), (bs, h * wd, c))
-    y = ad.add(ad.matmul(flat, w), b)
-    return ad.permute(ad.reshape(y, (bs, h, wd, w.shape[1])), (0, 3, 1, 2))
-
-
-def _dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Per-sample affine map: [B,in] x [in,out] + [out]."""
-    bs = x.shape[0]
-    y = ad.add(ad.matmul(ad.reshape(x, (bs, 1, x.shape[1])), w), b)
-    return ad.reshape(y, (bs, w.shape[1]))
-
-
 def _norm_act(p, name: str, x: Tensor) -> Tensor:
     y = ad.layer_norm(x, p[f"{name}.ln.g"], p[f"{name}.ln.b"], LN_EPS)
     return ad.prelu(y, p[f"{name}.a"])
@@ -277,7 +264,7 @@ class Generator(_ResNetBase):
         if z.ndim != 2 or z.shape[1] != cfg.latent_dim:
             raise ShapeMismatch(f"latent batch {z.shape} != (B, {cfg.latent_dim})")
         b = z.shape[0]
-        h = _dense(z, p["fc.w"], p["fc.b"])
+        h = ad.affine(z, p["fc.w"], p["fc.b"])
         h = ad.reshape(h, (b, self.w_top, 4, 4))
         h = _norm_act(p, "in0", h)
         for name, cin, cout, up in self.blocks:
@@ -285,7 +272,7 @@ class Generator(_ResNetBase):
                 h = ad.upsample2(h)
             skip = h
             if cin != cout:
-                skip = _conv1x1(h, p[f"{name}.skip.w"], p[f"{name}.skip.b"])
+                skip = ad.affine(h, p[f"{name}.skip.w"], p[f"{name}.skip.b"])
             h = self._residual(p, name, h, skip)
         h = ad.conv2d(h, p["out.w"], p["out.b"], stride=1)
         return ad.tanh(h)
@@ -322,9 +309,8 @@ class Discriminator(_ResNetBase):
         for name, cin, cout, down in self.blocks:
             skip = h
             if cin != cout:
-                skip = _conv1x1(ad.subsample2(h) if down else h,
-                                p[f"{name}.skip.w"], p[f"{name}.skip.b"])
+                skip = ad.affine(ad.subsample2(h) if down else h,
+                                 p[f"{name}.skip.w"], p[f"{name}.skip.b"])
             h = self._residual(p, name, h, skip, stride=2 if down else 1)
-        flat = ad.reshape(h, (b, -1))
-        return _dense(flat, p["score.w"], p["score.b"])
+        return ad.affine(ad.reshape(h, (b, -1)), p["score.w"], p["score.b"])
 

@@ -565,6 +565,189 @@ class TestLayerNorm:
             fd_check(f_np, f_ad, rng.standard_normal(4), tol=1e-5)
 
 
+def first_order_and_recorded(build, arrays, seed):
+    """Gradients of sum(c * build(*leaves)) in every leaf, from a first-order
+    backward and from a backward recorded in every leaf (the graph-op rules)."""
+    c = None
+    out = []
+    for create_graph in (False, True):
+        with Graph():
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            y = build(*leaves)
+            if c is None:
+                c = np.random.default_rng(seed).standard_normal(y.shape).astype(y.dtype)
+            grads = backward(ad.tsum(ad.mul(y, Tensor(c))),
+                             create_graph=tuple(leaves) if create_graph else False)
+            out.append([grads[t].data for t in leaves])
+    return out
+
+
+def affine_chain(x, w, b):
+    """affine as the permute / reshape / matmul / add chain it replaces."""
+    bs, c, space = x.shape[0], x.shape[1], x.shape[2:]
+    nd = x.ndim
+    lead = ad.permute(x, (0,) + tuple(range(2, nd)) + (1,)) if space else x
+    y = ad.add(matmul(ad.reshape(lead, (bs, int(np.prod(space)), c)), w), b)
+    y = ad.reshape(y, (bs,) + space + (w.shape[1],))
+    return ad.permute(y, (0, nd - 1) + tuple(range(1, nd - 1))) if space else y
+
+
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
+
+
+class TestFirstOrderRules:
+    """A first-order backward runs each fused op's rule on arrays, in the
+    float order of its graph-op rule, so the gradients are bitwise equal."""
+
+    @DTYPES
+    def test_layer_norm(self, dtype):
+        rng = np.random.default_rng(30)
+        arrays = [(3.0 * rng.standard_normal((3, 4, 5, 5)) + 1.0).astype(dtype),
+                  rng.standard_normal((4, 5, 5)).astype(dtype),
+                  rng.standard_normal((4, 5, 5)).astype(dtype)]
+        first, recorded = first_order_and_recorded(
+            lambda x, g, b: layer_norm(x, g, b, 1e-5), arrays, 31)
+        for a, b in zip(first, recorded):
+            np.testing.assert_array_equal(a, b)
+        # the composite chain's backward: the same gain and bias gradients;
+        # its input gradient takes another path and rounds differently
+        composite, _ = first_order_and_recorded(
+            lambda x, g, b: layer_norm_composite(x, g, b, 1e-5), arrays, 31)
+        np.testing.assert_array_equal(first[1], composite[1])
+        np.testing.assert_array_equal(first[2], composite[2])
+        tol = 16 * np.finfo(dtype).eps * np.max(np.abs(composite[0]))
+        np.testing.assert_allclose(first[0], composite[0], rtol=0, atol=tol)
+
+    @DTYPES
+    def test_prelu(self, dtype):
+        rng = np.random.default_rng(32)
+        arrays = [rng.standard_normal((3, 4, 5, 5)).astype(dtype),
+                  rng.uniform(0.1, 0.5, size=4).astype(dtype)]
+        first, recorded = first_order_and_recorded(prelu, arrays, 33)
+        for a, b in zip(first, recorded):
+            np.testing.assert_array_equal(a, b)
+
+    @DTYPES
+    @pytest.mark.parametrize("filters,stride", [(1, 1), (1, 2), (3, 2)])
+    def test_conv2d_bias_and_single_filter_input(self, dtype, filters, stride):
+        # the bias gradient always; the input gradient at F = 1, where
+        # every entry is one product in both rules (an outer product here,
+        # a GEMM with K = 1 per sample in the recorded rule)
+        rng = np.random.default_rng(34)
+        arrays = [rng.standard_normal((2, 3, 6, 6)).astype(dtype),
+                  rng.standard_normal((filters, 3, 3, 3)).astype(dtype),
+                  rng.standard_normal(filters).astype(dtype)]
+        first, recorded = first_order_and_recorded(
+            lambda x, w, b: conv2d(x, w, b, stride), arrays, 35)
+        np.testing.assert_array_equal(first[2], recorded[2])
+        if filters == 1:
+            np.testing.assert_array_equal(first[0], recorded[0])
+
+    def test_first_order_vjps_dispatch_no_op(self, monkeypatch):
+        # the fused rules build no graph op on the first-order path; a
+        # rule written back in graph ops dispatches a dozen or more
+        fused = {"conv2d", "affine", "prelu", "layer_norm"}
+        rng = np.random.default_rng(36)
+        dispatched, inside = [], []
+        real_apply = ad._apply
+
+        def counting_apply(op, out_data, inputs, vjp):
+            if inside:
+                dispatched.append(op)
+            return real_apply(op, out_data, inputs, vjp)
+
+        def watched(vjp):
+            def run(g, needs):
+                inside.append(True)
+                try:
+                    return vjp(g, needs)
+                finally:
+                    inside.pop()
+            return run
+
+        def leaf(*shape):
+            return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+        with Graph() as g:
+            x, w, b = leaf(2, 3, 8, 8), leaf(4, 3, 3, 3), leaf(4)
+            y = conv2d(x, w, b, stride=2)
+            y = prelu(layer_norm(y, leaf(4, 4, 4), leaf(4, 4, 4)), leaf(4))
+            y = ad.affine(y, leaf(4, 5), leaf(5))
+            y = ad.affine(ad.reshape(y, (2, -1)), leaf(80, 1), leaf(1))
+            loss = ad.tsum(y)
+            ops = [node.op for node in g.nodes if node.op in fused]
+            for node in g.nodes:
+                if node.op in fused:
+                    node.vjp = watched(node.vjp)
+            leaves = [node.leaf for node in g.nodes if node.op == "leaf"]
+            monkeypatch.setattr(ad, "_apply", counting_apply)
+            grads = backward(loss)
+        assert sorted(ops) == ["affine", "affine", "conv2d", "layer_norm", "prelu"]
+        assert dispatched == []
+        assert all(leaf in grads for leaf in leaves) and len(leaves) == 10
+
+
+class TestAffine:
+    @DTYPES
+    @pytest.mark.parametrize("shape", [(3, 4, 5, 6), (3, 4)], ids=["1x1", "dense"])
+    def test_bitwise_equal_to_chain(self, dtype, shape):
+        rng = np.random.default_rng(40)
+        arrays = [rng.standard_normal(shape).astype(dtype),
+                  rng.standard_normal((4, 7)).astype(dtype),
+                  rng.standard_normal(7).astype(dtype)]
+        out = ad.affine(*map(Tensor, arrays)).data
+        assert out.shape == (3, 7) + shape[2:] and out.dtype == dtype
+        np.testing.assert_array_equal(out, affine_chain(*map(Tensor, arrays)).data)
+        fused = first_order_and_recorded(ad.affine, arrays, 41)
+        chain = first_order_and_recorded(affine_chain, arrays, 41)
+        for mode_fused, mode_chain in zip(fused, chain):
+            for a, b in zip(mode_fused, mode_chain):
+                np.testing.assert_array_equal(a, b)
+
+    def test_records_one_node(self):
+        rng = np.random.default_rng(42)
+        with Graph() as g:
+            x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+            ad.affine(x, Tensor(rng.standard_normal((3, 5))), Tensor(np.zeros(5)))
+            assert [node.op for node in g.nodes if node.op != "leaf"] == ["affine"]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
+        with pytest.raises(ShapeMismatch):
+            ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
+
+    @pytest.mark.parametrize("wrt", [0, 1, 2], ids=["x", "w", "b"])
+    def test_double_backward_matches_fd(self, wrt):
+        # P = ||d/d(leaf) sum(c * affine(x, w, b)^2)||^2 for the leaf wrt,
+        # differentiated in x, w and b through the recorded backward,
+        # against central differences of P evaluated with a first-order backward
+        rng = np.random.default_rng(43)
+        arrays = [rng.standard_normal((2, 3, 2, 2)), rng.standard_normal((3, 4)),
+                  rng.standard_normal(4)]
+        c = rng.standard_normal((2, 4, 2, 2))
+
+        def penalty(leaves, create_graph):
+            s = ad.tsum(ad.mul(ad.square(ad.affine(*leaves)), Tensor(c)))
+            gl = backward(s, create_graph=create_graph)[leaves[wrt]]
+            return gl if create_graph is False else ad.tsum(ad.square(gl))
+
+        def value(i):
+            def f(v):
+                with Graph():
+                    leaves = [Tensor(v.copy() if j == i else a.copy(), requires_grad=j == wrt)
+                              for j, a in enumerate(arrays)]
+                    return float(np.sum(penalty(leaves, False).data ** 2))
+            return f
+
+        with Graph():
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            grads = backward(penalty(leaves, (leaves[wrt],)))
+        for i, a in enumerate(arrays):
+            fd = finite_difference_gradient(value(i), a)
+            assert max_relative_error(grads[leaves[i]].data, fd) < 1e-5
+
+
 class TestSpatialPrimitives:
     def test_upsample_subsample_shapes(self):
         x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))

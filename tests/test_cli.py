@@ -352,3 +352,10 @@ class TestGradcheckCommand:
     def test_forced_bug_fails(self, capsys):
         assert run_cli("gradcheck", "--trials", 1, "--self-test-bug") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_an_error(self, trials, capsys):
+        # a run that checks nothing must not print PASS, even with a forced bug
+        assert run_cli("gradcheck", "--trials", trials, "--self-test-bug") == 2
+        out = capsys.readouterr()
+        assert "PASS" not in out.out and "trials must be >= 1" in out.err
