@@ -18,24 +18,25 @@ Backward rules are themselves written with the public ops; running
 backward with ``create_graph`` therefore records the backward pass onto
 the same tape and the returned gradients are differentiable tensors.
 That one mechanism provides the second-order derivatives the gradient
-penalty needs.  ``create_graph`` names the leaves to differentiate with
-respect to: the penalty passes ``(xhat,)``, so the critic's parameter
-gradients, which it would throw away, are neither computed nor recorded.
+penalty, its only user, needs.  ``create_graph`` names the leaves to
+differentiate with respect to: the penalty passes ``(xhat,)``, so the
+critic's parameter gradients are neither computed nor recorded.
 
-Fused ops (conv2d, affine, prelu, layer_norm) are one node each: the
-forward runs in numpy, and the backward rule re-derives in graph ops
-whatever a recorded backward must differentiate again.  A first-order
-backward needs no graph: there each fused rule runs on arrays, with its
-graph-op rule's float operations in the same order, and backward sums
-gradients in numpy, so the results are bitwise equal.  conv2d's kernels
-work on one zero-padded, channel-major grid (see _Geometry) in which
-each of the nine 3x3 taps is a fixed offset: im2col is one long-run copy
-per sample, col2im nine contiguous adds, and the weight gradient nine
-GEMMs against the grid itself.  The forward keeps one GEMM per sample,
-so a sample's output does not depend on the rest of its batch.
-unfold3x3 and fold3x3, the adjoint pair a recorded backward
-differentiates, run on the same kernels; the stride is a parameter of
-the grid, not a second implementation.
+Fused ops (conv2d, affine, prelu, layer_norm) are one node each, with a
+numpy forward.  A recorded backward differentiates them in their data
+input only: the recorded rule gives the input gradient alone, in graph
+ops that stay differentiable in every input (so the penalty's weight
+gradients flow), and a request for a parameter gradient raises
+NotImplementedError.  A first-order backward needs no graph: each fused
+rule computes every gradient on arrays, the input gradient in its
+graph-op rule's float order, and backward sums in numpy, so the results
+are bitwise equal.  conv2d's kernels work on one zero-padded,
+channel-major grid (see _Geometry) in which each 3x3 tap is a fixed
+offset: im2col is one long-run copy per sample, col2im nine contiguous
+adds, the weight gradient nine GEMMs against the grid.  The forward
+keeps one GEMM per sample, so a sample's output does not depend on its
+batch.  fold3x3, which conv2d's recorded rule records, and its adjoint
+unfold3x3 run on the same kernels, the stride a parameter of the grid.
 
 A first-order backward (no ``create_graph``) consumes the tape and
 releases its nodes.  Each node's backward rule closes over its input
@@ -88,7 +89,7 @@ class Node:
     def __init__(self, op, input_ids, vjp, leaf=None):
         self.op = op
         self.input_ids = input_ids      # handles of inputs (< own index) or None
-        self.vjp = vjp                  # out-grad -> tuple of input grads
+        self.vjp = vjp                  # out-grad -> tuple of (leading) input grads
         self.leaf = leaf                # the Tensor itself, for leaf nodes
 
 
@@ -221,8 +222,6 @@ def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
     """Reduce an output-shaped gradient back to an operand's shape."""
     if g.shape == shape:
         return g
-    if shape == ():
-        return tsum(g)
     lead = tuple(range(g.ndim - len(shape)))
     return tsum(g, axes=lead)
 
@@ -615,24 +614,12 @@ def upsample2(a: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling of the two trailing axes."""
     if a.ndim != 4:
         raise ShapeMismatch(f"upsample2 expects B,C,H,W, got {a.shape}")
+    b, c, h, w = a.shape
 
     def vjp(g, needs):
-        return (sumpool2(g),)
+        return (tsum(reshape(g, (b, c, h, 2, w, 2)), axes=(3, 5)),)
 
     return _apply("upsample2", a.data.repeat(2, axis=2).repeat(2, axis=3), (a,), vjp)
-
-
-def sumpool2(a: Tensor) -> Tensor:
-    """Sum over non-overlapping 2x2 cells (adjoint of upsample2)."""
-    b, c, h, w = a.shape
-    if h % 2 or w % 2:
-        raise ShapeMismatch(f"sumpool2 needs even spatial dims, got {a.shape}")
-    out = a.data.reshape(b, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
-
-    def vjp(g, needs):
-        return (upsample2(g),)
-
-    return _apply("sumpool2", out, (a,), vjp)
 
 
 def subsample2(a: Tensor) -> Tensor:
@@ -661,8 +648,13 @@ def spread2(a: Tensor, hw: tuple[int, int]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused network ops with composite (therefore differentiable) backward rules
+# fused network ops: numpy first-order rules, differentiable input-only recorded rules
 # ---------------------------------------------------------------------------
+
+def _input_only(op: str, needs: tuple) -> None:
+    if any(needs[1:]):
+        raise NotImplementedError(f"a recorded backward differentiates {op} in its input only")
+
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
     """3x3 cross-correlation, pad 1, stride 1 or 2.
@@ -678,8 +670,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
     contiguous adds and a crop; the weight gradient is nine GEMMs of the
     output gradient against x's grid shifted by each tap's offset, not a
     second im2col.
-    A recorded backward builds the same gradients from matmul, fold3x3 and
-    unfold3x3, which run on the same grid kernels and stay differentiable.
+    A recorded backward builds the input gradient alone from matmul and
+    fold3x3, which run on the same grid kernels and stay differentiable.
     Stride 2 changes only the grid's planes and tap offsets.
     """
     if x.ndim != 4 or w.ndim != 4:
@@ -720,33 +712,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
             np.add(wide[:, :, :w2], b.data[:, None, None], out=out_data[n])
 
     def vjp(g, needs):
-        dx = dw = db = None
         if _TLS.grad_enabled:
             # recorded: stay differentiable in g, w and x
+            _input_only("conv2d", needs)
             g3 = reshape(g, (bsz, f, h2 * w2))
-            if needs[0]:
-                wt = _swap_last2(reshape(w, (f, c * 9)))
-                dx = fold3x3(matmul(wt, g3), (geo.h, geo.w), stride)
-            if needs[1]:
-                cols_t = permute(unfold3x3(x, stride), (0, 2, 1))
-                dw = reshape(tsum(matmul(g3, cols_t), axes=(0,)), w.shape)
-        else:
-            gw = _wide(g.data.reshape(bsz, f, h2, w2), geo)          # F, span
-            if needs[0]:
-                # at F = 1 each entry is one product, and an outer product
-                # computes it faster than a GEMM with K = 1
-                dcols = wm.T * gw if f == 1 else np.matmul(wm.T, gw)
-                dx = Tensor(_col2im(dcols.reshape(c, 3, 3, geo.span), geo))
-            if needs[1]:
-                # laid out again rather than kept: the tape would hold a grid per conv
-                xgrid = _to_grid(x.data, geo)
-                dwt = np.empty((3, 3, f, c), dtype=dtype)
-                for i, j, ph, off in geo.taps:
-                    np.matmul(gw, xgrid[:, ph, off:off + geo.span].T, out=dwt[i, j])
-                dw = Tensor(np.ascontiguousarray(dwt.transpose(2, 3, 0, 1)))
+            wt = _swap_last2(reshape(w, (f, c * 9)))
+            return (fold3x3(matmul(wt, g3), (geo.h, geo.w), stride),)
+        dx = dw = db = None
+        gw = _wide(g.data.reshape(bsz, f, h2, w2), geo)              # F, span
+        if needs[0]:
+            # at F = 1 each entry is one product, and an outer product
+            # computes it faster than a GEMM with K = 1
+            dcols = wm.T * gw if f == 1 else np.matmul(wm.T, gw)
+            dx = Tensor(_col2im(dcols.reshape(c, 3, 3, geo.span), geo))
+        if needs[1]:
+            # laid out again rather than kept: the tape would hold a grid per conv
+            xgrid = _to_grid(x.data, geo)
+            dwt = np.empty((3, 3, f, c), dtype=dtype)
+            for i, j, ph, off in geo.taps:
+                np.matmul(gw, xgrid[:, ph, off:off + geo.span].T, out=dwt[i, j])
+            dw = Tensor(np.ascontiguousarray(dwt.transpose(2, 3, 0, 1)))
         if len(needs) > 2 and needs[2]:
-            db = (tsum(g, axes=(0, 2, 3)) if _TLS.grad_enabled
-                  else Tensor(g.data.sum(axis=(0, 2, 3))))
+            db = Tensor(g.data.sum(axis=(0, 2, 3)))
         return (dx, dw, db) if b is not None else (dx, dw)
 
     inputs = (x, w) if b is None else (x, w, b)
@@ -759,8 +746,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     A dense layer is S = (), a 1x1 convolution S = (H, W).  One node: the
     forward copies x channels-last to [B, P, C] (P = prod(S)), multiplies
     it by w in one GEMM per sample and adds b.  A first-order backward runs
-    the transposed GEMMs in numpy; a recorded one builds them from permute,
-    reshape and matmul and stays differentiable in x, w and b.
+    the transposed GEMMs in numpy; a recorded one builds the input gradient
+    alone from permute, reshape and matmul, differentiable in x, w and b.
     """
     if x.ndim < 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"affine cannot map {x.shape} by {w.shape}")
@@ -789,15 +776,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             if needs[2]:
                 db = Tensor(g3.sum(axis=(0, 1)))
             return (dx, dw, db)
+        _input_only("affine", needs)
         g3 = reshape(move(g, last), (bsz, p, f))
-        if needs[0]:
-            dx = move(reshape(matmul(g3, _swap_last2(w)), (bsz,) + space + (c,)), first)
-        if needs[1]:
-            flat_t = reshape(move(x, last), (bsz, p, c))
-            dw = tsum(matmul(_swap_last2(flat_t), g3), axes=(0,))
-        if needs[2]:
-            db = tsum(g3, axes=(0, 1))
-        return (dx, dw, db)
+        return (move(reshape(matmul(g3, _swap_last2(w)), (bsz,) + space + (c,)), first),)
 
     return _apply("affine", out_data, (x, w, b), vjp)
 
@@ -826,13 +807,8 @@ def _prelu(x: Tensor, a: Tensor, pos: np.ndarray) -> Tensor:
             gd = g.data
             return (Tensor(np.where(pos, gd, slopes * gd)) if needs[0] else None,
                     Tensor((gd * np.where(pos, 0, xd)).sum(axis=red)) if needs[1] else None)
-        dx = _prelu(g, a, pos) if needs[0] else None
-        da = None
-        if needs[1]:
-            # a recorded backward must stay differentiable in x
-            xneg = mul(x, Tensor((~pos).astype(xd.dtype)))
-            da = tsum(mul(g, xneg), axes=red)
-        return (dx, da)
+        _input_only("prelu", needs)
+        return (_prelu(g, a, pos),)
 
     return _apply("prelu", out_data, (x, a), vjp)
 
@@ -864,7 +840,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def vjp(g, needs):
         dx = dgain = dbias = None
         if not _TLS.grad_enabled:
-            # the rule below on arrays, in the same float order
+            # the input gradient is the rule below on arrays, in the same float order
             gd = g.data
             if needs[0]:
                 dxn = gd * gain.data
@@ -876,22 +852,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 dbias = Tensor(gd.sum(axis=(0,)))
             return (dx, dgain, dbias)
         # a recorded backward must stay differentiable in x: re-derive the
-        # normalized input as graph ops, as conv2d re-records unfold3x3
+        # normalized input as graph ops
+        _input_only("layer_norm", needs)
         xc_t = sub(x, expand(tmean(x, axes, keepdims=True), x.shape))
         std_t = expand(sqrt(add(tmean(square(xc_t), axes, keepdims=True), eps)), x.shape)
         xn_t = div(xc_t, std_t)
-        if needs[0]:
-            # d/dx of (x - mean) / std: centre the output gradient, remove
-            # its component along xn, divide by std
-            dxn = mul(g, gain)
-            proj = mul(xn_t, expand(tmean(mul(dxn, xn_t), axes, keepdims=True), x.shape))
-            dx = div(sub(sub(dxn, expand(tmean(dxn, axes, keepdims=True), x.shape)), proj),
-                     std_t)
-        if needs[1]:
-            dgain = tsum(mul(g, xn_t), axes=(0,))
-        if needs[2]:
-            dbias = tsum(g, axes=(0,))
-        return (dx, dgain, dbias)
+        # d/dx of (x - mean) / std: centre the output gradient, remove its
+        # component along xn, divide by std
+        dxn = mul(g, gain)
+        proj = mul(xn_t, expand(tmean(mul(dxn, xn_t), axes, keepdims=True), x.shape))
+        return (div(sub(sub(dxn, expand(tmean(dxn, axes, keepdims=True), x.shape)), proj),
+                    std_t),)
 
     return _apply("layer_norm", out_data, (x, gain, bias), vjp)
 
@@ -914,7 +885,8 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
     the tape stays alive.  Only nodes that depend on those leaves are
     visited and only their input gradients computed, and the map holds
     only those leaves: gradients nobody asked for are neither computed nor
-    recorded.
+    recorded.  A recorded backward differentiates a fused op in its data
+    input only; a requested parameter of one raises NotImplementedError.
     """
     if loss.data.size != 1:
         raise NotScalar(f"loss must be scalar, got shape {loss.shape}")

@@ -153,6 +153,8 @@ class RawDataset:
 
 def pack_shard(classes: list[tuple[str, np.ndarray]]) -> bytes:
     """Serialize (name, uint8 image stack) pairs; load_shard inverts bit-exactly."""
+    if not classes:
+        raise ValueError("a shard needs at least one class")
     out = bytearray()
     out += SHARD_MAGIC
     out += struct.pack("<II", SHARD_VERSION, len(classes))
@@ -178,6 +180,8 @@ def load_shard(data: bytes) -> RawDataset:
     version, n_classes = struct.unpack_from("<II", data, 4)
     if version != SHARD_VERSION:
         raise UnsupportedVersion(f"shard version {version} unsupported")
+    if n_classes == 0:
+        raise ValueError("shard holds no classes")
     pos = 12
     classes = []
     for _ in range(n_classes):

@@ -406,17 +406,6 @@ class TestPRelu:
         fd_check(lambda a: float(np.sum(dx_np(g0, a) ** 2)),
                  lambda a: ad.tsum(ad.square(dx_ad(Tensor(g0), a))), A0)
 
-    def test_recorded_slope_gradient_matches_fd_in_x(self):
-        # da = sum of g * min(x, 0) per channel, recorded in x
-        g0 = np.random.default_rng(16).standard_normal(X.shape)
-
-        def da_ad(x):
-            a = Tensor(A0, requires_grad=True)
-            return backward(ad.tsum(ad.mul(prelu(x, a), Tensor(g0))), create_graph=(x, a))[a]
-
-        fd_check(lambda x: float(np.sum((g0 * np.minimum(x, 0)).sum(axis=(0, 2, 3)) ** 2)),
-                 lambda x: ad.tsum(ad.square(da_ad(x))), X)
-
     def test_records_one_node_per_gradient(self):
         with Graph() as g:
             x = Tensor(X, requires_grad=True)
@@ -565,20 +554,23 @@ class TestLayerNorm:
             fd_check(f_np, f_ad, rng.standard_normal(4), tol=1e-5)
 
 
-def first_order_and_recorded(build, arrays, seed):
-    """Gradients of sum(c * build(*leaves)) in every leaf, from a first-order
-    backward and from a backward recorded in every leaf (the graph-op rules)."""
-    c = None
+def probe(shape, dtype, seed):
+    """The fixed weights c of first_order_and_recorded's loss sum(c * y)."""
+    return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+
+
+def first_order_and_recorded(build, arrays, seed, n_recorded=1):
+    """Gradients of sum(c * build(*leaves)), c = probe(...), in every leaf
+    from a first-order backward, and in the first n_recorded leaves from a
+    recorded one (a fused op's recorded rule gives its input gradient alone)."""
     out = []
-    for create_graph in (False, True):
+    for record in (False, True):
         with Graph():
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
             y = build(*leaves)
-            if c is None:
-                c = np.random.default_rng(seed).standard_normal(y.shape).astype(y.dtype)
-            grads = backward(ad.tsum(ad.mul(y, Tensor(c))),
-                             create_graph=tuple(leaves) if create_graph else False)
-            out.append([grads[t].data for t in leaves])
+            grads = backward(ad.tsum(ad.mul(y, Tensor(probe(y.shape, y.dtype, seed)))),
+                             create_graph=tuple(leaves[:n_recorded]) if record else False)
+            out.append([grads[t].data for t in leaves if t in grads])
     return out
 
 
@@ -596,8 +588,10 @@ DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single
 
 
 class TestFirstOrderRules:
-    """A first-order backward runs each fused op's rule on arrays, in the
-    float order of its graph-op rule, so the gradients are bitwise equal."""
+    """A first-order backward runs each fused op's rule on arrays: the input
+    gradient in the float order of its recorded graph-op rule, so the two
+    are bitwise equal, and the parameter gradients bitwise equal to a
+    reference computed here."""
 
     @DTYPES
     def test_layer_norm(self, dtype):
@@ -607,25 +601,28 @@ class TestFirstOrderRules:
                   rng.standard_normal((4, 5, 5)).astype(dtype)]
         first, recorded = first_order_and_recorded(
             lambda x, g, b: layer_norm(x, g, b, 1e-5), arrays, 31)
-        for a, b in zip(first, recorded):
-            np.testing.assert_array_equal(a, b)
-        # the composite chain's backward: the same gain and bias gradients;
-        # its input gradient takes another path and rounds differently
-        composite, _ = first_order_and_recorded(
-            lambda x, g, b: layer_norm_composite(x, g, b, 1e-5), arrays, 31)
-        np.testing.assert_array_equal(first[1], composite[1])
-        np.testing.assert_array_equal(first[2], composite[2])
-        tol = 16 * np.finfo(dtype).eps * np.max(np.abs(composite[0]))
-        np.testing.assert_allclose(first[0], composite[0], rtol=0, atol=tol)
+        np.testing.assert_array_equal(first[0], recorded[0])
+        # the composite chain's backward, in both modes: the same gain and
+        # bias gradients; its input gradient takes another path and rounds
+        # differently
+        for composite in first_order_and_recorded(
+                lambda x, g, b: layer_norm_composite(x, g, b, 1e-5), arrays, 31, n_recorded=3):
+            np.testing.assert_array_equal(first[1], composite[1])
+            np.testing.assert_array_equal(first[2], composite[2])
+            tol = 16 * np.finfo(dtype).eps * np.max(np.abs(composite[0]))
+            np.testing.assert_allclose(first[0], composite[0], rtol=0, atol=tol)
 
     @DTYPES
     def test_prelu(self, dtype):
         rng = np.random.default_rng(32)
-        arrays = [rng.standard_normal((3, 4, 5, 5)).astype(dtype),
-                  rng.uniform(0.1, 0.5, size=4).astype(dtype)]
+        x0 = rng.standard_normal((3, 4, 5, 5)).astype(dtype)
+        arrays = [x0, rng.uniform(0.1, 0.5, size=4).astype(dtype)]
         first, recorded = first_order_and_recorded(prelu, arrays, 33)
-        for a, b in zip(first, recorded):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(first[0], recorded[0])
+        # the slope gradient: the output gradient times the negative mask times x
+        neg = (x0 < 0).astype(dtype)
+        np.testing.assert_array_equal(
+            first[1], ((probe(x0.shape, dtype, 33) * neg) * x0).sum(axis=(0, 2, 3)))
 
     @DTYPES
     @pytest.mark.parametrize("filters,stride", [(1, 1), (1, 2), (3, 2)])
@@ -639,7 +636,8 @@ class TestFirstOrderRules:
                   rng.standard_normal(filters).astype(dtype)]
         first, recorded = first_order_and_recorded(
             lambda x, w, b: conv2d(x, w, b, stride), arrays, 35)
-        np.testing.assert_array_equal(first[2], recorded[2])
+        c = probe((2, filters, 6 // stride, 6 // stride), dtype, 35)
+        np.testing.assert_array_equal(first[2], c.sum(axis=(0, 2, 3)))
         if filters == 1:
             np.testing.assert_array_equal(first[0], recorded[0])
 
@@ -698,10 +696,10 @@ class TestAffine:
         out = ad.affine(*map(Tensor, arrays)).data
         assert out.shape == (3, 7) + shape[2:] and out.dtype == dtype
         np.testing.assert_array_equal(out, affine_chain(*map(Tensor, arrays)).data)
-        fused = first_order_and_recorded(ad.affine, arrays, 41)
-        chain = first_order_and_recorded(affine_chain, arrays, 41)
-        for mode_fused, mode_chain in zip(fused, chain):
-            for a, b in zip(mode_fused, mode_chain):
+        first, recorded = first_order_and_recorded(ad.affine, arrays, 41)
+        np.testing.assert_array_equal(first[0], recorded[0])
+        for chain in first_order_and_recorded(affine_chain, arrays, 41, n_recorded=3):
+            for a, b in zip(first, chain):
                 np.testing.assert_array_equal(a, b)
 
     def test_records_one_node(self):
@@ -717,11 +715,11 @@ class TestAffine:
         with pytest.raises(ShapeMismatch):
             ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
 
-    @pytest.mark.parametrize("wrt", [0, 1, 2], ids=["x", "w", "b"])
+    @pytest.mark.parametrize("wrt", [0], ids=["x"])
     def test_double_backward_matches_fd(self, wrt):
-        # P = ||d/d(leaf) sum(c * affine(x, w, b)^2)||^2 for the leaf wrt,
-        # differentiated in x, w and b through the recorded backward,
-        # against central differences of P evaluated with a first-order backward
+        # P = ||d/dx sum(c * affine(x, w, b)^2)||^2, differentiated in x, w
+        # and b through the recorded backward, against central differences
+        # of P evaluated with a first-order backward
         rng = np.random.default_rng(43)
         arrays = [rng.standard_normal((2, 3, 2, 2)), rng.standard_normal((3, 4)),
                   rng.standard_normal(4)]
@@ -760,8 +758,6 @@ class TestSpatialPrimitives:
         "op,f_np",
         [
             (ad.upsample2, lambda x: float(np.sum(x.repeat(2, 2).repeat(2, 3) ** 2))),
-            (ad.sumpool2, lambda x: float(
-                np.sum(x.reshape(1, 2, 2, 2, 2, 2).sum(axis=(3, 5)) ** 2))),
             (ad.subsample2, lambda x: float(np.sum(x[:, :, ::2, ::2] ** 2))),
         ],
     )
@@ -906,17 +902,35 @@ class TestBackward:
             leaves = (x,) if restrict else (x, *bound.values())
             grads = backward(ad.tsum(scores), create_graph=leaves)
             ops = {node.op for node in g.nodes[start:]}
-        return grads, x, bound, ops
+        return grads, x, ops
 
     def test_create_graph_restricted_to_input(self):
-        full, x_full, bound, ops_full = self.critic_input_grad(restrict=False)
-        part, x_part, _, ops_part = self.critic_input_grad(restrict=True)
-        np.testing.assert_array_equal(part[x_part].data, full[x_full].data)
+        part, x_part, ops_part = self.critic_input_grad(restrict=True)
         assert list(part) == [x_part]
-        # differentiating in every leaf records each weight gradient, unfold included
-        assert "unfold3x3" in ops_full and bound["stem.w"] in full
         assert "unfold3x3" not in ops_part
         assert part[x_part].requires_grad
+        # the critic's last layer is the first fused op the backward reaches
+        with pytest.raises(NotImplementedError, match="affine"):
+            self.critic_input_grad(restrict=False)
+
+    @pytest.mark.parametrize("op,param", [("conv2d", 1), ("conv2d", 2), ("affine", 1),
+                                          ("affine", 2), ("prelu", 1), ("layer_norm", 1),
+                                          ("layer_norm", 2)])
+    def test_recorded_parameter_gradient_raises(self, op, param):
+        # a recorded backward differentiates a fused op in its input only;
+        # asking it for a weight, bias, slope or gain gradient is an error
+        build, shapes = {
+            "conv2d": (lambda x, w, b: conv2d(x, w, b, 2), [(2, 3, 4, 4), (2, 3, 3, 3), (2,)]),
+            "affine": (ad.affine, [(2, 3, 4, 4), (3, 2), (2,)]),
+            "prelu": (prelu, [(2, 3, 4, 4), (3,)]),
+            "layer_norm": (layer_norm, [(2, 3, 4, 4), (3, 4, 4), (3, 4, 4)]),
+        }[op]
+        rng = np.random.default_rng(24)
+        with Graph():
+            leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+            loss = ad.tsum(ad.square(build(*leaves)))
+            with pytest.raises(NotImplementedError, match=op):
+                backward(loss, create_graph=(leaves[param],))
 
 
 class TestFiniteDifference:

@@ -343,6 +343,15 @@ class TestPackStats:
         shard.write_bytes(b"FGR8\x01\x00\x00")
         assert run_cli("stats", "--shard", shard) == 2
 
+    def test_stats_on_shard_without_classes(self, tmp_path, capsys):
+        # a header that declares zero classes: refused when loaded, before
+        # any statistic is printed
+        shard = tmp_path / "empty.fgr8"
+        shard.write_bytes(b"FGR8\x01\x00\x00\x00\x00\x00\x00\x00")
+        assert run_cli("stats", "--shard", shard) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "shard holds no classes" in err
+
 
 class TestGradcheckCommand:
     def test_smoke_single_trial(self, capsys):

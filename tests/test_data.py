@@ -134,6 +134,12 @@ class TestShard:
         with pytest.raises(ValueError):
             pack_shard([("empty", np.zeros((0, 2, 2), dtype=np.uint8))])
 
+    def test_shard_without_classes_rejected(self):
+        with pytest.raises(ValueError, match="at least one class"):
+            pack_shard([])
+        with pytest.raises(ValueError, match="no classes"):
+            load_shard(b"FGR8" + struct.pack("<II", 1, 0))
+
     def test_pack_class_dirs(self, tmp_path):
         rng = np.random.default_rng(3)
         for cname in ("cat", "dog"):

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -378,20 +379,31 @@ class TestInnerStepTape:
         # and prelu's built from masks, and 215 and 91 with a leaf node for
         # every constant, biases added through reshape -> expand and one
         # matmul rule per operand form, and 179 and 66 with each 1x1 and
-        # dense layer a permute / reshape / matmul / add chain)
+        # dense layer a permute / reshape / matmul / add chain); the default
+        # model's steps and the tiny critic step's node kinds are pinned
+        # too, so a recorded rule that gains or loses a node kind fails here
         import figr.reptile
-        counts = []
+        tapes = []
         real_backward = figr.reptile.backward
 
         def counting(loss, create_graph=False):
-            counts.append(len(loss.graph.nodes))
+            tapes.append([node.op for node in loss.graph.nodes])
             return real_backward(loss, create_graph=create_graph)
 
         monkeypatch.setattr(figr.reptile, "backward", counting)
-        disc, gen = tiny_models(CFG32)
-        rng = np.random.default_rng(53)
-        phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
-        inner_loop(phi_d, phi_g, disc, gen, task_images(CFG32, 2, seed=54),
-                   InnerConfig(k=1, n=2), np.random.default_rng(55),
-                   np.random.default_rng(56))
-        assert counts == [163, 51]
+        steps = {}
+        for name, cfg in (("tiny", CFG32), ("default", ModelConfig())):
+            disc, gen = tiny_models(cfg)
+            rng = np.random.default_rng(53)
+            phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
+            inner_loop(phi_d, phi_g, disc, gen, task_images(cfg, 2, seed=54),
+                       InnerConfig(k=1, n=2), np.random.default_rng(55),
+                       np.random.default_rng(56))
+            steps[name], tapes[:] = tapes[:], []
+        assert {name: [len(t) for t in ts] for name, ts in steps.items()} == {
+            "tiny": [163, 51], "default": [355, 111]}
+        assert Counter(steps["tiny"][0]) == {
+            "mul": 24, "leaf": 20, "sum": 17, "reshape": 14, "expand": 12, "sub": 10,
+            "prelu": 9, "add": 8, "permute": 7, "conv2d": 6, "div": 6, "layer_norm": 6,
+            "matmul": 5, "square": 5, "affine": 4, "sqrt": 4, "fold3x3": 3,
+            "subsample2": 2, "spread2": 1}
