@@ -5,7 +5,7 @@ Layout (little-endian): magic "FIGR", version u32, config fingerprint
 (a dtype tag byte, b"f" float32 or b"d" float64, then u64 length + data)
 and its Adam state (u64 timestep + float64 first/second moments), then
 the labeled RNG stream states.  Version 1 files have no tag byte and
-float32 parameters; they still load.
+float32 parameters; they still load.  Parsed with `figr.data.ByteReader`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import ByteReader
 from .reptile import AdamState, MetaState
 from .rng import STATE_BYTES, STREAM_LABELS, RngStreams, streams_from_states, streams_to_states
 
@@ -48,33 +49,6 @@ def _pack_vector(vec: np.ndarray, dtype) -> list:
     return [struct.pack("<Q", arr.size), arr]
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _advance(self, n: int) -> int:
-        if self.pos + n > len(self.data):
-            raise BadCheckpoint("checkpoint truncated")
-        self.pos += n
-        return self.pos - n
-
-    def take(self, n: int) -> bytes:
-        return self.data[self._advance(n):self.pos]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def vector(self, dtype) -> np.ndarray:
-        """A length-prefixed array, copied once straight out of the buffer."""
-        size = self.u64()
-        start = self._advance(size * np.dtype(dtype).itemsize)
-        return np.frombuffer(self.data, dtype=dtype, count=size, offset=start).copy()
-
-
 def serialize(state: MetaState, streams: RngStreams, fingerprint: bytes) -> bytes:
     if len(fingerprint) != FINGERPRINT_BYTES:
         raise ValueError(f"fingerprint must be {FINGERPRINT_BYTES} bytes")
@@ -96,14 +70,19 @@ def serialize(state: MetaState, streams: RngStreams, fingerprint: bytes) -> byte
 
 
 def deserialize(data: bytes) -> CheckpointData:
-    r = _Reader(data)
+    r = ByteReader(data, BadCheckpoint, "checkpoint")
+
+    def vector(dtype) -> np.ndarray:
+        (size,) = r.unpack("<Q")
+        return r.array(size, dtype).copy()     # one copy, straight out of the buffer
+
     if r.take(4) != MAGIC:
         raise BadCheckpoint(f"bad magic {data[:4]!r}")
-    version = r.u32()
+    (version,) = r.unpack("<I")
     if version not in (1, VERSION):
         raise BadCheckpoint(f"unsupported checkpoint version {version}")
     fingerprint = r.take(FINGERPRINT_BYTES)
-    step = r.u64()
+    (step,) = r.unpack("<Q")
     nets = []
     for _ in range(2):
         dtype = np.float32
@@ -112,17 +91,16 @@ def deserialize(data: bytes) -> CheckpointData:
             if tag not in _PHI_DTYPES:
                 raise BadCheckpoint(f"unknown parameter dtype tag {tag!r}")
             dtype = _PHI_DTYPES[tag]
-        vec = r.vector(dtype)
-        t = r.u64()
-        m = r.vector(np.float64)
-        v = r.vector(np.float64)
+        vec = vector(dtype)
+        (t,) = r.unpack("<Q")
+        m, v = vector(np.float64), vector(np.float64)
         if m.size != vec.size or v.size != vec.size:
             raise BadCheckpoint("moment vectors do not match parameter length")
         nets.append((vec, AdamState(m, v, t)))
-    n_streams = r.u32()
+    (n_streams,) = r.unpack("<I")
     states: dict[str, bytes] = {}
     for _ in range(n_streams):
-        (label_len,) = struct.unpack("<B", r.take(1))
+        (label_len,) = r.unpack("<B")
         label = r.take(label_len).decode("ascii")
         states[label] = r.take(STATE_BYTES)
     if r.pos != len(data):

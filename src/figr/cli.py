@@ -104,15 +104,19 @@ def _reconcile_log(path: Path, step: int) -> None:
     run resumes in place, into a fresh directory, or from an earlier
     checkpoint than the log's last row.  The new log replaces the old whole
     (a failed rewrite leaves the old one) and reaches disk with the next
-    checkpoint.
+    checkpoint.  A resume refuses a log with another header, all of whose
+    rows this cut would drop as torn.
     """
     width = CSV_HEADER.count(",") + 1
+    lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+    if step > 0 and lines and lines[0] != CSV_HEADER:
+        raise CliError(f"{path} has header {lines[0]!r}, not {CSV_HEADER!r}; "
+                       "resume into a fresh --out")
     rows = []
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            fields = line.split(",")
-            if len(fields) == width and fields[0].isdigit() and int(fields[0]) <= step:
-                rows.append(line)
+    for line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) == width and fields[0].isdigit() and int(fields[0]) <= step:
+            rows.append(line)
     atomic_write(path, "\n".join([CSV_HEADER, *rows]) + "\n", durable=False)
 
 
@@ -247,7 +251,8 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
     if trials < 1:
         raise CliError(f"--trials must be >= 1, got {trials}")
     if trials > len(ids):
-        print(f"warning: --trials {trials} capped at {len(ids)} validation classes")
+        print(f"warning: --trials {trials} capped at {len(ids)} validation classes",
+              file=sys.stderr)
         trials = len(ids)
     icfg = inner_config(cfg)
     for cid in ids[:trials]:

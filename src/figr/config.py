@@ -71,23 +71,18 @@ class RunConfig:
 _OPERATIONAL = {"meta_steps", "checkpoint_every", "sample_every", "out_dir"}
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _lines(cfg: RunConfig, skip=frozenset()) -> list[str]:
+    """Sorted "key = value" lines; a float formats as its repr, so it parses back exactly."""
+    return [f"{f.name} = {getattr(cfg, f.name)}"
+            for f in sorted(fields(cfg), key=lambda f: f.name) if f.name not in skip]
 
 
 def canonical_text(cfg: RunConfig) -> str:
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}"
-             for f in sorted(fields(cfg), key=lambda f: f.name)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(_lines(cfg)) + "\n"
 
 
 def fingerprint(cfg: RunConfig) -> bytes:
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}"
-             for f in sorted(fields(cfg), key=lambda f: f.name)
-             if f.name not in _OPERATIONAL]
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
+    return hashlib.sha256("\n".join(_lines(cfg, _OPERATIONAL)).encode("utf-8")).digest()
 
 
 def parse_config(text: str) -> RunConfig:

@@ -7,6 +7,10 @@ resizes with bilinear interpolation, normalizes to [-1, 1], and splits
 classes into train/validation pools.  A deterministic synthetic glyph
 generator provides desk-scale corpora for experiments.
 
+IDX pairs, FGR8 shards and checkpoints (`figr.checkpoint`) all parse through
+`ByteReader`, one bounds-checked cursor that names the byte offset at which
+a file ends early.
+
 A task class builds its float32 images the first time they are read and
 caches them, so splitting classes, looking one up by name or counting
 them touches no pixels, and a run pays only for the classes it samples
@@ -54,8 +58,34 @@ class InvalidSize(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# IDX (MNIST container): big-endian magic, dims, then raw bytes
+# binary files: the shared reader, then IDX (MNIST: big-endian magic, dims, bytes)
 # ---------------------------------------------------------------------------
+
+class ByteReader:
+    """A cursor over `data` that raises `error` rather than read past its end."""
+
+    def __init__(self, data: bytes, error: type[ValueError], what: str):
+        self.data, self.error, self.what = data, error, what
+        self.pos = 0
+
+    def _advance(self, n: int) -> int:
+        if self.pos + n > len(self.data):
+            raise self.error(f"{self.what} truncated: {n} bytes wanted at byte {self.pos}, "
+                             f"but it ends at byte {len(self.data)}")
+        self.pos += n
+        return self.pos - n
+
+    def take(self, n: int) -> bytes:
+        return self.data[self._advance(n):self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+
+    def array(self, count: int, dtype) -> np.ndarray:
+        """A view of the next `count` items; the buffer itself is never sliced."""
+        start = self._advance(count * np.dtype(dtype).itemsize)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
+
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -63,28 +93,19 @@ IDX_LABEL_MAGIC = 0x00000801
 
 def parse_idx(image_bytes: bytes, label_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Parse paired IDX image/label files -> (uint8 [N,H,W], uint8 [N])."""
-    if len(image_bytes) < 16:
-        raise TruncatedFile("image file shorter than its header")
-    magic, count, rows, cols = struct.unpack(">IIII", image_bytes[:16])
+    r = ByteReader(image_bytes, TruncatedFile, "IDX image file")
+    magic, count, rows, cols = r.unpack(">IIII")
     if magic != IDX_IMAGE_MAGIC:
         raise BadMagic(f"image magic 0x{magic:08x} != 0x{IDX_IMAGE_MAGIC:08x}")
-    need = 16 + count * rows * cols
-    if len(image_bytes) < need:
-        raise TruncatedFile(f"image body has {len(image_bytes) - 16} of "
-                            f"{count * rows * cols} pixel bytes")
-    images = np.frombuffer(image_bytes, dtype=np.uint8, count=count * rows * cols,
-                           offset=16).reshape(count, rows, cols)
+    images = r.array(count * rows * cols, np.uint8).reshape(count, rows, cols)
 
-    if len(label_bytes) < 8:
-        raise TruncatedFile("label file shorter than its header")
-    lmagic, lcount = struct.unpack(">II", label_bytes[:8])
+    r = ByteReader(label_bytes, TruncatedFile, "IDX label file")
+    lmagic, lcount = r.unpack(">II")
     if lmagic != IDX_LABEL_MAGIC:
         raise BadMagic(f"label magic 0x{lmagic:08x} != 0x{IDX_LABEL_MAGIC:08x}")
-    if len(label_bytes) < 8 + lcount:
-        raise TruncatedFile(f"label body has {len(label_bytes) - 8} of {lcount} bytes")
+    labels = r.array(lcount, np.uint8)
     if lcount != count:
         raise CountMismatch(f"{count} images vs {lcount} labels")
-    labels = np.frombuffer(label_bytes, dtype=np.uint8, count=lcount, offset=8)
     return images, labels
 
 
@@ -162,8 +183,8 @@ def pack_shard(classes: list[tuple[str, np.ndarray]]) -> bytes:
         images = np.asarray(images)
         if images.ndim != 3 or images.dtype != np.uint8:
             raise ValueError(f"class {name!r} must be uint8 [N,H,W]")
-        if images.shape[0] == 0:
-            raise ValueError(f"class {name!r} has no images")
+        if 0 in images.shape:
+            raise ValueError(f"class {name!r} has no images or no pixels: {images.shape}")
         n, h, w = images.shape
         encoded = name.encode("utf-8")
         out += struct.pack("<H", len(encoded)) + encoded
@@ -173,35 +194,23 @@ def pack_shard(classes: list[tuple[str, np.ndarray]]) -> bytes:
 
 
 def load_shard(data: bytes) -> RawDataset:
-    if len(data) < 12:
-        raise TruncatedFile("shard shorter than its header")
-    if data[:4] != SHARD_MAGIC:
+    r = ByteReader(data, TruncatedFile, "shard")
+    if r.take(4) != SHARD_MAGIC:
         raise BadMagic(f"shard magic {data[:4]!r} != {SHARD_MAGIC!r}")
-    version, n_classes = struct.unpack_from("<II", data, 4)
+    version, n_classes = r.unpack("<II")
     if version != SHARD_VERSION:
         raise UnsupportedVersion(f"shard version {version} unsupported")
     if n_classes == 0:
         raise ValueError("shard holds no classes")
-    pos = 12
     classes = []
     for _ in range(n_classes):
-        if pos + 2 > len(data):
-            raise TruncatedFile("shard ended inside a class header")
-        (name_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        name = data[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        if pos + 8 > len(data):
-            raise TruncatedFile(f"class {name!r} header truncated")
-        n, h, w = struct.unpack_from("<IHH", data, pos)
-        pos += 8
-        nbytes = n * h * w
-        if pos + nbytes > len(data):
-            raise TruncatedFile(f"class {name!r} raster truncated")
-        images = np.frombuffer(data, dtype=np.uint8, count=nbytes,
-                               offset=pos).reshape(n, h, w)
-        pos += nbytes
+        (name_len,) = r.unpack("<H")
+        name = r.take(name_len).decode("utf-8")
+        n, h, w = r.unpack("<IHH")
+        images = r.array(n * h * w, np.uint8).reshape(n, h, w)
         classes.append(RawClass(name=name, images=images))
+    if r.pos != len(data):
+        raise ValueError(f"shard has {len(data) - r.pos} trailing bytes")
     return RawDataset(classes=tuple(classes))
 
 
@@ -302,13 +311,10 @@ class TaskDataset:
 
 
 def _to_task_images(stack: np.ndarray, size: int) -> np.ndarray:
+    """Resize and normalize; at the source size the resize is the identity."""
     out = np.empty((stack.shape[0], 1, size, size), dtype=np.float32)
     for i, img in enumerate(stack):
-        if img.shape == (size, size):
-            resized = np.asarray(img, dtype=np.float64)
-        else:
-            resized = bilinear_resize(img, size, size)
-        out[i, 0] = normalize(resized).astype(np.float32)
+        out[i, 0] = normalize(bilinear_resize(img, size, size)).astype(np.float32)
     return out
 
 
@@ -317,8 +323,8 @@ def build_tasks(raw: RawDataset, image_size: int) -> TaskDataset:
     start in the train split."""
     classes = []
     for rc in raw.classes:
-        if rc.images.shape[0] < 1:
-            raise ValueError(f"class {rc.name!r} has no images")
+        if 0 in rc.images.shape:
+            raise ValueError(f"class {rc.name!r} has no images or no pixels: {rc.images.shape}")
         classes.append(TaskClass(
             rc.name, load=partial(_to_task_images, rc.images, image_size)))
     return TaskDataset(classes=tuple(classes), image_size=image_size,
@@ -489,8 +495,5 @@ def load_idx_dir(path: Path) -> RawDataset:
     path = Path(path)
     img_file = path / "train-images-idx3-ubyte"
     lbl_file = path / "train-labels-idx1-ubyte"
-    for f in (img_file, lbl_file):
-        if not f.exists():
-            raise FileNotFoundError(f"missing IDX file {f}")
     images, labels = parse_idx(img_file.read_bytes(), lbl_file.read_bytes())
     return idx_to_raw(images, labels)

@@ -1,6 +1,7 @@
 import builtins
 import io
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import figr.cli
-from figr.cli import main
+from figr.cli import CSV_HEADER, main
 from figr.data import load_shard, pack_shard, read_pgm, write_pgm
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -232,6 +233,46 @@ class TestTrain:
                      "--resume", out / "ckpt_000003.figr")
         assert rc == 2
 
+    @pytest.mark.parametrize("width", ["wider", "narrower"])
+    def test_resume_refuses_log_with_another_header(self, cfg_path, tmp_path, capsys, width):
+        # rows of another width would all be dropped as torn by the log's cut
+        out = tmp_path / "run"
+        run_cli("train", "--config", cfg_path, "--out", out, "--steps", 3)
+        log = out / "train_log.csv"
+        lines = log.read_text().splitlines()
+        if width == "wider":
+            foreign = [line + ",extra" for line in lines]
+        else:
+            foreign = [line.rsplit(",", 1)[0] for line in lines]
+        log.write_text("\n".join(foreign) + "\n")
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path, "--out", out, "--steps", 4,
+                       "--resume", out / "ckpt_000003.figr") == 2
+        err = capsys.readouterr().err
+        assert repr(foreign[0]) in err and repr(CSV_HEADER) in err and "--out" in err
+        assert log.read_text().splitlines() == foreign
+        assert not (out / "ckpt_000004.figr").exists()
+        # a fresh start owns the directory and rewrites the log
+        assert run_cli("train", "--config", cfg_path, "--out", out, "--steps", 0) == 0
+        assert log.read_text() == CSV_HEADER + "\n"
+
+    def test_refuses_shard_class_without_pixels(self, tmp_path, capsys):
+        # pack_shard refuses such a class, so the shard is written by hand
+        blob = b"FGR8" + struct.pack("<II", 1, 4)
+        for name, (n, h, w) in [("a", (4, 8, 8)), ("b", (4, 8, 8)), ("c", (4, 8, 8)),
+                                ("flat", (4, 0, 8))]:
+            blob += struct.pack("<H", len(name)) + name.encode() + struct.pack("<IHH", n, h, w)
+            blob += bytes(n * h * w)
+        shard = tmp_path / "flat.fgr8"
+        shard.write_bytes(blob)
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(TINY_CFG.replace(
+            "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}"))
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg, "--steps", 1,
+                       "--out", tmp_path / "run") == 2
+        assert "'flat' has no images or no pixels" in capsys.readouterr().err
+
 
 class TestGenerateEval:
     @pytest.fixture()
@@ -313,10 +354,14 @@ class TestGenerateEval:
         assert not csv.exists()
 
     def test_eval_caps_trials(self, cfg_path, trained, tmp_path, capsys):
+        capsys.readouterr()
         assert run_cli("eval", "--config", cfg_path, "--checkpoint", trained,
                        "--trials", 99) == 0
-        out = capsys.readouterr().out
-        assert "capped at 2" in out
+        out, err = capsys.readouterr()
+        # the warning goes to stderr, so stdout stays a CSV from its first line
+        assert out.splitlines()[0] == "task_id,name,mmd2,baseline_mmd2,nn_distance,win"
+        assert len(out.splitlines()) == 4
+        assert "capped at 2" in err
 
 
 class TestPackStats:
@@ -337,6 +382,15 @@ class TestPackStats:
         assert "classes: 2" in out
         assert "images: 6" in out
         assert csv.read_text().startswith("class_size,cumulative_fraction")
+
+    def test_pack_refuses_image_without_pixels(self, tmp_path, capsys):
+        src = tmp_path / "classes" / "blank"
+        src.mkdir(parents=True)
+        (src / "0.pgm").write_bytes(b"P5\n0 0\n255\n")
+        shard = tmp_path / "data.fgr8"
+        assert run_cli("pack", "--input", src.parent, "--output", shard) == 2
+        assert "'blank' has no images or no pixels" in capsys.readouterr().err
+        assert not shard.exists()
 
     def test_stats_on_truncated_shard(self, tmp_path):
         shard = tmp_path / "broken.fgr8"

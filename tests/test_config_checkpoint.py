@@ -147,6 +147,14 @@ class TestCheckpoint:
         np.testing.assert_array_equal(data.adam_d.m, state.adam_d.m)
         assert data.adam_d.t == 3
 
+    def test_vectors_are_owned_copies(self):
+        # the loaded state must outlive the file's bytes and be writable
+        state, streams = small_state()
+        data = deserialize(serialize(state, streams, b"\x00" * 32))
+        for vec in (data.phi_d, data.phi_g, data.adam_d.m, data.adam_d.v,
+                    data.adam_g.m, data.adam_g.v):
+            assert vec.flags.owndata and vec.flags.writeable
+
     def test_bad_magic(self):
         state, streams = small_state()
         blob = serialize(state, streams, b"\x00" * 32)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import figr.data
+from figr.checkpoint import BadCheckpoint, deserialize, serialize
 from figr.config import RunConfig, build_dataset
 from figr.data import (
     BadMagic,
+    ByteReader,
     CountMismatch,
     EmptySplit,
     InvalidSize,
@@ -34,6 +36,9 @@ from figr.data import (
     synth_glyph_image,
     write_pgm,
 )
+from figr.models import Discriminator, Generator, ModelConfig
+from figr.reptile import init_meta_state
+from figr.rng import STATE_BYTES, STREAM_LABELS, make_streams
 
 
 def make_idx_pair(images: np.ndarray, labels: np.ndarray) -> tuple[bytes, bytes]:
@@ -134,6 +139,23 @@ class TestShard:
         with pytest.raises(ValueError):
             pack_shard([("empty", np.zeros((0, 2, 2), dtype=np.uint8))])
 
+    @pytest.mark.parametrize("shape", [(2, 0, 0), (2, 0, 3), (2, 3, 0)])
+    def test_images_without_pixels_rejected(self, shape):
+        with pytest.raises(ValueError, match="'flat' has no images or no pixels"):
+            pack_shard([("ok", np.zeros((1, 2, 2), np.uint8)),
+                        ("flat", np.zeros(shape, np.uint8))])
+
+    def test_trailing_bytes_rejected(self):
+        blob = pack_shard(self.sample_classes())
+        with pytest.raises(ValueError, match="4 trailing bytes"):
+            load_shard(blob + b"junk")
+
+    def test_images_are_views_of_the_shard(self):
+        blob = pack_shard(self.sample_classes())
+        ds = load_shard(blob)
+        whole = np.frombuffer(blob, np.uint8)
+        assert all(np.shares_memory(c.images, whole) for c in ds.classes)
+
     def test_shard_without_classes_rejected(self):
         with pytest.raises(ValueError, match="at least one class"):
             pack_shard([])
@@ -181,6 +203,13 @@ class TestResize:
     def test_same_size_identity(self):
         img = np.random.default_rng(4).standard_normal((9, 9))
         np.testing.assert_array_equal(bilinear_resize(img, 9, 9), img)
+        # the task pipeline resizes 8-bit images of the target size too: each
+        # sample lands on a source pixel and gives its neighbour weight 0
+        for shape in [(1, 1), (8, 8), (28, 28), (32, 32), (5, 13)]:
+            img = np.random.default_rng(sum(shape)).integers(0, 256, size=shape,
+                                                             dtype=np.uint8)
+            np.testing.assert_array_equal(bilinear_resize(img, *shape),
+                                          img.astype(np.float64))
 
     def test_constant_stays_constant(self):
         img = np.full((5, 8), 42.0)
@@ -351,6 +380,16 @@ class TestLazyTasks:
         with pytest.raises(ValueError, match="no images"):
             build_tasks(raw, 8)
 
+    @pytest.mark.parametrize("source", ["idx", "shard"])
+    def test_images_without_pixels_rejected(self, source):
+        if source == "idx":
+            raw = idx_to_raw(*parse_idx(*make_idx_pair(np.zeros((3, 0, 5), np.uint8),
+                                                       [4, 4, 2])))
+        else:
+            raw = RawDataset(classes=(RawClass("flat", np.zeros((2, 0, 4), np.uint8)),))
+        with pytest.raises(ValueError, match="no pixels"):
+            build_tasks(raw, 8)
+
     def test_default_build_renders_nothing(self, monkeypatch):
         calls = []
         real = figr.data.synth_glyph_image
@@ -421,3 +460,79 @@ class TestSynthGlyphs:
         # icon-corpus style floor: every class carries at least 8 usable images
         ds = synth_glyph_dataset(5, 8, 16, seed=15)
         assert all(c.images.shape[0] >= 8 for c in ds.classes)
+
+
+class TestByteReader:
+    def test_reads_in_order(self):
+        data = b"ab" + struct.pack("<IH", 7, 9) + bytes([1, 2, 3])
+        r = ByteReader(data, TruncatedFile, "blob")
+        assert r.take(2) == b"ab"
+        assert r.unpack("<IH") == (7, 9)
+        arr = r.array(3, np.uint8)
+        np.testing.assert_array_equal(arr, [1, 2, 3])
+        assert arr.base is data        # a view: the buffer is never sliced
+        assert r.pos == 11
+
+    def test_overrun_raises_the_given_error_with_offset(self):
+        r = ByteReader(b"\x00" * 10, BadCheckpoint, "checkpoint")
+        r.take(6)
+        with pytest.raises(BadCheckpoint, match="checkpoint truncated: 8 bytes wanted at "
+                                                "byte 6, but it ends at byte 10"):
+            r.unpack("<Q")
+        with pytest.raises(BadCheckpoint, match="6000000000 bytes wanted at byte 6"):
+            r.array(750_000_000, np.float64)
+        assert r.pos == 6
+
+
+def _tiny_checkpoint() -> bytes:
+    cfg = ModelConfig(image_size=8, latent_dim=4, base_width=4, n_blocks=1)
+    streams = make_streams(5)
+    state = init_meta_state(Discriminator(cfg), Generator(cfg), streams.init)
+    return serialize(state, streams, b"\x07" * 32)
+
+
+class TestCorruptFiles:
+    """A damaged IDX pair, shard or checkpoint fails with a ValueError
+    (exit 2 from the CLI), never with struct.error, IndexError or MemoryError."""
+
+    IMAGES = np.random.default_rng(11).integers(0, 256, size=(3, 4, 5), dtype=np.uint8)
+    IDX_IMAGES, IDX_LABELS = make_idx_pair(IMAGES, [1, 0, 1])
+    SHARD = pack_shard(TestShard().sample_classes())
+    CKPT = _tiny_checkpoint()
+    PARSERS = {
+        "idx-images": (IDX_IMAGES, lambda b: parse_idx(b, TestCorruptFiles.IDX_LABELS)),
+        "idx-labels": (IDX_LABELS, lambda b: parse_idx(TestCorruptFiles.IDX_IMAGES, b)),
+        "shard": (SHARD, load_shard),
+        "checkpoint": (CKPT, deserialize),
+    }
+
+    @pytest.mark.parametrize("name", ["idx-images", "idx-labels", "shard"])
+    def test_every_prefix(self, name):
+        blob, parse = self.PARSERS[name]
+        for end in range(len(blob)):
+            with pytest.raises(ValueError):
+                parse(blob[:end])
+
+    def test_checkpoint_header_and_trailer_prefixes(self):
+        # magic, version, fingerprint, step, dtype tag and the first length;
+        # then the stream-count word and every labeled stream state
+        trailer = 4 + sum(1 + len(label) + STATE_BYTES for label in STREAM_LABELS)
+        ends = [*range(4 + 4 + 32 + 8 + 1 + 8), *range(len(self.CKPT) - trailer,
+                                                      len(self.CKPT))]
+        for end in ends:
+            with pytest.raises(BadCheckpoint):
+                deserialize(self.CKPT[:end])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(PARSERS)), st.data())
+    def test_truncation_or_changed_byte(self, name, data):
+        blob, parse = self.PARSERS[name]
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        if data.draw(st.booleans()):
+            blob = blob[:pos]
+        else:
+            blob = blob[:pos] + bytes([data.draw(st.integers(0, 255))]) + blob[pos + 1:]
+        try:
+            parse(blob)
+        except ValueError:
+            pass        # refused, and the CLI exits 2; any other error fails the test
