@@ -34,6 +34,24 @@ class LayoutMismatch(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Image size, latent size, widths, depth and precision of both networks.
+
+    The code claims four invariants for every config it accepts, but the
+    tests check each only at the configs named here (single precision
+    unless double is named):
+    - same-seed determinism: 8 px, base_width 4, 1 block (an inner loop,
+      figr_generate and two `figr train` runs);
+    - bit-exact resume: `figr train` at that config, single and double;
+    - the checkpoint round trip: 8 px, base_width 4, 1 block, single and
+      double;
+    - results independent of the BLAS thread count: one inner loop at
+      32 px with 3 blocks and base_width 13, 14, 16 (the default), 20 or 52,
+      and at 64 px with 4 blocks and base_width 13; conv2d alone at the
+      shapes its own test names.
+    The rest of the accepted space (other sizes, widths and depths) is
+    untested until a property test draws configs from it.
+    """
+
     image_size: int = 32
     latent_dim: int = 64
     base_width: int = 16

@@ -24,7 +24,7 @@ from figr.autodiff import (
     prelu,
 )
 from figr.gradcheck import finite_difference_gradient, max_relative_error
-from figr.models import Discriminator, ModelConfig
+from figr.models import Discriminator, Generator, ModelConfig
 
 FD_TOL = 1e-6
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -379,17 +379,28 @@ class TestPRelu:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
     def test_first_order_gradients_bitwise_equal_to_mask_products(self, dtype):
+        # prelu multiplies by ~pos * a + pos instead of branching with
+        # np.where; np.where's rules stay here as the reference, on random
+        # signs, exact +0 and -0 inputs and slopes < 0, = 0, in (0, 1) and > 1
         rng = np.random.default_rng(14)
-        x0 = rng.standard_normal((3, 4, 5, 5)).astype(dtype)
-        a0 = rng.standard_normal(4).astype(dtype)
-        g0 = rng.standard_normal(x0.shape).astype(dtype)
+        shape = (3, 4, 6, 6)
+        x0 = rng.standard_normal(shape).astype(dtype)
+        x0[rng.random(shape) < 0.15] = 0.0
+        x0[rng.random(shape) < 0.15] = -0.0
+        x0[:, 1] = np.abs(x0[:, 1])                  # a channel with no negative entry
+        a0 = np.array([-0.7, 0.0, 0.25, 1.5], dtype=dtype)
+        g0 = rng.standard_normal(shape).astype(dtype)
+        g0[rng.random(shape) < 0.1] = -0.0
+        pos, slopes = x0 >= 0, a0.reshape(1, 4, 1, 1)
         with Graph():
             x, a = Tensor(x0, requires_grad=True), Tensor(a0, requires_grad=True)
-            grads = backward(ad.tsum(ad.mul(prelu(x, a), Tensor(g0))))
-        pos = (x0 >= 0).astype(dtype)
-        neg = (x0 < 0).astype(dtype)
-        np.testing.assert_array_equal(grads[x].data, g0 * (pos + neg * a0.reshape(1, 4, 1, 1)))
-        np.testing.assert_array_equal(grads[a].data, ((g0 * neg) * x0).sum(axis=(0, 2, 3)))
+            y = prelu(x, a)
+            grads = backward(ad.tsum(ad.mul(y, Tensor(g0))))
+        assert y.data.tobytes() == np.where(pos, x0, slopes * x0).tobytes()
+        assert grads[x].data.tobytes() == np.where(pos, g0, slopes * g0).tobytes()
+        # by value: a term may differ from the reference's in a zero's sign
+        np.testing.assert_array_equal(grads[a].data,
+                                      (g0 * np.where(pos, 0, x0)).sum(axis=(0, 2, 3)))
 
     def test_recorded_input_gradient_matches_fd_in_g_and_a(self):
         # dx = g where x >= 0, a*g elsewhere, recorded as one prelu node
@@ -641,10 +652,32 @@ class TestFirstOrderRules:
         if filters == 1:
             np.testing.assert_array_equal(first[0], recorded[0])
 
+    @pytest.mark.parametrize("batch", [1, 2, 4, 64])
+    def test_upsample2(self, batch):
+        # the four strided adds give numpy's sum over the 2x2 blocks bit for
+        # bit at every map the generators upsample, the smallest 4x4
+        shapes = []
+        for cfg in (ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1),
+                    ModelConfig(), ModelConfig(image_size=64, n_blocks=4)):
+            gen = Generator(cfg)
+            size = 4
+            for _, cin, _, up in gen.blocks:
+                if up:
+                    shapes.append((batch, cin, size, size))
+                    size *= 2
+        assert (batch, 128, 4, 4) in shapes and (batch, 32, 32, 32) in shapes
+        for shape in shapes:
+            arrays = [np.random.default_rng(37).standard_normal(shape).astype(np.float32)]
+            first, recorded = first_order_and_recorded(ad.upsample2, arrays, 38)
+            b, c, h, w = shape
+            g6 = probe((b, c, 2 * h, 2 * w), np.float32, 38).reshape(b, c, h, 2, w, 2)
+            assert first[0].tobytes() == g6.sum(axis=(3, 5)).tobytes()
+            assert first[0].tobytes() == recorded[0].tobytes()
+
     def test_first_order_vjps_dispatch_no_op(self, monkeypatch):
-        # the fused rules build no graph op on the first-order path; a
-        # rule written back in graph ops dispatches a dozen or more
-        fused = {"conv2d", "affine", "prelu", "layer_norm"}
+        # the fused rules and upsample2 build no graph op on the first-order
+        # path; a rule written back in graph ops dispatches one or more
+        fused = {"conv2d", "affine", "prelu", "layer_norm", "upsample2"}
         rng = np.random.default_rng(36)
         dispatched, inside = [], []
         real_apply = ad._apply
@@ -668,10 +701,10 @@ class TestFirstOrderRules:
 
         with Graph() as g:
             x, w, b = leaf(2, 3, 8, 8), leaf(4, 3, 3, 3), leaf(4)
-            y = conv2d(x, w, b, stride=2)
-            y = prelu(layer_norm(y, leaf(4, 4, 4), leaf(4, 4, 4)), leaf(4))
+            y = ad.upsample2(conv2d(x, w, b, stride=2))
+            y = prelu(layer_norm(y, leaf(4, 8, 8), leaf(4, 8, 8)), leaf(4))
             y = ad.affine(y, leaf(4, 5), leaf(5))
-            y = ad.affine(ad.reshape(y, (2, -1)), leaf(80, 1), leaf(1))
+            y = ad.affine(ad.reshape(y, (2, -1)), leaf(320, 1), leaf(1))
             loss = ad.tsum(y)
             ops = [node.op for node in g.nodes if node.op in fused]
             for node in g.nodes:
@@ -680,7 +713,7 @@ class TestFirstOrderRules:
             leaves = [node.leaf for node in g.nodes if node.op == "leaf"]
             monkeypatch.setattr(ad, "_apply", counting_apply)
             grads = backward(loss)
-        assert sorted(ops) == ["affine", "affine", "conv2d", "layer_norm", "prelu"]
+        assert sorted(ops) == ["affine", "affine", "conv2d", "layer_norm", "prelu", "upsample2"]
         assert dispatched == []
         assert all(leaf in grads for leaf in leaves) and len(leaves) == 10
 

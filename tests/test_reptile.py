@@ -1,9 +1,15 @@
 import gc
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from figr import autodiff as ad
 from figr.autodiff import Graph, Tensor, add, backward
 from figr.losses import critic_loss, generator_loss, gradient_penalty
 from figr.models import (
@@ -27,6 +33,7 @@ from figr.reptile import (
 )
 from figr.rng import make_streams
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 CFG64 = ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="double")
 CFG32 = ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="single")
 
@@ -117,6 +124,36 @@ class TestInnerLoop:
                    np.random.default_rng(9), np.random.default_rng(10))
         np.testing.assert_array_equal(phi_d.vector, before_d)
         np.testing.assert_array_equal(phi_g.vector, before_g)
+
+    def test_adapted_weights_independent_of_blas_threads(self):
+        # the gradient penalty's backward computes a^T @ g with K = 9*C
+        # (936 at C = 104, width 13), which OpenBLAS blocks differently at
+        # 1 and 2 threads unless it is padded; width 16 is the default
+        code = (
+            "import hashlib, numpy as np\n"
+            "from figr.models import Discriminator, Generator, ModelConfig\n"
+            "from figr.reptile import InnerConfig, inner_loop\n"
+            "h = hashlib.sha256()\n"
+            "for size, width, blocks in ((32, 13, 3), (32, 14, 3), (32, 20, 3), (32, 52, 3),\n"
+            "                            (64, 13, 4), (32, 16, 3)):\n"
+            "    cfg = ModelConfig(image_size=size, latent_dim=16, base_width=width,\n"
+            "                      n_blocks=blocks)\n"
+            "    disc, gen = Discriminator(cfg), Generator(cfg)\n"
+            "    rng = np.random.default_rng(1)\n"
+            "    phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)\n"
+            "    x = np.tanh(rng.standard_normal((4, 1, size, size))).astype(np.float32)\n"
+            "    w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, InnerConfig(k=1, n=4),\n"
+            "                             np.random.default_rng(2), np.random.default_rng(3))\n"
+            "    h.update(w_d.vector.tobytes() + w_g.vector.tobytes())\n"
+            "print(h.hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
 
     def test_deterministic_for_seed(self):
         disc, gen = tiny_models(CFG32)
@@ -407,3 +444,52 @@ class TestInnerStepTape:
             "prelu": 9, "add": 8, "permute": 7, "conv2d": 6, "div": 6, "layer_norm": 6,
             "matmul": 5, "square": 5, "affine": 4, "sqrt": 4, "fold3x3": 3,
             "subsample2": 2, "spread2": 1}
+
+    def test_dispatches_per_step_pinned(self, monkeypatch):
+        # _apply calls (graph ops run, recorded or not) in one inner step
+        # (k=1) on the tape pin's two models: a later change may lower
+        # these, and raising one needs a reason in CHANGES.md (they read
+        # 390 and 840 with upsample2's first-order rule a reshape and a sum)
+        count = [0]
+        real_apply = ad._apply
+
+        def counting(*args):
+            count[0] += 1
+            return real_apply(*args)
+
+        monkeypatch.setattr(ad, "_apply", counting)
+        dispatches = {}
+        for name, cfg in (("tiny", CFG32), ("default", ModelConfig())):
+            disc, gen = tiny_models(cfg)
+            rng = np.random.default_rng(53)
+            phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
+            count[0] = 0
+            inner_loop(phi_d, phi_g, disc, gen, task_images(cfg, 2, seed=54),
+                       InnerConfig(k=1, n=2), np.random.default_rng(55),
+                       np.random.default_rng(56))
+            dispatches[name] = count[0]
+        assert dispatches == {"tiny": 388, "default": 834}
+
+    def test_inner_loop_memory_peak_ceiling(self):
+        # tracemalloc's peak over one default inner loop (k=2, n=4) after a
+        # warm-up loop; it read 47.89 MiB (47.90 cold) when this ceiling was
+        # set.  A later change may lower the ceiling; raising it needs a
+        # reason in CHANGES.md
+        cfg = ModelConfig()
+        disc, gen = tiny_models(cfg)
+        rng = np.random.default_rng(53)
+        phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
+        x = task_images(cfg, 4, seed=54)
+
+        def adapt():
+            inner_loop(phi_d, phi_g, disc, gen, x, InnerConfig(k=2, n=4),
+                       np.random.default_rng(55), np.random.default_rng(56))
+
+        adapt()
+        tracemalloc.start()
+        try:
+            adapt()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
