@@ -38,7 +38,7 @@ adds, the weight gradient nine GEMMs against the grid.  The forward
 keeps one GEMM per sample, so a sample's output does not depend on its
 batch.  fold3x3, which conv2d's recorded rule records, and its adjoint
 unfold3x3 run on the same kernels, the stride a parameter of the grid.
-upsample2's first-order rule is four strided adds.  conv2d's forward
+upsample2's rule, first-order only, is four strided adds.  conv2d's forward
 and matmul zero-pad a GEMM reduction longer than 384 to a multiple of 32
 (_blas_k), a length OpenBLAS blocks the same way at every thread count.
 
@@ -633,13 +633,13 @@ def fold3x3(cols: Tensor, hw: tuple[int, int], stride: int) -> Tensor:
 def upsample2(a: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling of the two trailing axes.
 
-    The gradient sums each 2x2 output block.  A first-order backward adds
-    the block's four strided planes explicitly, in the order numpy's
-    reduction over the two size-2 axes takes at every map larger than 1x1
-    (the generators upsample 4x4 and up), so the sum is the same bits in
-    a tenth of the time (0.11 ms against 1.45 ms on a [4,32,32,32]
-    gradient); a recorded backward keeps the differentiable reshape and
-    sum.
+    The gradient sums each 2x2 output block: the block's four strided
+    planes added explicitly, in the order numpy's reduction over the two
+    size-2 axes takes at every map larger than 1x1 (the generators
+    upsample 4x4 and up), so the sum is the same bits in a tenth of the
+    time (0.11 ms against 1.45 ms on a [4,32,32,32] gradient).  Only the
+    generator upsamples and the penalty differentiates the critic alone,
+    so a recorded backward through upsample2 raises NotImplementedError.
     """
     if a.ndim != 4:
         raise ShapeMismatch(f"upsample2 expects B,C,H,W, got {a.shape}")
@@ -647,7 +647,7 @@ def upsample2(a: Tensor) -> Tensor:
 
     def vjp(g, needs):
         if _TLS.grad_enabled:
-            return (tsum(reshape(g, (b, c, h, 2, w, 2)), axes=(3, 5)),)
+            raise NotImplementedError("a recorded backward does not differentiate upsample2")
         g6 = g.data.reshape(b, c, h, 2, w, 2)
         return (Tensor((g6[:, :, :, 0, :, 0] + g6[:, :, :, 0, :, 1])
                        + (g6[:, :, :, 1, :, 0] + g6[:, :, :, 1, :, 1])),)

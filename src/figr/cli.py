@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import rng
 from .checkpoint import (
     BadCheckpoint,
     CheckpointData,
@@ -37,21 +38,20 @@ from .config import (
     build_dataset,
     canonical_text,
     fingerprint,
-    inner_config,
     load_config,
-    model_config,
 )
 from .data import (
     load_shard,
     pack_class_dirs,
+    pack_shard,
     sample_images,
+    sample_task,
     write_pgm,
 )
-from .evaluation import EvalReport, median_bandwidths, mmd_squared, montage, nn_distance
+from .evaluation import EvalReport, median_bandwidths, mmd_squared, montage, nn_distance, to_uint8
 from .gradcheck import DEFAULT_TOL, run_gradcheck
 from .models import Discriminator, Generator, ParameterSet
 from .reptile import MetaState, figr_generate, init_meta_state, meta_step
-from .rng import make_streams
 
 
 class CliError(RuntimeError):
@@ -70,11 +70,6 @@ def _ckpt_path(out_dir: Path, step: int) -> Path:
     return out_dir / f"ckpt_{step:06d}.figr"
 
 
-def _build_models(cfg: RunConfig) -> tuple[Discriminator, Generator]:
-    mc = model_config(cfg)
-    return Discriminator(mc), Generator(mc)
-
-
 def _restore(cfg: RunConfig, path) -> tuple[Discriminator, Generator, MetaState,
                                            CheckpointData]:
     """Load a checkpoint written under this config and rebuild its state."""
@@ -82,16 +77,13 @@ def _restore(cfg: RunConfig, path) -> tuple[Discriminator, Generator, MetaState,
     if data.fingerprint != fingerprint(cfg):
         raise CliError("config fingerprint does not match the checkpoint; "
                        "refusing to use it with drifted hyperparameters")
-    disc, gen = _build_models(cfg)
+    disc, gen = Discriminator(cfg), Generator(cfg)
     if data.phi_d.size != disc.param_count() or data.phi_g.size != gen.param_count():
         raise BadCheckpoint("checkpoint parameter counts do not match the config")
-    dtype = model_config(cfg).dtype
     state = MetaState(
-        phi_d=ParameterSet(data.phi_d.astype(dtype, copy=False), disc.layout),
-        phi_g=ParameterSet(data.phi_g.astype(dtype, copy=False), gen.layout),
-        adam_d=data.adam_d, adam_g=data.adam_g,
-        outer_lr=cfg.outer_lr, beta1=cfg.beta1, beta2=cfg.beta2,
-        adam_eps=cfg.adam_eps, step=data.step,
+        phi_d=ParameterSet(data.phi_d.astype(cfg.dtype, copy=False), disc.layout),
+        phi_g=ParameterSet(data.phi_g.astype(cfg.dtype, copy=False), gen.layout),
+        adam_d=data.adam_d, adam_g=data.adam_g, step=data.step,
     )
     return disc, gen, state, data
 
@@ -131,12 +123,10 @@ def _checkpoint(log, path: Path, state, streams, fp: bytes) -> None:
 def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, streams,
                   out_path: Path) -> None:
     """Conditioning row on top, generated rows below; isolated rng stream."""
-    from .data import sample_task
-
     split = "validation" if dataset.val_ids else "train"
     _, task = sample_task(dataset, streams.sample, split=split)
     x = sample_images(task, cfg.n, streams.sample)
-    generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, inner_config(cfg),
+    generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, cfg,
                               streams.sample, count=3 * cfg.n)
     tiles = np.concatenate([x, generated], axis=0)
     atomic_write(out_path, write_pgm(montage(tiles, columns=cfg.n, separator_px=2)))
@@ -146,21 +136,19 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     fp = fingerprint(cfg)
     out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     target = cfg.meta_steps if args.steps is None else args.steps
 
     dataset = build_dataset(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.resume:
         disc, gen, state, data = _restore(cfg, args.resume)
         streams = restore_streams(data)
         print(f"resumed from {args.resume} at step {state.step}")
     else:
-        disc, gen = _build_models(cfg)
-        streams = make_streams(cfg.seed)
-        state = init_meta_state(disc, gen, streams.init,
-                                outer_lr=cfg.outer_lr, beta1=cfg.beta1,
-                                beta2=cfg.beta2, adam_eps=cfg.adam_eps)
+        disc, gen = Discriminator(cfg), Generator(cfg)
+        streams = rng.make_streams(cfg.seed)
+        state = init_meta_state(disc, gen, streams.init)
         # both are a function of the config alone and a fresh start rewrites
         # them, so they are renamed into place whole but not flushed to disk
         save_checkpoint(_ckpt_path(out_dir, 0), state, streams, fp, durable=False)
@@ -169,11 +157,10 @@ def cmd_train(args) -> int:
     saved = None if args.resume else state.step      # the last step this run saved
     log_path = out_dir / "train_log.csv"
     _reconcile_log(log_path, state.step)
-    icfg = inner_config(cfg)
     t_start = time.perf_counter()
     with open(log_path, "a", encoding="utf-8") as log:
         while state.step < target:
-            state, rec = meta_step(state, disc, gen, dataset, icfg, streams)
+            state, rec = meta_step(state, disc, gen, dataset, cfg, streams)
             log.write(f"{rec.step},{rec.task_id},{rec.critic_loss:.9g},"
                       f"{rec.gen_loss:.9g},{rec.delta_d_norm:.9g},"
                       f"{rec.delta_g_norm:.9g},{rec.seconds:.6f}\n")
@@ -199,8 +186,8 @@ def cmd_generate(args) -> int:
     disc, gen, state, _ = _restore(cfg, args.checkpoint)
     dataset = build_dataset(cfg)
 
-    icfg = replace(inner_config(cfg), k=cfg.k if args.k is None else args.k,
-                   n=cfg.n if args.n is None else args.n)
+    cfg = replace(cfg, k=cfg.k if args.k is None else args.k,
+                  n=cfg.n if args.n is None else args.n)
     ids = dataset.class_ids(args.split)
     if args.class_name:
         matches = [i for i in ids if dataset.classes[i].name == args.class_name]
@@ -208,29 +195,26 @@ def cmd_generate(args) -> int:
             raise CliError(f"class {args.class_name!r} not in the {args.split} split")
         cid = matches[0]
     else:
-        rng0 = np.random.default_rng(args.seed)
-        cid = ids[int(rng0.integers(len(ids)))]
+        cid = ids[int(rng.derive(args.seed, rng.GENERATE_PICK, 0).integers(len(ids)))]
     task = dataset.classes[cid]
-    if task.images.shape[0] < icfg.n:
+    if task.images.shape[0] < cfg.n:
         raise InsufficientImages(
-            f"class {task.name!r} has {task.images.shape[0]} images, need n={icfg.n}")
+            f"class {task.name!r} has {task.images.shape[0]} images, need n={cfg.n}")
 
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(cid,)))
-    idx = rng.choice(task.images.shape[0], size=icfg.n, replace=False)
+    class_rng = rng.derive(args.seed, rng.GENERATE, cid)
+    idx = class_rng.choice(task.images.shape[0], size=cfg.n, replace=False)
     x = task.images[idx]
-    generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, icfg,
-                              rng, count=args.count)
+    generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, cfg,
+                              class_rng, count=args.count)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tiles = np.concatenate([x, generated], axis=0)
     atomic_write(out_dir / "montage.pgm",
-                 write_pgm(montage(tiles, columns=icfg.n, separator_px=2)))
-    from .data import pack_shard
-    from .evaluation import to_uint8
+                 write_pgm(montage(tiles, columns=cfg.n, separator_px=2)))
     shard = pack_shard([(task.name, to_uint8(generated[:, 0]))])
     atomic_write(out_dir / "generated.fgr8", shard)
-    print(f"adapted to class {task.name!r} (n={icfg.n}, k={icfg.k}); "
+    print(f"adapted to class {task.name!r} (n={cfg.n}, k={cfg.k}); "
           f"wrote montage + {args.count} samples to {out_dir}")
     return 0
 
@@ -254,19 +238,17 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
         print(f"warning: --trials {trials} capped at {len(ids)} validation classes",
               file=sys.stderr)
         trials = len(ids)
-    icfg = inner_config(cfg)
     for cid in ids[:trials]:
         task = dataset.classes[cid]
-        if task.images.shape[0] <= icfg.n:
+        if task.images.shape[0] <= cfg.n:
             raise InsufficientImages(f"validation class {task.name!r} has {task.images.shape[0]} "
-                                     f"images; scoring needs more than n={icfg.n}")
-    baseline_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xB, 0)))
-    base_state = init_meta_state(disc, gen, baseline_rng)
+                                     f"images; scoring needs more than n={cfg.n}")
+    base_state = init_meta_state(disc, gen, rng.derive(seed, rng.EVAL_BASELINE, 0))
     reports = []
     for cid in ids[:trials]:
         task = dataset.classes[cid]
-        pick_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cid, 1)))
-        idx = pick_rng.choice(task.images.shape[0], icfg.n, replace=False)
+        pick_rng = rng.derive(seed, rng.EVAL_PICK, cid)
+        idx = pick_rng.choice(task.images.shape[0], cfg.n, replace=False)
         x = task.images[idx]
         held = np.delete(task.images, idx, axis=0)
         bandwidths = median_bandwidths(held)
@@ -274,9 +256,9 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
         samples = {}
         for arm, phi_d, phi_g in (("meta", state.phi_d, state.phi_g),
                                   ("base", base_state.phi_d, base_state.phi_g)):
-            arm_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cid, 2)))
-            samples[arm] = figr_generate(phi_d, phi_g, disc, gen, x, icfg,
-                                         arm_rng, count=EVAL_COUNT)
+            samples[arm] = figr_generate(phi_d, phi_g, disc, gen, x, cfg,
+                                         rng.derive(seed, rng.EVAL_ARM, cid),
+                                         count=EVAL_COUNT)
         reports.append(EvalReport(
             task_id=cid, task_name=task.name,
             mmd2=mmd_squared(samples["meta"], held, bandwidths),

@@ -1,11 +1,19 @@
 """Run configuration: flat "key = value" files, hard errors on unknown keys,
-and a fingerprint that pins every trajectory-relevant hyperparameter."""
+and a fingerprint that pins every trajectory-relevant hyperparameter.
+
+RunConfig is figr's one settings type: the networks, the inner loop, the
+outer Adam step and the run all read their settings from it, and it
+refuses a config whose invariants cannot hold when it is built, so a
+config is checked once, at parse."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from .data import (
     TaskDataset,
@@ -15,8 +23,6 @@ from .data import (
     split_classes,
     synth_glyph_dataset,
 )
-from .models import ModelConfig
-from .reptile import InnerConfig
 
 
 class ConfigError(ValueError):
@@ -25,6 +31,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run: model, loss, inner and outer loop, data, cadence.
+
+    The code claims four invariants for every config it accepts, but the
+    tests check each only at the configs named here (single precision
+    unless double is named):
+    - same-seed determinism: 8 px, base_width 4, 1 block (an inner loop,
+      figr_generate and two `figr train` runs);
+    - bit-exact resume: `figr train` at that config, single and double;
+    - the checkpoint round trip: 8 px, base_width 4, 1 block, single and
+      double;
+    - results independent of the BLAS thread count: one inner loop at
+      32 px with 3 blocks and base_width 13, 14, 16 (the default), 20 or 52,
+      and at 64 px with 4 blocks and base_width 13; conv2d alone at the
+      shapes its own test names.
+    The rest of the accepted space (other sizes, widths and depths) is
+    untested until a property test draws configs from it.
+    """
+
     # model
     image_size: int = 32
     latent_dim: int = 64
@@ -63,6 +87,31 @@ class RunConfig:
             raise ConfigError(f"unknown dataset_format {self.dataset_format!r}")
         if self.loss_mode != "wasserstein_gp":
             raise ConfigError(f"loss_mode must be wasserstein_gp, not {self.loss_mode!r}")
+        if self.image_size not in (8, 16, 32, 64):
+            raise ConfigError(f"image_size must be 8/16/32/64, got {self.image_size}")
+        if self.n_blocks < self.n_scales:
+            raise ConfigError(
+                f"n_blocks={self.n_blocks} < {self.n_scales} scale changes for "
+                f"image_size={self.image_size}")
+        if self.precision not in ("single", "double"):
+            raise ConfigError(f"unknown precision {self.precision!r}")
+        if self.latent_dim < 1 or self.base_width < 1:
+            raise ConfigError("latent_dim and base_width must be positive")
+        # written so that a NaN fails each comparison
+        if not (self.k >= 1 and self.n >= 1 and self.inner_lr >= 0 and self.gp_lambda >= 0):
+            raise ConfigError("need k >= 1, n >= 1, inner_lr >= 0, gp_lambda >= 0")
+        # beta = 1 leaves Adam's bias correction dividing 0 by 0 at step 1
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
+                and self.adam_eps > 0 and self.outer_lr >= 0):
+            raise ConfigError("need 0 <= beta1, beta2 < 1, adam_eps > 0, outer_lr >= 0")
+
+    @property
+    def n_scales(self) -> int:
+        return int(math.log2(self.image_size // 4))
+
+    @property
+    def dtype(self):
+        return np.float32 if self.precision == "single" else np.float64
 
 
 # cadence and paths steer artifact emission, not the trajectory; leaving them
@@ -114,17 +163,6 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: Path) -> RunConfig:
     return parse_config(Path(path).read_text(encoding="utf-8"))
-
-
-def model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(image_size=cfg.image_size, latent_dim=cfg.latent_dim,
-                       base_width=cfg.base_width, n_blocks=cfg.n_blocks,
-                       precision=cfg.precision)
-
-
-def inner_config(cfg: RunConfig) -> InnerConfig:
-    return InnerConfig(k=cfg.k, n=cfg.n, inner_lr=cfg.inner_lr,
-                       gp_lambda=cfg.gp_lambda)
 
 
 def build_dataset(cfg: RunConfig) -> TaskDataset:

@@ -19,11 +19,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
+from .config import RunConfig
 from .losses import critic_loss, generator_loss, gradient_penalty
-from .models import BoundParams, Discriminator, Generator, ModelConfig, ParameterSet, Segment
+from .models import BoundParams, Discriminator, Generator, ParameterSet, Segment
 
-CHECK_CFG = ModelConfig(image_size=8, latent_dim=5, base_width=4, n_blocks=1,
-                        precision="double")
+CHECK_CFG = RunConfig(image_size=8, latent_dim=5, base_width=4, n_blocks=1,
+                      precision="double")
 DEFAULT_TOL = 1e-4
 COORDS = 24         # random parameter entries each check compares
 FD_H = 1e-6

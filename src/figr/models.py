@@ -8,7 +8,8 @@ channel.  Layer norm everywhere (no batch statistics), PReLU
 activations, tanh output for the generator, unbounded scalar score for
 the critic.  Each weighted layer is one fused autodiff op: 3x3
 convolutions are conv2d; the latent projection, the 1x1 skips and the
-score are affine.
+score are affine.  Sizes, depth and precision come from the RunConfig a
+network is built with, which has already checked them.
 """
 
 from __future__ import annotations
@@ -20,63 +21,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ShapeMismatch
+from .config import RunConfig
 
 LN_EPS = 1e-5
 
 
-class InvalidConfig(ValueError):
-    pass
-
-
 class LayoutMismatch(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Image size, latent size, widths, depth and precision of both networks.
-
-    The code claims four invariants for every config it accepts, but the
-    tests check each only at the configs named here (single precision
-    unless double is named):
-    - same-seed determinism: 8 px, base_width 4, 1 block (an inner loop,
-      figr_generate and two `figr train` runs);
-    - bit-exact resume: `figr train` at that config, single and double;
-    - the checkpoint round trip: 8 px, base_width 4, 1 block, single and
-      double;
-    - results independent of the BLAS thread count: one inner loop at
-      32 px with 3 blocks and base_width 13, 14, 16 (the default), 20 or 52,
-      and at 64 px with 4 blocks and base_width 13; conv2d alone at the
-      shapes its own test names.
-    The rest of the accepted space (other sizes, widths and depths) is
-    untested until a property test draws configs from it.
-    """
-
-    image_size: int = 32
-    latent_dim: int = 64
-    base_width: int = 16
-    n_blocks: int = 3
-    precision: str = "single"
-
-    def __post_init__(self):
-        if self.image_size not in (8, 16, 32, 64):
-            raise InvalidConfig(f"image_size must be 8/16/32/64, got {self.image_size}")
-        if self.latent_dim < 1 or self.base_width < 1:
-            raise InvalidConfig("latent_dim and base_width must be positive")
-        if self.n_blocks < self.n_scales:
-            raise InvalidConfig(
-                f"n_blocks={self.n_blocks} < {self.n_scales} scale changes for "
-                f"image_size={self.image_size}")
-        if self.precision not in ("single", "double"):
-            raise InvalidConfig(f"unknown precision {self.precision!r}")
-
-    @property
-    def n_scales(self) -> int:
-        return int(math.log2(self.image_size // 4))
-
-    @property
-    def dtype(self):
-        return np.float32 if self.precision == "single" else np.float64
 
 
 @dataclass(frozen=True)
@@ -118,9 +69,6 @@ class ParameterSet:
     def with_vector(self, vector: np.ndarray) -> "ParameterSet":
         return ParameterSet(np.asarray(vector, dtype=self.vector.dtype), self.layout)
 
-    def same_layout(self, other: "ParameterSet") -> bool:
-        return self.layout == other.layout
-
     def bind(self, trainable: bool = True) -> "BoundParams":
         bound = BoundParams(self)
         for s in self.layout:
@@ -147,12 +95,12 @@ class BoundParams(dict):
 
 def params_delta(phi: ParameterSet, w: ParameterSet) -> np.ndarray:
     """Elementwise phi - w as a flat vector (the Reptile pseudo-gradient)."""
-    if not phi.same_layout(w):
+    if phi.layout != w.layout:
         raise LayoutMismatch("parameter sets have different layouts")
     return phi.vector - w.vector
 
 
-def sample_latent(batch: int, cfg: ModelConfig, rng: np.random.Generator) -> Tensor:
+def sample_latent(batch: int, cfg: RunConfig, rng: np.random.Generator) -> Tensor:
     """Batch of i.i.d. standard-normal latent rows, one per sample."""
     if batch < 1:
         raise ValueError("batch must be >= 1")
@@ -198,7 +146,7 @@ def _norm_act(p, name: str, x: Tensor) -> Tensor:
 class _ResNetBase:
     """Shared layout/init machinery and residual block; subclasses define forward."""
 
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.blocks: list[tuple[str, int, int, bool]] = []
         self.layout = self._build_layout()

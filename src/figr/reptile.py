@@ -1,16 +1,22 @@
 """The meta-learning core: inner-loop adversarial adaptation of parameter
 copies, the outer update that feeds phi - w to Adam as a pseudo-gradient,
-and few-shot generation from an adapted copy."""
+and few-shot generation from an adapted copy.
+
+Every setting (k, n, the inner step, the penalty weight, the outer Adam
+step) is read from the run's RunConfig; MetaState holds only what a
+checkpoint restores."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph, Tensor, backward
+from .config import RunConfig
+from .data import sample_images, sample_task
 from .losses import critic_loss, generator_loss, gradient_penalty
 from .models import (
     Discriminator,
@@ -29,18 +35,6 @@ class NonFiniteStep(ValueError):
     Raised before the outer Adam update, so phi and the moments keep the
     last finite values.
     """
-
-
-@dataclass(frozen=True)
-class InnerConfig:
-    k: int = 10
-    n: int = 4
-    inner_lr: float = 1e-4
-    gp_lambda: float = 10.0
-
-    def __post_init__(self):
-        if self.k < 1 or self.n < 1 or self.inner_lr < 0 or self.gp_lambda < 0:
-            raise ValueError("need k >= 1, n >= 1, inner_lr >= 0, gp_lambda >= 0")
 
 
 @dataclass
@@ -62,10 +56,6 @@ class MetaState:
     phi_g: ParameterSet
     adam_d: AdamState
     adam_g: AdamState
-    outer_lr: float = 1e-5
-    beta1: float = 0.5
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     step: int = 0
 
 
@@ -80,16 +70,14 @@ class TrainRecord:
     seconds: float
 
 
-def init_meta_state(disc: Discriminator, gen: Generator, rng: np.random.Generator,
-                    outer_lr: float = 1e-5, beta1: float = 0.5,
-                    beta2: float = 0.999, adam_eps: float = 1e-8) -> MetaState:
+def init_meta_state(disc: Discriminator, gen: Generator,
+                    rng: np.random.Generator) -> MetaState:
     phi_d = disc.init_params(rng)
     phi_g = gen.init_params(rng)
     return MetaState(
         phi_d=phi_d, phi_g=phi_g,
         adam_d=AdamState.zeros(phi_d.total_len),
         adam_g=AdamState.zeros(phi_g.total_len),
-        outer_lr=outer_lr, beta1=beta1, beta2=beta2, adam_eps=adam_eps,
     )
 
 
@@ -119,7 +107,7 @@ class InnerStats:
 
 def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
                disc: Discriminator, gen: Generator,
-               x_task: np.ndarray, cfg: InnerConfig,
+               x_task: np.ndarray, cfg: RunConfig,
                latent_rng: np.random.Generator, eps_rng: np.random.Generator
                ) -> tuple[ParameterSet, ParameterSet, InnerStats]:
     """K alternating WGAN-GP critic/generator SGD steps on copies of phi.
@@ -180,11 +168,9 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
 
 
 def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
-              cfg: InnerConfig, streams: RngStreams
+              cfg: RunConfig, streams: RngStreams
               ) -> tuple[MetaState, TrainRecord]:
     """One outer iteration: sample a task, adapt copies, move phi toward them."""
-    from .data import sample_images, sample_task
-
     t0 = time.perf_counter()
     task_id, task = sample_task(dataset, streams.task, split="train")
     x = sample_images(task, cfg.n, streams.task)
@@ -202,12 +188,11 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
         raise NonFiniteStep(f"meta-step {state.step + 1} on task {task_id}: "
                             f"non-finite {', '.join(bad)}")
     phi_d, adam_d = adam_step(state.adam_d, state.phi_d, pseudo_d,
-                              state.outer_lr, state.beta1, state.beta2, state.adam_eps)
+                              cfg.outer_lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     phi_g, adam_g = adam_step(state.adam_g, state.phi_g, pseudo_g,
-                              state.outer_lr, state.beta1, state.beta2, state.adam_eps)
+                              cfg.outer_lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
 
-    new_state = replace(state, phi_d=phi_d, phi_g=phi_g,
-                        adam_d=adam_d, adam_g=adam_g, step=state.step + 1)
+    new_state = MetaState(phi_d, phi_g, adam_d, adam_g, step=state.step + 1)
     record = TrainRecord(
         step=new_state.step, task_id=task_id,
         critic_loss=stats.final_critic_loss, gen_loss=stats.final_gen_loss,
@@ -220,7 +205,7 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
 
 def figr_generate(phi_d: ParameterSet, phi_g: ParameterSet,
                   disc: Discriminator, gen: Generator,
-                  x_task: np.ndarray, cfg: InnerConfig,
+                  x_task: np.ndarray, cfg: RunConfig,
                   rng: np.random.Generator, count: int) -> np.ndarray:
     """Adapt copies on the conditioning images, then sample `count` images.
 

@@ -2,8 +2,9 @@
 
 Each consumer (weight init, task sampling, latents, interpolation draws,
 evaluation/montage sampling) gets its own PCG64 stream, so changing how
-often one of them runs never perturbs the others.  Stream states pack to
-40 bytes for exact checkpoint round-trips.
+often one of them runs never perturbs the others.  Every stream that
+training, evaluation and generation derive from a seed comes from
+`derive`.  Stream states pack to 40 bytes for exact checkpoint round-trips.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ import numpy as np
 
 STREAM_LABELS = ("init", "task", "latent", "eps", "sample")
 STATE_BYTES = 40
+
+# First spawn-key entry of each consumer's streams.  Synthetic glyphs draw
+# from keys (class,) and (class, image) under split_seed, often the run's
+# seed too.  SeedSequence splits key entries into 32-bit words, so a tag
+# >= 2**32 and one more entry make a key no glyph has (2**32 alone is (0, 1)).
+TRAIN, EVAL_PICK, EVAL_ARM, EVAL_BASELINE, GENERATE_PICK, GENERATE = range(2**32, 2**32 + 6)
 
 
 @dataclass
@@ -28,13 +35,15 @@ class RngStreams:
         return getattr(self, label)
 
 
+def derive(seed: int, tag: int, index: int) -> np.random.Generator:
+    """The PCG64 stream of spawn key (tag, index) under seed."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(tag, index))))
+
+
 def make_streams(seed: int) -> RngStreams:
-    gens = {
-        label: np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(seed, spawn_key=(i,))))
-        for i, label in enumerate(STREAM_LABELS)
-    }
-    return RngStreams(**gens)
+    return RngStreams(**{label: derive(seed, TRAIN, i)
+                         for i, label in enumerate(STREAM_LABELS)})
 
 
 def state_to_bytes(gen: np.random.Generator) -> bytes:

@@ -24,7 +24,8 @@ from figr.autodiff import (
     prelu,
 )
 from figr.gradcheck import finite_difference_gradient, max_relative_error
-from figr.models import Discriminator, Generator, ModelConfig
+from figr.config import RunConfig
+from figr.models import Discriminator, Generator
 
 FD_TOL = 1e-6
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -657,8 +658,8 @@ class TestFirstOrderRules:
         # the four strided adds give numpy's sum over the 2x2 blocks bit for
         # bit at every map the generators upsample, the smallest 4x4
         shapes = []
-        for cfg in (ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1),
-                    ModelConfig(), ModelConfig(image_size=64, n_blocks=4)):
+        for cfg in (RunConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1),
+                    RunConfig(), RunConfig(image_size=64, n_blocks=4)):
             gen = Generator(cfg)
             size = 4
             for _, cin, _, up in gen.blocks:
@@ -667,12 +668,14 @@ class TestFirstOrderRules:
                     size *= 2
         assert (batch, 128, 4, 4) in shapes and (batch, 32, 32, 32) in shapes
         for shape in shapes:
-            arrays = [np.random.default_rng(37).standard_normal(shape).astype(np.float32)]
-            first, recorded = first_order_and_recorded(ad.upsample2, arrays, 38)
             b, c, h, w = shape
-            g6 = probe((b, c, 2 * h, 2 * w), np.float32, 38).reshape(b, c, h, 2, w, 2)
-            assert first[0].tobytes() == g6.sum(axis=(3, 5)).tobytes()
-            assert first[0].tobytes() == recorded[0].tobytes()
+            with Graph():
+                x = Tensor(np.random.default_rng(37).standard_normal(shape).astype(np.float32),
+                           requires_grad=True)
+                c2 = probe((b, c, 2 * h, 2 * w), np.float32, 38)
+                first = backward(ad.tsum(ad.mul(ad.upsample2(x), Tensor(c2))))[x].data
+            g6 = c2.reshape(b, c, h, 2, w, 2)
+            assert first.tobytes() == g6.sum(axis=(3, 5)).tobytes()
 
     def test_first_order_vjps_dispatch_no_op(self, monkeypatch):
         # the fused rules and upsample2 build no graph op on the first-order
@@ -922,7 +925,7 @@ class TestBackward:
 
     @staticmethod
     def critic_input_grad(restrict):
-        cfg = ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1)
+        cfg = RunConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1)
         disc = Discriminator(cfg)
         rng = np.random.default_rng(23)
         phi = disc.init_params(rng)
@@ -948,15 +951,17 @@ class TestBackward:
 
     @pytest.mark.parametrize("op,param", [("conv2d", 1), ("conv2d", 2), ("affine", 1),
                                           ("affine", 2), ("prelu", 1), ("layer_norm", 1),
-                                          ("layer_norm", 2)])
+                                          ("layer_norm", 2), ("upsample2", 0)])
     def test_recorded_parameter_gradient_raises(self, op, param):
         # a recorded backward differentiates a fused op in its input only;
-        # asking it for a weight, bias, slope or gain gradient is an error
+        # asking it for a weight, bias, slope or gain gradient is an error,
+        # and it does not differentiate upsample2, which only the generator runs
         build, shapes = {
             "conv2d": (lambda x, w, b: conv2d(x, w, b, 2), [(2, 3, 4, 4), (2, 3, 3, 3), (2,)]),
             "affine": (ad.affine, [(2, 3, 4, 4), (3, 2), (2,)]),
             "prelu": (prelu, [(2, 3, 4, 4), (3,)]),
             "layer_norm": (layer_norm, [(2, 3, 4, 4), (3, 4, 4), (3, 4, 4)]),
+            "upsample2": (ad.upsample2, [(2, 3, 4, 4)]),
         }[op]
         rng = np.random.default_rng(24)
         with Graph():

@@ -273,6 +273,18 @@ class TestTrain:
                        "--out", tmp_path / "run") == 2
         assert "'flat' has no images or no pixels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new", [("k = 2", "k = 0"),
+                                         ("image_size = 8", "image_size = 32")],
+                             ids=["k0", "32px-1-block"])
+    def test_invalid_config_writes_nothing(self, tmp_path, capsys, old, new):
+        # the config is refused at parse, before the run makes --out
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG.replace(old, new))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenerateEval:
     @pytest.fixture()
@@ -362,6 +374,34 @@ class TestGenerateEval:
         assert out.splitlines()[0] == "task_id,name,mmd2,baseline_mmd2,nn_distance,win"
         assert len(out.splitlines()) == 4
         assert "capped at 2" in err
+
+
+def test_no_derived_stream_repeats_a_glyph_stream(tmp_path, monkeypatch):
+    # with seed == split_seed, every stream train, eval and generate derive
+    # from the seed must differ from each synthetic glyph's stroke stream
+    # (class,) and jitter stream (class, image) under that same seed
+    cfg = tmp_path / "same.cfg"
+    cfg.write_text(TINY_CFG.replace("\nseed = 11", "\nseed = 3"))
+    real = np.random.SeedSequence
+    derived = []
+
+    def recording(*args, **kwargs):
+        seq = real(*args, **kwargs)
+        if sys._getframe(1).f_globals["__name__"] != "figr.data":
+            derived.append(tuple(seq.generate_state(4, np.uint64)))
+        return seq
+
+    monkeypatch.setattr(np.random, "SeedSequence", recording)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", cfg, "--steps", 3, "--out", out) == 0
+    ckpt = out / "ckpt_000003.figr"
+    assert run_cli("eval", "--config", cfg, "--checkpoint", ckpt, "--seed", 3) == 0
+    assert run_cli("generate", "--config", cfg, "--checkpoint", ckpt, "--seed", 3,
+                   "--out", tmp_path / "gen") == 0
+    glyph = {tuple(real(3, spawn_key=key).generate_state(4, np.uint64))
+             for c in range(6) for key in [(c,)] + [(c, i) for i in range(4)]}
+    assert len(derived) >= 10
+    assert sum(state in glyph for state in derived) == 0
 
 
 class TestPackStats:

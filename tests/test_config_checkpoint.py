@@ -18,11 +18,10 @@ from figr.config import (
     RunConfig,
     canonical_text,
     fingerprint,
-    inner_config,
     parse_config,
 )
-from figr.models import Discriminator, Generator, ModelConfig
-from figr.reptile import InnerConfig, init_meta_state
+from figr.models import Discriminator, Generator
+from figr.reptile import init_meta_state
 from figr.rng import STREAM_LABELS, make_streams, state_from_bytes, state_to_bytes, streams_to_states
 
 
@@ -70,11 +69,29 @@ class TestConfig:
             parse_config(f"loss_mode = {mode}\n")
 
     def test_negative_gp_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            InnerConfig(gp_lambda=-1.0)
+        with pytest.raises(ConfigError):
+            RunConfig(gp_lambda=-1.0)
 
-    def test_inner_config_carries_gp_lambda(self):
-        assert inner_config(RunConfig(gp_lambda=2.5)).gp_lambda == 2.5
+    @pytest.mark.parametrize("line", [
+        "image_size = 24", "n_blocks = 2", "latent_dim = 0", "base_width = 0",
+        "precision = half", "k = 0", "n = 0", "inner_lr = -1e-4", "inner_lr = nan",
+        "gp_lambda = -1"])
+    def test_model_and_inner_loop_invariants_refused_at_parse(self, line):
+        with pytest.raises(ConfigError):
+            parse_config(line + "\n")
+
+    @pytest.mark.parametrize("line", [
+        "beta1 = 1.0", "beta1 = -0.1", "beta2 = 1.0", "beta2 = -0.5", "beta1 = nan",
+        "adam_eps = 0.0", "adam_eps = -1e-8", "outer_lr = -1e-5"])
+    def test_adam_settings_that_break_its_arithmetic_refused(self, line):
+        # beta1 = 1 made step 1's bias correction divide 0 by 0 and wrote
+        # NaN into phi, which NonFiniteStep only caught at step 2
+        with pytest.raises(ConfigError):
+            parse_config(line + "\n")
+
+    def test_boundary_adam_settings_accepted(self):
+        cfg = parse_config("beta1 = 0.0\nbeta2 = 0.0\nouter_lr = 0.0\n")
+        assert (cfg.beta1, cfg.beta2, cfg.outer_lr) == (0.0, 0.0, 0.0)
 
     def test_default_fingerprint_pinned(self):
         # loss_mode stays a key so that this, and every checkpoint's
@@ -108,7 +125,7 @@ class TestRngStreams:
         assert len(state_to_bytes(make_streams(0).eps)) == 40
 
 
-CFG = ModelConfig(image_size=8, latent_dim=4, base_width=4, n_blocks=1)
+CFG = RunConfig(image_size=8, latent_dim=4, base_width=4, n_blocks=1)
 
 
 def small_state(cfg=CFG):
@@ -181,8 +198,8 @@ class TestCheckpoint:
         np.testing.assert_array_equal(clone.latent.standard_normal(5), expected)
 
     def test_double_parameters_round_trip_exactly(self):
-        state, streams = small_state(ModelConfig(image_size=8, latent_dim=4, base_width=4,
-                                                 n_blocks=1, precision="double"))
+        state, streams = small_state(RunConfig(image_size=8, latent_dim=4, base_width=4,
+                                               n_blocks=1, precision="double"))
         data = deserialize(serialize(state, streams, b"\x00" * 32))
         assert data.phi_d.dtype == np.float64 and data.phi_g.dtype == np.float64
         np.testing.assert_array_equal(data.phi_d, state.phi_d.vector)

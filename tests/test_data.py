@@ -36,7 +36,8 @@ from figr.data import (
     synth_glyph_image,
     write_pgm,
 )
-from figr.models import Discriminator, Generator, ModelConfig
+from figr.config import RunConfig
+from figr.models import Discriminator, Generator
 from figr.reptile import init_meta_state
 from figr.rng import STATE_BYTES, STREAM_LABELS, make_streams
 
@@ -485,7 +486,7 @@ class TestByteReader:
 
 
 def _tiny_checkpoint() -> bytes:
-    cfg = ModelConfig(image_size=8, latent_dim=4, base_width=4, n_blocks=1)
+    cfg = RunConfig(image_size=8, latent_dim=4, base_width=4, n_blocks=1)
     streams = make_streams(5)
     state = init_meta_state(Discriminator(cfg), Generator(cfg), streams.init)
     return serialize(state, streams, b"\x07" * 32)

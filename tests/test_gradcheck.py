@@ -9,8 +9,9 @@ from figr.gradcheck import (
     max_relative_error,
     run_gradcheck,
 )
-from figr.models import Discriminator, Generator, ModelConfig
-from figr.reptile import InnerConfig, inner_loop
+from figr.config import RunConfig
+from figr.models import Discriminator, Generator
+from figr.reptile import inner_loop
 
 NAMES = ["generator-params", "critic-params", "critic-input", "gradient-penalty"]
 
@@ -91,10 +92,10 @@ def recorded_ops(monkeypatch, fn) -> set[str]:
     return ops
 
 
-TINY = ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1)
+TINY = RunConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1)
 
 
-@pytest.mark.parametrize("cfg", [TINY, ModelConfig()], ids=["tiny", "default"])
+@pytest.mark.parametrize("cfg", [TINY, RunConfig()], ids=["tiny", "default"])
 def test_gradcheck_covers_every_training_op(monkeypatch, cfg):
     # an op that a training step records but gradcheck never reaches would
     # go uncertified by `figr gradcheck`
@@ -104,7 +105,7 @@ def test_gradcheck_covers_every_training_op(monkeypatch, cfg):
     phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
     x = np.tanh(rng.standard_normal((2, 1, cfg.image_size, cfg.image_size)))
     trained = recorded_ops(monkeypatch, lambda: inner_loop(
-        phi_d, phi_g, disc, gen, x.astype(cfg.dtype), InnerConfig(k=1, n=2),
+        phi_d, phi_g, disc, gen, x.astype(cfg.dtype), RunConfig(k=1, n=2),
         np.random.default_rng(1), np.random.default_rng(2)))
     assert "conv2d" in trained
     assert trained <= checked, sorted(trained - checked)

@@ -5,24 +5,23 @@ import pytest
 
 from figr import autodiff as ad
 from figr.autodiff import Graph, Tensor, backward
+from figr.config import ConfigError, RunConfig
 from figr.gradcheck import finite_difference_gradient, max_relative_error
 from figr.models import (
     Discriminator,
     Generator,
-    InvalidConfig,
     LayoutMismatch,
-    ModelConfig,
     ParameterSet,
     Segment,
     params_delta,
     sample_latent,
 )
 
-TINY = ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="double")
-SMALL32 = ModelConfig(image_size=32, latent_dim=64, base_width=16, n_blocks=3)
+TINY = RunConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="double")
+SMALL32 = RunConfig(image_size=32, latent_dim=64, base_width=16, n_blocks=3)
 
 
-def expected_generator_count(cfg: ModelConfig) -> int:
+def expected_generator_count(cfg: RunConfig) -> int:
     """Closed-form parameter count, written independently of the layout builder."""
     scales = {8: 1, 16: 2, 32: 3, 64: 4}[cfg.image_size]
     w_top = cfg.base_width * 2 ** scales
@@ -39,7 +38,7 @@ def expected_generator_count(cfg: ModelConfig) -> int:
     return total
 
 
-def expected_discriminator_count(cfg: ModelConfig) -> int:
+def expected_discriminator_count(cfg: RunConfig) -> int:
     scales = {8: 1, 16: 2, 32: 3, 64: 4}[cfg.image_size]
     s = cfg.image_size
     total = 1 * cfg.base_width * 9 + cfg.base_width           # stem conv
@@ -67,12 +66,12 @@ def block_count(cin, cout, size, proj):
 
 class TestConfig:
     def test_bad_image_size(self):
-        with pytest.raises(InvalidConfig):
-            ModelConfig(image_size=24)
+        with pytest.raises(ConfigError):
+            RunConfig(image_size=24)
 
     def test_too_few_blocks(self):
-        with pytest.raises(InvalidConfig):
-            ModelConfig(image_size=32, n_blocks=2)
+        with pytest.raises(ConfigError):
+            RunConfig(image_size=32, n_blocks=2)
 
 
 class TestParameterSet:
@@ -118,14 +117,14 @@ class TestBuild:
         np.testing.assert_array_equal(a.vector, b.vector)
 
     @pytest.mark.parametrize("cfg", [TINY, SMALL32,
-                                     ModelConfig(image_size=16, base_width=10,
-                                                 latent_dim=40, n_blocks=2)])
+                                     RunConfig(image_size=16, base_width=10,
+                                               latent_dim=40, n_blocks=2)])
     def test_generator_count_matches_closed_form(self, cfg):
         assert Generator(cfg).param_count() == expected_generator_count(cfg)
 
     @pytest.mark.parametrize("cfg", [TINY, SMALL32,
-                                     ModelConfig(image_size=16, base_width=10,
-                                                 latent_dim=40, n_blocks=2)])
+                                     RunConfig(image_size=16, base_width=10,
+                                               latent_dim=40, n_blocks=2)])
     def test_discriminator_count_matches_closed_form(self, cfg):
         assert Discriminator(cfg).param_count() == expected_discriminator_count(cfg)
 
@@ -212,7 +211,7 @@ class TestForward:
         # an untaped forward keeps one sample's conv columns, not the batch's:
         # a default generator at batch 64 peaked at 95 MB with batch-wide
         # columns and about 32 MB with per-sample ones
-        cfg = ModelConfig()
+        cfg = RunConfig()
         gen = Generator(cfg)
         phi = gen.init_params(np.random.default_rng(0))
         z = sample_latent(64, cfg, np.random.default_rng(1))
@@ -279,7 +278,7 @@ class TestLatent:
 
     def test_standard_normal_moments(self):
         n = 100_000
-        cfg = ModelConfig(image_size=8, latent_dim=2, base_width=4, n_blocks=1)
+        cfg = RunConfig(image_size=8, latent_dim=2, base_width=4, n_blocks=1)
         z = sample_latent(n, cfg, np.random.default_rng(10)).data
         # mean of N(0,1) over n draws has sd 1/sqrt(n); 4 sigma bound
         assert abs(z.mean()) < 4.0 / np.sqrt(z.size)

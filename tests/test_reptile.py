@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,18 +12,17 @@ import pytest
 
 from figr import autodiff as ad
 from figr.autodiff import Graph, Tensor, add, backward
+from figr.config import RunConfig
 from figr.losses import critic_loss, generator_loss, gradient_penalty
 from figr.models import (
     BoundParams,
     Discriminator,
     Generator,
     LayoutMismatch,
-    ModelConfig,
     params_delta,
 )
 from figr.reptile import (
     AdamState,
-    InnerConfig,
     MetaState,
     adam_step,
     NonFiniteStep,
@@ -34,8 +34,8 @@ from figr.reptile import (
 from figr.rng import make_streams
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-CFG64 = ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="double")
-CFG32 = ModelConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="single")
+CFG64 = RunConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="double")
+CFG32 = RunConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="single")
 
 
 def tiny_models(cfg):
@@ -108,7 +108,7 @@ class TestInnerLoop:
         disc, gen = tiny_models(CFG64)
         rng = np.random.default_rng(5)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
-        cfg = InnerConfig(k=3, n=2, inner_lr=0.0)
+        cfg = RunConfig(k=3, n=2, inner_lr=0.0)
         w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, task_images(CFG64, 2),
                                  cfg, np.random.default_rng(6), np.random.default_rng(7))
         np.testing.assert_array_equal(w_d.vector, phi_d.vector)
@@ -120,7 +120,7 @@ class TestInnerLoop:
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         before_d, before_g = phi_d.vector.copy(), phi_g.vector.copy()
         inner_loop(phi_d, phi_g, disc, gen, task_images(CFG64, 2),
-                   InnerConfig(k=2, n=2, inner_lr=1e-3),
+                   RunConfig(k=2, n=2, inner_lr=1e-3),
                    np.random.default_rng(9), np.random.default_rng(10))
         np.testing.assert_array_equal(phi_d.vector, before_d)
         np.testing.assert_array_equal(phi_g.vector, before_g)
@@ -131,18 +131,19 @@ class TestInnerLoop:
         # 1 and 2 threads unless it is padded; width 16 is the default
         code = (
             "import hashlib, numpy as np\n"
-            "from figr.models import Discriminator, Generator, ModelConfig\n"
-            "from figr.reptile import InnerConfig, inner_loop\n"
+            "from figr.config import RunConfig\n"
+            "from figr.models import Discriminator, Generator\n"
+            "from figr.reptile import inner_loop\n"
             "h = hashlib.sha256()\n"
             "for size, width, blocks in ((32, 13, 3), (32, 14, 3), (32, 20, 3), (32, 52, 3),\n"
             "                            (64, 13, 4), (32, 16, 3)):\n"
-            "    cfg = ModelConfig(image_size=size, latent_dim=16, base_width=width,\n"
-            "                      n_blocks=blocks)\n"
+            "    cfg = RunConfig(image_size=size, latent_dim=16, base_width=width,\n"
+            "                    n_blocks=blocks, k=1, n=4)\n"
             "    disc, gen = Discriminator(cfg), Generator(cfg)\n"
             "    rng = np.random.default_rng(1)\n"
             "    phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)\n"
             "    x = np.tanh(rng.standard_normal((4, 1, size, size))).astype(np.float32)\n"
-            "    w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, InnerConfig(k=1, n=4),\n"
+            "    w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, cfg,\n"
             "                             np.random.default_rng(2), np.random.default_rng(3))\n"
             "    h.update(w_d.vector.tobytes() + w_g.vector.tobytes())\n"
             "print(h.hexdigest())\n")
@@ -160,7 +161,7 @@ class TestInnerLoop:
         rng = np.random.default_rng(11)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         x = task_images(CFG32, 2, seed=1)
-        cfg = InnerConfig(k=2, n=2, inner_lr=1e-4)
+        cfg = RunConfig(k=2, n=2, inner_lr=1e-4)
         run = lambda: inner_loop(phi_d, phi_g, disc, gen, x, cfg,
                                  np.random.default_rng(12), np.random.default_rng(13))
         a_d, a_g, _ = run()
@@ -172,7 +173,7 @@ class TestInnerLoop:
         disc, gen = tiny_models(CFG64)
         rng = np.random.default_rng(14)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
-        cfg = InnerConfig(k=4, n=2, inner_lr=1e-3)
+        cfg = RunConfig(k=4, n=2, inner_lr=1e-3)
         (w_d, w_g, _), trace = traced_inner_loop(
             monkeypatch, phi_d, phi_g, disc, gen, task_images(CFG64, 2, 2),
             cfg, np.random.default_rng(15), np.random.default_rng(16))
@@ -190,7 +191,7 @@ class TestInnerLoop:
         disc, gen = tiny_models(CFG32)
         rng = np.random.default_rng(14)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
-        cfg = InnerConfig(k=4, n=2, inner_lr=1e-3)
+        cfg = RunConfig(k=4, n=2, inner_lr=1e-3)
         (w_d, w_g, _), trace = traced_inner_loop(
             monkeypatch, phi_d, phi_g, disc, gen, task_images(CFG32, 2, 2),
             cfg, np.random.default_rng(15), np.random.default_rng(16))
@@ -215,12 +216,26 @@ class TestMetaStep:
         return TaskDataset(classes=tuple(classes), image_size=cfg.image_size,
                            train_ids=tuple(range(n_classes)), val_ids=())
 
+    def test_outer_step_reads_its_settings_from_cfg(self):
+        # MetaState holds only what a checkpoint restores
+        assert [f.name for f in fields(MetaState)] == [
+            "phi_d", "phi_g", "adam_d", "adam_g", "step"]
+        disc, gen = tiny_models(CFG32)
+        state = init_meta_state(disc, gen, np.random.default_rng(21))
+        ds = self.make_dataset(CFG32)
+        still, _ = meta_step(state, disc, gen, ds, RunConfig(k=1, n=2, outer_lr=0.0),
+                             make_streams(0))
+        moved, _ = meta_step(state, disc, gen, ds, RunConfig(k=1, n=2), make_streams(0))
+        np.testing.assert_array_equal(still.phi_d.vector, state.phi_d.vector)
+        assert still.adam_d.t == 1
+        assert not np.array_equal(moved.phi_d.vector, state.phi_d.vector)
+
     def test_zero_inner_lr_leaves_phi(self):
         disc, gen = tiny_models(CFG32)
         state = init_meta_state(disc, gen, np.random.default_rng(21))
         ds = self.make_dataset(CFG32)
         new, rec = meta_step(state, disc, gen, ds,
-                             InnerConfig(k=2, n=2, inner_lr=0.0), make_streams(0))
+                             RunConfig(k=2, n=2, inner_lr=0.0), make_streams(0))
         np.testing.assert_array_equal(new.phi_d.vector, state.phi_d.vector)
         np.testing.assert_array_equal(new.phi_g.vector, state.phi_g.vector)
         assert new.step == state.step + 1
@@ -232,7 +247,7 @@ class TestMetaStep:
         disc, gen = tiny_models(CFG64)
         rng = np.random.default_rng(22)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
-        cfg = InnerConfig(k=1, n=2, inner_lr=1e-3)
+        cfg = RunConfig(k=1, n=2, inner_lr=1e-3)
         x = task_images(CFG64, 2, seed=3)
 
         lat_seed, eps_seed = 23, 24
@@ -272,7 +287,7 @@ class TestMetaStep:
     def test_ten_steps_bit_identical_across_runs(self):
         disc, gen = tiny_models(CFG32)
         ds = self.make_dataset(CFG32)
-        cfg = InnerConfig(k=2, n=2, inner_lr=1e-4)
+        cfg = RunConfig(k=2, n=2, inner_lr=1e-4)
 
         def run():
             state = init_meta_state(disc, gen, np.random.default_rng(30))
@@ -296,7 +311,7 @@ class TestMetaStep:
         ds = figr.data.synth_glyph_dataset(6, 4, CFG32.image_size, seed=0)
         disc, gen = tiny_models(CFG32)
         state = init_meta_state(disc, gen, np.random.default_rng(0))
-        _, rec = meta_step(state, disc, gen, ds, InnerConfig(k=1, n=2),
+        _, rec = meta_step(state, disc, gen, ds, RunConfig(k=1, n=2),
                            make_streams(0))
         assert len(calls) == 4
         assert {c[1] for c in calls} == {rec.task_id}
@@ -309,7 +324,7 @@ class TestMetaStep:
         ds = self.make_dataset(CFG32, n_classes=1)
         ds.classes[0].images[:, 0, 0, 0] = np.nan
         with pytest.raises(NonFiniteStep, match=r"meta-step 1 on task 0: non-finite"):
-            meta_step(state, disc, gen, ds, InnerConfig(k=2, n=2, inner_lr=1e-4),
+            meta_step(state, disc, gen, ds, RunConfig(k=2, n=2, inner_lr=1e-4),
                       make_streams(0))
         for before, after in zip(snap, (state.phi_d.vector, state.phi_g.vector,
                                         state.adam_d.m, state.adam_g.v)):
@@ -322,7 +337,7 @@ class TestMetaStep:
         state = init_meta_state(disc, gen, np.random.default_rng(0))
         ds = TaskDataset(classes=(), image_size=8, train_ids=(), val_ids=())
         with pytest.raises(EmptySplit):
-            meta_step(state, disc, gen, ds, InnerConfig(k=1, n=1), make_streams(0))
+            meta_step(state, disc, gen, ds, RunConfig(k=1, n=1), make_streams(0))
 
 
 class TestGenerate:
@@ -331,7 +346,7 @@ class TestGenerate:
         rng = np.random.default_rng(40)
         with pytest.raises(ValueError):
             figr_generate(disc.init_params(rng), gen.init_params(rng), disc, gen,
-                          task_images(CFG32, 2), InnerConfig(k=1, n=2),
+                          task_images(CFG32, 2), RunConfig(k=1, n=2),
                           np.random.default_rng(0), count=0)
 
     def test_deterministic_and_nondegenerate(self):
@@ -339,7 +354,7 @@ class TestGenerate:
         rng = np.random.default_rng(41)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         x = task_images(CFG32, 2, seed=4)
-        cfg = InnerConfig(k=2, n=2, inner_lr=1e-4)
+        cfg = RunConfig(k=2, n=2, inner_lr=1e-4)
 
         def run(seed):
             return figr_generate(phi_d, phi_g, disc, gen, x, cfg,
@@ -357,7 +372,7 @@ class TestGenerate:
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         snap_d, snap_g = phi_d.vector.copy(), phi_g.vector.copy()
         figr_generate(phi_d, phi_g, disc, gen, task_images(CFG32, 2, 5),
-                      InnerConfig(k=3, n=2, inner_lr=1e-3),
+                      RunConfig(k=3, n=2, inner_lr=1e-3),
                       np.random.default_rng(0), count=2)
         np.testing.assert_array_equal(phi_d.vector, snap_d)
         np.testing.assert_array_equal(phi_g.vector, snap_g)
@@ -371,7 +386,7 @@ class TestTapeRelease:
         rng = np.random.default_rng(43)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         x = task_images(CFG32, 2, seed=6)
-        cfg = InnerConfig(k=2, n=2, inner_lr=1e-4)
+        cfg = RunConfig(k=2, n=2, inner_lr=1e-4)
 
         def adapt_and_generate():
             inner_loop(phi_d, phi_g, disc, gen, x, cfg,
@@ -392,7 +407,7 @@ class TestTapeRelease:
 
 
 class TestInnerStepTape:
-    @pytest.mark.parametrize("cfg", [CFG32, CFG64, ModelConfig()],
+    @pytest.mark.parametrize("cfg", [CFG32, CFG64, RunConfig()],
                              ids=["tiny-single", "tiny-double", "default"])
     def test_joint_critic_scores_equal_separate_forwards(self, cfg):
         # every critic layer is per-sample, so scoring [real; fake] in one
@@ -429,12 +444,12 @@ class TestInnerStepTape:
 
         monkeypatch.setattr(figr.reptile, "backward", counting)
         steps = {}
-        for name, cfg in (("tiny", CFG32), ("default", ModelConfig())):
+        for name, cfg in (("tiny", CFG32), ("default", RunConfig())):
             disc, gen = tiny_models(cfg)
             rng = np.random.default_rng(53)
             phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
             inner_loop(phi_d, phi_g, disc, gen, task_images(cfg, 2, seed=54),
-                       InnerConfig(k=1, n=2), np.random.default_rng(55),
+                       RunConfig(k=1, n=2), np.random.default_rng(55),
                        np.random.default_rng(56))
             steps[name], tapes[:] = tapes[:], []
         assert {name: [len(t) for t in ts] for name, ts in steps.items()} == {
@@ -459,13 +474,13 @@ class TestInnerStepTape:
 
         monkeypatch.setattr(ad, "_apply", counting)
         dispatches = {}
-        for name, cfg in (("tiny", CFG32), ("default", ModelConfig())):
+        for name, cfg in (("tiny", CFG32), ("default", RunConfig())):
             disc, gen = tiny_models(cfg)
             rng = np.random.default_rng(53)
             phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
             count[0] = 0
             inner_loop(phi_d, phi_g, disc, gen, task_images(cfg, 2, seed=54),
-                       InnerConfig(k=1, n=2), np.random.default_rng(55),
+                       RunConfig(k=1, n=2), np.random.default_rng(55),
                        np.random.default_rng(56))
             dispatches[name] = count[0]
         assert dispatches == {"tiny": 388, "default": 834}
@@ -475,14 +490,14 @@ class TestInnerStepTape:
         # warm-up loop; it read 47.89 MiB (47.90 cold) when this ceiling was
         # set.  A later change may lower the ceiling; raising it needs a
         # reason in CHANGES.md
-        cfg = ModelConfig()
+        cfg = RunConfig()
         disc, gen = tiny_models(cfg)
         rng = np.random.default_rng(53)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         x = task_images(cfg, 4, seed=54)
 
         def adapt():
-            inner_loop(phi_d, phi_g, disc, gen, x, InnerConfig(k=2, n=4),
+            inner_loop(phi_d, phi_g, disc, gen, x, RunConfig(k=2, n=4),
                        np.random.default_rng(55), np.random.default_rng(56))
 
         adapt()
