@@ -14,13 +14,18 @@ precision of its own.  There is no implicit tape: an op on a
 requires_grad tensor must run inside a ``with Graph()`` block, and a
 leaf is made one way, ``Tensor(data, requires_grad)``.
 
-Backward rules are themselves written with the public ops; running
-backward with ``create_graph`` therefore records the backward pass onto
-the same tape and the returned gradients are differentiable tensors.
-That one mechanism provides the second-order derivatives the gradient
-penalty, its only user, needs.  ``create_graph`` names the leaves to
-differentiate with respect to: the penalty passes ``(xhat,)``, so the
-critic's parameter gradients are neither computed nor recorded.
+A first-order backward runs each op's first-order rule, which computes
+on arrays without a graph op: its recorded rule's numpy operations in
+the same float order, so the two give bitwise the same gradients.  The
+recorded rule, written with the public ops, exists only for the
+gradient penalty's second-order derivatives: backward with
+``create_graph`` records it onto the same tape, so the returned
+gradients are differentiable tensors.  ``create_graph`` names the
+leaves to differentiate with respect to: the penalty passes ``(xhat,)``,
+so the critic's parameter gradients are neither computed nor recorded.
+unfold3x3, fold3x3 and spread2, which only recorded rules record, have
+one rule in graph ops, cheap with recording off; upsample2 has a
+first-order rule alone.
 
 Fused ops (conv2d, affine, prelu, layer_norm) are one node each, with a
 numpy forward; prelu applies its sign mask by multiplication, without a
@@ -28,26 +33,24 @@ per-element branch.  A recorded backward differentiates them in their data
 input only: the recorded rule gives the input gradient alone, in graph
 ops that stay differentiable in every input (so the penalty's weight
 gradients flow), and a request for a parameter gradient raises
-NotImplementedError.  A first-order backward needs no graph: each fused
-rule computes every gradient on arrays, the input gradient in its
-graph-op rule's float order, and backward sums in numpy, so the results
-are bitwise equal.  conv2d's kernels work on one zero-padded,
-channel-major grid (see _Geometry) in which each 3x3 tap is a fixed
-offset: im2col is one long-run copy per sample, col2im nine contiguous
-adds, the weight gradient nine GEMMs against the grid.  The forward
-keeps one GEMM per sample, so a sample's output does not depend on its
-batch.  fold3x3, which conv2d's recorded rule records, and its adjoint
-unfold3x3 run on the same kernels, the stride a parameter of the grid.
-upsample2's rule, first-order only, is four strided adds.  conv2d's forward
-and matmul zero-pad a GEMM reduction longer than 384 to a multiple of 32
+NotImplementedError; their first-order rules give every gradient.
+conv2d's kernels work on one zero-padded, channel-major grid (see
+_Geometry) in which each 3x3 tap is a fixed offset: im2col is one
+long-run copy per sample, col2im nine contiguous adds, the weight
+gradient nine GEMMs against the grid.  The forward keeps one GEMM per
+sample, so a sample's output does not depend on its batch.  fold3x3,
+which conv2d's recorded rule records, and its adjoint unfold3x3 run on
+the same kernels, the stride a parameter of the grid.  upsample2's rule
+is four strided adds.  conv2d's forward and matmul's every product
+(_gemm) zero-pad a GEMM reduction longer than 384 to a multiple of 32
 (_blas_k), a length OpenBLAS blocks the same way at every thread count.
 
 A first-order backward (no ``create_graph``) consumes the tape and
-releases its nodes.  Each node's backward rule closes over its input
-tensors and every tensor points back to its graph, so a live tape is a
-reference cycle; emptying it lets reference counting free the saved
-activations as soon as the gradients are taken, not at the next cyclic
-garbage collection.
+releases each node as soon as it visits it.  Each node's backward rule
+closes over its input tensors and every tensor points back to its graph,
+so a live tape is a reference cycle; releasing the nodes lets reference
+counting free a saved activation once every rule that saved it has run,
+not at the next cyclic garbage collection.
 """
 
 from __future__ import annotations
@@ -183,17 +186,17 @@ def _apply(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
            vjp: Callable) -> Tensor:
     """Create the result tensor, recording a node when gradients may flow."""
     st = _TLS
-    requires = st.grad_enabled and any(i.requires_grad for i in inputs)
-    out = Tensor(out_data, requires_grad=requires)
-    if requires:
-        if not st.stack:
-            raise NoGraph(f"{op} on a requires_grad tensor must run inside a "
-                          "`with Graph()` block")
-        g = st.stack[-1]
-        input_ids = tuple(_register(i, g) if i.requires_grad else None for i in inputs)
-        out.is_leaf = False
-        out.graph = g
-        out.node = g.append(Node(op, input_ids, vjp))
+    if not st.grad_enabled or not any([i.requires_grad for i in inputs]):
+        return Tensor(out_data)
+    if not st.stack:
+        raise NoGraph(f"{op} on a requires_grad tensor must run inside a "
+                      "`with Graph()` block")
+    g = st.stack[-1]
+    out = Tensor(out_data, requires_grad=True)
+    input_ids = tuple([_register(i, g) if i.requires_grad else None for i in inputs])
+    out.is_leaf = False
+    out.graph = g
+    out.node = g.append(Node(op, input_ids, vjp))
     return out
 
 
@@ -230,6 +233,11 @@ def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
     return tsum(g, axes=lead)
 
 
+def _grad(d: np.ndarray, shape: tuple) -> Tensor:
+    """A first-order rule's gradient: _unbroadcast on arrays, in the same order."""
+    return Tensor(d if d.shape == shape else d.sum(axis=tuple(range(d.ndim - len(shape)))))
+
+
 def _operands(a, b) -> tuple[Tensor, Tensor]:
     """A python scalar on either side becomes a 0-d constant of the other's dtype."""
     if not isinstance(a, Tensor):
@@ -237,7 +245,8 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.data.dtype))
     _check_same_dtype(a, b)
-    _broadcast_shape(a.shape, b.shape)
+    if a.data.shape != b.data.shape:
+        _broadcast_shape(a.shape, b.shape)
     return a, b
 
 
@@ -249,6 +258,9 @@ def add(a, b) -> Tensor:
     a, b = _operands(a, b)
 
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            return (_grad(g.data, a.shape) if needs[0] else None,
+                    _grad(g.data, b.shape) if needs[1] else None)
         return (_unbroadcast(g, a.shape) if needs[0] else None,
                 _unbroadcast(g, b.shape) if needs[1] else None)
 
@@ -259,6 +271,9 @@ def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
 
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            return (_grad(g.data, a.shape) if needs[0] else None,
+                    _grad(-g.data, b.shape) if needs[1] else None)
         return (_unbroadcast(g, a.shape) if needs[0] else None,
                 _unbroadcast(neg(g), b.shape) if needs[1] else None)
 
@@ -269,6 +284,9 @@ def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
 
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            return (_grad(g.data * b.data, a.shape) if needs[0] else None,
+                    _grad(g.data * a.data, b.shape) if needs[1] else None)
         return (_unbroadcast(mul(g, b), a.shape) if needs[0] else None,
                 _unbroadcast(mul(g, a), b.shape) if needs[1] else None)
 
@@ -279,6 +297,9 @@ def div(a, b) -> Tensor:
     a, b = _operands(a, b)
 
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            return (_grad(g.data / b.data, a.shape) if needs[0] else None,
+                    _grad(-(g.data * a.data / np.square(b.data)), b.shape) if needs[1] else None)
         da = _unbroadcast(div(g, b), a.shape) if needs[0] else None
         db = None
         if needs[1]:
@@ -290,13 +311,15 @@ def div(a, b) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     def vjp(g, needs):
-        return (neg(g),)
+        return (Tensor(-g.data) if not _TLS.grad_enabled else neg(g),)
 
     return _apply("neg", -a.data, (a,), vjp)
 
 
 def square(a: Tensor) -> Tensor:
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            return (Tensor(g.data * 2.0 * a.data),)
         return (mul(mul(g, 2.0), a),)
 
     return _apply("square", np.square(a.data), (a,), vjp)
@@ -306,6 +329,8 @@ def sqrt(a: Tensor) -> Tensor:
     out_ref = []
 
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            return (Tensor(g.data * 0.5 / out_ref[0].data),)
         return (div(mul(g, 0.5), out_ref[0]),)
 
     out = _apply("sqrt", np.sqrt(a.data), (a,), vjp)
@@ -317,6 +342,8 @@ def tanh(a: Tensor) -> Tensor:
     out_ref = []
 
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            return (Tensor(g.data * (1.0 - np.square(out_ref[0].data))),)
         return (mul(g, sub(1.0, square(out_ref[0]))),)
 
     out = _apply("tanh", np.tanh(a.data), (a,), vjp)
@@ -339,10 +366,12 @@ def tsum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     kshape = tuple(1 if i in ax else d for i, d in enumerate(a.shape))
 
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            return (Tensor(_broadcast(g.data if keepdims else g.data.reshape(kshape), a.shape)),)
         gk = g if keepdims or a.ndim == 0 else reshape(g, kshape)
         return (expand(gk, a.shape),)
 
-    return _apply("sum", a.data.sum(axis=ax or None, keepdims=keepdims), (a,), vjp)
+    return _apply("sum", a.data.sum(axis=ax, keepdims=keepdims), (a,), vjp)
 
 
 def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
@@ -355,7 +384,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def vjp(g, needs):
-        return (reshape(g, a.shape),)
+        return (Tensor(g.data.reshape(a.shape)) if not _TLS.grad_enabled else reshape(g, a.shape),)
 
     return _apply("reshape", out_data, (a,), vjp)
 
@@ -364,7 +393,8 @@ def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     axes = tuple(axes)
 
     def vjp(g, needs):
-        return (permute(g, tuple(sorted(range(len(axes)), key=axes.__getitem__))),)
+        inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+        return (Tensor(g.data.transpose(inv)) if not _TLS.grad_enabled else permute(g, inv),)
 
     return _apply("permute", a.data.transpose(axes), (a,), vjp)
 
@@ -389,6 +419,8 @@ def expand(a: Tensor, shape) -> Tensor:
     axes = tuple(axes)
 
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            return (Tensor(g.data.sum(axis=axes, keepdims=True).reshape(a.shape)),)
         r = tsum(g, axes=axes, keepdims=True)
         return (reshape(r, a.shape),)
 
@@ -429,6 +461,16 @@ def _blas_k(k: int) -> int:
     return k if k <= 384 else -(-k // 32) * 32
 
 
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul(a, b) with the reduction run at _blas_k's length."""
+    pad = _blas_k(a.shape[-1]) - a.shape[-1]
+    if pad:
+        a = np.concatenate([a, np.zeros(a.shape[:-1] + (pad,), dtype=a.dtype)], axis=-1)
+        b = np.concatenate([b, np.zeros(b.shape[:-2] + (pad, b.shape[-1]), dtype=b.dtype)],
+                           axis=-2)
+    return np.matmul(a, b)
+
+
 def _swap_last2(a: Tensor) -> Tensor:
     """Transpose the two trailing axes (the matrices of a batch)."""
     n = a.ndim
@@ -453,17 +495,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
 
     def vjp(g, needs):
+        if not _TLS.grad_enabled:
+            return (_grad(_gemm(g.data, b.data.swapaxes(-1, -2)), a.shape) if needs[0] else None,
+                    _grad(_gemm(a.data.swapaxes(-1, -2), g.data), b.shape) if needs[1] else None)
         da = _unbroadcast(matmul(g, _swap_last2(b)), a.shape) if needs[0] else None
         db = _unbroadcast(matmul(_swap_last2(a), g), b.shape) if needs[1] else None
         return (da, db)
 
-    am, bm = a.data, b.data
-    pad = _blas_k(am.shape[-1]) - am.shape[-1]
-    if pad:
-        am = np.concatenate([am, np.zeros(am.shape[:-1] + (pad,), dtype=am.dtype)], axis=-1)
-        bm = np.concatenate([bm, np.zeros(bm.shape[:-2] + (pad, bm.shape[-1]), dtype=bm.dtype)],
-                            axis=-2)
-    return _apply("matmul", np.matmul(am, bm), (a, b), vjp)
+    return _apply("matmul", _gemm(a.data, b.data), (a, b), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -662,22 +701,23 @@ def subsample2(a: Tensor) -> Tensor:
     hw = a.shape[2:]
 
     def vjp(g, needs):
-        return (spread2(g, hw),)
+        return (Tensor(_spread(g.data, hw)) if not _TLS.grad_enabled else spread2(g, hw),)
 
     return _apply("subsample2", np.ascontiguousarray(a.data[:, :, ::2, ::2]), (a,), vjp)
 
 
+def _spread(d: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
+    out = np.zeros(d.shape[:2] + tuple(hw), dtype=d.dtype)
+    out[:, :, ::2, ::2] = d
+    return out
+
+
 def spread2(a: Tensor, hw: tuple[int, int]) -> Tensor:
     """Adjoint of subsample2: embed values at even indices of an HxW map."""
-    h, w = hw
-
     def vjp(g, needs):
         return (subsample2(g),)
 
-    b, c = a.shape[:2]
-    out = np.zeros((b, c, h, w), dtype=a.data.dtype)
-    out[:, :, ::2, ::2] = a.data
-    return _apply("spread2", out, (a,), vjp)
+    return _apply("spread2", _spread(a.data, hw), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +955,10 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
     """Accumulate d(loss)/d(leaf) for every reachable requires_grad leaf.
 
     Returns a map keyed by leaf tensor.  A first-order call
-    (create_graph=False) consumes the graph: it is marked dead and its
-    nodes are released, so the activations they saved are freed once the
-    caller drops its own references.
+    (create_graph=False) runs every op's first-order rule, in numpy, and
+    consumes the graph: it is marked dead and each node is released as
+    soon as it is visited, so an activation is freed once the rules that
+    saved it have run and the caller drops its own references.
 
     Otherwise create_graph names the leaves to differentiate with respect
     to, e.g. ``create_graph=(xhat,)``.  The backward pass is then recorded
@@ -952,12 +993,17 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
                 depends[leaf.node] = 1
         for i in range(start + 1):
             if not depends[i]:
-                depends[i] = any(j is not None and depends[j] for j in nodes[i].input_ids)
+                for j in nodes[i].input_ids:
+                    if j is not None and depends[j]:
+                        depends[i] = 1
+                        break
         if not depends[start]:
             return {}
 
     grads: dict[int, Tensor] = {start: Tensor(np.ones(loss.shape, dtype=loss.data.dtype))}
     result: dict[Tensor, Tensor] = {}
+    if not record:
+        g.dead = True                   # even if a rule raises: visited nodes are released
 
     st = _TLS
     st.stack.append(g)
@@ -968,18 +1014,20 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
         # nodes the loss does not reach, or (recorded) that do not depend
         # on the requested leaves, are never visited
         for i in range(start, -1, -1):
-            if i not in grads:
+            gi = grads.pop(i, None)
+            if gi is None:
                 continue
             node = nodes[i]
-            gi = grads.pop(i)
+            if not record:
+                nodes[i] = None         # release what only this node's rule held
             if node.vjp is None:
                 result[node.leaf] = gi
                 continue
             ids = node.input_ids
             if depends is None:
-                needs = tuple(j is not None for j in ids)
+                needs = [j is not None for j in ids]
             else:
-                needs = tuple(j is not None and depends[j] == 1 for j in ids)
+                needs = [j is not None and depends[j] == 1 for j in ids]
             for j, dj in zip(ids, node.vjp(gi, needs)):
                 if dj is None:
                     continue
@@ -992,6 +1040,5 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
         st.stack.pop()
 
     if not record:
-        g.dead = True
         nodes.clear()
     return result

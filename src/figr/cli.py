@@ -139,8 +139,6 @@ def cmd_train(args) -> int:
     target = cfg.meta_steps if args.steps is None else args.steps
 
     dataset = build_dataset(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.resume:
         disc, gen, state, data = _restore(cfg, args.resume)
         streams = restore_streams(data)
@@ -149,6 +147,10 @@ def cmd_train(args) -> int:
         disc, gen = Discriminator(cfg), Generator(cfg)
         streams = rng.make_streams(cfg.seed)
         state = init_meta_state(disc, gen, streams.init)
+
+    # made only now, so a checkpoint the resume refuses leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not args.resume:
         # both are a function of the config alone and a fresh start rewrites
         # them, so they are renamed into place whole but not flushed to disk
         save_checkpoint(_ckpt_path(out_dir, 0), state, streams, fp, durable=False)

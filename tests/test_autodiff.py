@@ -678,9 +678,9 @@ class TestFirstOrderRules:
             assert first.tobytes() == g6.sum(axis=(3, 5)).tobytes()
 
     def test_first_order_vjps_dispatch_no_op(self, monkeypatch):
-        # the fused rules and upsample2 build no graph op on the first-order
-        # path; a rule written back in graph ops dispatches one or more
-        fused = {"conv2d", "affine", "prelu", "layer_norm", "upsample2"}
+        # no first-order rule but fold3x3's, unfold3x3's and spread2's
+        # builds a graph op; a rule written back in graph ops dispatches one
+        # or more
         rng = np.random.default_rng(36)
         dispatched, inside = [], []
         real_apply = ad._apply
@@ -708,17 +708,97 @@ class TestFirstOrderRules:
             y = prelu(layer_norm(y, leaf(4, 8, 8), leaf(4, 8, 8)), leaf(4))
             y = ad.affine(y, leaf(4, 5), leaf(5))
             y = ad.affine(ad.reshape(y, (2, -1)), leaf(320, 1), leaf(1))
-            loss = ad.tsum(y)
-            ops = [node.op for node in g.nodes if node.op in fused]
+            p = matmul(ad.permute(ad.expand(leaf(1, 4), (3, 4)), (1, 0)), leaf(3, 5))
+            p = ad.div(ad.mul(ad.sqrt(ad.add(ad.square(p), 1.0)), ad.tanh(p)),
+                       ad.sub(3.0, ad.neg(leaf(5))))
+            loss = ad.add(ad.tsum(y), ad.tsum(ad.subsample2(ad.reshape(p, (1, 1, 4, 5)))))
+            ops = {node.op for node in g.nodes} - {"leaf"}
             for node in g.nodes:
-                if node.op in fused:
+                if node.op != "leaf":
                     node.vjp = watched(node.vjp)
             leaves = [node.leaf for node in g.nodes if node.op == "leaf"]
             monkeypatch.setattr(ad, "_apply", counting_apply)
             grads = backward(loss)
-        assert sorted(ops) == ["affine", "affine", "conv2d", "layer_norm", "prelu", "upsample2"]
+        assert ops == {"conv2d", "upsample2", "layer_norm", "prelu", "affine", "reshape",
+                       "expand", "permute", "matmul", "square", "add", "sqrt", "tanh", "mul",
+                       "neg", "sub", "div", "sum", "subsample2"}
         assert dispatched == []
-        assert all(leaf in grads for leaf in leaves) and len(leaves) == 10
+        assert all(leaf in grads for leaf in leaves) and len(leaves) == 13
+
+
+def positive(shape):
+    return lambda rng: np.abs(rng.standard_normal(shape)) + 0.5
+
+
+def normal(shape):
+    return lambda rng: rng.standard_normal(shape)
+
+
+# op, operand forms (a leaf drawn per entry), build from the leaves; every
+# binary op's forms: equal shapes, a suffix on either side, a 0-d operand,
+# and a Python scalar on either side
+BINARY_FORMS = {
+    "same": ((normal((2, 3, 4)), positive((2, 3, 4))), lambda op: op),
+    "suffix-right": ((normal((2, 3, 4)), positive((4,))), lambda op: op),
+    "suffix-right-2d": ((normal((2, 3, 4)), positive((3, 4))), lambda op: op),
+    "suffix-left": ((positive((3, 4)), positive((2, 3, 4))), lambda op: op),
+    "0d-right": ((normal((2, 3)), positive(())), lambda op: op),
+    "scalar-right": ((positive((2, 3)),), lambda op: lambda a: op(a, 1.7)),
+    "scalar-left": ((positive((2, 3)),), lambda op: lambda a: op(1.7, a)),
+}
+PRIMITIVE_CASES = [
+    (f"{name}-{form}", leaves, wrap(op))
+    for name, op in [("add", ad.add), ("sub", ad.sub), ("mul", ad.mul), ("div", ad.div)]
+    for form, (leaves, wrap) in BINARY_FORMS.items()
+] + [
+    ("neg", (normal((2, 3)),), ad.neg),
+    ("square", (normal((2, 3)),), ad.square),
+    ("sqrt", (positive((2, 3)),), ad.sqrt),
+    ("tanh", (normal((2, 3)),), ad.tanh),
+    ("sum-all", (normal((2, 3, 4)),), ad.tsum),
+    ("sum-axes", (normal((2, 3, 4)),), lambda a: ad.tsum(a, axes=(0, 2))),
+    ("sum-last-keepdims", (normal((2, 3, 4)),), lambda a: ad.tsum(a, axes=(-1,), keepdims=True)),
+    ("sum-0d", (normal(()),), ad.tsum),
+    ("mean-keepdims", (normal((2, 3, 4)),), lambda a: ad.tmean(a, axes=(1, 2), keepdims=True)),
+    ("reshape", (normal((2, 3, 4)),), lambda a: ad.reshape(a, (6, -1))),
+    ("permute", (normal((2, 3, 4)),), lambda a: ad.permute(a, (2, 0, 1))),
+    ("expand-new-axes", (normal((4,)),), lambda a: ad.expand(a, (2, 3, 4))),
+    ("expand-size-1", (normal((3, 1)),), lambda a: ad.expand(a, (3, 5))),
+    ("expand-both", (normal((1, 4)),), lambda a: ad.expand(a, (2, 3, 4))),
+    ("expand-none", (normal((3,)),), lambda a: ad.expand(a, (1, 3))),
+    ("matmul", (normal((2, 3)), normal((3, 4))), matmul),
+    ("matmul-batch-left", (normal((5, 2, 3)), normal((3, 4))), matmul),
+    ("matmul-batch-right", (normal((2, 3)), normal((5, 3, 4))), matmul),
+    ("matmul-batch-both", (normal((5, 2, 3)), normal((5, 3, 4))), matmul),
+    ("matmul-long-n", (normal((2, 400)), normal((400, 390))), matmul),
+    ("matmul-long-m", (normal((390, 3)), normal((5, 3, 2))), matmul),
+    ("subsample2-even", (normal((2, 3, 4, 6)),), ad.subsample2),
+    ("subsample2-odd", (normal((2, 3, 5, 3)),), ad.subsample2),
+]
+
+
+class TestPrimitiveFirstOrderRules:
+    """Every primitive op's first-order rule runs its recorded graph-op
+    rule's numpy operations in the same float order: on one tape, a
+    first-order backward gives bitwise the gradients a recorded one does,
+    for every operand form the op accepts."""
+
+    @DTYPES
+    @pytest.mark.parametrize("draws,build", [case[1:] for case in PRIMITIVE_CASES],
+                             ids=[case[0] for case in PRIMITIVE_CASES])
+    def test_bitwise_equal_to_recorded(self, dtype, draws, build):
+        rng = np.random.default_rng(60)
+        with Graph():
+            leaves = [Tensor(np.asarray(draw(rng), dtype=dtype), requires_grad=True)
+                      for draw in draws]
+            y = build(*leaves)
+            loss = ad.tsum(ad.mul(y, Tensor(np.asarray(probe(y.shape, dtype, 61)))))
+            recorded = backward(loss, create_graph=tuple(leaves))
+            first = backward(loss)
+        for leaf in leaves:
+            f, r = np.asarray(first[leaf].data), np.asarray(recorded[leaf].data)
+            assert (f.dtype, f.shape) == (dtype, leaf.shape) == (r.dtype, r.shape)
+            assert f.tobytes() == r.tobytes()
 
 
 class TestAffine:
@@ -843,6 +923,22 @@ class TestBackward:
             x = Tensor(np.ones(3), requires_grad=True)
             loss = ad.tsum(ad.square(x))
             backward(loss)
+            with pytest.raises(DeadGraph):
+                backward(loss)
+
+    def test_first_order_backward_releases_each_visited_node(self):
+        # a node is released as soon as it is visited, so a rule that
+        # raises leaves a consumed graph, not one with holes
+        def failing(g, needs):
+            raise ArithmeticError("rule failed")
+
+        with Graph() as g:
+            x = Tensor(np.ones(3), requires_grad=True)
+            loss = ad.tsum(ad.square(x))
+            g.nodes[x.node + 1].vjp = failing          # square's node
+            with pytest.raises(ArithmeticError):
+                backward(loss)
+            assert g.dead and g.nodes[loss.node] is None
             with pytest.raises(DeadGraph):
                 backward(loss)
 

@@ -233,6 +233,14 @@ class TestTrain:
                      "--resume", out / "ckpt_000003.figr")
         assert rc == 2
 
+    def test_refused_resume_makes_no_out_dir(self, cfg_path, tmp_path, capsys):
+        bad = tmp_path / "bad.figr"
+        bad.write_bytes(b"not a checkpoint")
+        out = tmp_path / "fresh"
+        assert run_cli("train", "--config", cfg_path, "--out", out, "--resume", bad) == 2
+        assert "bad magic" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("width", ["wider", "narrower"])
     def test_resume_refuses_log_with_another_header(self, cfg_path, tmp_path, capsys, width):
         # rows of another width would all be dropped as torn by the log's cut

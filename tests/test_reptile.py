@@ -422,6 +422,15 @@ class TestInnerStepTape:
                                     disc.forward(bound, Tensor(fake)).data])
         np.testing.assert_array_equal(joint, apart)
 
+    @staticmethod
+    def one_inner_step(cfg):
+        """One inner step (k=1, n=2) on the model of cfg, as every pin here runs it."""
+        disc, gen = tiny_models(cfg)
+        rng = np.random.default_rng(53)
+        phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
+        inner_loop(phi_d, phi_g, disc, gen, task_images(cfg, 2, seed=54),
+                   RunConfig(k=1, n=2), np.random.default_rng(55), np.random.default_rng(56))
+
     def test_tape_nodes_per_step_pinned(self, monkeypatch):
         # nodes on the tape when each step's first-order backward starts, on
         # the 8 px tiny model; a change that re-inflates the tape of an inner
@@ -445,12 +454,7 @@ class TestInnerStepTape:
         monkeypatch.setattr(figr.reptile, "backward", counting)
         steps = {}
         for name, cfg in (("tiny", CFG32), ("default", RunConfig())):
-            disc, gen = tiny_models(cfg)
-            rng = np.random.default_rng(53)
-            phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
-            inner_loop(phi_d, phi_g, disc, gen, task_images(cfg, 2, seed=54),
-                       RunConfig(k=1, n=2), np.random.default_rng(55),
-                       np.random.default_rng(56))
+            self.one_inner_step(cfg)
             steps[name], tapes[:] = tapes[:], []
         assert {name: [len(t) for t in ts] for name, ts in steps.items()} == {
             "tiny": [163, 51], "default": [355, 111]}
@@ -464,7 +468,9 @@ class TestInnerStepTape:
         # _apply calls (graph ops run, recorded or not) in one inner step
         # (k=1) on the tape pin's two models: a later change may lower
         # these, and raising one needs a reason in CHANGES.md (they read
-        # 390 and 840 with upsample2's first-order rule a reshape and a sum)
+        # 390 and 840 with upsample2's first-order rule a reshape and a sum,
+        # and 388 and 834 with every primitive op's first-order rule in
+        # graph ops)
         count = [0]
         real_apply = ad._apply
 
@@ -475,21 +481,41 @@ class TestInnerStepTape:
         monkeypatch.setattr(ad, "_apply", counting)
         dispatches = {}
         for name, cfg in (("tiny", CFG32), ("default", RunConfig())):
-            disc, gen = tiny_models(cfg)
-            rng = np.random.default_rng(53)
-            phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
             count[0] = 0
-            inner_loop(phi_d, phi_g, disc, gen, task_images(cfg, 2, seed=54),
-                       RunConfig(k=1, n=2), np.random.default_rng(55),
-                       np.random.default_rng(56))
+            self.one_inner_step(cfg)
             dispatches[name] = count[0]
-        assert dispatches == {"tiny": 388, "default": 834}
+        assert dispatches == {"tiny": 197, "default": 425}
+
+    def test_gemms_per_step_pinned(self, monkeypatch):
+        # np.matmul calls and their multiply-adds, batch x m x k x n from the
+        # operand shapes (a padded reduction counts at its padded length), in
+        # one inner step (k=1) on the tape pin's two models: like the
+        # dispatch pin, a later change may lower these, and raising one
+        # needs a reason in CHANGES.md
+        count = {}
+        real_matmul = np.matmul
+
+        def counting(a, b, *args, **kwargs):
+            batch = np.broadcast_shapes(np.shape(a)[:-2], np.shape(b)[:-2])
+            count["calls"] += 1
+            count["macs"] += int(np.prod(batch + np.shape(a)[-2:])) * np.shape(b)[-1]
+            return real_matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        gemms = {}
+        for name, cfg in (("tiny", CFG32), ("default", RunConfig())):
+            count.update(calls=0, macs=0)
+            self.one_inner_step(cfg)
+            gemms[name] = dict(count)
+        assert gemms == {"tiny": {"calls": 160, "macs": 1_018_752},
+                         "default": {"calls": 374, "macs": 607_107_072}}
 
     def test_inner_loop_memory_peak_ceiling(self):
         # tracemalloc's peak over one default inner loop (k=2, n=4) after a
-        # warm-up loop; it read 47.89 MiB (47.90 cold) when this ceiling was
-        # set.  A later change may lower the ceiling; raising it needs a
-        # reason in CHANGES.md
+        # warm-up loop; it read 43.08 MiB when this ceiling was set, and
+        # 47.90 MiB when backward kept every visited node to its end.  A
+        # later change may lower the ceiling; raising it needs a reason in
+        # CHANGES.md
         cfg = RunConfig()
         disc, gen = tiny_models(cfg)
         rng = np.random.default_rng(53)
@@ -507,4 +533,4 @@ class TestInnerStepTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 48.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak <= 44.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
