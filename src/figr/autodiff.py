@@ -14,18 +14,22 @@ precision of its own.  There is no implicit tape: an op on a
 requires_grad tensor must run inside a ``with Graph()`` block, and a
 leaf is made one way, ``Tensor(data, requires_grad)``.
 
-A first-order backward runs each op's first-order rule, which computes
-on arrays without a graph op: its recorded rule's numpy operations in
-the same float order, so the two give bitwise the same gradients.  The
-recorded rule, written with the public ops, exists only for the
-gradient penalty's second-order derivatives: backward with
-``create_graph`` records it onto the same tape, so the returned
-gradients are differentiable tensors.  ``create_graph`` names the
-leaves to differentiate with respect to: the penalty passes ``(xhat,)``,
-so the critic's parameter gradients are neither computed nor recorded.
-unfold3x3, fold3x3 and spread2, which only recorded rules record, have
-one rule in graph ops, cheap with recording off; upsample2 has a
-first-order rule alone.
+Every op has a first-order rule, its node's ``vjp``: numpy arrays in and
+out, no graph op.  A first-order backward seeds, passes and adds plain
+arrays and wraps only the leaves' gradients.  Eight ops also have a
+recorded rule, ``rec``, tensors in and out, written with the public ops:
+add, tsum, reshape and subsample2, and the fused conv2d, affine, prelu
+and layer_norm.  They are the ops a critic forward records, and the
+recorded rules exist only for the gradient penalty's second-order
+derivatives: backward with ``create_graph`` runs them onto the same tape,
+so the returned gradients are differentiable tensors, and it raises
+NotImplementedError naming the op at a node with no recorded rule.
+``create_graph`` names the leaves to differentiate with respect to: the
+penalty passes ``(xhat,)``, so the critic's parameter gradients are
+neither computed nor recorded.  Where an op has both rules, its
+first-order rule runs the recorded rule's numpy operations in the same
+float order, so the two give bitwise the same gradients (conv2d's input
+gradient at one filter only).
 
 Fused ops (conv2d, affine, prelu, layer_norm) are one node each, with a
 numpy forward; prelu applies its sign mask by multiplication, without a
@@ -39,16 +43,17 @@ _Geometry) in which each 3x3 tap is a fixed offset: im2col is one
 long-run copy per sample, col2im nine contiguous adds, the weight
 gradient nine GEMMs against the grid.  The forward keeps one GEMM per
 sample, so a sample's output does not depend on its batch.  fold3x3,
-which conv2d's recorded rule records, and its adjoint unfold3x3 run on
-the same kernels, the stride a parameter of the grid.  upsample2's rule
-is four strided adds.  conv2d's forward and matmul's every product
-(_gemm) zero-pad a GEMM reduction longer than 384 to a multiple of 32
-(_blas_k), a length OpenBLAS blocks the same way at every thread count.
+which conv2d's recorded rule records, and its adjoint, the array kernel
+unfold3x3, run on the same kernels, the stride a parameter of the grid.
+upsample2's rule is four strided adds.  conv2d's forward and matmul's
+every product (_gemm) zero-pad a GEMM reduction longer than 384 to a
+multiple of 32 (_blas_k), a length OpenBLAS blocks the same way at
+every thread count.
 
 A first-order backward (no ``create_graph``) consumes the tape and
-releases each node as soon as it visits it.  Each node's backward rule
-closes over its input tensors and every tensor points back to its graph,
-so a live tape is a reference cycle; releasing the nodes lets reference
+releases each node as soon as it visits it.  Each node's rules close
+over its input tensors and every tensor points back to its graph, so a
+live tape is a reference cycle; releasing the nodes lets reference
 counting free a saved activation once every rule that saved it has run,
 not at the next cyclic garbage collection.
 """
@@ -84,19 +89,20 @@ class NoGraph(RuntimeError):
 
 
 class Node:
-    """One tape entry: op id, input node handles, and the saved backward rule.
+    """One tape entry: op id, input node handles, and the saved backward rules.
 
     Only inputs a gradient flows to are on the tape: a constant input (no
     requires_grad) has the handle None, and an input wants a gradient
     exactly when its handle is not None.
     """
 
-    __slots__ = ("op", "input_ids", "vjp", "leaf")
+    __slots__ = ("op", "input_ids", "vjp", "rec", "leaf")
 
-    def __init__(self, op, input_ids, vjp, leaf=None):
+    def __init__(self, op, input_ids, vjp, rec=None, leaf=None):
         self.op = op
         self.input_ids = input_ids      # handles of inputs (< own index) or None
-        self.vjp = vjp                  # out-grad -> tuple of (leading) input grads
+        self.vjp = vjp                  # out-grad array -> tuple of input-grad arrays
+        self.rec = rec                  # the same on Tensors, recorded; None if absent
         self.leaf = leaf                # the Tensor itself, for leaf nodes
 
 
@@ -132,7 +138,6 @@ class Graph:
 class _ThreadState(threading.local):
     def __init__(self):
         self.stack: list[Graph] = []
-        self.grad_enabled = True
 
 
 _TLS = _ThreadState()
@@ -183,20 +188,20 @@ def _register(t: Tensor, g: Graph) -> int:
 
 
 def _apply(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
-           vjp: Callable) -> Tensor:
+           vjp: Callable, rec: Callable | None = None) -> Tensor:
     """Create the result tensor, recording a node when gradients may flow."""
-    st = _TLS
-    if not st.grad_enabled or not any([i.requires_grad for i in inputs]):
+    if not any([i.requires_grad for i in inputs]):
         return Tensor(out_data)
-    if not st.stack:
+    stack = _TLS.stack
+    if not stack:
         raise NoGraph(f"{op} on a requires_grad tensor must run inside a "
                       "`with Graph()` block")
-    g = st.stack[-1]
+    g = stack[-1]
     out = Tensor(out_data, requires_grad=True)
     input_ids = tuple([_register(i, g) if i.requires_grad else None for i in inputs])
     out.is_leaf = False
     out.graph = g
-    out.node = g.append(Node(op, input_ids, vjp))
+    out.node = g.append(Node(op, input_ids, vjp, rec))
     return out
 
 
@@ -233,9 +238,9 @@ def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
     return tsum(g, axes=lead)
 
 
-def _grad(d: np.ndarray, shape: tuple) -> Tensor:
-    """A first-order rule's gradient: _unbroadcast on arrays, in the same order."""
-    return Tensor(d if d.shape == shape else d.sum(axis=tuple(range(d.ndim - len(shape)))))
+def _grad(d: np.ndarray, shape: tuple) -> np.ndarray:
+    """_unbroadcast on arrays, in the same order."""
+    return d if d.shape == shape else d.sum(axis=tuple(range(d.ndim - len(shape))))
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:
@@ -258,24 +263,22 @@ def add(a, b) -> Tensor:
     a, b = _operands(a, b)
 
     def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            return (_grad(g.data, a.shape) if needs[0] else None,
-                    _grad(g.data, b.shape) if needs[1] else None)
+        return (_grad(g, a.shape) if needs[0] else None,
+                _grad(g, b.shape) if needs[1] else None)
+
+    def rec(g, needs):
         return (_unbroadcast(g, a.shape) if needs[0] else None,
                 _unbroadcast(g, b.shape) if needs[1] else None)
 
-    return _apply("add", a.data + b.data, (a, b), vjp)
+    return _apply("add", a.data + b.data, (a, b), vjp, rec)
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
 
     def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            return (_grad(g.data, a.shape) if needs[0] else None,
-                    _grad(-g.data, b.shape) if needs[1] else None)
-        return (_unbroadcast(g, a.shape) if needs[0] else None,
-                _unbroadcast(neg(g), b.shape) if needs[1] else None)
+        return (_grad(g, a.shape) if needs[0] else None,
+                _grad(-g, b.shape) if needs[1] else None)
 
     return _apply("sub", a.data - b.data, (a, b), vjp)
 
@@ -284,11 +287,8 @@ def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
 
     def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            return (_grad(g.data * b.data, a.shape) if needs[0] else None,
-                    _grad(g.data * a.data, b.shape) if needs[1] else None)
-        return (_unbroadcast(mul(g, b), a.shape) if needs[0] else None,
-                _unbroadcast(mul(g, a), b.shape) if needs[1] else None)
+        return (_grad(g * b.data, a.shape) if needs[0] else None,
+                _grad(g * a.data, b.shape) if needs[1] else None)
 
     return _apply("mul", a.data * b.data, (a, b), vjp)
 
@@ -297,58 +297,29 @@ def div(a, b) -> Tensor:
     a, b = _operands(a, b)
 
     def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            return (_grad(g.data / b.data, a.shape) if needs[0] else None,
-                    _grad(-(g.data * a.data / np.square(b.data)), b.shape) if needs[1] else None)
-        da = _unbroadcast(div(g, b), a.shape) if needs[0] else None
-        db = None
-        if needs[1]:
-            db = _unbroadcast(neg(div(mul(g, a), square(b))), b.shape)
-        return (da, db)
+        return (_grad(g / b.data, a.shape) if needs[0] else None,
+                _grad(-(g * a.data / np.square(b.data)), b.shape) if needs[1] else None)
 
     return _apply("div", a.data / b.data, (a, b), vjp)
 
 
 def neg(a: Tensor) -> Tensor:
-    def vjp(g, needs):
-        return (Tensor(-g.data) if not _TLS.grad_enabled else neg(g),)
-
-    return _apply("neg", -a.data, (a,), vjp)
+    return _apply("neg", -a.data, (a,), lambda g, needs: (-g,))
 
 
 def square(a: Tensor) -> Tensor:
-    def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            return (Tensor(g.data * 2.0 * a.data),)
-        return (mul(mul(g, 2.0), a),)
-
-    return _apply("square", np.square(a.data), (a,), vjp)
+    return _apply("square", np.square(a.data), (a,), lambda g, needs: (g * 2.0 * a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
-    out_ref = []
-
-    def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            return (Tensor(g.data * 0.5 / out_ref[0].data),)
-        return (div(mul(g, 0.5), out_ref[0]),)
-
-    out = _apply("sqrt", np.sqrt(a.data), (a,), vjp)
-    out_ref.append(out)
-    return out
+    out_data = np.sqrt(a.data)
+    return _apply("sqrt", out_data, (a,), lambda g, needs: (g * 0.5 / out_data,))
 
 
 def tanh(a: Tensor) -> Tensor:
-    out_ref = []
-
-    def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            return (Tensor(g.data * (1.0 - np.square(out_ref[0].data))),)
-        return (mul(g, sub(1.0, square(out_ref[0]))),)
-
-    out = _apply("tanh", np.tanh(a.data), (a,), vjp)
-    out_ref.append(out)
-    return out
+    out_data = np.tanh(a.data)
+    return _apply("tanh", out_data, (a,),
+                  lambda g, needs: (g * (1.0 - np.square(out_data)),))
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +337,13 @@ def tsum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     kshape = tuple(1 if i in ax else d for i, d in enumerate(a.shape))
 
     def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            return (Tensor(_broadcast(g.data if keepdims else g.data.reshape(kshape), a.shape)),)
+        return (_broadcast(g if keepdims else g.reshape(kshape), a.shape),)
+
+    def rec(g, needs):
         gk = g if keepdims or a.ndim == 0 else reshape(g, kshape)
         return (expand(gk, a.shape),)
 
-    return _apply("sum", a.data.sum(axis=ax, keepdims=keepdims), (a,), vjp)
+    return _apply("sum", a.data.sum(axis=ax, keepdims=keepdims), (a,), vjp, rec)
 
 
 def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
@@ -381,22 +353,15 @@ def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    out_data = a.data.reshape(shape)
-
-    def vjp(g, needs):
-        return (Tensor(g.data.reshape(a.shape)) if not _TLS.grad_enabled else reshape(g, a.shape),)
-
-    return _apply("reshape", out_data, (a,), vjp)
+    return _apply("reshape", a.data.reshape(shape), (a,),
+                  lambda g, needs: (g.reshape(a.shape),),
+                  lambda g, needs: (reshape(g, a.shape),))
 
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     axes = tuple(axes)
-
-    def vjp(g, needs):
-        inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-        return (Tensor(g.data.transpose(inv)) if not _TLS.grad_enabled else permute(g, inv),)
-
-    return _apply("permute", a.data.transpose(axes), (a,), vjp)
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    return _apply("permute", a.data.transpose(axes), (a,), lambda g, needs: (g.transpose(inv),))
 
 
 def expand(a: Tensor, shape) -> Tensor:
@@ -417,14 +382,8 @@ def expand(a: Tensor, shape) -> Tensor:
         else:
             raise ShapeMismatch(f"cannot expand {a.shape} to {shape}")
     axes = tuple(axes)
-
-    def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            return (Tensor(g.data.sum(axis=axes, keepdims=True).reshape(a.shape)),)
-        r = tsum(g, axes=axes, keepdims=True)
-        return (reshape(r, a.shape),)
-
-    return _apply("expand", _broadcast(a.data.reshape(src), shape), (a,), vjp)
+    return _apply("expand", _broadcast(a.data.reshape(src), shape), (a,),
+                  lambda g, needs: (g.sum(axis=axes, keepdims=True).reshape(a.shape),))
 
 
 def _broadcast(base: np.ndarray, shape: tuple) -> np.ndarray:
@@ -495,12 +454,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
 
     def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            return (_grad(_gemm(g.data, b.data.swapaxes(-1, -2)), a.shape) if needs[0] else None,
-                    _grad(_gemm(a.data.swapaxes(-1, -2), g.data), b.shape) if needs[1] else None)
-        da = _unbroadcast(matmul(g, _swap_last2(b)), a.shape) if needs[0] else None
-        db = _unbroadcast(matmul(_swap_last2(a), g), b.shape) if needs[1] else None
-        return (da, db)
+        return (_grad(_gemm(g, b.data.swapaxes(-1, -2)), a.shape) if needs[0] else None,
+                _grad(_gemm(a.data.swapaxes(-1, -2), g), b.shape) if needs[1] else None)
 
     return _apply("matmul", _gemm(a.data, b.data), (a, b), vjp)
 
@@ -628,25 +583,22 @@ def _check_stride(stride: int):
         raise ValueError("stride must be 1 or 2")
 
 
-def unfold3x3(a: Tensor, stride: int) -> Tensor:
-    """Extract padded 3x3 patches: [B,C,H,W] -> [B, C*9, H2*W2].
+def unfold3x3(a: np.ndarray, stride: int) -> np.ndarray:
+    """Extract the padded 3x3 patches of an array: [B,C,H,W] -> [B, C*9, H2*W2].
 
-    Built from the padded grid in one strided copy per polyphase plane
-    (one at stride 1); row c*9 + 3*i + j holds tap (i, j) of channel c.
+    An array kernel, not an op: the adjoint of fold3x3, whose first-order
+    rule it is.  Built from the padded grid in one strided copy per
+    polyphase plane (one at stride 1); row c*9 + 3*i + j holds tap (i, j)
+    of channel c.
     """
     if a.ndim != 4:
         raise ShapeMismatch(f"unfold3x3 expects B,C,H,W, got {a.shape}")
     _check_stride(stride)
-    hw = a.shape[2:]
     geo = _geometry(a.shape, stride)
-    cols = np.empty((geo.b, geo.c, 3, 3, geo.h2, geo.w2), dtype=a.data.dtype)
-    for ti, tj, view in _tap_views(_to_grid(a.data, geo), geo, geo.w2):
+    cols = np.empty((geo.b, geo.c, 3, 3, geo.h2, geo.w2), dtype=a.dtype)
+    for ti, tj, view in _tap_views(_to_grid(a, geo), geo, geo.w2):
         cols[:, :, ti, tj] = view
-
-    def vjp(g, needs):
-        return (fold3x3(g, hw, stride),)
-
-    return _apply("unfold3x3", cols.reshape(geo.b, geo.c * 9, geo.h2 * geo.w2), (a,), vjp)
+    return cols.reshape(geo.b, geo.c * 9, geo.h2 * geo.w2)
 
 
 def fold3x3(cols: Tensor, hw: tuple[int, int], stride: int) -> Tensor:
@@ -662,11 +614,8 @@ def fold3x3(cols: Tensor, hw: tuple[int, int], stride: int) -> Tensor:
     bsz, k, _ = cols.shape
     geo = _geometry((bsz, k // 9) + hw, stride)
     wide = _wide(cols.data.reshape(bsz, k, geo.h2, geo.w2), geo)
-
-    def vjp(g, needs):
-        return (unfold3x3(g, stride),)
-
-    return _apply("fold3x3", _col2im(wide.reshape(geo.c, 3, 3, geo.span), geo), (cols,), vjp)
+    return _apply("fold3x3", _col2im(wide.reshape(geo.c, 3, 3, geo.span), geo), (cols,),
+                  lambda g, needs: (unfold3x3(g, stride),))
 
 
 def upsample2(a: Tensor) -> Tensor:
@@ -676,34 +625,24 @@ def upsample2(a: Tensor) -> Tensor:
     planes added explicitly, in the order numpy's reduction over the two
     size-2 axes takes at every map larger than 1x1 (the generators
     upsample 4x4 and up), so the sum is the same bits in a tenth of the
-    time (0.11 ms against 1.45 ms on a [4,32,32,32] gradient).  Only the
-    generator upsamples and the penalty differentiates the critic alone,
-    so a recorded backward through upsample2 raises NotImplementedError.
+    time (0.11 ms against 1.45 ms on a [4,32,32,32] gradient).  It has a
+    first-order rule alone: only the generator upsamples, and the penalty
+    differentiates the critic alone.
     """
     if a.ndim != 4:
         raise ShapeMismatch(f"upsample2 expects B,C,H,W, got {a.shape}")
     b, c, h, w = a.shape
 
     def vjp(g, needs):
-        if _TLS.grad_enabled:
-            raise NotImplementedError("a recorded backward does not differentiate upsample2")
-        g6 = g.data.reshape(b, c, h, 2, w, 2)
-        return (Tensor((g6[:, :, :, 0, :, 0] + g6[:, :, :, 0, :, 1])
-                       + (g6[:, :, :, 1, :, 0] + g6[:, :, :, 1, :, 1])),)
+        g6 = g.reshape(b, c, h, 2, w, 2)
+        return ((g6[:, :, :, 0, :, 0] + g6[:, :, :, 0, :, 1])
+                + (g6[:, :, :, 1, :, 0] + g6[:, :, :, 1, :, 1]),)
 
     return _apply("upsample2", a.data.repeat(2, axis=2).repeat(2, axis=3), (a,), vjp)
 
 
-def subsample2(a: Tensor) -> Tensor:
-    """Keep even-index rows/cols (spatial stride-2 identity)."""
-    if a.ndim != 4:
-        raise ShapeMismatch(f"subsample2 expects B,C,H,W, got {a.shape}")
-    hw = a.shape[2:]
-
-    def vjp(g, needs):
-        return (Tensor(_spread(g.data, hw)) if not _TLS.grad_enabled else spread2(g, hw),)
-
-    return _apply("subsample2", np.ascontiguousarray(a.data[:, :, ::2, ::2]), (a,), vjp)
+def _subsample(d: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(d[:, :, ::2, ::2])
 
 
 def _spread(d: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
@@ -712,12 +651,19 @@ def _spread(d: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def subsample2(a: Tensor) -> Tensor:
+    """Keep even-index rows/cols (spatial stride-2 identity)."""
+    if a.ndim != 4:
+        raise ShapeMismatch(f"subsample2 expects B,C,H,W, got {a.shape}")
+    hw = a.shape[2:]
+    return _apply("subsample2", _subsample(a.data), (a,),
+                  lambda g, needs: (_spread(g, hw),),
+                  lambda g, needs: (spread2(g, hw),))
+
+
 def spread2(a: Tensor, hw: tuple[int, int]) -> Tensor:
     """Adjoint of subsample2: embed values at even indices of an HxW map."""
-    def vjp(g, needs):
-        return (subsample2(g),)
-
-    return _apply("spread2", _spread(a.data, hw), (a,), vjp)
+    return _apply("spread2", _spread(a.data, hw), (a,), lambda g, needs: (_subsample(g),))
 
 
 # ---------------------------------------------------------------------------
@@ -782,32 +728,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
             np.add(wide[:, :, :w2], b.data[:, None, None], out=out_data[n])
 
     def vjp(g, needs):
-        if _TLS.grad_enabled:
-            # recorded: stay differentiable in g, w and x
-            _input_only("conv2d", needs)
-            g3 = reshape(g, (bsz, f, h2 * w2))
-            wt = _swap_last2(reshape(w, (f, c * 9)))
-            return (fold3x3(matmul(wt, g3), (geo.h, geo.w), stride),)
         dx = dw = db = None
-        gw = _wide(g.data.reshape(bsz, f, h2, w2), geo)              # F, span
+        gw = _wide(g.reshape(bsz, f, h2, w2), geo)              # F, span
         if needs[0]:
             # at F = 1 each entry is one product, and an outer product
             # computes it faster than a GEMM with K = 1
             dcols = wm.T * gw if f == 1 else np.matmul(wm.T, gw)
-            dx = Tensor(_col2im(dcols.reshape(c, 3, 3, geo.span), geo))
+            dx = _col2im(dcols.reshape(c, 3, 3, geo.span), geo)
         if needs[1]:
             # laid out again rather than kept: the tape would hold a grid per conv
             xgrid = _to_grid(x.data, geo)
             dwt = np.empty((3, 3, f, c), dtype=dtype)
             for i, j, ph, off in geo.taps:
                 np.matmul(gw, xgrid[:, ph, off:off + geo.span].T, out=dwt[i, j])
-            dw = Tensor(np.ascontiguousarray(dwt.transpose(2, 3, 0, 1)))
+            dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
         if len(needs) > 2 and needs[2]:
-            db = Tensor(g.data.sum(axis=(0, 2, 3)))
+            db = g.sum(axis=(0, 2, 3))
         return (dx, dw, db) if b is not None else (dx, dw)
 
+    def rec(g, needs):
+        # stays differentiable in g, w and x
+        _input_only("conv2d", needs)
+        g3 = reshape(g, (bsz, f, h2 * w2))
+        wt = _swap_last2(reshape(w, (f, c * 9)))
+        return (fold3x3(matmul(wt, g3), (geo.h, geo.w), stride),)
+
     inputs = (x, w) if b is None else (x, w, b)
-    return _apply("conv2d", out_data, inputs, vjp)
+    return _apply("conv2d", out_data, inputs, vjp, rec)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -832,25 +779,25 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = np.matmul(flat, w.data) + b.data
     out_data = y.reshape((bsz,) + space + (f,)).transpose(first)
 
-    move = (lambda t, axes: t) if nd == 2 else permute  # a dense layer has no axis to move
-
     def vjp(g, needs):
         dx = dw = db = None
-        if not _TLS.grad_enabled:
-            g3 = g.data.transpose(last).reshape(bsz, p, f)
-            if needs[0]:
-                dflat = np.matmul(g3, w.data.T)
-                dx = Tensor(dflat.reshape((bsz,) + space + (c,)).transpose(first))
-            if needs[1]:
-                dw = Tensor(np.matmul(flat.transpose(0, 2, 1), g3).sum(axis=(0,)))
-            if needs[2]:
-                db = Tensor(g3.sum(axis=(0, 1)))
-            return (dx, dw, db)
+        g3 = g.transpose(last).reshape(bsz, p, f)
+        if needs[0]:
+            dflat = np.matmul(g3, w.data.T)
+            dx = dflat.reshape((bsz,) + space + (c,)).transpose(first)
+        if needs[1]:
+            dw = np.matmul(flat.transpose(0, 2, 1), g3).sum(axis=(0,))
+        if needs[2]:
+            db = g3.sum(axis=(0, 1))
+        return (dx, dw, db)
+
+    def rec(g, needs):
         _input_only("affine", needs)
+        move = (lambda t, axes: t) if nd == 2 else permute  # a dense layer has no axis to move
         g3 = reshape(move(g, last), (bsz, p, f))
         return (move(reshape(matmul(g3, _swap_last2(w)), (bsz,) + space + (c,)), first),)
 
-    return _apply("affine", out_data, (x, w, b), vjp)
+    return _apply("affine", out_data, (x, w, b), vjp, rec)
 
 
 def prelu(x: Tensor, a: Tensor) -> Tensor:
@@ -881,16 +828,17 @@ def _prelu(x: Tensor, a: Tensor, pos: np.ndarray) -> Tensor:
     red = (0,) + tuple(range(2, xd.ndim))
 
     def vjp(g, needs):
-        if not _TLS.grad_enabled:
-            gd, neg = g.data, ~pos
-            # a term of the slope sum differs from gd * where(pos, 0, x) at
-            # most in the sign of a zero, which a sum starting at +0 ignores
-            return (Tensor(gd * (neg * slopes + pos)) if needs[0] else None,
-                    Tensor((gd * (xd * neg)).sum(axis=red)) if needs[1] else None)
+        neg = ~pos
+        # a term of the slope sum differs from g * where(pos, 0, x) at
+        # most in the sign of a zero, which a sum starting at +0 ignores
+        return (g * (neg * slopes + pos) if needs[0] else None,
+                (g * (xd * neg)).sum(axis=red) if needs[1] else None)
+
+    def rec(g, needs):
         _input_only("prelu", needs)
         return (_prelu(g, a, pos),)
 
-    return _apply("prelu", out_data, (x, a), vjp)
+    return _apply("prelu", out_data, (x, a), vjp, rec)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -918,21 +866,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data = xn * gain.data + bias.data
 
     def vjp(g, needs):
+        # the input gradient is rec's on arrays, in the same float order
         dx = dgain = dbias = None
-        if not _TLS.grad_enabled:
-            # the input gradient is the rule below on arrays, in the same float order
-            gd = g.data
-            if needs[0]:
-                dxn = gd * gain.data
-                proj = xn * ((dxn * xn).sum(axis=axes, keepdims=True) * inv_count)
-                dx = Tensor((dxn - dxn.sum(axis=axes, keepdims=True) * inv_count - proj) / std)
-            if needs[1]:
-                dgain = Tensor((gd * xn).sum(axis=(0,)))
-            if needs[2]:
-                dbias = Tensor(gd.sum(axis=(0,)))
-            return (dx, dgain, dbias)
-        # a recorded backward must stay differentiable in x: re-derive the
-        # normalized input as graph ops
+        if needs[0]:
+            dxn = g * gain.data
+            proj = xn * ((dxn * xn).sum(axis=axes, keepdims=True) * inv_count)
+            dx = (dxn - dxn.sum(axis=axes, keepdims=True) * inv_count - proj) / std
+        if needs[1]:
+            dgain = (g * xn).sum(axis=(0,))
+        if needs[2]:
+            dbias = g.sum(axis=(0,))
+        return (dx, dgain, dbias)
+
+    def rec(g, needs):
+        # stays differentiable in x: re-derive the normalized input as graph ops
         _input_only("layer_norm", needs)
         xc_t = sub(x, expand(tmean(x, axes, keepdims=True), x.shape))
         std_t = expand(sqrt(add(tmean(square(xc_t), axes, keepdims=True), eps)), x.shape)
@@ -944,7 +891,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return (div(sub(sub(dxn, expand(tmean(dxn, axes, keepdims=True), x.shape)), proj),
                     std_t),)
 
-    return _apply("layer_norm", out_data, (x, gain, bias), vjp)
+    return _apply("layer_norm", out_data, (x, gain, bias), vjp, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -955,19 +902,21 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
     """Accumulate d(loss)/d(leaf) for every reachable requires_grad leaf.
 
     Returns a map keyed by leaf tensor.  A first-order call
-    (create_graph=False) runs every op's first-order rule, in numpy, and
+    (create_graph=False) runs every op's first-order rule: it seeds, passes
+    and adds plain arrays and wraps only the leaves' gradients.  It
     consumes the graph: it is marked dead and each node is released as
     soon as it is visited, so an activation is freed once the rules that
     saved it have run and the caller drops its own references.
 
     Otherwise create_graph names the leaves to differentiate with respect
-    to, e.g. ``create_graph=(xhat,)``.  The backward pass is then recorded
-    onto the same tape, so the returned gradients are graph tensors, and
-    the tape stays alive.  Only nodes that depend on those leaves are
-    visited and only their input gradients computed, and the map holds
-    only those leaves: gradients nobody asked for are neither computed nor
-    recorded.  A recorded backward differentiates a fused op in its data
-    input only; a requested parameter of one raises NotImplementedError.
+    to, e.g. ``create_graph=(xhat,)``, and the ops' recorded rules run onto
+    the same tape, so the returned gradients are graph tensors, and the
+    tape stays alive.  Only nodes that depend on those leaves are visited
+    and only their input gradients computed, and the map holds only those
+    leaves: gradients nobody asked for are neither computed nor recorded.
+    A node with no recorded rule raises NotImplementedError naming its op,
+    and so does a requested parameter of a fused op, which a recorded
+    backward differentiates in its data input only.
     """
     if loss.data.size != 1:
         raise NotScalar(f"loss must be scalar, got shape {loss.shape}")
@@ -980,7 +929,7 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
     nodes = g.nodes
     start = loss.node
     record = create_graph is not False
-    depends = None
+    seed = np.ones(loss.shape, dtype=loss.data.dtype)
     if record:
         if create_graph is True:
             raise TypeError("create_graph takes the leaves to differentiate "
@@ -999,17 +948,13 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
                         break
         if not depends[start]:
             return {}
-
-    grads: dict[int, Tensor] = {start: Tensor(np.ones(loss.shape, dtype=loss.data.dtype))}
-    result: dict[Tensor, Tensor] = {}
-    if not record:
+        seed = Tensor(seed)
+    else:
         g.dead = True                   # even if a rule raises: visited nodes are released
 
-    st = _TLS
-    st.stack.append(g)
-    prev_mode = st.grad_enabled
-    st.grad_enabled = record
-    try:
+    grads = {start: seed}
+    result: dict[Tensor, Tensor] = {}
+    with g:                             # a recorded rule's ops record onto this tape
         # a node holds a gradient only if a visited node passed it one, so
         # nodes the loss does not reach, or (recorded) that do not depend
         # on the requested leaves, are never visited
@@ -1018,26 +963,28 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
             if gi is None:
                 continue
             node = nodes[i]
-            if not record:
-                nodes[i] = None         # release what only this node's rule held
-            if node.vjp is None:
-                result[node.leaf] = gi
-                continue
             ids = node.input_ids
-            if depends is None:
-                needs = [j is not None for j in ids]
+            if record:
+                if node.vjp is None:
+                    result[node.leaf] = gi
+                    continue
+                if node.rec is None:
+                    raise NotImplementedError(
+                        f"a recorded backward does not differentiate {node.op}")
+                parts = node.rec(gi, [j is not None and depends[j] == 1 for j in ids])
             else:
-                needs = [j is not None and depends[j] == 1 for j in ids]
-            for j, dj in zip(ids, node.vjp(gi, needs)):
+                nodes[i] = None         # release what only this node's rules held
+                if node.vjp is None:
+                    result[node.leaf] = Tensor(gi)
+                    continue
+                parts = node.vjp(gi, [j is not None for j in ids])
+            for j, dj in zip(ids, parts):
                 if dj is None:
                     continue
                 acc = grads.get(j)
                 if acc is not None:
-                    dj = add(acc, dj) if record else Tensor(acc.data + dj.data)
+                    dj = add(acc, dj) if record else acc + dj
                 grads[j] = dj
-    finally:
-        st.grad_enabled = prev_mode
-        st.stack.pop()
 
     if not record:
         nodes.clear()

@@ -191,6 +191,8 @@ def cmd_generate(args) -> int:
     cfg = replace(cfg, k=cfg.k if args.k is None else args.k,
                   n=cfg.n if args.n is None else args.n)
     ids = dataset.class_ids(args.split)
+    if not ids:
+        raise CliError(f"{args.split} split is empty")
     if args.class_name:
         matches = [i for i in ids if dataset.classes[i].name == args.class_name]
         if not matches:

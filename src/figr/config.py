@@ -83,6 +83,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.dataset_format not in ("synth", "idx", "fgr8"):
             raise ConfigError(f"unknown dataset_format {self.dataset_format!r}")
         if self.loss_mode != "wasserstein_gp":
@@ -97,7 +100,6 @@ class RunConfig:
             raise ConfigError(f"unknown precision {self.precision!r}")
         if self.latent_dim < 1 or self.base_width < 1:
             raise ConfigError("latent_dim and base_width must be positive")
-        # written so that a NaN fails each comparison
         if not (self.k >= 1 and self.n >= 1 and self.inner_lr >= 0 and self.gp_lambda >= 0):
             raise ConfigError("need k >= 1, n >= 1, inner_lr >= 0, gp_lambda >= 0")
         # beta = 1 leaves Adam's bias correction dividing 0 by 0 at step 1

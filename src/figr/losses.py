@@ -5,11 +5,13 @@ penalty on random interpolates (Gulrajani et al., arXiv:1704.00028).
 The critic loss reads the scores of one critic forward over the joint
 batch [real; fake].  The penalty takes its input gradient with a
 backward recorded onto the tape but restricted to the interpolates
-(``create_graph=(xhat,)``): the critic's own parameter gradients of that
-inner pass are never used, so they are neither computed nor recorded,
-and the penalty's parameter gradient comes from the caller's one
-first-order backward through the recorded pass.  The caller draws the
-interpolation weights, one per sample, so the penalty consumes no rng."""
+(``create_graph=(xhat,)``): it runs the recorded rules of the critic's
+ops, the only ops that have one, and the critic's own parameter
+gradients of that inner pass are never used, so they are neither
+computed nor recorded.  The penalty's parameter gradient comes from the
+caller's one first-order backward, whose array rules run through the
+recorded pass like any other nodes.  The caller draws the interpolation
+weights, one per sample, so the penalty consumes no rng."""
 
 from __future__ import annotations
 

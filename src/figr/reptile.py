@@ -30,11 +30,17 @@ from .rng import RngStreams
 
 
 class NonFiniteStep(ValueError):
-    """A meta-step's inner losses or Reptile deltas hold a NaN or inf.
+    """A meta-step's inner losses, Reptile deltas or updated phi hold a NaN or inf.
 
-    Raised before the outer Adam update, so phi and the moments keep the
-    last finite values.
+    Raised before the meta-step returns its new state, so the caller's phi
+    and moments keep the last finite values.
     """
+
+
+def _check_finite(step: int, task_id: int, values) -> None:
+    bad = [name for name, value in values if not np.isfinite(value).all()]
+    if bad:
+        raise NonFiniteStep(f"meta-step {step} on task {task_id}: non-finite {', '.join(bad)}")
 
 
 @dataclass
@@ -95,7 +101,8 @@ def adam_step(adam: AdamState, params: ParameterSet, pseudo_grad: np.ndarray,
     m_hat = m / (1.0 - beta1 ** t)
     v_hat = v / (1.0 - beta2 ** t)
     update = lr * m_hat / (np.sqrt(v_hat) + eps)
-    new_vec = (params.vector.astype(np.float64) - update).astype(params.vector.dtype)
+    with np.errstate(over="ignore"):    # meta_step refuses the inf this leaves
+        new_vec = (params.vector.astype(np.float64) - update).astype(params.vector.dtype)
     return params.with_vector(new_vec), AdamState(m, v, t)
 
 
@@ -179,18 +186,17 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
                                  cfg, streams.latent, streams.eps)
     pseudo_d = params_delta(state.phi_d, w_d)
     pseudo_g = params_delta(state.phi_g, w_g)
-    bad = [name for name, value in (("critic loss", stats.final_critic_loss),
-                                    ("generator loss", stats.final_gen_loss),
-                                    ("critic delta", pseudo_d),
-                                    ("generator delta", pseudo_g))
-           if not np.isfinite(value).all()]
-    if bad:
-        raise NonFiniteStep(f"meta-step {state.step + 1} on task {task_id}: "
-                            f"non-finite {', '.join(bad)}")
+    _check_finite(state.step + 1, task_id, (("critic loss", stats.final_critic_loss),
+                                            ("generator loss", stats.final_gen_loss),
+                                            ("critic delta", pseudo_d),
+                                            ("generator delta", pseudo_g)))
     phi_d, adam_d = adam_step(state.adam_d, state.phi_d, pseudo_d,
                               cfg.outer_lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     phi_g, adam_g = adam_step(state.adam_g, state.phi_g, pseudo_g,
                               cfg.outer_lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    # a finite but huge step overflows phi's float32 cast
+    _check_finite(state.step + 1, task_id, (("critic phi", phi_d.vector),
+                                            ("generator phi", phi_g.vector)))
 
     new_state = MetaState(phi_d, phi_g, adam_d, adam_g, step=state.step + 1)
     record = TrainRecord(

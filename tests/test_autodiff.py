@@ -23,7 +23,12 @@ from figr.autodiff import (
     matmul,
     prelu,
 )
-from figr.gradcheck import finite_difference_gradient, max_relative_error
+from figr.gradcheck import (
+    DEFAULT_TOL,
+    agreement_error,
+    finite_difference_gradient,
+    max_relative_error,
+)
 from figr.config import RunConfig
 from figr.models import Discriminator, Generator
 
@@ -41,6 +46,19 @@ def fd_check(f_np, f_ad, x0, tol=FD_TOL, h=1e-6):
     err = max_relative_error(grad, fd)
     assert err < tol, f"gradient mismatch: rel err {err:.3e}"
     return grad
+
+
+def recorded_rule(y, g):
+    """The input gradient that the recorded rule of y's (fused) op gives for
+    output gradient g, called directly: a graph tensor."""
+    node = y.graph.nodes[y.node]
+    return node.rec(g, [True] + [False] * (len(node.input_ids) - 1))[0]
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
 
 
 class TestElementwise:
@@ -409,8 +427,7 @@ class TestPRelu:
             return np.where(X >= 0, g, a.reshape(1, -1, 1, 1) * g)
 
         def dx_ad(g, a):
-            x = Tensor(X, requires_grad=True)
-            return backward(ad.tsum(ad.mul(prelu(x, a), g)), create_graph=(x,))[x]
+            return recorded_rule(prelu(Tensor(X, requires_grad=True), a), g)
 
         g0 = np.random.default_rng(15).standard_normal(X.shape)
         fd_check(lambda g: float(np.sum(dx_np(g, A0) ** 2)),
@@ -467,36 +484,29 @@ class TestLayerNorm:
             assert [node.op for node in g.nodes if node.op != "leaf"] == ["layer_norm"]
 
     def test_double_backward_matches_fd(self):
-        # P = ||d/dx sum(c * LN(x; gain, bias))||^2, differentiated in x and
-        # in gain through the recorded backward, against central differences
-        # of P evaluated with a first-order backward
+        # P = ||d/dx sum(c * LN(x; gain, bias))||^2, with the input gradient
+        # from the recorded rule, differentiated in x and in gain, against
+        # central differences of P evaluated with a first-order backward
         rng = np.random.default_rng(14)
         x0 = rng.standard_normal((2, 3, 2, 2))
         gain0 = rng.standard_normal((3, 2, 2))
         bias = rng.standard_normal((3, 2, 2))
         c = rng.standard_normal((2, 3, 2, 2))
 
-        def penalty(x, gain, create_graph):
-            s = ad.tsum(ad.mul(layer_norm(x, gain, Tensor(bias), 1e-5), Tensor(c)))
-            gx = backward(s, create_graph=create_graph)[x]
-            return gx if create_graph is False else ad.tsum(ad.square(gx))
-
-        def value_x(xv):
+        def value(xv, gv):
             with Graph():
-                gx = penalty(Tensor(xv.copy(), requires_grad=True), Tensor(gain0), False)
-                return float(np.sum(gx.data ** 2))
-
-        def value_gain(gv):
-            with Graph():
-                gx = penalty(Tensor(x0.copy(), requires_grad=True), Tensor(gv.copy()), False)
+                x = Tensor(xv.copy(), requires_grad=True)
+                y = layer_norm(x, Tensor(gv.copy()), Tensor(bias), 1e-5)
+                gx = backward(ad.tsum(ad.mul(y, Tensor(c))))[x]
                 return float(np.sum(gx.data ** 2))
 
         with Graph():
             x = Tensor(x0.copy(), requires_grad=True)
             gain = Tensor(gain0.copy(), requires_grad=True)
-            grads = backward(penalty(x, gain, (x,)))
-        fd_x = finite_difference_gradient(value_x, x0)
-        fd_gain = finite_difference_gradient(value_gain, gain0)
+            gx = recorded_rule(layer_norm(x, gain, Tensor(bias), 1e-5), Tensor(c))
+            grads = backward(ad.tsum(ad.square(gx)))
+        fd_x = finite_difference_gradient(lambda xv: value(xv, gain0), x0)
+        fd_gain = finite_difference_gradient(lambda gv: value(x0, gv), gain0)
         assert max_relative_error(grads[x].data, fd_x) < 1e-5
         assert max_relative_error(grads[gain].data, fd_gain) < 1e-5
 
@@ -567,23 +577,35 @@ class TestLayerNorm:
 
 
 def probe(shape, dtype, seed):
-    """The fixed weights c of first_order_and_recorded's loss sum(c * y)."""
+    """The fixed output gradient c, or the weights of the loss sum(c * y)."""
     return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
 
 
-def first_order_and_recorded(build, arrays, seed, n_recorded=1):
-    """Gradients of sum(c * build(*leaves)), c = probe(...), in every leaf
-    from a first-order backward, and in the first n_recorded leaves from a
-    recorded one (a fused op's recorded rule gives its input gradient alone)."""
-    out = []
-    for record in (False, True):
-        with Graph():
-            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            y = build(*leaves)
-            grads = backward(ad.tsum(ad.mul(y, Tensor(probe(y.shape, y.dtype, seed)))),
-                             create_graph=tuple(leaves[:n_recorded]) if record else False)
-            out.append([grads[t].data for t in leaves if t in grads])
-    return out
+def first_order(build, arrays, seed):
+    """Gradients of sum(c * build(*leaves)), c = probe(...), in every leaf,
+    from a first-order backward."""
+    with Graph():
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        y = build(*leaves)
+        grads = backward(ad.tsum(ad.mul(y, Tensor(probe(y.shape, y.dtype, seed)))))
+    return [grads[t].data for t in leaves]
+
+
+def vjp_and_rec(build, arrays, seed, input_only=False):
+    """The two rules of build's output node, called directly at the output
+    gradient c = probe(...): the first-order rule's gradients and the
+    recorded rule's, in every leaf input, or (input_only, as a fused op's
+    recorded rule gives) in the first input alone."""
+    with Graph():
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        y = build(*leaves)
+        node = y.graph.nodes[y.node]
+        c = probe(y.shape, y.dtype, seed)
+        live = [j is not None for j in node.input_ids]
+        first = node.vjp(c, live)
+        recorded = node.rec(Tensor(c), [i == 0 for i in range(len(live))] if input_only else live)
+    return ([d for d, n in zip(first, live) if n],
+            [d.data for d in recorded if d is not None])
 
 
 def affine_chain(x, w, b):
@@ -599,6 +621,32 @@ def affine_chain(x, w, b):
 DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
 
 
+ALL_OPS = {"conv2d", "upsample2", "layer_norm", "prelu", "affine", "reshape", "expand",
+           "permute", "matmul", "square", "add", "sqrt", "tanh", "mul", "neg", "sub", "div",
+           "sum", "subsample2", "fold3x3", "spread2"}
+# the ops a critic forward records, and the only ones with a recorded rule
+RECORDED_OPS = {"add", "sum", "reshape", "subsample2", "conv2d", "affine", "prelu",
+                "layer_norm"}
+
+
+def every_op_loss(rng):
+    """A scalar on the active graph whose tape holds every op in ALL_OPS."""
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    x, w, b = leaf(2, 3, 8, 8), leaf(4, 3, 3, 3), leaf(4)
+    y = ad.upsample2(conv2d(x, w, b, stride=2))
+    y = prelu(layer_norm(y, leaf(4, 8, 8), leaf(4, 8, 8)), leaf(4))
+    y = ad.affine(y, leaf(4, 5), leaf(5))
+    y = ad.affine(ad.reshape(y, (2, -1)), leaf(320, 1), leaf(1))
+    p = matmul(ad.permute(ad.expand(leaf(1, 4), (3, 4)), (1, 0)), leaf(3, 5))
+    p = ad.div(ad.mul(ad.sqrt(ad.add(ad.square(p), 1.0)), ad.tanh(p)),
+               ad.sub(3.0, ad.neg(leaf(5))))
+    q = ad.spread2(ad.fold3x3(leaf(2, 18, 6), (5, 3), 2), (9, 5))
+    return ad.add(ad.add(ad.tsum(y), ad.tsum(ad.subsample2(ad.reshape(p, (1, 1, 4, 5))))),
+                  ad.tsum(q))
+
+
 class TestFirstOrderRules:
     """A first-order backward runs each fused op's rule on arrays: the input
     gradient in the float order of its recorded graph-op rule, so the two
@@ -611,26 +659,28 @@ class TestFirstOrderRules:
         arrays = [(3.0 * rng.standard_normal((3, 4, 5, 5)) + 1.0).astype(dtype),
                   rng.standard_normal((4, 5, 5)).astype(dtype),
                   rng.standard_normal((4, 5, 5)).astype(dtype)]
-        first, recorded = first_order_and_recorded(
-            lambda x, g, b: layer_norm(x, g, b, 1e-5), arrays, 31)
-        np.testing.assert_array_equal(first[0], recorded[0])
-        # the composite chain's backward, in both modes: the same gain and
-        # bias gradients; its input gradient takes another path and rounds
-        # differently
-        for composite in first_order_and_recorded(
-                lambda x, g, b: layer_norm_composite(x, g, b, 1e-5), arrays, 31, n_recorded=3):
-            np.testing.assert_array_equal(first[1], composite[1])
-            np.testing.assert_array_equal(first[2], composite[2])
-            tol = 16 * np.finfo(dtype).eps * np.max(np.abs(composite[0]))
-            np.testing.assert_allclose(first[0], composite[0], rtol=0, atol=tol)
+        def build(x, g, b):
+            return layer_norm(x, g, b, 1e-5)
+
+        first, recorded = vjp_and_rec(build, arrays, 31, input_only=True)
+        assert_same_bits(first[0], recorded[0])
+        for a, b in zip(first, first_order(build, arrays, 31)):
+            assert_same_bits(a, b)
+        # the composite chain's backward: the same gain and bias gradients;
+        # its input gradient takes another path and rounds differently
+        composite = first_order(lambda x, g, b: layer_norm_composite(x, g, b, 1e-5), arrays, 31)
+        np.testing.assert_array_equal(first[1], composite[1])
+        np.testing.assert_array_equal(first[2], composite[2])
+        tol = 16 * np.finfo(dtype).eps * np.max(np.abs(composite[0]))
+        np.testing.assert_allclose(first[0], composite[0], rtol=0, atol=tol)
 
     @DTYPES
     def test_prelu(self, dtype):
         rng = np.random.default_rng(32)
         x0 = rng.standard_normal((3, 4, 5, 5)).astype(dtype)
         arrays = [x0, rng.uniform(0.1, 0.5, size=4).astype(dtype)]
-        first, recorded = first_order_and_recorded(prelu, arrays, 33)
-        np.testing.assert_array_equal(first[0], recorded[0])
+        first, recorded = vjp_and_rec(prelu, arrays, 33, input_only=True)
+        assert_same_bits(first[0], recorded[0])
         # the slope gradient: the output gradient times the negative mask times x
         neg = (x0 < 0).astype(dtype)
         np.testing.assert_array_equal(
@@ -639,19 +689,22 @@ class TestFirstOrderRules:
     @DTYPES
     @pytest.mark.parametrize("filters,stride", [(1, 1), (1, 2), (3, 2)])
     def test_conv2d_bias_and_single_filter_input(self, dtype, filters, stride):
-        # the bias gradient always; the input gradient at F = 1, where
-        # every entry is one product in both rules (an outer product here,
-        # a GEMM with K = 1 per sample in the recorded rule)
+        # the bias gradient always; the input gradient bit for bit at F = 1,
+        # where every entry is one product in both rules (an outer product
+        # in the first-order rule, a GEMM with K = 1 per sample in the
+        # recorded one), and to rounding at F > 1
         rng = np.random.default_rng(34)
         arrays = [rng.standard_normal((2, 3, 6, 6)).astype(dtype),
                   rng.standard_normal((filters, 3, 3, 3)).astype(dtype),
                   rng.standard_normal(filters).astype(dtype)]
-        first, recorded = first_order_and_recorded(
-            lambda x, w, b: conv2d(x, w, b, stride), arrays, 35)
+        first, recorded = vjp_and_rec(lambda x, w, b: conv2d(x, w, b, stride), arrays, 35,
+                                      input_only=True)
         c = probe((2, filters, 6 // stride, 6 // stride), dtype, 35)
         np.testing.assert_array_equal(first[2], c.sum(axis=(0, 2, 3)))
         if filters == 1:
-            np.testing.assert_array_equal(first[0], recorded[0])
+            assert_same_bits(first[0], recorded[0])
+        else:
+            np.testing.assert_allclose(first[0], recorded[0], rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("batch", [1, 2, 4, 64])
     def test_upsample2(self, batch):
@@ -678,17 +731,16 @@ class TestFirstOrderRules:
             assert first.tobytes() == g6.sum(axis=(3, 5)).tobytes()
 
     def test_first_order_vjps_dispatch_no_op(self, monkeypatch):
-        # no first-order rule but fold3x3's, unfold3x3's and spread2's
-        # builds a graph op; a rule written back in graph ops dispatches one
-        # or more
-        rng = np.random.default_rng(36)
+        # every first-order rule computes on arrays: a rule written back in
+        # graph ops, or calling one (fold3x3's calls the array kernel
+        # unfold3x3), dispatches one or more
         dispatched, inside = [], []
         real_apply = ad._apply
 
-        def counting_apply(op, out_data, inputs, vjp):
+        def counting_apply(op, out_data, inputs, vjp, rec=None):
             if inside:
                 dispatched.append(op)
-            return real_apply(op, out_data, inputs, vjp)
+            return real_apply(op, out_data, inputs, vjp, rec)
 
         def watched(vjp):
             def run(g, needs):
@@ -699,19 +751,8 @@ class TestFirstOrderRules:
                     inside.pop()
             return run
 
-        def leaf(*shape):
-            return Tensor(rng.standard_normal(shape), requires_grad=True)
-
         with Graph() as g:
-            x, w, b = leaf(2, 3, 8, 8), leaf(4, 3, 3, 3), leaf(4)
-            y = ad.upsample2(conv2d(x, w, b, stride=2))
-            y = prelu(layer_norm(y, leaf(4, 8, 8), leaf(4, 8, 8)), leaf(4))
-            y = ad.affine(y, leaf(4, 5), leaf(5))
-            y = ad.affine(ad.reshape(y, (2, -1)), leaf(320, 1), leaf(1))
-            p = matmul(ad.permute(ad.expand(leaf(1, 4), (3, 4)), (1, 0)), leaf(3, 5))
-            p = ad.div(ad.mul(ad.sqrt(ad.add(ad.square(p), 1.0)), ad.tanh(p)),
-                       ad.sub(3.0, ad.neg(leaf(5))))
-            loss = ad.add(ad.tsum(y), ad.tsum(ad.subsample2(ad.reshape(p, (1, 1, 4, 5)))))
+            loss = every_op_loss(np.random.default_rng(36))
             ops = {node.op for node in g.nodes} - {"leaf"}
             for node in g.nodes:
                 if node.op != "leaf":
@@ -719,11 +760,27 @@ class TestFirstOrderRules:
             leaves = [node.leaf for node in g.nodes if node.op == "leaf"]
             monkeypatch.setattr(ad, "_apply", counting_apply)
             grads = backward(loss)
-        assert ops == {"conv2d", "upsample2", "layer_norm", "prelu", "affine", "reshape",
-                       "expand", "permute", "matmul", "square", "add", "sqrt", "tanh", "mul",
-                       "neg", "sub", "div", "sum", "subsample2"}
+        assert ops == ALL_OPS
         assert dispatched == []
-        assert all(leaf in grads for leaf in leaves) and len(leaves) == 13
+        assert all(leaf in grads for leaf in leaves) and len(leaves) == 14
+
+    @pytest.mark.parametrize("cfg", [RunConfig(image_size=8, latent_dim=6, base_width=4,
+                                               n_blocks=1), RunConfig()],
+                             ids=["tiny", "default"])
+    def test_recorded_rules_are_the_critic_forward_ops(self, cfg):
+        # the ops with a recorded rule are exactly those the penalty's
+        # recorded backward meets: the ops of sum(critic(xhat))
+        with Graph() as g:
+            every_op_loss(np.random.default_rng(39))
+            recorded = {node.op for node in g.nodes if node.rec is not None}
+        assert recorded == RECORDED_OPS
+        disc = Discriminator(cfg)
+        phi = disc.init_params(np.random.default_rng(40))
+        s = cfg.image_size
+        with Graph() as g:
+            xhat = Tensor(np.zeros((2, 1, s, s), dtype=cfg.dtype), requires_grad=True)
+            ad.tsum(disc.forward(phi.bind(), xhat))
+            assert {node.op for node in g.nodes} - {"leaf"} == recorded
 
 
 def positive(shape):
@@ -774,31 +831,51 @@ PRIMITIVE_CASES = [
     ("matmul-long-m", (normal((390, 3)), normal((5, 3, 2))), matmul),
     ("subsample2-even", (normal((2, 3, 4, 6)),), ad.subsample2),
     ("subsample2-odd", (normal((2, 3, 5, 3)),), ad.subsample2),
+    ("spread2-even", (normal((2, 3, 2, 3)),), lambda a: ad.spread2(a, (4, 6))),
+    ("spread2-odd", (normal((2, 3, 3, 2)),), lambda a: ad.spread2(a, (5, 3))),
+    ("fold3x3-stride1", (normal((2, 18, 12)),), lambda a: ad.fold3x3(a, (3, 4), 1)),
+    ("fold3x3-stride2", (normal((2, 18, 6)),), lambda a: ad.fold3x3(a, (5, 3), 2)),
 ]
+# the cases whose output node has a recorded rule
+RECORDED_CASES = [case for case in PRIMITIVE_CASES
+                  if case[0].split("-")[0] in RECORDED_OPS]
 
 
 class TestPrimitiveFirstOrderRules:
-    """Every primitive op's first-order rule runs its recorded graph-op
-    rule's numpy operations in the same float order: on one tape, a
-    first-order backward gives bitwise the gradients a recorded one does,
-    for every operand form the op accepts."""
+    """Every primitive op's first-order rule, for every operand form the op
+    accepts: against central differences of its forward, and, where the op
+    has a recorded rule, bit for bit against it."""
 
     @DTYPES
     @pytest.mark.parametrize("draws,build", [case[1:] for case in PRIMITIVE_CASES],
                              ids=[case[0] for case in PRIMITIVE_CASES])
+    def test_matches_finite_differences(self, dtype, draws, build):
+        rng = np.random.default_rng(60)
+        arrays = [np.asarray(draw(rng), dtype=np.float64) for draw in draws]
+        grads = first_order(build, [a.astype(dtype) for a in arrays], 61)
+        exact = first_order(build, arrays, 61)
+        for i, (a, grad, ref) in enumerate(zip(arrays, grads, exact)):
+            assert (grad.dtype, grad.shape) == (dtype, a.shape)
+            np.testing.assert_allclose(grad, ref, rtol=1e-4, atol=1e-4 * np.max(np.abs(ref)))
+
+            def loss(v, i=i):
+                y = build(*[Tensor(v if j == i else b) for j, b in enumerate(arrays)])
+                return float(np.sum(probe(y.shape, np.float64, 61) * y.data))
+
+            coords = rng.choice(a.size, size=min(a.size, 24), replace=False)
+            fd = finite_difference_gradient(loss, a, coords=coords)
+            assert agreement_error(np.reshape(ref, -1)[coords], fd, loss(a)) < DEFAULT_TOL
+
+    @DTYPES
+    @pytest.mark.parametrize("draws,build", [case[1:] for case in RECORDED_CASES],
+                             ids=[case[0] for case in RECORDED_CASES])
     def test_bitwise_equal_to_recorded(self, dtype, draws, build):
         rng = np.random.default_rng(60)
-        with Graph():
-            leaves = [Tensor(np.asarray(draw(rng), dtype=dtype), requires_grad=True)
-                      for draw in draws]
-            y = build(*leaves)
-            loss = ad.tsum(ad.mul(y, Tensor(np.asarray(probe(y.shape, dtype, 61)))))
-            recorded = backward(loss, create_graph=tuple(leaves))
-            first = backward(loss)
-        for leaf in leaves:
-            f, r = np.asarray(first[leaf].data), np.asarray(recorded[leaf].data)
-            assert (f.dtype, f.shape) == (dtype, leaf.shape) == (r.dtype, r.shape)
-            assert f.tobytes() == r.tobytes()
+        arrays = [np.asarray(draw(rng), dtype=dtype) for draw in draws]
+        first, recorded = vjp_and_rec(build, arrays, 61)
+        assert len(first) == len(recorded) == len(arrays)
+        for f, r in zip(first, recorded):
+            assert_same_bits(f, r)
 
 
 class TestAffine:
@@ -812,11 +889,10 @@ class TestAffine:
         out = ad.affine(*map(Tensor, arrays)).data
         assert out.shape == (3, 7) + shape[2:] and out.dtype == dtype
         np.testing.assert_array_equal(out, affine_chain(*map(Tensor, arrays)).data)
-        first, recorded = first_order_and_recorded(ad.affine, arrays, 41)
-        np.testing.assert_array_equal(first[0], recorded[0])
-        for chain in first_order_and_recorded(affine_chain, arrays, 41, n_recorded=3):
-            for a, b in zip(first, chain):
-                np.testing.assert_array_equal(a, b)
+        first, recorded = vjp_and_rec(ad.affine, arrays, 41, input_only=True)
+        assert_same_bits(first[0], recorded[0])
+        for a, b in zip(first, first_order(affine_chain, arrays, 41)):
+            np.testing.assert_array_equal(a, b)
 
     def test_records_one_node(self):
         rng = np.random.default_rng(42)
@@ -831,32 +907,30 @@ class TestAffine:
         with pytest.raises(ShapeMismatch):
             ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
 
-    @pytest.mark.parametrize("wrt", [0], ids=["x"])
-    def test_double_backward_matches_fd(self, wrt):
-        # P = ||d/dx sum(c * affine(x, w, b)^2)||^2, differentiated in x, w
-        # and b through the recorded backward, against central differences
-        # of P evaluated with a first-order backward
+    def test_double_backward_matches_fd(self):
+        # P = ||d/dx sum(c * affine(x, w, b)^2)||^2, with the input gradient
+        # from the recorded rule at the output gradient 2 c y, differentiated
+        # in x, w and b, against central differences of P evaluated with a
+        # first-order backward
         rng = np.random.default_rng(43)
         arrays = [rng.standard_normal((2, 3, 2, 2)), rng.standard_normal((3, 4)),
                   rng.standard_normal(4)]
         c = rng.standard_normal((2, 4, 2, 2))
 
-        def penalty(leaves, create_graph):
-            s = ad.tsum(ad.mul(ad.square(ad.affine(*leaves)), Tensor(c)))
-            gl = backward(s, create_graph=create_graph)[leaves[wrt]]
-            return gl if create_graph is False else ad.tsum(ad.square(gl))
-
         def value(i):
             def f(v):
                 with Graph():
-                    leaves = [Tensor(v.copy() if j == i else a.copy(), requires_grad=j == wrt)
+                    leaves = [Tensor(v.copy() if j == i else a.copy(), requires_grad=j == 0)
                               for j, a in enumerate(arrays)]
-                    return float(np.sum(penalty(leaves, False).data ** 2))
+                    s = ad.tsum(ad.mul(ad.square(ad.affine(*leaves)), Tensor(c)))
+                    return float(np.sum(backward(s)[leaves[0]].data ** 2))
             return f
 
         with Graph():
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            grads = backward(penalty(leaves, (leaves[wrt],)))
+            y = ad.affine(*leaves)
+            gx = recorded_rule(y, ad.mul(ad.mul(y, 2.0), Tensor(c)))
+            grads = backward(ad.tsum(ad.square(gx)))
         for i, a in enumerate(arrays):
             fd = finite_difference_gradient(value(i), a)
             assert max_relative_error(grads[leaves[i]].data, fd) < 1e-5
@@ -891,7 +965,7 @@ class TestSpatialPrimitives:
         for hw in ((4, 4), (5, 5), (7, 4)):
             for stride in (1, 2):
                 x = rng.standard_normal((2, 3) + hw)
-                u = ad.unfold3x3(Tensor(x), stride).data
+                u = ad.unfold3x3(x, stride)
                 c = rng.standard_normal(u.shape)
                 f = ad.fold3x3(Tensor(c), hw, stride).data
                 np.testing.assert_allclose(np.sum(u * c), np.sum(x * f), rtol=1e-12)
@@ -945,7 +1019,7 @@ class TestBackward:
     def test_create_graph_keeps_graph_alive(self):
         with Graph() as g:
             x = Tensor(np.ones(3), requires_grad=True)
-            loss = ad.tsum(ad.square(x))
+            loss = ad.tsum(ad.add(x, x))
             backward(loss, create_graph=(x,))
             assert not g.dead and len(g.nodes) > 0
             backward(loss)  # still alive
@@ -975,50 +1049,6 @@ class TestBackward:
             g = backward(ad.tsum(y))[x].data
         np.testing.assert_allclose(g, [7.0])
 
-    def test_double_backward_cubic(self):
-        # second derivative of sum(x^3) at x=2 is 12
-        with Graph():
-            x = Tensor(np.full((3,), 2.0), requires_grad=True)
-            loss = ad.tsum(ad.mul(ad.mul(x, x), x))
-            g1 = backward(loss, create_graph=(x,))[x]
-            g2 = backward(ad.tsum(g1))[x].data
-        np.testing.assert_allclose(g2, 12.0)
-
-    def test_double_backward_matches_fd_of_analytic_gradient(self):
-        # sum of first derivative of cubic: FD of d/dx sum(x^3) = 3x^2
-        rng = np.random.default_rng(21)
-        x0 = rng.standard_normal(4)
-
-        def first_grad_sum(x):
-            return float(np.sum(3 * x ** 2))
-
-        fd = finite_difference_gradient(first_grad_sum, x0, h=1e-6)
-        with Graph():
-            x = Tensor(x0, requires_grad=True)
-            loss = ad.tsum(ad.mul(ad.mul(x, x), x))
-            g1 = backward(loss, create_graph=(x,))[x]
-            g2 = backward(ad.tsum(g1))[x].data
-        assert max_relative_error(g2, fd) < 1e-5
-
-    def test_double_backward_through_matmul_chain(self):
-        rng = np.random.default_rng(22)
-        w0 = rng.standard_normal((3, 3))
-        v = rng.standard_normal((1, 3))
-
-        def penalty_np(w):
-            # gradient of sum(tanh(v @ w)) wrt v is (1 - tanh^2) @ w.T; penalty is its sq norm
-            t = np.tanh(v @ w)
-            gv = (1 - t ** 2) @ w.T
-            return float(np.sum(gv ** 2))
-
-        def penalty_ad(w):
-            vt = Tensor(v.copy(), requires_grad=True)
-            s = ad.tsum(ad.tanh(matmul(vt, w)))
-            gv = backward(s, create_graph=(vt,))[vt]
-            return ad.tsum(ad.square(gv))
-
-        fd_check(penalty_np, penalty_ad, w0, tol=1e-5)
-
     @staticmethod
     def critic_input_grad(restrict):
         cfg = RunConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1)
@@ -1047,22 +1077,26 @@ class TestBackward:
 
     @pytest.mark.parametrize("op,param", [("conv2d", 1), ("conv2d", 2), ("affine", 1),
                                           ("affine", 2), ("prelu", 1), ("layer_norm", 1),
-                                          ("layer_norm", 2), ("upsample2", 0)])
+                                          ("layer_norm", 2), ("upsample2", 0), ("mul", 0),
+                                          ("tanh", 0), ("matmul", 0)])
     def test_recorded_parameter_gradient_raises(self, op, param):
         # a recorded backward differentiates a fused op in its input only;
         # asking it for a weight, bias, slope or gain gradient is an error,
-        # and it does not differentiate upsample2, which only the generator runs
+        # and so is reaching an op with no recorded rule
         build, shapes = {
             "conv2d": (lambda x, w, b: conv2d(x, w, b, 2), [(2, 3, 4, 4), (2, 3, 3, 3), (2,)]),
             "affine": (ad.affine, [(2, 3, 4, 4), (3, 2), (2,)]),
             "prelu": (prelu, [(2, 3, 4, 4), (3,)]),
             "layer_norm": (layer_norm, [(2, 3, 4, 4), (3, 4, 4), (3, 4, 4)]),
             "upsample2": (ad.upsample2, [(2, 3, 4, 4)]),
+            "mul": (ad.mul, [(2, 3), (2, 3)]),
+            "tanh": (ad.tanh, [(2, 3)]),
+            "matmul": (matmul, [(2, 3), (3, 4)]),
         }[op]
         rng = np.random.default_rng(24)
         with Graph():
             leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
-            loss = ad.tsum(ad.square(build(*leaves)))
+            loss = ad.tsum(build(*leaves))
             with pytest.raises(NotImplementedError, match=op):
                 backward(loss, create_graph=(leaves[param],))
 

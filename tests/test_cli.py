@@ -223,6 +223,15 @@ class TestTrain:
                (clean / "ckpt_000000.figr").read_bytes()
         assert len((bad / "train_log.csv").read_text().splitlines()) == 1
 
+    def test_outer_step_overflow_stops_run(self, tmp_path, capsys):
+        # a finite outer_lr too large for float32 phi: no checkpoint past step 0
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(TINY_CFG.replace("outer_lr = 0.0001", "outer_lr = 1e300"))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--out", out, "--steps", 3) == 2
+        assert "meta-step 1 on task" in capsys.readouterr().err
+        assert sorted(p.name for p in out.glob("ckpt_*.figr")) == ["ckpt_000000.figr"]
+
     def test_resume_rejects_drifted_config(self, cfg_path, tmp_path):
         out = tmp_path / "drift"
         run_cli("train", "--config", cfg_path, "--out", out, "--steps", 3)
@@ -282,8 +291,9 @@ class TestTrain:
         assert "'flat' has no images or no pixels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old,new", [("k = 2", "k = 0"),
-                                         ("image_size = 8", "image_size = 32")],
-                             ids=["k0", "32px-1-block"])
+                                         ("image_size = 8", "image_size = 32"),
+                                         ("outer_lr = 0.0001", "outer_lr = inf")],
+                             ids=["k0", "32px-1-block", "outer-lr-inf"])
     def test_invalid_config_writes_nothing(self, tmp_path, capsys, old, new):
         # the config is refused at parse, before the run makes --out
         cfg = tmp_path / "bad.cfg"
@@ -329,6 +339,16 @@ class TestGenerateEval:
         rc = run_cli("generate", "--config", cfg_path, "--checkpoint", trained,
                      "--n", 99, "--out", tmp_path / "x")
         assert rc == 2
+
+    def test_generate_on_empty_split(self, tmp_path, capsys):
+        cfg = tmp_path / "noval.cfg"
+        cfg.write_text(TINY_CFG.replace("n_validation = 2", "n_validation = 0"))
+        run_cli("train", "--config", cfg, "--steps", 0, "--out", tmp_path / "run")
+        out = tmp_path / "gen"
+        assert run_cli("generate", "--config", cfg, "--checkpoint",
+                       tmp_path / "run" / "ckpt_000000.figr", "--out", out) == 2
+        assert "validation split is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--k", "--n"])
     def test_generate_rejects_zero_k_and_n(self, cfg_path, trained, tmp_path, flag):

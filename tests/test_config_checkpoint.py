@@ -89,6 +89,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["gp_lambda", "inner_lr", "outer_lr", "beta1", "beta2",
+                                     "adam_eps"])
+    def test_non_finite_float_settings_refused(self, key, value):
+        # outer_lr = inf wrote NaN and inf into phi_d's first checkpoint, and
+        # adam_eps = inf left phi where it was
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(f"{key} = {value}\n")
+
     def test_boundary_adam_settings_accepted(self):
         cfg = parse_config("beta1 = 0.0\nbeta2 = 0.0\nouter_lr = 0.0\n")
         assert (cfg.beta1, cfg.beta2, cfg.outer_lr) == (0.0, 0.0, 0.0)

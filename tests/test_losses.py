@@ -12,6 +12,7 @@ from figr.autodiff import (
     Tensor,
     backward,
     matmul,
+    prelu,
 )
 from figr.gradcheck import finite_difference_gradient, max_relative_error
 from figr.losses import critic_loss, generator_loss, gradient_penalty
@@ -82,12 +83,12 @@ class TestGeneratorLoss:
 
 
 def linear_critic(w_row: np.ndarray):
-    """D(v) = <w, v> per sample; input gradient is w everywhere."""
+    """D(v) = <w, v> per sample, a dense affine layer; input gradient is w everywhere."""
     wt = Tensor(w_row.reshape(-1, 1).astype(np.float64))
+    bias = Tensor(np.zeros(1))
 
     def critic(v: Tensor) -> Tensor:
-        flat = ad.reshape(v, (v.shape[0], -1))
-        return matmul(flat, wt)
+        return ad.affine(ad.reshape(v, (v.shape[0], -1)), wt, bias)
 
     return critic
 
@@ -137,38 +138,36 @@ class TestGradientPenalty:
                                  draw_eps(0, 2), 10.0)
 
     def test_gradient_wrt_critic_params_matches_fd(self):
-        # two-layer critic; penalty differentiated through the double backward
+        # two-layer PReLU critic; penalty differentiated through the double
+        # backward in the first layer's weights and in the slopes
         rng = np.random.default_rng(8)
         b, d, hdim = 3, 8, 5
         x = rng.standard_normal((b, 1, 2, 4))
         y = rng.standard_normal((b, 1, 2, 4))
         eps = rng.uniform(size=(b, 1, 1, 1))
-        w2 = rng.standard_normal((hdim, 1))
+        arrays = [rng.standard_normal((d, hdim)), rng.uniform(0.1, 0.5, size=hdim)]
+        b1, w2, b2 = rng.standard_normal(hdim), rng.standard_normal((hdim, 1)), np.zeros(1)
 
-        def penalty_value(w1_arr):
-            with Graph():
-                w1t = Tensor(np.asarray(w1_arr).copy())
+        def critic(w1, a):
+            def score(v):
+                h = prelu(ad.affine(ad.reshape(v, (b, d)), w1, Tensor(b1)), a)
+                return ad.affine(h, Tensor(w2), Tensor(b2))
+            return score
 
-                def critic(v):
-                    h = ad.tanh(matmul(ad.reshape(v, (b, d)), w1t))
-                    return matmul(h, Tensor(w2.copy()))
-
-                pen = gradient_penalty(critic, x, y, eps, gp_lambda=10.0)
-                return float(pen.item())
-
-        w1_0 = rng.standard_normal((d, hdim))
-        fd = finite_difference_gradient(penalty_value, w1_0, h=1e-6)
+        def penalty_value(i):
+            def f(v):
+                with Graph():
+                    params = [Tensor(v.copy() if j == i else p.copy())
+                              for j, p in enumerate(arrays)]
+                    return gradient_penalty(critic(*params), x, y, eps, gp_lambda=10.0).item()
+            return f
 
         with Graph():
-            w1 = Tensor(w1_0.copy(), requires_grad=True)
-
-            def critic(v):
-                h = ad.tanh(matmul(ad.reshape(v, (b, d)), w1))
-                return matmul(h, Tensor(w2.copy()))
-
-            pen = gradient_penalty(critic, x, y, eps, gp_lambda=10.0)
-            g = backward(pen)[w1].data
-        assert max_relative_error(g, fd) < 1e-4
+            params = [Tensor(p.copy(), requires_grad=True) for p in arrays]
+            grads = backward(gradient_penalty(critic(*params), x, y, eps, gp_lambda=10.0))
+        for i, p in enumerate(arrays):
+            fd = finite_difference_gradient(penalty_value(i), p, h=1e-6)
+            assert max_relative_error(grads[params[i]].data, fd) < 1e-4
 
     def test_penalty_flows_only_into_critic(self):
         rng = np.random.default_rng(9)
@@ -178,7 +177,7 @@ class TestGradientPenalty:
             y = rng.standard_normal((2, 1, 2, 2))
 
             def critic(v):
-                return matmul(ad.reshape(v, (2, 4)), w)
+                return ad.affine(ad.reshape(v, (2, 4)), w, Tensor(np.zeros(1)))
 
             pen = gradient_penalty(critic, x, y, draw_eps(1, 2), 10.0)
             grads = backward(pen)
