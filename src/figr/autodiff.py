@@ -21,23 +21,23 @@ recorded rule, ``rec``, tensors in and out, written with the public ops:
 add, tsum, reshape and subsample2, and the fused conv2d, affine, prelu
 and layer_norm.  They are the ops a critic forward records, and the
 recorded rules exist only for the gradient penalty's second-order
-derivatives: backward with ``create_graph`` runs them onto the same tape,
-so the returned gradients are differentiable tensors, and it raises
-NotImplementedError naming the op at a node with no recorded rule.
-``create_graph`` names the leaves to differentiate with respect to: the
-penalty passes ``(xhat,)``, so the critic's parameter gradients are
-neither computed nor recorded.  Where an op has both rules, its
-first-order rule runs the recorded rule's numpy operations in the same
-float order, so the two give bitwise the same gradients (conv2d's input
-gradient at one filter only).
+derivatives: ``backward(loss, create_graph=True)`` runs them onto the
+same tape, so the returned gradients are differentiable tensors, and it
+raises NotImplementedError naming the op at a node with no recorded
+rule.  Where an op has both rules, its first-order rule runs the
+recorded rule's numpy operations in the same float order, so the two
+give bitwise the same gradients (conv2d's input gradient at one filter
+only).
 
 Fused ops (conv2d, affine, prelu, layer_norm) are one node each, with a
 numpy forward; prelu applies its sign mask by multiplication, without a
 per-element branch.  A recorded backward differentiates them in their data
-input only: the recorded rule gives the input gradient alone, in graph
-ops that stay differentiable in every input (so the penalty's weight
-gradients flow), and a request for a parameter gradient raises
-NotImplementedError; their first-order rules give every gradient.
+input only: the recorded rule gives the input gradient alone, none when
+that input is a constant, in graph ops that stay differentiable in every
+input (so the penalty's weight gradients flow).  So the only leaves a
+recorded backward reaches are those a data path leads from, and the
+critic's parameter gradients are never computed or recorded; the
+first-order rules give every gradient.
 conv2d's kernels work on one zero-padded, channel-major grid (see
 _Geometry) in which each 3x3 tap is a fixed offset: im2col is one
 long-run copy per sample, col2im nine contiguous adds, the weight
@@ -670,11 +670,6 @@ def spread2(a: Tensor, hw: tuple[int, int]) -> Tensor:
 # fused network ops: numpy first-order rules, differentiable input-only recorded rules
 # ---------------------------------------------------------------------------
 
-def _input_only(op: str, needs: tuple) -> None:
-    if any(needs[1:]):
-        raise NotImplementedError(f"a recorded backward differentiates {op} in its input only")
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
     """3x3 cross-correlation, pad 1, stride 1 or 2.
 
@@ -747,8 +742,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
         return (dx, dw, db) if b is not None else (dx, dw)
 
     def rec(g, needs):
-        # stays differentiable in g, w and x
-        _input_only("conv2d", needs)
+        # the input gradient alone, differentiable in g, w and x
+        if not needs[0]:
+            return ()
         g3 = reshape(g, (bsz, f, h2 * w2))
         wt = _swap_last2(reshape(w, (f, c * 9)))
         return (fold3x3(matmul(wt, g3), (geo.h, geo.w), stride),)
@@ -792,7 +788,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return (dx, dw, db)
 
     def rec(g, needs):
-        _input_only("affine", needs)
+        if not needs[0]:
+            return ()
         move = (lambda t, axes: t) if nd == 2 else permute  # a dense layer has no axis to move
         g3 = reshape(move(g, last), (bsz, p, f))
         return (move(reshape(matmul(g3, _swap_last2(w)), (bsz,) + space + (c,)), first),)
@@ -835,8 +832,7 @@ def _prelu(x: Tensor, a: Tensor, pos: np.ndarray) -> Tensor:
                 (g * (xd * neg)).sum(axis=red) if needs[1] else None)
 
     def rec(g, needs):
-        _input_only("prelu", needs)
-        return (_prelu(g, a, pos),)
+        return (_prelu(g, a, pos),) if needs[0] else ()
 
     return _apply("prelu", out_data, (x, a), vjp, rec)
 
@@ -880,7 +876,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def rec(g, needs):
         # stays differentiable in x: re-derive the normalized input as graph ops
-        _input_only("layer_norm", needs)
+        if not needs[0]:
+            return ()
         xc_t = sub(x, expand(tmean(x, axes, keepdims=True), x.shape))
         std_t = expand(sqrt(add(tmean(square(xc_t), axes, keepdims=True), eps)), x.shape)
         xn_t = div(xc_t, std_t)
@@ -898,7 +895,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # backward
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
+def backward(loss: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
     """Accumulate d(loss)/d(leaf) for every reachable requires_grad leaf.
 
     Returns a map keyed by leaf tensor.  A first-order call
@@ -908,15 +905,14 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
     soon as it is visited, so an activation is freed once the rules that
     saved it have run and the caller drops its own references.
 
-    Otherwise create_graph names the leaves to differentiate with respect
-    to, e.g. ``create_graph=(xhat,)``, and the ops' recorded rules run onto
-    the same tape, so the returned gradients are graph tensors, and the
-    tape stays alive.  Only nodes that depend on those leaves are visited
-    and only their input gradients computed, and the map holds only those
-    leaves: gradients nobody asked for are neither computed nor recorded.
-    A node with no recorded rule raises NotImplementedError naming its op,
-    and so does a requested parameter of a fused op, which a recorded
-    backward differentiates in its data input only.
+    With create_graph=True the ops' recorded rules run onto the same tape,
+    so the returned gradients are graph tensors, and the tape stays alive.
+    Both visit exactly the nodes the loss reaches.  A recorded rule passes
+    a fused op's gradient to its data input alone, so a leaf reached only
+    through a fused op's parameters gets no gradient and its path none of
+    the work: the critic's penalty gets the gradient of its input and
+    nothing else.  A node with no recorded rule raises NotImplementedError
+    naming its op.
     """
     if loss.data.size != 1:
         raise NotScalar(f"loss must be scalar, got shape {loss.shape}")
@@ -928,64 +924,35 @@ def backward(loss: Tensor, create_graph=False) -> dict[Tensor, Tensor]:
 
     nodes = g.nodes
     start = loss.node
-    record = create_graph is not False
+    g.dead = not create_graph           # even if a rule raises: visited nodes are released
     seed = np.ones(loss.shape, dtype=loss.data.dtype)
-    if record:
-        if create_graph is True:
-            raise TypeError("create_graph takes the leaves to differentiate "
-                            "with respect to, e.g. create_graph=(x,)")
-        # restrict to the nodes that depend on the requested leaves; inputs
-        # precede their node, so one forward sweep settles every node
-        depends = bytearray(start + 1)
-        for leaf in create_graph:
-            if leaf.graph is g and leaf.node is not None and leaf.node <= start:
-                depends[leaf.node] = 1
-        for i in range(start + 1):
-            if not depends[i]:
-                for j in nodes[i].input_ids:
-                    if j is not None and depends[j]:
-                        depends[i] = 1
-                        break
-        if not depends[start]:
-            return {}
-        seed = Tensor(seed)
-    else:
-        g.dead = True                   # even if a rule raises: visited nodes are released
-
-    grads = {start: seed}
+    grads = {start: Tensor(seed) if create_graph else seed}
     result: dict[Tensor, Tensor] = {}
     with g:                             # a recorded rule's ops record onto this tape
         # a node holds a gradient only if a visited node passed it one, so
-        # nodes the loss does not reach, or (recorded) that do not depend
-        # on the requested leaves, are never visited
+        # nodes the loss does not reach are never visited
         for i in range(start, -1, -1):
             gi = grads.pop(i, None)
             if gi is None:
                 continue
             node = nodes[i]
-            ids = node.input_ids
-            if record:
-                if node.vjp is None:
-                    result[node.leaf] = gi
-                    continue
-                if node.rec is None:
-                    raise NotImplementedError(
-                        f"a recorded backward does not differentiate {node.op}")
-                parts = node.rec(gi, [j is not None and depends[j] == 1 for j in ids])
-            else:
+            if not create_graph:
                 nodes[i] = None         # release what only this node's rules held
-                if node.vjp is None:
-                    result[node.leaf] = Tensor(gi)
-                    continue
-                parts = node.vjp(gi, [j is not None for j in ids])
-            for j, dj in zip(ids, parts):
+            if node.leaf is not None:
+                result[node.leaf] = gi if create_graph else Tensor(gi)
+                continue
+            rule = node.rec if create_graph else node.vjp
+            if rule is None:
+                raise NotImplementedError(f"a recorded backward does not differentiate {node.op}")
+            ids = node.input_ids
+            for j, dj in zip(ids, rule(gi, [j is not None for j in ids])):
                 if dj is None:
                     continue
                 acc = grads.get(j)
                 if acc is not None:
-                    dj = add(acc, dj) if record else acc + dj
+                    dj = add(acc, dj) if create_graph else acc + dj
                 grads[j] = dj
 
-    if not record:
+    if not create_graph:
         nodes.clear()
     return result

@@ -230,8 +230,10 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
     its held-out images.  A scored class needs more than n images, so that
     n condition the adaptation and the rest are held out.
 
-    The baseline arm repeats the identical protocol from a fresh random
-    initialization; both arms share per-class rng so the comparison is paired.
+    The baseline arm repeats the identical protocol from the run's own
+    starting point, the φ₀ that `figr train` draws from cfg.seed; both arms
+    share per-class rng, so the comparison is paired and asks what
+    meta-training added.
     """
     ids = dataset.class_ids("validation")
     if not ids:
@@ -247,7 +249,7 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
         if task.images.shape[0] <= cfg.n:
             raise InsufficientImages(f"validation class {task.name!r} has {task.images.shape[0]} "
                                      f"images; scoring needs more than n={cfg.n}")
-    base_state = init_meta_state(disc, gen, rng.derive(seed, rng.EVAL_BASELINE, 0))
+    base_state = init_meta_state(disc, gen, rng.make_streams(cfg.seed).init)
     reports = []
     for cid in ids[:trials]:
         task = dataset.classes[cid]
@@ -289,7 +291,7 @@ def cmd_eval(args) -> int:
     if args.out:
         atomic_write(args.out, text)
     sys.stdout.write(text)
-    print(f"meta-trained beats random init on {wins}/{len(reports)} classes")
+    print(f"meta-trained beats its starting point on {wins}/{len(reports)} classes")
     return 0
 
 
@@ -392,7 +394,7 @@ def main(argv=None) -> int:
         parser.error("--count must be >= 1")
     try:
         return args.fn(args)
-    except (CliError, ConfigError, BadCheckpoint, FileNotFoundError, ValueError) as exc:
+    except (CliError, ConfigError, BadCheckpoint, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -172,6 +172,11 @@ class RawDataset:
     classes: tuple[RawClass, ...]
 
 
+def _check_not_empty(name: str, images: np.ndarray) -> None:
+    if 0 in images.shape:
+        raise ValueError(f"class {name!r} has no images or no pixels: {images.shape}")
+
+
 def pack_shard(classes: list[tuple[str, np.ndarray]]) -> bytes:
     """Serialize (name, uint8 image stack) pairs; load_shard inverts bit-exactly."""
     if not classes:
@@ -183,8 +188,7 @@ def pack_shard(classes: list[tuple[str, np.ndarray]]) -> bytes:
         images = np.asarray(images)
         if images.ndim != 3 or images.dtype != np.uint8:
             raise ValueError(f"class {name!r} must be uint8 [N,H,W]")
-        if 0 in images.shape:
-            raise ValueError(f"class {name!r} has no images or no pixels: {images.shape}")
+        _check_not_empty(name, images)
         n, h, w = images.shape
         encoded = name.encode("utf-8")
         out += struct.pack("<H", len(encoded)) + encoded
@@ -208,6 +212,7 @@ def load_shard(data: bytes) -> RawDataset:
         name = r.take(name_len).decode("utf-8")
         n, h, w = r.unpack("<IHH")
         images = r.array(n * h * w, np.uint8).reshape(n, h, w)
+        _check_not_empty(name, images)
         classes.append(RawClass(name=name, images=images))
     if r.pos != len(data):
         raise ValueError(f"shard has {len(data) - r.pos} trailing bytes")
@@ -323,8 +328,7 @@ def build_tasks(raw: RawDataset, image_size: int) -> TaskDataset:
     start in the train split."""
     classes = []
     for rc in raw.classes:
-        if 0 in rc.images.shape:
-            raise ValueError(f"class {rc.name!r} has no images or no pixels: {rc.images.shape}")
+        _check_not_empty(rc.name, rc.images)
         classes.append(TaskClass(
             rc.name, load=partial(_to_task_images, rc.images, image_size)))
     return TaskDataset(classes=tuple(classes), image_size=image_size,

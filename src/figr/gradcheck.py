@@ -4,11 +4,12 @@ and figr's one finite-difference oracle (`finite_difference_gradient`).
 All checks run in double precision on small random networks: generator
 parameters (through the critic), critic parameters, the critic's input
 gradient, and the gradient penalty's parameter gradient, which exercises
-the recorded rules of the critic's ops and the first-order rules of the
-ops those record.  A check is a ParameterSet and a loss
-of its bound tensors (the critic's input is a one-segment set); one
-routine differentiates the loss and compares with finite differences at
-COORDS random entries; a run passes when every error is below DEFAULT_TOL.
+the recorded rules of the critic's ops (a fused op's in its data input
+only) and the first-order rules of the ops those record.  A check is a
+ParameterSet and a loss of its bound tensors (the critic's input is a
+one-segment set); one routine differentiates the loss and compares with
+finite differences at COORDS random entries; a run passes when every
+error is below DEFAULT_TOL.
 """
 
 from __future__ import annotations

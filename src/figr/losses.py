@@ -4,14 +4,15 @@ penalty on random interpolates (Gulrajani et al., arXiv:1704.00028).
 
 The critic loss reads the scores of one critic forward over the joint
 batch [real; fake].  The penalty takes its input gradient with a
-backward recorded onto the tape but restricted to the interpolates
-(``create_graph=(xhat,)``): it runs the recorded rules of the critic's
-ops, the only ops that have one, and the critic's own parameter
-gradients of that inner pass are never used, so they are neither
-computed nor recorded.  The penalty's parameter gradient comes from the
-caller's one first-order backward, whose array rules run through the
-recorded pass like any other nodes.  The caller draws the interpolation
-weights, one per sample, so the penalty consumes no rng."""
+backward recorded onto the tape (``create_graph=True``): it runs the
+recorded rules of the critic's ops, the only ops that have one, and
+those differentiate each fused op in its data input alone, so the
+critic's own parameter gradients of that inner pass, which nothing
+uses, are neither computed nor recorded.  The penalty's parameter
+gradient comes from the caller's one first-order backward, whose array
+rules run through the recorded pass like any other nodes.  The caller
+draws the interpolation weights, one per sample, so the penalty
+consumes no rng."""
 
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ def gradient_penalty(critic: Callable[[Tensor], Tensor],
 
     xhat = Tensor((eps * x + (1.0 - eps) * y).astype(x.dtype), requires_grad=True)
     scores = critic(xhat)
-    grad_x = backward(ad.tsum(scores), create_graph=(xhat,))[xhat]
+    grad_x = backward(ad.tsum(scores), create_graph=True)[xhat]
     flat = ad.reshape(grad_x, (b, -1))
     norms = ad.sqrt(ad.add(ad.tsum(ad.square(flat), axes=(1,)), NORM_FLOOR))
     return ad.mul(ad.tmean(ad.square(ad.sub(norms, 1.0))), float(gp_lambda))

@@ -20,7 +20,9 @@ STATE_BYTES = 40
 # from keys (class,) and (class, image) under split_seed, often the run's
 # seed too.  SeedSequence splits key entries into 32-bit words, so a tag
 # >= 2**32 and one more entry make a key no glyph has (2**32 alone is (0, 1)).
-TRAIN, EVAL_PICK, EVAL_ARM, EVAL_BASELINE, GENERATE_PICK, GENERATE = range(2**32, 2**32 + 6)
+# The fourth tag, once the eval baseline's, stays unused so that the tags
+# after it, and with them the streams of `figr generate`, keep their values.
+TRAIN, EVAL_PICK, EVAL_ARM, _, GENERATE_PICK, GENERATE = range(2**32, 2**32 + 6)
 
 
 @dataclass

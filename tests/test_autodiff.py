@@ -441,7 +441,7 @@ class TestPRelu:
             a = Tensor(A0, requires_grad=True)
             y = ad.tsum(prelu(x, a))
             start = len(g.nodes)
-            backward(y, create_graph=(x,))
+            backward(y, create_graph=True)
             assert [node.op for node in g.nodes[start:]].count("prelu") == 1
             assert "mul" not in {node.op for node in g.nodes[start:]}
 
@@ -591,11 +591,11 @@ def first_order(build, arrays, seed):
     return [grads[t].data for t in leaves]
 
 
-def vjp_and_rec(build, arrays, seed, input_only=False):
+def vjp_and_rec(build, arrays, seed):
     """The two rules of build's output node, called directly at the output
     gradient c = probe(...): the first-order rule's gradients and the
-    recorded rule's, in every leaf input, or (input_only, as a fused op's
-    recorded rule gives) in the first input alone."""
+    recorded rule's, in every leaf input (a fused op's recorded rule gives
+    its data input's alone)."""
     with Graph():
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         y = build(*leaves)
@@ -603,7 +603,7 @@ def vjp_and_rec(build, arrays, seed, input_only=False):
         c = probe(y.shape, y.dtype, seed)
         live = [j is not None for j in node.input_ids]
         first = node.vjp(c, live)
-        recorded = node.rec(Tensor(c), [i == 0 for i in range(len(live))] if input_only else live)
+        recorded = node.rec(Tensor(c), live)
     return ([d for d, n in zip(first, live) if n],
             [d.data for d in recorded if d is not None])
 
@@ -662,7 +662,7 @@ class TestFirstOrderRules:
         def build(x, g, b):
             return layer_norm(x, g, b, 1e-5)
 
-        first, recorded = vjp_and_rec(build, arrays, 31, input_only=True)
+        first, recorded = vjp_and_rec(build, arrays, 31)
         assert_same_bits(first[0], recorded[0])
         for a, b in zip(first, first_order(build, arrays, 31)):
             assert_same_bits(a, b)
@@ -679,7 +679,7 @@ class TestFirstOrderRules:
         rng = np.random.default_rng(32)
         x0 = rng.standard_normal((3, 4, 5, 5)).astype(dtype)
         arrays = [x0, rng.uniform(0.1, 0.5, size=4).astype(dtype)]
-        first, recorded = vjp_and_rec(prelu, arrays, 33, input_only=True)
+        first, recorded = vjp_and_rec(prelu, arrays, 33)
         assert_same_bits(first[0], recorded[0])
         # the slope gradient: the output gradient times the negative mask times x
         neg = (x0 < 0).astype(dtype)
@@ -697,8 +697,7 @@ class TestFirstOrderRules:
         arrays = [rng.standard_normal((2, 3, 6, 6)).astype(dtype),
                   rng.standard_normal((filters, 3, 3, 3)).astype(dtype),
                   rng.standard_normal(filters).astype(dtype)]
-        first, recorded = vjp_and_rec(lambda x, w, b: conv2d(x, w, b, stride), arrays, 35,
-                                      input_only=True)
+        first, recorded = vjp_and_rec(lambda x, w, b: conv2d(x, w, b, stride), arrays, 35)
         c = probe((2, filters, 6 // stride, 6 // stride), dtype, 35)
         np.testing.assert_array_equal(first[2], c.sum(axis=(0, 2, 3)))
         if filters == 1:
@@ -889,7 +888,7 @@ class TestAffine:
         out = ad.affine(*map(Tensor, arrays)).data
         assert out.shape == (3, 7) + shape[2:] and out.dtype == dtype
         np.testing.assert_array_equal(out, affine_chain(*map(Tensor, arrays)).data)
-        first, recorded = vjp_and_rec(ad.affine, arrays, 41, input_only=True)
+        first, recorded = vjp_and_rec(ad.affine, arrays, 41)
         assert_same_bits(first[0], recorded[0])
         for a, b in zip(first, first_order(affine_chain, arrays, 41)):
             np.testing.assert_array_equal(a, b)
@@ -1020,26 +1019,29 @@ class TestBackward:
         with Graph() as g:
             x = Tensor(np.ones(3), requires_grad=True)
             loss = ad.tsum(ad.add(x, x))
-            backward(loss, create_graph=(x,))
+            backward(loss, create_graph=True)
             assert not g.dead and len(g.nodes) > 0
             backward(loss)  # still alive
             assert g.dead and len(g.nodes) == 0   # a first-order backward releases the tape
 
-    def test_create_graph_takes_leaves_not_true(self):
-        with Graph():
-            x = Tensor(np.ones(3), requires_grad=True)
-            with pytest.raises(TypeError, match="leaves"):
-                backward(ad.tsum(ad.square(x)), create_graph=True)
-
-    def test_create_graph_on_unrelated_leaf_records_nothing(self):
-        # the loss does not depend on y: no gradient, and nothing is recorded
+    def test_create_graph_through_parameter_slots_records_nothing(self):
+        # every leaf reaches the loss through a fused op's parameters alone:
+        # a recorded backward differentiates fused ops in their data input
+        # only, so it returns no gradient and records nothing
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
         with Graph() as g:
-            x = Tensor(np.ones(3), requires_grad=True)
-            y = Tensor(np.ones(3), requires_grad=True)
-            loss = ad.tsum(ad.square(x))
-            ad.neg(y)                   # y is on the tape, but not under the loss
+            p = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+                 for name, shape in [("w", (2, 3, 3, 3)), ("b", (2,)), ("a", (3,)),
+                                     ("gain", (3, 4, 4)), ("bias", (3, 4, 4)),
+                                     ("m", (3, 2)), ("c", (2,))]}
+            outs = [conv2d(x, p["w"], p["b"], 2), prelu(x, p["a"]),
+                    layer_norm(x, p["gain"], p["bias"]), ad.affine(x, p["m"], p["c"])]
+            loss = ad.tsum(outs[0])
+            for out in outs[1:]:
+                loss = ad.add(loss, ad.tsum(out))
             before = len(g.nodes)
-            assert backward(loss, create_graph=(y,)) == {}
+            assert backward(loss, create_graph=True) == {}
             assert len(g.nodes) == before and not g.dead
 
     def test_grad_accumulates_over_multiple_uses(self):
@@ -1049,8 +1051,10 @@ class TestBackward:
             g = backward(ad.tsum(y))[x].data
         np.testing.assert_allclose(g, [7.0])
 
-    @staticmethod
-    def critic_input_grad(restrict):
+    def test_create_graph_restricted_to_input(self):
+        # every critic parameter is trainable, yet a recorded backward of
+        # the scores gives the input's gradient alone: it differentiates
+        # fused ops in their data input only
         cfg = RunConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1)
         disc = Discriminator(cfg)
         rng = np.random.default_rng(23)
@@ -1059,35 +1063,19 @@ class TestBackward:
         with Graph() as g:
             x = Tensor(x0, requires_grad=True)
             bound = phi.bind()
+            assert all(t.requires_grad for t in bound.values())
             scores = disc.forward(bound, x)
             start = len(g.nodes)
-            leaves = (x,) if restrict else (x, *bound.values())
-            grads = backward(ad.tsum(scores), create_graph=leaves)
+            grads = backward(ad.tsum(scores), create_graph=True)
             ops = {node.op for node in g.nodes[start:]}
-        return grads, x, ops
+        assert list(grads) == [x]
+        assert "unfold3x3" not in ops
+        assert grads[x].requires_grad
 
-    def test_create_graph_restricted_to_input(self):
-        part, x_part, ops_part = self.critic_input_grad(restrict=True)
-        assert list(part) == [x_part]
-        assert "unfold3x3" not in ops_part
-        assert part[x_part].requires_grad
-        # the critic's last layer is the first fused op the backward reaches
-        with pytest.raises(NotImplementedError, match="affine"):
-            self.critic_input_grad(restrict=False)
-
-    @pytest.mark.parametrize("op,param", [("conv2d", 1), ("conv2d", 2), ("affine", 1),
-                                          ("affine", 2), ("prelu", 1), ("layer_norm", 1),
-                                          ("layer_norm", 2), ("upsample2", 0), ("mul", 0),
-                                          ("tanh", 0), ("matmul", 0)])
-    def test_recorded_parameter_gradient_raises(self, op, param):
-        # a recorded backward differentiates a fused op in its input only;
-        # asking it for a weight, bias, slope or gain gradient is an error,
-        # and so is reaching an op with no recorded rule
+    @pytest.mark.parametrize("op", ["upsample2", "mul", "tanh", "matmul"])
+    def test_recorded_backward_without_rule_raises(self, op):
+        # only the ops a critic forward records have a recorded rule
         build, shapes = {
-            "conv2d": (lambda x, w, b: conv2d(x, w, b, 2), [(2, 3, 4, 4), (2, 3, 3, 3), (2,)]),
-            "affine": (ad.affine, [(2, 3, 4, 4), (3, 2), (2,)]),
-            "prelu": (prelu, [(2, 3, 4, 4), (3,)]),
-            "layer_norm": (layer_norm, [(2, 3, 4, 4), (3, 4, 4), (3, 4, 4)]),
             "upsample2": (ad.upsample2, [(2, 3, 4, 4)]),
             "mul": (ad.mul, [(2, 3), (2, 3)]),
             "tanh": (ad.tanh, [(2, 3)]),
@@ -1098,7 +1086,7 @@ class TestBackward:
             leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
             loss = ad.tsum(build(*leaves))
             with pytest.raises(NotImplementedError, match=op):
-                backward(loss, create_graph=(leaves[param],))
+                backward(loss, create_graph=True)
 
 
 class TestFiniteDifference:

@@ -11,6 +11,7 @@ import pytest
 
 import figr.cli
 from figr.cli import CSV_HEADER, main
+from figr.config import build_dataset, load_config
 from figr.data import load_shard, pack_shard, read_pgm, write_pgm
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -46,6 +47,16 @@ def cfg_path(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def raw_shard(classes):
+    """FGR8 bytes of (name, (n, h, w)) zero classes, written without
+    pack_shard's checks."""
+    blob = b"FGR8" + struct.pack("<II", 1, len(classes))
+    for name, (n, h, w) in classes:
+        blob += struct.pack("<H", len(name)) + name.encode() + struct.pack("<IHH", n, h, w)
+        blob += bytes(n * h * w)
+    return blob
 
 
 class TestTrain:
@@ -275,13 +286,9 @@ class TestTrain:
 
     def test_refuses_shard_class_without_pixels(self, tmp_path, capsys):
         # pack_shard refuses such a class, so the shard is written by hand
-        blob = b"FGR8" + struct.pack("<II", 1, 4)
-        for name, (n, h, w) in [("a", (4, 8, 8)), ("b", (4, 8, 8)), ("c", (4, 8, 8)),
-                                ("flat", (4, 0, 8))]:
-            blob += struct.pack("<H", len(name)) + name.encode() + struct.pack("<IHH", n, h, w)
-            blob += bytes(n * h * w)
         shard = tmp_path / "flat.fgr8"
-        shard.write_bytes(blob)
+        shard.write_bytes(raw_shard([("a", (4, 8, 8)), ("b", (4, 8, 8)), ("c", (4, 8, 8)),
+                                     ("flat", (4, 0, 8))]))
         cfg = tmp_path / "flat.cfg"
         cfg.write_text(TINY_CFG.replace(
             "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}"))
@@ -302,6 +309,41 @@ class TestTrain:
         assert run_cli("train", "--config", cfg, "--out", out) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("old,new", [("n_validation = 2", "n_validation = -1"),
+                                         ("meta_steps = 6", "meta_steps = -1"),
+                                         ("checkpoint_every = 3", "checkpoint_every = -1"),
+                                         ("sample_every = 3", "sample_every = -2")],
+                             ids=["n_validation", "meta_steps", "checkpoint_every",
+                                  "sample_every"])
+    def test_negative_count_or_cadence_refused(self, tmp_path, capsys, old, new):
+        # 0 means none or never; a negative value is refused at parse, where
+        # checkpoint_every = -1 would otherwise save at every step
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CFG.replace(old, new))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--out", out) == 2
+        key = new.split(" = ")[0]
+        assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(TINY_CFG.replace(old, f"{key} = 0"))
+        assert run_cli("train", "--config", cfg, "--out", out, "--steps", 1) == 0
+
+    @pytest.mark.parametrize("case", ["train-config-dir", "train-out-file",
+                                      "stats-shard-dir", "eval-checkpoint-dir"])
+    def test_bad_path_is_one_error_line(self, cfg_path, tmp_path, capsys, case):
+        # every OSError a path raises exits 2 with one line, not a traceback
+        argv = {"train-config-dir": ("train", "--config", tmp_path),
+                "train-out-file": ("train", "--config", cfg_path, "--out", cfg_path),
+                "stats-shard-dir": ("stats", "--shard", tmp_path),
+                "eval-checkpoint-dir": ("eval", "--config", cfg_path,
+                                        "--checkpoint", tmp_path)}[case]
+        text = cfg_path.read_text()
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert cfg_path.read_text() == text
 
 
 class TestGenerateEval:
@@ -393,6 +435,25 @@ class TestGenerateEval:
                        "--trials", trials, "--out", csv) == 2
         assert not csv.exists()
 
+    def test_eval_of_the_starting_point_ties_its_baseline(self, cfg_path, tmp_path, capsys):
+        # the baseline arm adapts from the run's own step-0 state, so
+        # evaluating that state gives both arms the same scores bit for bit
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--steps", 0) == 0
+        ckpt = out / "ckpt_000000.figr"
+        cfg = load_config(cfg_path)
+        disc, gen, state, _ = figr.cli._restore(cfg, ckpt)
+        reports = figr.cli.evaluate_checkpoint(cfg, state, build_dataset(cfg), disc, gen,
+                                               trials=2, seed=5)
+        assert len(reports) == 2
+        assert all(r.mmd2 == r.baseline_mmd2 for r in reports)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg_path, "--checkpoint", ckpt,
+                       "--trials", 2, "--seed", 5) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.rsplit(",", 1)[1] for row in rows[1:3]] == ["0", "0"]
+        assert "on 0/2 classes" in rows[3]
+
     def test_eval_caps_trials(self, cfg_path, trained, tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("eval", "--config", cfg_path, "--checkpoint", trained,
@@ -459,6 +520,15 @@ class TestPackStats:
         assert run_cli("pack", "--input", src.parent, "--output", shard) == 2
         assert "'blank' has no images or no pixels" in capsys.readouterr().err
         assert not shard.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (4, 0, 8)])
+    def test_stats_refuses_class_pack_refuses(self, tmp_path, capsys, shape):
+        shard = tmp_path / "flat.fgr8"
+        shard.write_bytes(raw_shard([("a", (4, 8, 8)), ("flat", shape)]))
+        csv = tmp_path / "density.csv"
+        assert run_cli("stats", "--shard", shard, "--csv", csv) == 2
+        assert "'flat' has no images or no pixels" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_stats_on_truncated_shard(self, tmp_path):
         shard = tmp_path / "broken.fgr8"

@@ -146,6 +146,15 @@ class TestShard:
             pack_shard([("ok", np.zeros((1, 2, 2), np.uint8)),
                         ("flat", np.zeros(shape, np.uint8))])
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 3), (2, 3, 0)])
+    def test_load_refuses_class_pack_refuses(self, shape):
+        # written by hand, since pack_shard refuses such a class
+        blob = pack_shard([("ok", np.zeros((1, 2, 2), np.uint8))])
+        blob = blob[:8] + struct.pack("<I", 2) + blob[12:]
+        blob += struct.pack("<H", 4) + b"flat" + struct.pack("<IHH", *shape)
+        with pytest.raises(ValueError, match="'flat' has no images or no pixels"):
+            load_shard(blob)
+
     def test_trailing_bytes_rejected(self):
         blob = pack_shard(self.sample_classes())
         with pytest.raises(ValueError, match="4 trailing bytes"):
