@@ -44,16 +44,15 @@ class CheckpointData:
 
 
 def _pack_vector(vec: np.ndarray, dtype) -> list:
-    """Length header and the array itself, which join() copies without a temporary."""
+    """Length header and the array itself, written or joined from its own buffer."""
     arr = np.ascontiguousarray(vec, dtype=dtype)
     return [struct.pack("<Q", arr.size), arr]
 
 
-def serialize(state: MetaState, streams: RngStreams, fingerprint: bytes) -> bytes:
+def _parts(state: MetaState, streams: RngStreams, fingerprint: bytes) -> list:
+    """The file's header fields and the state's own arrays, in file order."""
     if len(fingerprint) != FINGERPRINT_BYTES:
         raise ValueError(f"fingerprint must be {FINGERPRINT_BYTES} bytes")
-    # parts are joined once: a checkpoint (15 MB at the default config) is
-    # copied once, not grown piecewise and copied again
     parts = [MAGIC, struct.pack("<I", VERSION), fingerprint, struct.pack("<Q", state.step)]
     for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
         tag = np.dtype(phi.vector.dtype).char.encode()
@@ -66,7 +65,11 @@ def serialize(state: MetaState, streams: RngStreams, fingerprint: bytes) -> byte
     for label in STREAM_LABELS:
         encoded = label.encode("ascii")
         parts += [struct.pack("<B", len(encoded)), encoded, states[label]]
-    return b"".join(parts)
+    return parts
+
+
+def serialize(state: MetaState, streams: RngStreams, fingerprint: bytes) -> bytes:
+    return b"".join(_parts(state, streams, fingerprint))
 
 
 def deserialize(data: bytes) -> CheckpointData:
@@ -111,13 +114,14 @@ def deserialize(data: bytes) -> CheckpointData:
                           stream_states=states)
 
 
-def atomic_write(path, data: bytes | str, durable: bool = True) -> None:
-    """Write data (a str as UTF-8) to path so that a crash leaves the old file or the new.
+def atomic_write(path, data: bytes | str | list, durable: bool = True) -> None:
+    """Write data (a str as UTF-8, or a list of bytes-like parts, one write
+    call each) to path so that a crash leaves the old file or the new.
 
     The data goes to a temporary file in path's directory, which is
     renamed over path; a durable write fsyncs it first, so that it also
     survives a power loss.  On failure the temporary file is removed and
-    path is untouched.
+    path is untouched.  Allocates only a str's encoding.
     """
     path = Path(path)
     if isinstance(data, str):
@@ -125,7 +129,8 @@ def atomic_write(path, data: bytes | str, durable: bool = True) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for part in data if isinstance(data, list) else [data]:
+                f.write(part)
             f.flush()
             if durable:
                 os.fsync(f.fileno())
@@ -138,7 +143,9 @@ def atomic_write(path, data: bytes | str, durable: bool = True) -> None:
 
 def save_checkpoint(path: Path, state: MetaState, streams: RngStreams,
                     fingerprint: bytes, durable: bool = True) -> None:
-    atomic_write(path, serialize(state, streams, fingerprint), durable)
+    """Write serialize()'s parts in turn: each array from the state's own
+    buffer, so only the small header fields are allocated."""
+    atomic_write(path, _parts(state, streams, fingerprint), durable)
 
 
 def load_checkpoint(path: Path) -> CheckpointData:

@@ -133,6 +133,8 @@ def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, streams,
 
 
 def cmd_train(args) -> int:
+    if args.steps is not None and args.steps < 0:
+        raise CliError(f"--steps must be >= 0, got {args.steps}")
     cfg = load_config(args.config)
     fp = fingerprint(cfg)
     out_dir = Path(args.out or cfg.out_dir)

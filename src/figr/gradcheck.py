@@ -97,7 +97,7 @@ def _check(params: ParameterSet, loss: Callable[[BoundParams], Tensor], rng,
 
     with Graph():
         bound = params.bind()
-        grad = sign * bound.flatten_grads(backward(loss(bound)))
+        grad = sign * bound.add_grads(backward(loss(bound)), np.zeros(params.total_len))
     x = params.vector
     idxs = rng.choice(x.size, size=min(COORDS, x.size), replace=False)
     return agreement_error(grad[idxs], finite_difference_gradient(value, x, coords=idxs),

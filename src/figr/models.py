@@ -63,9 +63,6 @@ class ParameterSet:
         s = self._index[name]
         return self.vector[s.offset:s.offset + s.size].reshape(s.shape)
 
-    def copy(self) -> "ParameterSet":
-        return ParameterSet(self.vector.copy(), self.layout)
-
     def with_vector(self, vector: np.ndarray) -> "ParameterSet":
         return ParameterSet(np.asarray(vector, dtype=self.vector.dtype), self.layout)
 
@@ -83,13 +80,12 @@ class BoundParams(dict):
         super().__init__()
         self.source = source
 
-    def flatten_grads(self, grad_map: dict[Tensor, Tensor]) -> np.ndarray:
-        """Assemble a float64 flat gradient; unreached segments get zeros."""
-        out = np.zeros(self.source.total_len, dtype=np.float64)
+    def add_grads(self, grad_map: dict[Tensor, Tensor], out: np.ndarray) -> np.ndarray:
+        """Add each reached segment's gradient into the float64 vector out; return out."""
         for s in self.source.layout:
             g = grad_map.get(self[s.name])
             if g is not None:
-                out[s.offset:s.offset + s.size] = g.data.reshape(-1)
+                out[s.offset:s.offset + s.size] += g.data.reshape(-1)
         return out
 
 

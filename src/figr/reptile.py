@@ -90,20 +90,27 @@ def init_meta_state(disc: Discriminator, gen: Generator,
 def adam_step(adam: AdamState, params: ParameterSet, pseudo_grad: np.ndarray,
               lr: float, beta1: float, beta2: float, eps: float
               ) -> tuple[ParameterSet, AdamState]:
-    """One bias-corrected Adam update; moments are kept in float64."""
+    """One bias-corrected Adam update; moments are kept in float64.
+
+    The textbook expression's operations run in its order, products only
+    commuted, in place on four fresh float64 vectors: m, v, g (which then
+    holds sqrt(v_hat) + eps) and the update (then the new parameters).
+    """
     if pseudo_grad.shape != (params.total_len,):
         raise LayoutMismatch(
             f"pseudo-gradient of {pseudo_grad.shape} for {params.total_len} parameters")
     g = pseudo_grad.astype(np.float64)
     t = adam.t + 1
-    m = beta1 * adam.m + (1.0 - beta1) * g
-    v = beta2 * adam.v + (1.0 - beta2) * np.square(g)
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    update = lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = adam.m * beta1
+    m += g * (1.0 - beta1)
+    v = adam.v * beta2
+    v += np.multiply(np.square(g, out=g), 1.0 - beta2, out=g)
+    update = m / (1.0 - beta1 ** t)
+    update *= lr
+    update /= np.add(np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=g), out=g), eps, out=g)
     with np.errstate(over="ignore"):    # meta_step refuses the inf this leaves
-        new_vec = (params.vector.astype(np.float64) - update).astype(params.vector.dtype)
-    return params.with_vector(new_vec), AdamState(m, v, t)
+        new = params.with_vector(np.subtract(params.vector, update, out=update))
+    return new, AdamState(m, v, t)
 
 
 @dataclass
@@ -125,17 +132,18 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
     weights ~ U(0,1) at each critic step.  The adapted copies are kept as
     w = phi - lr * (running f64 gradient sum), which is the exact SGD
     chain in real arithmetic but keeps the phi - w identity tight even
-    in single precision.  The callers' phi are never mutated.
+    in single precision.  The callers' phi are never mutated, so w starts
+    as phi itself.  Whole vectors allocated: the two float64 sums, which
+    the gradients are added into, and per update lr * sum, phi - lr * sum
+    and, for float32 phi, its cast to the new w.
     """
     if x_task.shape[0] != cfg.n:
         raise ValueError(f"x_task has {x_task.shape[0]} images, expected n={cfg.n}")
     x_task = np.ascontiguousarray(x_task, dtype=phi_d.vector.dtype)
 
-    phi_d64 = phi_d.vector.astype(np.float64)
-    phi_g64 = phi_g.vector.astype(np.float64)
-    acc_d = np.zeros_like(phi_d64)
-    acc_g = np.zeros_like(phi_g64)
-    w_d, w_g = phi_d.copy(), phi_g.copy()
+    acc_d = np.zeros(phi_d.total_len, dtype=np.float64)
+    acc_g = np.zeros(phi_g.total_len, dtype=np.float64)
+    w_d, w_g = phi_d, phi_g
     d_val = g_val = float("nan")
 
     for _ in range(cfg.k):
@@ -151,12 +159,10 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
                 critic_loss(scores),
                 gradient_penalty(lambda v: disc.forward(bound_d, v),
                                  x_task, fake, eps, cfg.gp_lambda))
-            gd = bound_d.flatten_grads(backward(loss_d))
+            bound_d.add_grads(backward(loss_d), acc_d)
             d_val = loss_d.item()
-        acc_d += gd
         if cfg.inner_lr > 0:
-            w_d = w_d.with_vector(
-                (phi_d64 - cfg.inner_lr * acc_d).astype(w_d.vector.dtype))
+            w_d = w_d.with_vector(phi_d.vector - cfg.inner_lr * acc_d)
 
         with Graph():
             z2 = sample_latent(cfg.n, gen.cfg, latent_rng)
@@ -164,12 +170,10 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
             fake2_scores = disc.forward(w_d.bind(trainable=False),
                                         gen.forward(bound_g, z2))
             loss_g = generator_loss(fake2_scores)
-            gg = bound_g.flatten_grads(backward(loss_g))
+            bound_g.add_grads(backward(loss_g), acc_g)
             g_val = loss_g.item()
-        acc_g += gg
         if cfg.inner_lr > 0:
-            w_g = w_g.with_vector(
-                (phi_g64 - cfg.inner_lr * acc_g).astype(w_g.vector.dtype))
+            w_g = w_g.with_vector(phi_g.vector - cfg.inner_lr * acc_g)
 
     return w_d, w_g, InnerStats(d_val, g_val)
 

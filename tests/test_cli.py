@@ -329,6 +329,15 @@ class TestTrain:
         cfg.write_text(TINY_CFG.replace(old, f"{key} = 0"))
         assert run_cli("train", "--config", cfg, "--out", out, "--steps", 1) == 0
 
+    def test_negative_steps_refused(self, cfg_path, tmp_path, capsys):
+        # the same value as meta_steps is refused at parse
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg_path, "--steps", -3, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --steps must be >= 0, got -3\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", ["train-config-dir", "train-out-file",
                                       "stats-shard-dir", "eval-checkpoint-dir"])
     def test_bad_path_is_one_error_line(self, cfg_path, tmp_path, capsys, case):

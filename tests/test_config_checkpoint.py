@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import struct
+import tracemalloc
 
 from figr.checkpoint import (
     MAGIC,
@@ -236,6 +237,28 @@ class TestCheckpoint:
         assert serialize(state, streams, fp) == serialize(
             state, restore_streams(data), fp)
 
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_saved_file_equals_serialize(self, tmp_path, durable):
+        # save_checkpoint writes the parts that serialize() joins
+        state, streams = small_state()
+        path = tmp_path / "a.figr"
+        save_checkpoint(path, state, streams, b"\x03" * 32, durable=durable)
+        assert path.read_bytes() == serialize(state, streams, b"\x03" * 32)
+
+    def test_save_makes_no_whole_file_copy(self, tmp_path):
+        # a default-config checkpoint is about 15 MB; joining it before the
+        # write would make the save's peak that large
+        cfg = RunConfig()
+        state, streams = small_state(cfg)
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "a.figr", state, streams, fingerprint(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "a.figr").stat().st_size > 15 * 10**6
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_unknown_dtype_tag(self):
         state, streams = small_state()
         blob = bytearray(serialize(state, streams, b"\x00" * 32))
@@ -253,7 +276,8 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"new"
         assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
 
-    @pytest.mark.parametrize("durable,failing", [(True, "fsync"), (False, "replace")])
+    @pytest.mark.parametrize("durable,failing", [(True, "fsync"), (False, "replace"),
+                                                 (True, "write")])
     def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch, durable, failing):
         path = tmp_path / "ckpt.figr"
         atomic_write(path, b"earlier")
@@ -261,10 +285,35 @@ class TestAtomicWrite:
         def crash(*args):
             raise OSError("disk gone")
 
-        # the data is in the temporary file when the flush or the rename fails
-        monkeypatch.setattr(f"figr.checkpoint.os.{failing}", crash)
+        class FailsOnSecondWrite:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    crash()
+                return self.f.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+        # the data, or its first part, is in the temporary file when the
+        # flush, the rename or the next part's write fails
+        if failing == "write":
+            monkeypatch.setattr("figr.checkpoint.open",
+                                lambda *a, **k: FailsOnSecondWrite(open(*a, **k)),
+                                raising=False)
+        else:
+            monkeypatch.setattr(f"figr.checkpoint.os.{failing}", crash)
         with pytest.raises(OSError, match="disk gone"):
-            atomic_write(path, b"later" * 1000, durable=durable)
+            atomic_write(path, [b"later", np.arange(1000.0), b"end"], durable=durable)
         assert path.read_bytes() == b"earlier"
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.figr"]
 

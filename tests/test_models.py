@@ -98,12 +98,6 @@ class TestParameterSet:
             offset += s.size
         assert offset == gen.param_count()
 
-    def test_copy_is_independent(self):
-        ps = Generator(TINY).init_params(np.random.default_rng(0))
-        ps2 = ps.copy()
-        ps2.vector[0] += 1.0
-        assert ps.vector[0] != ps2.vector[0]
-
 
 class TestBuild:
     def test_generator_deterministic_for_seed(self):
@@ -247,7 +241,7 @@ class TestGradients:
             bound = ps.bind()
             out = gen.forward(bound, Tensor(z.copy()))
             loss = ad.tsum(ad.mul(out, Tensor(probe)))
-            grads = bound.flatten_grads(backward(loss))
+            grads = bound.add_grads(backward(loss), np.zeros(ps.total_len))
         assert max_relative_error(grads[idxs], fd) < 1e-5
 
     def test_discriminator_input_gradient_matches_fd(self):
@@ -292,7 +286,7 @@ class TestLatent:
 class TestParamsDelta:
     def test_zero_for_identical(self):
         ps = Generator(TINY).init_params(np.random.default_rng(0))
-        np.testing.assert_array_equal(params_delta(ps, ps.copy()), 0.0)
+        np.testing.assert_array_equal(params_delta(ps, ps.with_vector(ps.vector.copy())), 0.0)
 
     def test_recovers_sgd_step(self):
         ps = Generator(TINY).init_params(np.random.default_rng(0))

@@ -50,18 +50,20 @@ def task_images(cfg, n, seed=0):
 def traced_inner_loop(monkeypatch, *args):
     """inner_loop(*args), and the flat (critic, generator) gradient of each step.
 
-    The inner loop flattens each step's gradient map with flatten_grads,
-    critic first, and accumulates exactly those vectors.
+    The inner loop adds each step's gradient map into its running sums with
+    add_grads, critic first; each step's vector is recorded by adding into
+    a zero vector, and then added into the sum.
     """
     flats = []
-    real = BoundParams.flatten_grads
+    real = BoundParams.add_grads
 
-    def recording(self, grad_map):
-        flats.append(real(self, grad_map))
-        return flats[-1]
+    def recording(self, grad_map, out):
+        flats.append(real(self, grad_map, np.zeros_like(out)))
+        out += flats[-1]
+        return out
 
     with monkeypatch.context() as m:
-        m.setattr(BoundParams, "flatten_grads", recording)
+        m.setattr(BoundParams, "add_grads", recording)
         out = inner_loop(*args)
     return out, list(zip(flats[0::2], flats[1::2]))
 
@@ -96,6 +98,40 @@ class TestAdamStep:
         for _ in range(100):
             params, moments = adam_step(moments, params, g, lr, 0.5, 0.999, 1e-8)
         np.testing.assert_allclose(-params.vector, 100 * lr * np.sign(g), rtol=0.01)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t", [1, 2, 50])
+    def test_bit_exact_against_textbook_expression(self, dtype, t):
+        from figr.models import ParameterSet, Segment
+        rng = np.random.default_rng(t)
+        n = 1000
+        params = ParameterSet(rng.standard_normal(n).astype(dtype), (Segment("p", 0, (n,)),))
+        g = rng.standard_normal(n).astype(dtype)
+        prior = AdamState(rng.standard_normal(n) * 1e-3, rng.random(n) * 1e-6, t - 1)
+        lr, beta1, beta2, eps = 1e-3, 0.5, 0.999, 1e-8
+        out, moments = adam_step(prior, params, g, lr, beta1, beta2, eps)
+
+        g64 = g.astype(np.float64)
+        m = beta1 * prior.m + (1.0 - beta1) * g64
+        v = beta2 * prior.v + (1.0 - beta2) * np.square(g64)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        update = lr * m_hat / (np.sqrt(v_hat) + eps)
+        expected = (params.vector.astype(np.float64) - update).astype(dtype)
+        assert out.vector.dtype == dtype and moments.t == t
+        np.testing.assert_array_equal(out.vector, expected)
+        np.testing.assert_array_equal(moments.m, m)
+        np.testing.assert_array_equal(moments.v, v)
+
+    def test_step_overflowing_float32_leaves_inf_without_warning(self):
+        # the update is finite in float64 and overflows only in phi's cast;
+        # pytest turns a RuntimeWarning into an error
+        from figr.models import ParameterSet, Segment
+        params = ParameterSet(np.zeros(2, dtype=np.float32), (Segment("p", 0, (2,)),))
+        prior = AdamState.zeros(2)
+        out, _ = adam_step(prior, params, np.array([1.0, 0.0]), 1e300, 0.5, 0.999, 1e-8)
+        assert out.vector[0] == -np.inf and out.vector[1] == 0.0
+        np.testing.assert_array_equal(prior.m, 0.0)
 
     def test_moment_layout_guard(self):
         with pytest.raises(LayoutMismatch):
@@ -271,14 +307,14 @@ class TestMetaStep:
                          gradient_penalty(lambda v: disc.forward(bound_d, v), xt.data,
                                           fake.data, eps_rng.uniform(size=(2, 1, 1, 1)),
                                           cfg.gp_lambda))
-            gd = bound_d.flatten_grads(backward(loss_d))
+            gd = bound_d.add_grads(backward(loss_d), np.zeros(phi_d.total_len))
         w_d_manual = phi_d.with_vector(phi_d.vector - cfg.inner_lr * gd)
         with Graph():
             z2 = sample_latent(2, gen.cfg, lat)
             bound_g = phi_g.bind()
             loss_g = generator_loss(
                 disc.forward(w_d_manual.bind(trainable=False), gen.forward(bound_g, z2)))
-            gg = bound_g.flatten_grads(backward(loss_g))
+            gg = bound_g.add_grads(backward(loss_g), np.zeros(phi_g.total_len))
 
         # equal up to one float64 rounding of phi - (phi - lr*g)
         np.testing.assert_allclose(pseudo_d, cfg.inner_lr * gd, rtol=1e-9, atol=1e-15)
@@ -526,10 +562,11 @@ class TestInnerStepTape:
 
     def test_inner_loop_memory_peak_ceiling(self):
         # tracemalloc's peak over one default inner loop (k=2, n=4) after a
-        # warm-up loop; it read 43.08 MiB when this ceiling was set, and
-        # 47.90 MiB when backward kept every visited node to its end.  A
-        # later change may lower the ceiling; raising it needs a reason in
-        # CHANGES.md
+        # warm-up loop; it read 29.2 MiB when this ceiling was set, 43.08 MiB
+        # when the loop kept float64 copies of phi and a flat gradient per
+        # step, and 47.90 MiB when backward kept every visited node to its
+        # end.  A later change may lower the ceiling; raising it needs a
+        # reason in CHANGES.md
         cfg = RunConfig()
         disc, gen = tiny_models(cfg)
         rng = np.random.default_rng(53)
@@ -547,4 +584,23 @@ class TestInnerStepTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 44.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak <= 30.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_meta_step_memory_peak_ceiling(self):
+        # tracemalloc's peak over one default meta-step (k=2), measured from
+        # its start after a warm-up step; it read 29.24 MiB when this ceiling
+        # was set, and 43.1 MiB when the inner loop and Adam copied whole
+        # vectors.  The same rule as above holds for changing it
+        cfg = RunConfig(k=2)
+        disc, gen = tiny_models(cfg)
+        ds = TestMetaStep().make_dataset(cfg)
+        state = init_meta_state(disc, gen, np.random.default_rng(57))
+        streams = make_streams(58)
+        state, _ = meta_step(state, disc, gen, ds, cfg, streams)
+        tracemalloc.start()
+        try:
+            meta_step(state, disc, gen, ds, cfg, streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
