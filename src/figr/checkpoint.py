@@ -5,12 +5,17 @@ Layout (little-endian): magic "FIGR", version u32, config fingerprint
 (a dtype tag byte, b"f" float32 or b"d" float64, then u64 length + data)
 and its Adam state (u64 timestep + float64 first/second moments), then
 the labeled RNG stream states.  Version 1 files have no tag byte and
-float32 parameters; they still load.  Parsed with `figr.data.ByteReader`.
+float32 parameters; they still load.  `load_checkpoint` reads the file
+once through `figr.data.ByteReader`, each vector straight into the owned
+array returned for it (`readinto`, not a mapping, so a file cut while read
+raises BadCheckpoint): those arrays are its only large allocations.
+`deserialize` parses bytes on the same path, through `io.BytesIO`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -73,14 +78,15 @@ def serialize(state: MetaState, streams: RngStreams, fingerprint: bytes) -> byte
 
 
 def deserialize(data: bytes) -> CheckpointData:
-    r = ByteReader(data, BadCheckpoint, "checkpoint")
+    return _read(io.BytesIO(data))
 
-    def vector(dtype) -> np.ndarray:
-        (size,) = r.unpack("<Q")
-        return r.array(size, dtype).copy()     # one copy, straight out of the buffer
 
-    if r.take(4) != MAGIC:
-        raise BadCheckpoint(f"bad magic {data[:4]!r}")
+def _read(f) -> CheckpointData:
+    """Parse a checkpoint from the start of an open binary file."""
+    r = ByteReader(f, BadCheckpoint, "checkpoint")
+    magic = r.take(4)
+    if magic != MAGIC:
+        raise BadCheckpoint(f"bad magic {magic!r}")
     (version,) = r.unpack("<I")
     if version not in (1, VERSION):
         raise BadCheckpoint(f"unsupported checkpoint version {version}")
@@ -94,20 +100,18 @@ def deserialize(data: bytes) -> CheckpointData:
             if tag not in _PHI_DTYPES:
                 raise BadCheckpoint(f"unknown parameter dtype tag {tag!r}")
             dtype = _PHI_DTYPES[tag]
-        vec = vector(dtype)
+        vec = r.array(*r.unpack("<Q"), dtype)
         (t,) = r.unpack("<Q")
-        m, v = vector(np.float64), vector(np.float64)
+        m, v = (r.array(*r.unpack("<Q"), np.float64) for _ in range(2))
         if m.size != vec.size or v.size != vec.size:
             raise BadCheckpoint("moment vectors do not match parameter length")
         nets.append((vec, AdamState(m, v, t)))
-    (n_streams,) = r.unpack("<I")
     states: dict[str, bytes] = {}
-    for _ in range(n_streams):
-        (label_len,) = r.unpack("<B")
-        label = r.take(label_len).decode("ascii")
+    for _ in range(*r.unpack("<I")):
+        label = r.take(*r.unpack("<B")).decode("ascii")
         states[label] = r.take(STATE_BYTES)
-    if r.pos != len(data):
-        raise BadCheckpoint(f"{len(data) - r.pos} trailing bytes")
+    if r.pos != r.size:
+        raise BadCheckpoint(f"{r.size - r.pos} trailing bytes")
     return CheckpointData(fingerprint=fingerprint, step=step,
                           phi_d=nets[0][0], phi_g=nets[1][0],
                           adam_d=nets[0][1], adam_g=nets[1][1],
@@ -149,7 +153,8 @@ def save_checkpoint(path: Path, state: MetaState, streams: RngStreams,
 
 
 def load_checkpoint(path: Path) -> CheckpointData:
-    return deserialize(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return _read(f)
 
 
 def restore_streams(data: CheckpointData) -> RngStreams:

@@ -7,9 +7,9 @@ resizes with bilinear interpolation, normalizes to [-1, 1], and splits
 classes into train/validation pools.  A deterministic synthetic glyph
 generator provides desk-scale corpora for experiments.
 
-IDX pairs, FGR8 shards and checkpoints (`figr.checkpoint`) all parse through
-`ByteReader`, one bounds-checked cursor that names the byte offset at which
-a file ends early.
+IDX pairs and FGR8 shards (as bytes) and checkpoints (`figr.checkpoint`,
+from the open file) all parse through `ByteReader`, one bounds-checked
+cursor that names the byte offset at which a file ends early.
 
 A task class builds its float32 images the first time they are read and
 caches them, so splitting classes, looking one up by name or counting
@@ -20,6 +20,7 @@ which classes are first read cannot change a pixel.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, replace
 from functools import partial
@@ -62,29 +63,46 @@ class InvalidSize(ValueError):
 # ---------------------------------------------------------------------------
 
 class ByteReader:
-    """A cursor over `data` that raises `error` rather than read past its end."""
+    """A cursor over `data`, bytes or an open binary file read from its
+    start, that raises `error` rather than read past its end.
 
-    def __init__(self, data: bytes, error: type[ValueError], what: str):
+    Over bytes, `take` slices and `array` returns a view: nothing is copied.
+    Over a file, each call reads only its own bytes, and `array` checks the
+    bytes left before it allocates the new array that `readinto` fills, so
+    that array is the only copy.  A file cut while it is read raises too.
+    """
+
+    def __init__(self, data, error: type[ValueError], what: str):
         self.data, self.error, self.what = data, error, what
-        self.pos = 0
+        self.file = not isinstance(data, (bytes, bytearray, memoryview))
+        self.size = data.seek(0, io.SEEK_END) if self.file else len(data)
+        self.pos = data.seek(0) if self.file else 0
+
+    def _check(self, n: int, start: int, end: int) -> None:
+        if start + n > end:
+            raise self.error(f"{self.what} truncated: {n} bytes wanted at byte {start}, "
+                             f"but it ends at byte {end}")
 
     def _advance(self, n: int) -> int:
-        if self.pos + n > len(self.data):
-            raise self.error(f"{self.what} truncated: {n} bytes wanted at byte {self.pos}, "
-                             f"but it ends at byte {len(self.data)}")
+        self._check(n, self.pos, self.size)
         self.pos += n
         return self.pos - n
 
     def take(self, n: int) -> bytes:
+        if self.file:
+            return self.array(n, np.uint8).tobytes()
         return self.data[self._advance(n):self.pos]
 
     def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, count: int, dtype) -> np.ndarray:
-        """A view of the next `count` items; the buffer itself is never sliced."""
         start = self._advance(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
+        if not self.file:
+            return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
+        out = np.empty(count, dtype=dtype)
+        self._check(out.nbytes, start, start + self.data.readinto(memoryview(out).cast("B")))
+        return out
 
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -181,9 +199,7 @@ def pack_shard(classes: list[tuple[str, np.ndarray]]) -> bytes:
     """Serialize (name, uint8 image stack) pairs; load_shard inverts bit-exactly."""
     if not classes:
         raise ValueError("a shard needs at least one class")
-    out = bytearray()
-    out += SHARD_MAGIC
-    out += struct.pack("<II", SHARD_VERSION, len(classes))
+    out = bytearray(SHARD_MAGIC + struct.pack("<II", SHARD_VERSION, len(classes)))
     for name, images in classes:
         images = np.asarray(images)
         if images.ndim != 3 or images.dtype != np.uint8:
@@ -308,11 +324,9 @@ class TaskDataset:
     val_ids: tuple[int, ...]
 
     def class_ids(self, split: str) -> tuple[int, ...]:
-        if split == "train":
-            return self.train_ids
-        if split == "validation":
-            return self.val_ids
-        raise ValueError(f"unknown split {split!r}")
+        if split not in ("train", "validation"):
+            raise ValueError(f"unknown split {split!r}")
+        return self.train_ids if split == "train" else self.val_ids
 
 
 def _to_task_images(stack: np.ndarray, size: int) -> np.ndarray:
@@ -337,11 +351,9 @@ def build_tasks(raw: RawDataset, image_size: int) -> TaskDataset:
 
 def idx_to_raw(images: np.ndarray, labels: np.ndarray) -> RawDataset:
     """Group IDX digits into one class per label value."""
-    classes = []
-    for digit in sorted(set(int(v) for v in np.unique(labels))):
-        classes.append(RawClass(name=str(digit),
-                                images=np.ascontiguousarray(images[labels == digit])))
-    return RawDataset(classes=tuple(classes))
+    return RawDataset(classes=tuple(
+        RawClass(name=str(digit), images=np.ascontiguousarray(images[labels == digit]))
+        for digit in sorted(set(int(v) for v in np.unique(labels)))))
 
 
 def split_classes(ds: TaskDataset, n_validation: int, seed: int,
@@ -497,7 +509,6 @@ def _synth_class_images(seed: int, class_idx: int, per_class: int,
 def load_idx_dir(path: Path) -> RawDataset:
     """Load an MNIST-layout directory (train-images/train-labels idx files)."""
     path = Path(path)
-    img_file = path / "train-images-idx3-ubyte"
-    lbl_file = path / "train-labels-idx1-ubyte"
-    images, labels = parse_idx(img_file.read_bytes(), lbl_file.read_bytes())
+    images, labels = parse_idx((path / "train-images-idx3-ubyte").read_bytes(),
+                               (path / "train-labels-idx1-ubyte").read_bytes())
     return idx_to_raw(images, labels)

@@ -261,6 +261,24 @@ class TestTrain:
         assert "bad magic" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cut_checkpoint_is_one_error_line_naming_its_offset(self, cfg_path, tmp_path,
+                                                                capsys):
+        # cut inside phi_d, which starts at byte 57; the resume writes nothing
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", out, "--steps", 3) == 0
+        ckpt = out / "ckpt_000003.figr"
+        os.truncate(ckpt, 157)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        for argv in (("eval", "--config", cfg_path, "--checkpoint", ckpt, "--trials", 1),
+                     ("train", "--config", cfg_path, "--out", out, "--resume", ckpt)):
+            assert run_cli(*argv) == 2
+            out_text, err = capsys.readouterr()
+            assert err.startswith("error: checkpoint truncated:") and err.count("\n") == 1
+            assert "wanted at byte 57, but it ends at byte 157" in err
+            assert out_text == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     @pytest.mark.parametrize("width", ["wider", "narrower"])
     def test_resume_refuses_log_with_another_header(self, cfg_path, tmp_path, capsys, width):
         # rows of another width would all be dropped as torn by the log's cut

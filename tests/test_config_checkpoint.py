@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import os
 import struct
 import tracemalloc
 
@@ -147,6 +148,21 @@ def small_state(cfg=CFG):
     return state, streams
 
 
+def version_1_blob(state, streams, fp) -> bytes:
+    """A version-1 file: no dtype tag, parameters always float32."""
+    parts = [MAGIC, struct.pack("<I", 1), fp, struct.pack("<Q", state.step)]
+    for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
+        vec = phi.vector.astype(np.float32)
+        parts += [struct.pack("<Q", vec.size), vec.tobytes(), struct.pack("<Q", adam.t)]
+        for moment in (adam.m, adam.v):
+            parts += [struct.pack("<Q", moment.size), moment.tobytes()]
+    states = streams_to_states(streams)
+    parts.append(struct.pack("<I", len(STREAM_LABELS)))
+    for label in STREAM_LABELS:
+        parts += [struct.pack("<B", len(label)), label.encode("ascii"), states[label]]
+    return b"".join(parts)
+
+
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         state, streams = small_state()
@@ -216,20 +232,9 @@ class TestCheckpoint:
         np.testing.assert_array_equal(data.phi_g, state.phi_g.vector)
 
     def test_version_1_still_loads(self):
-        # version 1: no dtype tag, parameters always float32
         state, streams = small_state()
         fp = b"\x02" * 32
-        parts = [MAGIC, struct.pack("<I", 1), fp, struct.pack("<Q", state.step)]
-        for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
-            vec = phi.vector.astype(np.float32)
-            parts += [struct.pack("<Q", vec.size), vec.tobytes(), struct.pack("<Q", adam.t)]
-            for moment in (adam.m, adam.v):
-                parts += [struct.pack("<Q", moment.size), moment.tobytes()]
-        states = streams_to_states(streams)
-        parts.append(struct.pack("<I", len(STREAM_LABELS)))
-        for label in STREAM_LABELS:
-            parts += [struct.pack("<B", len(label)), label.encode("ascii"), states[label]]
-        data = deserialize(b"".join(parts))
+        data = deserialize(version_1_blob(state, streams, fp))
         assert data.fingerprint == fp and data.adam_d.t == 3
         assert data.phi_d.dtype == np.float32
         np.testing.assert_array_equal(data.phi_d, state.phi_d.vector)
@@ -259,6 +264,23 @@ class TestCheckpoint:
         assert (tmp_path / "a.figr").stat().st_size > 15 * 10**6
         assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
+    def test_load_makes_no_whole_file_copy(self, tmp_path):
+        # each vector is read straight into the array returned for it, so
+        # the load's peak is those arrays and not a second copy of the file
+        cfg = RunConfig()
+        state, streams = small_state(cfg)
+        path = tmp_path / "a.figr"
+        save_checkpoint(path, state, streams, fingerprint(cfg))
+        tracemalloc.start()
+        try:
+            data = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert data.phi_g.size == state.phi_g.vector.size
+        assert peak < size + 2**20, f"peak {peak / 2**20:.2f} MiB, file {size / 2**20:.2f} MiB"
+
     def test_unknown_dtype_tag(self):
         state, streams = small_state()
         blob = bytearray(serialize(state, streams, b"\x00" * 32))
@@ -266,6 +288,83 @@ class TestCheckpoint:
         blob[48:49] = b"h"
         with pytest.raises(BadCheckpoint, match="dtype"):
             deserialize(bytes(blob))
+
+
+def vectors(data):
+    return (data.phi_d, data.phi_g, data.adam_d.m, data.adam_d.v, data.adam_g.m, data.adam_g.v)
+
+
+class TestLoadFromFile:
+    """load_checkpoint reads the file itself; every damaged file is refused
+    with BadCheckpoint, as deserialize refuses the same bytes."""
+
+    CFG = RunConfig(image_size=8, latent_dim=1, base_width=1, n_blocks=1)
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        state, streams = small_state(self.CFG)
+        path = tmp_path / "tiny.figr"
+        save_checkpoint(path, state, streams, b"\x04" * 32)
+        return path
+
+    def test_cut_at_every_offset_names_it(self, path):
+        # each cut shortens the same file, so every prefix is read from disk
+        for end in range(path.stat().st_size - 1, -1, -1):
+            os.truncate(path, end)
+            try:
+                load_checkpoint(path)
+            except BadCheckpoint as exc:
+                assert str(exc).endswith(f"but it ends at byte {end}"), (end, str(exc))
+            else:
+                pytest.fail(f"a file cut at byte {end} loaded")
+
+    def test_empty_file(self, path):
+        path.write_bytes(b"")
+        with pytest.raises(BadCheckpoint, match="ends at byte 0"):
+            load_checkpoint(path)
+
+    def test_appended_byte(self, path):
+        with open(path, "ab") as f:
+            f.write(b"\x00")
+        with pytest.raises(BadCheckpoint, match="^1 trailing bytes$"):
+            load_checkpoint(path)
+
+    def test_huge_declared_length_refused_before_allocating(self, path):
+        # the first moment's length field follows the tag, phi_d and Adam's t
+        blob = bytearray(path.read_bytes())
+        (n,) = struct.unpack_from("<Q", blob, 49)
+        at = 49 + 8 + 4 * n + 8
+        assert struct.unpack_from("<Q", blob, at) == (n,)
+        struct.pack_into("<Q", blob, at, 2**40)
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadCheckpoint, match=f"{2**43} bytes wanted at byte {at + 8}"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_version_1_file_loads(self, tmp_path):
+        state, streams = small_state(self.CFG)
+        path = tmp_path / "v1.figr"
+        path.write_bytes(version_1_blob(state, streams, b"\x05" * 32))
+        data = load_checkpoint(path)
+        assert data.fingerprint == b"\x05" * 32 and data.adam_d.t == 3
+        assert data.phi_d.dtype == np.float32
+        np.testing.assert_array_equal(data.phi_g, state.phi_g.vector)
+        np.testing.assert_array_equal(data.adam_d.m, state.adam_d.m)
+
+    def test_fields_equal_deserialize_and_vectors_are_owned(self, path):
+        data, ref = load_checkpoint(path), deserialize(path.read_bytes())
+        assert (data.fingerprint, data.step, data.stream_states) == (
+            ref.fingerprint, ref.step, ref.stream_states)
+        assert (data.adam_d.t, data.adam_g.t) == (ref.adam_d.t, ref.adam_g.t)
+        for vec, expected in zip(vectors(data), vectors(ref)):
+            assert vec.dtype == expected.dtype
+            np.testing.assert_array_equal(vec, expected)
+            assert vec.flags.owndata and vec.flags.writeable and vec.flags.aligned
 
 
 class TestAtomicWrite:

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import os
 import struct
 
 import numpy as np
@@ -483,6 +485,16 @@ class TestByteReader:
         assert arr.base is data        # a view: the buffer is never sliced
         assert r.pos == 11
 
+    def test_reads_a_file_in_order_into_new_arrays(self):
+        f = io.BytesIO(b"ab" + struct.pack("<IH", 7, 9) + bytes([1, 2, 3]))
+        r = ByteReader(f, TruncatedFile, "blob")
+        assert r.take(2) == b"ab"
+        assert r.unpack("<IH") == (7, 9)
+        arr = r.array(3, np.uint8)
+        np.testing.assert_array_equal(arr, [1, 2, 3])
+        assert arr.flags.owndata and arr.flags.writeable
+        assert r.pos == f.tell() == 11
+
     def test_overrun_raises_the_given_error_with_offset(self):
         r = ByteReader(b"\x00" * 10, BadCheckpoint, "checkpoint")
         r.take(6)
@@ -492,6 +504,27 @@ class TestByteReader:
         with pytest.raises(BadCheckpoint, match="6000000000 bytes wanted at byte 6"):
             r.array(750_000_000, np.float64)
         assert r.pos == 6
+
+    def test_file_overrun_raises_before_reading(self):
+        f = io.BytesIO(b"\x00" * 10)
+        r = ByteReader(f, BadCheckpoint, "checkpoint")
+        r.take(6)
+        with pytest.raises(BadCheckpoint, match="6000000000 bytes wanted at byte 6, "
+                                                "but it ends at byte 10"):
+            r.array(750_000_000, np.float64)
+        assert r.pos == f.tell() == 6
+
+    def test_file_cut_while_read_raises(self, tmp_path):
+        # the size is taken when the reader starts; a later cut shows as a short read
+        path = tmp_path / "blob"
+        path.write_bytes(bytes(range(16)))
+        with open(path, "rb") as f:
+            r = ByteReader(f, TruncatedFile, "blob")
+            os.truncate(path, 9)
+            r.take(4)
+            with pytest.raises(TruncatedFile, match="8 bytes wanted at byte 4, "
+                                                    "but it ends at byte 9"):
+                r.array(2, np.float32)
 
 
 def _tiny_checkpoint() -> bytes:
