@@ -42,8 +42,8 @@ from .config import (
 )
 from .data import (
     load_shard,
-    pack_class_dirs,
     pack_shard,
+    read_class_dirs,
     sample_images,
     sample_task,
     write_pgm,
@@ -298,19 +298,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    blob = pack_class_dirs(Path(args.input))
-    atomic_write(args.output, blob)
-    ds = load_shard(blob)
-    total = sum(c.images.shape[0] for c in ds.classes)
-    print(f"packed {len(ds.classes)} classes / {total} images into {args.output}")
+    classes = read_class_dirs(Path(args.input))
+    atomic_write(args.output, pack_shard(classes))
+    total = sum(images.shape[0] for _, images in classes)
+    print(f"packed {len(classes)} classes / {total} images into {args.output}")
     return 0
 
 
 def cmd_stats(args) -> int:
-    ds = load_shard(Path(args.shard).read_bytes())
-    sizes = np.array(sorted(c.images.shape[0] for c in ds.classes))
+    with open(args.shard, "rb") as f:
+        classes = load_shard(f)
+    sizes = np.array(sorted(images.shape[0] for _, images in classes))
     total = int(sizes.sum())
-    print(f"classes: {len(ds.classes)}")
+    print(f"classes: {len(classes)}")
     print(f"images: {total}")
     print(f"class size min/median/max: {sizes.min()}/{int(np.median(sizes))}/{sizes.max()}")
     lines = ["class_size,cumulative_fraction"]

@@ -179,7 +179,7 @@ def build_dataset(cfg: RunConfig) -> TaskDataset:
     elif cfg.dataset_format == "idx":
         ds = build_tasks(load_idx_dir(Path(cfg.dataset_path)), cfg.image_size)
     else:
-        raw = load_shard(Path(cfg.dataset_path).read_bytes())
-        ds = build_tasks(raw, cfg.image_size)
+        with open(cfg.dataset_path, "rb") as f:
+            ds = build_tasks(load_shard(f), cfg.image_size)
     explicit = [s.strip() for s in cfg.validation_classes.split(",") if s.strip()] or None
     return split_classes(ds, cfg.n_validation, cfg.split_seed, explicit=explicit)

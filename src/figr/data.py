@@ -7,9 +7,11 @@ resizes with bilinear interpolation, normalizes to [-1, 1], and splits
 classes into train/validation pools.  A deterministic synthetic glyph
 generator provides desk-scale corpora for experiments.
 
-IDX pairs and FGR8 shards (as bytes) and checkpoints (`figr.checkpoint`,
-from the open file) all parse through `ByteReader`, one bounds-checked
-cursor that names the byte offset at which a file ends early.
+Every binary format, IDX pairs, FGR8 shards and checkpoints
+(`figr.checkpoint`), is parsed from the open file through `ByteReader`,
+one bounds-checked cursor that names the byte offset at which a file
+ends early.  A class is a (name, uint8 [N, H, W] stack) pair, and each
+class's stack, like each checkpoint vector, is one array of its own.
 
 A task class builds its float32 images the first time they are read and
 caches them, so splitting classes, looking one up by name or counting
@@ -54,54 +56,40 @@ class EmptySplit(ValueError):
     pass
 
 
-class InvalidSize(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # binary files: the shared reader, then IDX (MNIST: big-endian magic, dims, bytes)
 # ---------------------------------------------------------------------------
 
 class ByteReader:
-    """A cursor over `data`, bytes or an open binary file read from its
-    start, that raises `error` rather than read past its end.
+    """A cursor over an open binary file `f`, read from its start, that
+    raises `error` rather than read past its end.
 
-    Over bytes, `take` slices and `array` returns a view: nothing is copied.
-    Over a file, each call reads only its own bytes, and `array` checks the
-    bytes left before it allocates the new array that `readinto` fills, so
-    that array is the only copy.  A file cut while it is read raises too.
+    Each call reads only its own bytes.  `array` checks the bytes left
+    before it allocates the new array that `readinto` fills, so that array
+    is the only copy of its bytes.  A file cut while it is read raises too.
     """
 
-    def __init__(self, data, error: type[ValueError], what: str):
-        self.data, self.error, self.what = data, error, what
-        self.file = not isinstance(data, (bytes, bytearray, memoryview))
-        self.size = data.seek(0, io.SEEK_END) if self.file else len(data)
-        self.pos = data.seek(0) if self.file else 0
+    def __init__(self, f, error: type[ValueError], what: str):
+        self.f, self.error, self.what = f, error, what
+        self.size = f.seek(0, io.SEEK_END)
+        self.pos = f.seek(0)
 
-    def _check(self, n: int, start: int, end: int) -> None:
-        if start + n > end:
-            raise self.error(f"{self.what} truncated: {n} bytes wanted at byte {start}, "
+    def _check(self, n: int, end: int) -> None:
+        if self.pos + n > end:
+            raise self.error(f"{self.what} truncated: {n} bytes wanted at byte {self.pos}, "
                              f"but it ends at byte {end}")
 
-    def _advance(self, n: int) -> int:
-        self._check(n, self.pos, self.size)
-        self.pos += n
-        return self.pos - n
-
     def take(self, n: int) -> bytes:
-        if self.file:
-            return self.array(n, np.uint8).tobytes()
-        return self.data[self._advance(n):self.pos]
+        return self.array(n, np.uint8).tobytes()
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, count: int, dtype) -> np.ndarray:
-        start = self._advance(count * np.dtype(dtype).itemsize)
-        if not self.file:
-            return np.frombuffer(self.data, dtype=dtype, count=count, offset=start)
+        self._check(count * np.dtype(dtype).itemsize, self.size)
         out = np.empty(count, dtype=dtype)
-        self._check(out.nbytes, start, start + self.data.readinto(memoryview(out).cast("B")))
+        self._check(out.nbytes, self.pos + self.f.readinto(memoryview(out).cast("B")))
+        self.pos += out.nbytes
         return out
 
 
@@ -109,15 +97,16 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
-def parse_idx(image_bytes: bytes, label_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Parse paired IDX image/label files -> (uint8 [N,H,W], uint8 [N])."""
-    r = ByteReader(image_bytes, TruncatedFile, "IDX image file")
+def parse_idx(image_file, label_file) -> tuple[np.ndarray, np.ndarray]:
+    """Parse paired IDX image/label files, open and binary, each read from
+    its start -> (uint8 [N,H,W], uint8 [N])."""
+    r = ByteReader(image_file, TruncatedFile, "IDX image file")
     magic, count, rows, cols = r.unpack(">IIII")
     if magic != IDX_IMAGE_MAGIC:
         raise BadMagic(f"image magic 0x{magic:08x} != 0x{IDX_IMAGE_MAGIC:08x}")
     images = r.array(count * rows * cols, np.uint8).reshape(count, rows, cols)
 
-    r = ByteReader(label_bytes, TruncatedFile, "IDX label file")
+    r = ByteReader(label_file, TruncatedFile, "IDX label file")
     lmagic, lcount = r.unpack(">II")
     if lmagic != IDX_LABEL_MAGIC:
         raise BadMagic(f"label magic 0x{lmagic:08x} != 0x{IDX_LABEL_MAGIC:08x}")
@@ -179,17 +168,6 @@ SHARD_MAGIC = b"FGR8"
 SHARD_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RawClass:
-    name: str
-    images: np.ndarray  # uint8 [N, H, W]
-
-
-@dataclass(frozen=True)
-class RawDataset:
-    classes: tuple[RawClass, ...]
-
-
 def _check_not_empty(name: str, images: np.ndarray) -> None:
     if 0 in images.shape:
         raise ValueError(f"class {name!r} has no images or no pixels: {images.shape}")
@@ -205,18 +183,23 @@ def pack_shard(classes: list[tuple[str, np.ndarray]]) -> bytes:
         if images.ndim != 3 or images.dtype != np.uint8:
             raise ValueError(f"class {name!r} must be uint8 [N,H,W]")
         _check_not_empty(name, images)
-        n, h, w = images.shape
         encoded = name.encode("utf-8")
-        out += struct.pack("<H", len(encoded)) + encoded
-        out += struct.pack("<IHH", n, h, w)
+        try:
+            out += struct.pack("<H", len(encoded)) + encoded + struct.pack("<IHH", *images.shape)
+        except struct.error as exc:
+            raise ValueError(f"class {name!r} (a {len(encoded)}-byte name, images "
+                             f"{images.shape}) does not fit a shard header: {exc}") from None
         out += images.tobytes()
     return bytes(out)
 
 
-def load_shard(data: bytes) -> RawDataset:
-    r = ByteReader(data, TruncatedFile, "shard")
-    if r.take(4) != SHARD_MAGIC:
-        raise BadMagic(f"shard magic {data[:4]!r} != {SHARD_MAGIC!r}")
+def load_shard(f) -> list[tuple[str, np.ndarray]]:
+    """Parse a shard from the start of an open binary file -> (name, uint8
+    [N,H,W]) pairs, each class's images read into an array of their own."""
+    r = ByteReader(f, TruncatedFile, "shard")
+    magic = r.take(4)
+    if magic != SHARD_MAGIC:
+        raise BadMagic(f"shard magic {magic!r} != {SHARD_MAGIC!r}")
     version, n_classes = r.unpack("<II")
     if version != SHARD_VERSION:
         raise UnsupportedVersion(f"shard version {version} unsupported")
@@ -224,19 +207,19 @@ def load_shard(data: bytes) -> RawDataset:
         raise ValueError("shard holds no classes")
     classes = []
     for _ in range(n_classes):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.take(*r.unpack("<H")).decode("utf-8")
         n, h, w = r.unpack("<IHH")
         images = r.array(n * h * w, np.uint8).reshape(n, h, w)
         _check_not_empty(name, images)
-        classes.append(RawClass(name=name, images=images))
-    if r.pos != len(data):
-        raise ValueError(f"shard has {len(data) - r.pos} trailing bytes")
-    return RawDataset(classes=tuple(classes))
+        classes.append((name, images))
+    if r.pos != r.size:
+        raise ValueError(f"shard has {r.size - r.pos} trailing bytes")
+    return classes
 
 
-def pack_class_dirs(root: Path) -> bytes:
-    """Pack subdirectories of PGM files; one class per directory."""
+def read_class_dirs(root: Path) -> list[tuple[str, np.ndarray]]:
+    """Read subdirectories of PGM files as (name, uint8 stack) pairs; one
+    class per directory."""
     root = Path(root)
     classes = []
     for class_dir in sorted(p for p in root.iterdir() if p.is_dir()):
@@ -250,7 +233,7 @@ def pack_class_dirs(root: Path) -> bytes:
         classes.append((class_dir.name, np.stack(imgs)))
     if not classes:
         raise ValueError(f"no class directories under {root}")
-    return pack_shard(classes)
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +302,6 @@ class TaskDataset:
     """
 
     classes: tuple[TaskClass, ...]
-    image_size: int
     train_ids: tuple[int, ...]
     val_ids: tuple[int, ...]
 
@@ -337,23 +319,19 @@ def _to_task_images(stack: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def build_tasks(raw: RawDataset, image_size: int) -> TaskDataset:
-    """Task classes that resize + normalize on first access; all classes
-    start in the train split."""
-    classes = []
-    for rc in raw.classes:
-        _check_not_empty(rc.name, rc.images)
-        classes.append(TaskClass(
-            rc.name, load=partial(_to_task_images, rc.images, image_size)))
-    return TaskDataset(classes=tuple(classes), image_size=image_size,
-                       train_ids=tuple(range(len(classes))), val_ids=())
+def build_tasks(classes: list[tuple[str, np.ndarray]], image_size: int) -> TaskDataset:
+    """Task classes from (name, uint8 stack) pairs that resize + normalize
+    on first access; all classes start in the train split."""
+    tasks = []
+    for name, images in classes:
+        _check_not_empty(name, images)
+        tasks.append(TaskClass(name, load=partial(_to_task_images, images, image_size)))
+    return TaskDataset(classes=tuple(tasks), train_ids=tuple(range(len(tasks))), val_ids=())
 
 
-def idx_to_raw(images: np.ndarray, labels: np.ndarray) -> RawDataset:
-    """Group IDX digits into one class per label value."""
-    return RawDataset(classes=tuple(
-        RawClass(name=str(digit), images=np.ascontiguousarray(images[labels == digit]))
-        for digit in sorted(set(int(v) for v in np.unique(labels)))))
+def idx_to_raw(images: np.ndarray, labels: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """Group IDX digits into one (name, images) class per label value."""
+    return [(str(digit), images[labels == digit]) for digit in np.unique(labels).tolist()]
 
 
 def split_classes(ds: TaskDataset, n_validation: int, seed: int,
@@ -482,16 +460,13 @@ def synth_glyph_dataset(n_classes: int, per_class: int, size: int,
     """Deterministic stroke-glyph tasks; stand-in for icon/character corpora.
 
     Each class renders its glyphs when its images are first read."""
-    if size not in (8, 16, 32):
-        raise InvalidSize(f"size must be 8, 16 or 32, got {size}")
     if n_classes < 1 or per_class < 1:
         raise ValueError("need at least one class and one image per class")
     classes = tuple(
         TaskClass(f"glyph{c:05d}",
                   load=partial(_synth_class_images, seed, c, per_class, size))
         for c in range(n_classes))
-    return TaskDataset(classes=classes, image_size=size,
-                       train_ids=tuple(range(n_classes)), val_ids=())
+    return TaskDataset(classes=classes, train_ids=tuple(range(n_classes)), val_ids=())
 
 
 def _synth_class_images(seed: int, class_idx: int, per_class: int,
@@ -506,9 +481,9 @@ def _synth_class_images(seed: int, class_idx: int, per_class: int,
 # file-level helpers
 # ---------------------------------------------------------------------------
 
-def load_idx_dir(path: Path) -> RawDataset:
+def load_idx_dir(path: Path) -> list[tuple[str, np.ndarray]]:
     """Load an MNIST-layout directory (train-images/train-labels idx files)."""
     path = Path(path)
-    images, labels = parse_idx((path / "train-images-idx3-ubyte").read_bytes(),
-                               (path / "train-labels-idx1-ubyte").read_bytes())
-    return idx_to_raw(images, labels)
+    with open(path / "train-images-idx3-ubyte", "rb") as images, \
+            open(path / "train-labels-idx1-ubyte", "rb") as labels:
+        return idx_to_raw(*parse_idx(images, labels))

@@ -256,7 +256,6 @@ class Discriminator(_ResNetBase):
             s //= 2
         for i in range(cfg.n_blocks - cfg.n_scales):
             self._add_block(lay, f"post{i}", width, width, s, resample=False)
-        self.w_top = width
         _add_proj(lay, "score", width * s * s, 1)
         return lay.done()
 

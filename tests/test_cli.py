@@ -347,6 +347,16 @@ class TestTrain:
         cfg.write_text(TINY_CFG.replace(old, f"{key} = 0"))
         assert run_cli("train", "--config", cfg, "--out", out, "--steps", 1) == 0
 
+    def test_64px_synth_run_trains(self, tmp_path):
+        # the synthetic corpus renders at every image_size the config accepts
+        cfg = tmp_path / "64.cfg"
+        cfg.write_text(TINY_CFG.replace("image_size = 8", "image_size = 64").replace(
+            "n_blocks = 1", "n_blocks = 4").replace("base_width = 4", "base_width = 1")
+            .replace("k = 2", "k = 1"))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--steps", 1, "--out", out) == 0
+        assert (out / "ckpt_000001.figr").exists()
+
     def test_negative_steps_refused(self, cfg_path, tmp_path, capsys):
         # the same value as meta_steps is refused at parse
         out = tmp_path / "run"
@@ -387,8 +397,9 @@ class TestGenerateEval:
         img = read_pgm((out / "montage.pgm").read_bytes())
         # n=2 conditioning + 4 generated in rows of 2: 3 rows of 8px + 2 sep rows
         assert img.shape == (3 * 8 + 2 * 2, 2 * 8 + 2)
-        shard = load_shard((out / "generated.fgr8").read_bytes())
-        assert shard.classes[0].images.shape == (4, 8, 8)
+        with open(out / "generated.fgr8", "rb") as f:
+            (_, images), = load_shard(f)
+        assert images.shape == (4, 8, 8)
 
     def test_generate_deterministic(self, cfg_path, trained, tmp_path):
         outs = []
@@ -548,6 +559,19 @@ class TestPackStats:
         assert "'blank' has no images or no pixels" in capsys.readouterr().err
         assert not shard.exists()
 
+    def test_pack_refuses_image_a_header_cannot_hold(self, tmp_path, capsys):
+        # a width of 70000 does not fit the shard's u16 width field
+        src = tmp_path / "classes" / "wide"
+        src.mkdir(parents=True)
+        (src / "0.pgm").write_bytes(write_pgm(np.zeros((1, 70000), np.uint8)))
+        shard = tmp_path / "data.fgr8"
+        capsys.readouterr()
+        assert run_cli("pack", "--input", src.parent, "--output", shard) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: class 'wide'") and err.count("\n") == 1
+        assert "(1, 1, 70000)) does not fit a shard header" in err
+        assert out == "" and not shard.exists()
+
     @pytest.mark.parametrize("shape", [(0, 8, 8), (4, 0, 8)])
     def test_stats_refuses_class_pack_refuses(self, tmp_path, capsys, shape):
         shard = tmp_path / "flat.fgr8"
@@ -561,6 +585,16 @@ class TestPackStats:
         shard = tmp_path / "broken.fgr8"
         shard.write_bytes(b"FGR8\x01\x00\x00")
         assert run_cli("stats", "--shard", shard) == 2
+
+    def test_stats_on_shard_cut_inside_a_class(self, tmp_path, capsys):
+        # class "a" holds 4*8*8 bytes from byte 12 + 2 + 1 + 8 = 23
+        shard = tmp_path / "cut.fgr8"
+        shard.write_bytes(raw_shard([("a", (4, 8, 8)), ("b", (4, 8, 8))])[:100])
+        assert run_cli("stats", "--shard", shard) == 2
+        out, err = capsys.readouterr()
+        assert err == ("error: shard truncated: 256 bytes wanted at byte 23, "
+                       "but it ends at byte 100\n")
+        assert out == ""
 
     def test_stats_on_shard_without_classes(self, tmp_path, capsys):
         # a header that declares zero classes: refused when loaded, before

@@ -16,9 +16,6 @@ from figr.data import (
     ByteReader,
     CountMismatch,
     EmptySplit,
-    InvalidSize,
-    RawClass,
-    RawDataset,
     TooManyValidation,
     TruncatedFile,
     UnsupportedVersion,
@@ -27,9 +24,9 @@ from figr.data import (
     idx_to_raw,
     load_shard,
     normalize,
-    pack_class_dirs,
     pack_shard,
     parse_idx,
+    read_class_dirs,
     read_pgm,
     sample_images,
     sample_task,
@@ -51,40 +48,58 @@ def make_idx_pair(images: np.ndarray, labels: np.ndarray) -> tuple[bytes, bytes]
     return img, lbl
 
 
+def parse_idx_bytes(img_b: bytes, lbl_b: bytes):
+    return parse_idx(io.BytesIO(img_b), io.BytesIO(lbl_b))
+
+
+def load_shard_bytes(blob: bytes):
+    return load_shard(io.BytesIO(blob))
+
+
 class TestIdx:
     def test_round_trip_fixture(self):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(2, 4, 3), dtype=np.uint8)
         img_b, lbl_b = make_idx_pair(images, [7, 1])
-        out, labels = parse_idx(img_b, lbl_b)
+        out, labels = parse_idx_bytes(img_b, lbl_b)
         np.testing.assert_array_equal(out, images)
         np.testing.assert_array_equal(labels, [7, 1])
+
+    def test_reads_real_files(self, tmp_path):
+        images = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
+        for name, blob in zip(("images", "labels"), make_idx_pair(images, [4, 2])):
+            (tmp_path / name).write_bytes(blob)
+        with open(tmp_path / "images", "rb") as fi, open(tmp_path / "labels", "rb") as fl:
+            out, labels = parse_idx(fi, fl)
+        np.testing.assert_array_equal(out, images)
+        np.testing.assert_array_equal(labels, [4, 2])
 
     def test_bad_magic(self):
         img_b, lbl_b = make_idx_pair(np.zeros((1, 2, 2), np.uint8), [0])
         with pytest.raises(BadMagic):
-            parse_idx(b"\x00\x00\x09\x03" + img_b[4:], lbl_b)
+            parse_idx_bytes(b"\x00\x00\x09\x03" + img_b[4:], lbl_b)
         with pytest.raises(BadMagic):
-            parse_idx(img_b, b"\x00\x00\x09\x01" + lbl_b[4:])
+            parse_idx_bytes(img_b, b"\x00\x00\x09\x01" + lbl_b[4:])
 
     def test_truncated_body(self):
         img_b, lbl_b = make_idx_pair(np.zeros((3, 5, 5), np.uint8), [0, 1, 2])
+        with pytest.raises(TruncatedFile, match="75 bytes wanted at byte 16, but it ends "
+                                                "at byte 90"):
+            parse_idx_bytes(img_b[:-1], lbl_b)
         with pytest.raises(TruncatedFile):
-            parse_idx(img_b[:-1], lbl_b)
-        with pytest.raises(TruncatedFile):
-            parse_idx(img_b, lbl_b[:-1])
+            parse_idx_bytes(img_b, lbl_b[:-1])
 
     def test_count_mismatch(self):
         img_b, _ = make_idx_pair(np.zeros((2, 2, 2), np.uint8), [0, 1])
         _, lbl_b = make_idx_pair(np.zeros((3, 2, 2), np.uint8), [0, 1, 2])
         with pytest.raises(CountMismatch):
-            parse_idx(img_b, lbl_b)
+            parse_idx_bytes(img_b, lbl_b)
 
     def test_grouping_by_digit(self):
         images = np.arange(4 * 4 * 3, dtype=np.uint8).reshape(3, 4, 4)
-        raw = idx_to_raw(images, np.array([9, 0, 9], dtype=np.uint8))
-        assert [c.name for c in raw.classes] == ["0", "9"]
-        assert raw.classes[1].images.shape[0] == 2
+        classes = idx_to_raw(images, np.array([9, 0, 9], dtype=np.uint8))
+        assert [name for name, _ in classes] == ["0", "9"]
+        np.testing.assert_array_equal(classes[1][1], images[[0, 2]])
 
 
 class TestPgm:
@@ -114,29 +129,31 @@ class TestShard:
             ("beta-é", rng.integers(0, 256, size=(2, 6, 6), dtype=np.uint8)),
         ]
 
-    def test_round_trip_bit_exact(self):
+    def test_round_trip_bit_exact(self, tmp_path):
         classes = self.sample_classes()
         blob = pack_shard(classes)
-        ds = load_shard(blob)
-        assert [c.name for c in ds.classes] == [n for n, _ in classes]
-        for got, (_, want) in zip(ds.classes, classes):
-            np.testing.assert_array_equal(got.images, want)
-        assert pack_shard([(c.name, c.images) for c in ds.classes]) == blob
+        (tmp_path / "s.fgr8").write_bytes(blob)
+        with open(tmp_path / "s.fgr8", "rb") as f:
+            loaded = load_shard(f)
+        assert [name for name, _ in loaded] == [name for name, _ in classes]
+        for (_, got), (_, want) in zip(loaded, classes):
+            np.testing.assert_array_equal(got, want)
+        assert pack_shard(loaded) == blob
 
     def test_bad_magic(self):
-        with pytest.raises(BadMagic):
-            load_shard(b"NOPE" + b"\x00" * 20)
+        with pytest.raises(BadMagic, match="b'NOPE'"):
+            load_shard_bytes(b"NOPE" + b"\x00" * 20)
 
     def test_unsupported_version(self):
         blob = bytearray(pack_shard(self.sample_classes()))
         blob[4] = 99
         with pytest.raises(UnsupportedVersion):
-            load_shard(bytes(blob))
+            load_shard_bytes(bytes(blob))
 
     def test_truncated(self):
         blob = pack_shard(self.sample_classes())
-        with pytest.raises(TruncatedFile):
-            load_shard(blob[:-3])
+        with pytest.raises(TruncatedFile, match=f"72 bytes wanted at byte {len(blob) - 72}"):
+            load_shard_bytes(blob[:-3])
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
@@ -155,26 +172,34 @@ class TestShard:
         blob = blob[:8] + struct.pack("<I", 2) + blob[12:]
         blob += struct.pack("<H", 4) + b"flat" + struct.pack("<IHH", *shape)
         with pytest.raises(ValueError, match="'flat' has no images or no pixels"):
-            load_shard(blob)
+            load_shard_bytes(blob)
 
     def test_trailing_bytes_rejected(self):
         blob = pack_shard(self.sample_classes())
         with pytest.raises(ValueError, match="4 trailing bytes"):
-            load_shard(blob + b"junk")
+            load_shard_bytes(blob + b"junk")
 
-    def test_images_are_views_of_the_shard(self):
-        blob = pack_shard(self.sample_classes())
-        ds = load_shard(blob)
-        whole = np.frombuffer(blob, np.uint8)
-        assert all(np.shares_memory(c.images, whole) for c in ds.classes)
+    def test_each_class_is_its_own_allocation(self):
+        loaded = load_shard_bytes(pack_shard(self.sample_classes() * 2))
+        for i, (_, images) in enumerate(loaded):
+            own = images if images.base is None else images.base
+            assert own.flags.owndata and own.nbytes == images.nbytes
+            assert images.flags.writeable
+            assert not any(np.shares_memory(images, other) for _, other in loaded[i + 1:])
+
+    @pytest.mark.parametrize("name,shape", [("x" * 70000, (1, 2, 2)), ("wide", (1, 1, 70000))])
+    def test_header_field_out_of_range_rejected(self, name, shape):
+        with pytest.raises(ValueError, match=f"class '{name[:8]}.*does not fit a shard header"):
+            pack_shard([("ok", np.zeros((1, 2, 2), np.uint8)),
+                        (name, np.zeros(shape, np.uint8))])
 
     def test_shard_without_classes_rejected(self):
         with pytest.raises(ValueError, match="at least one class"):
             pack_shard([])
         with pytest.raises(ValueError, match="no classes"):
-            load_shard(b"FGR8" + struct.pack("<II", 1, 0))
+            load_shard_bytes(b"FGR8" + struct.pack("<II", 1, 0))
 
-    def test_pack_class_dirs(self, tmp_path):
+    def test_read_class_dirs(self, tmp_path):
         rng = np.random.default_rng(3)
         for cname in ("cat", "dog"):
             d = tmp_path / cname
@@ -182,14 +207,16 @@ class TestShard:
             for i in range(3):
                 img = rng.integers(0, 256, size=(4, 4), dtype=np.uint8)
                 (d / f"{i}.pgm").write_bytes(write_pgm(img))
-        ds = load_shard(pack_class_dirs(tmp_path))
-        assert [c.name for c in ds.classes] == ["cat", "dog"]
-        assert all(c.images.shape == (3, 4, 4) for c in ds.classes)
+        classes = read_class_dirs(tmp_path)
+        assert [name for name, _ in classes] == ["cat", "dog"]
+        assert all(images.shape == (3, 4, 4) for _, images in classes)
+        np.testing.assert_array_equal(
+            classes[1][1][2], read_pgm((tmp_path / "dog" / "2.pgm").read_bytes()))
 
     def test_empty_dir_rejected(self, tmp_path):
         (tmp_path / "void").mkdir()
         with pytest.raises(ValueError):
-            pack_class_dirs(tmp_path)
+            read_class_dirs(tmp_path)
 
 
 def resize_reference(img, out_h, out_w):
@@ -268,15 +295,11 @@ class TestNormalize:
 class TestTaskDataset:
     def raw(self, n_classes=5, per_class=4, size=10):
         rng = np.random.default_rng(6)
-        return RawDataset(classes=tuple(
-            RawClass(name=f"c{i}",
-                     images=rng.integers(0, 256, size=(per_class, size, size),
-                                         dtype=np.uint8))
-            for i in range(n_classes)))
+        return [(f"c{i}", rng.integers(0, 256, size=(per_class, size, size), dtype=np.uint8))
+                for i in range(n_classes)]
 
     def test_build_normalizes(self):
         ds = build_tasks(self.raw(), image_size=8)
-        assert ds.image_size == 8
         for c in ds.classes:
             assert c.images.shape == (4, 1, 8, 8)
             assert c.images.dtype == np.float32
@@ -300,9 +323,8 @@ class TestTaskDataset:
 
     def test_omniglot_sized_split(self):
         # 1623 character classes minus 20 held out leaves 1603 training classes
-        classes = tuple(RawClass(name=f"ch{i}", images=np.zeros((1, 4, 4), np.uint8))
-                        for i in range(1623))
-        ds = split_classes(build_tasks(RawDataset(classes=classes), 8), 20, seed=1)
+        classes = [(f"ch{i}", np.zeros((1, 4, 4), np.uint8)) for i in range(1623)]
+        ds = split_classes(build_tasks(classes, 8), 20, seed=1)
         assert len(ds.train_ids) == 1603
         assert len(ds.val_ids) == 20
 
@@ -365,21 +387,21 @@ class TestLazyTasks:
         rng = np.random.default_rng(2)
         if source == "idx":
             images = rng.integers(0, 256, size=(5, 4, 3), dtype=np.uint8)
-            raw = idx_to_raw(*parse_idx(*make_idx_pair(images, [7, 1, 7, 3, 1])))
+            raw = idx_to_raw(*parse_idx_bytes(*make_idx_pair(images, [7, 1, 7, 3, 1])))
         else:
-            raw = load_shard(pack_shard(TestShard().sample_classes()))
+            raw = load_shard_bytes(pack_shard(TestShard().sample_classes()))
         calls = []
         real = figr.data.bilinear_resize
         monkeypatch.setattr(figr.data, "bilinear_resize",
                             lambda *a: calls.append(1) or real(*a))
         ds = build_tasks(raw, image_size=8)
-        assert [c.name for c in ds.classes] == [rc.name for rc in raw.classes]
+        assert [c.name for c in ds.classes] == [name for name, _ in raw]
         assert calls == []
         first = ds.classes[0].images
-        assert len(calls) == raw.classes[0].images.shape[0]
+        assert len(calls) == raw[0][1].shape[0]
         assert ds.classes[0].images is first
-        for got, rc in zip(ds.classes, raw.classes):
-            want = [normalize(real(img, 8, 8)).astype(np.float32) for img in rc.images]
+        for got, (_, images) in zip(ds.classes, raw):
+            want = [normalize(real(img, 8, 8)).astype(np.float32) for img in images]
             np.testing.assert_array_equal(got.images[:, 0], np.stack(want))
 
     def test_non_finite_load_rejected(self):
@@ -388,17 +410,16 @@ class TestLazyTasks:
             task.images
 
     def test_empty_class_rejected_before_any_pixel(self):
-        raw = RawDataset(classes=(RawClass("void", np.zeros((0, 4, 4), np.uint8)),))
         with pytest.raises(ValueError, match="no images"):
-            build_tasks(raw, 8)
+            build_tasks([("void", np.zeros((0, 4, 4), np.uint8))], 8)
 
     @pytest.mark.parametrize("source", ["idx", "shard"])
     def test_images_without_pixels_rejected(self, source):
         if source == "idx":
-            raw = idx_to_raw(*parse_idx(*make_idx_pair(np.zeros((3, 0, 5), np.uint8),
-                                                       [4, 4, 2])))
+            raw = idx_to_raw(*parse_idx_bytes(*make_idx_pair(np.zeros((3, 0, 5), np.uint8),
+                                                             [4, 4, 2])))
         else:
-            raw = RawDataset(classes=(RawClass("flat", np.zeros((2, 0, 4), np.uint8)),))
+            raw = [("flat", np.zeros((2, 0, 4), np.uint8))]
         with pytest.raises(ValueError, match="no pixels"):
             build_tasks(raw, 8)
 
@@ -443,9 +464,11 @@ class TestSynthGlyphs:
         b = synth_glyph_image(5, 3, 1, 16)
         assert not np.array_equal(a, b)
 
-    def test_invalid_size(self):
-        with pytest.raises(InvalidSize):
-            synth_glyph_dataset(2, 2, 64, 0)
+    def test_64px_class(self):
+        # the distance-field renderer draws at any size the config accepts
+        images = synth_glyph_dataset(2, 3, 64, seed=0).classes[1].images
+        assert images.shape == (3, 1, 64, 64) and images.dtype == np.float32
+        assert images.min() == -1.0 and images.max() == 1.0
 
     def test_dataset_shape_and_range(self):
         ds = synth_glyph_dataset(3, 4, 16, seed=11)
@@ -475,28 +498,21 @@ class TestSynthGlyphs:
 
 
 class TestByteReader:
-    def test_reads_in_order(self):
-        data = b"ab" + struct.pack("<IH", 7, 9) + bytes([1, 2, 3])
-        r = ByteReader(data, TruncatedFile, "blob")
-        assert r.take(2) == b"ab"
-        assert r.unpack("<IH") == (7, 9)
-        arr = r.array(3, np.uint8)
-        np.testing.assert_array_equal(arr, [1, 2, 3])
-        assert arr.base is data        # a view: the buffer is never sliced
-        assert r.pos == 11
-
     def test_reads_a_file_in_order_into_new_arrays(self):
-        f = io.BytesIO(b"ab" + struct.pack("<IH", 7, 9) + bytes([1, 2, 3]))
+        f = io.BytesIO(b"ab" + struct.pack("<IH", 7, 9) + bytes([1, 2, 3]) + b"\x00" * 8)
         r = ByteReader(f, TruncatedFile, "blob")
         assert r.take(2) == b"ab"
         assert r.unpack("<IH") == (7, 9)
         arr = r.array(3, np.uint8)
         np.testing.assert_array_equal(arr, [1, 2, 3])
         assert arr.flags.owndata and arr.flags.writeable
+        assert r.take(0) == b"" and r.array(0, np.float64).shape == (0,)
         assert r.pos == f.tell() == 11
+        np.testing.assert_array_equal(r.array(1, np.float64), [0.0])
+        assert r.pos == f.tell() == r.size == 19
 
     def test_overrun_raises_the_given_error_with_offset(self):
-        r = ByteReader(b"\x00" * 10, BadCheckpoint, "checkpoint")
+        r = ByteReader(io.BytesIO(b"\x00" * 10), BadCheckpoint, "checkpoint")
         r.take(6)
         with pytest.raises(BadCheckpoint, match="checkpoint truncated: 8 bytes wanted at "
                                                 "byte 6, but it ends at byte 10"):
@@ -543,9 +559,9 @@ class TestCorruptFiles:
     SHARD = pack_shard(TestShard().sample_classes())
     CKPT = _tiny_checkpoint()
     PARSERS = {
-        "idx-images": (IDX_IMAGES, lambda b: parse_idx(b, TestCorruptFiles.IDX_LABELS)),
-        "idx-labels": (IDX_LABELS, lambda b: parse_idx(TestCorruptFiles.IDX_IMAGES, b)),
-        "shard": (SHARD, load_shard),
+        "idx-images": (IDX_IMAGES, lambda b: parse_idx_bytes(b, TestCorruptFiles.IDX_LABELS)),
+        "idx-labels": (IDX_LABELS, lambda b: parse_idx_bytes(TestCorruptFiles.IDX_IMAGES, b)),
+        "shard": (SHARD, load_shard_bytes),
         "checkpoint": (CKPT, deserialize),
     }
 

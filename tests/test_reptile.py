@@ -249,8 +249,8 @@ class TestMetaStep:
             images = np.tanh(rng.standard_normal(
                 (per_class, 1, cfg.image_size, cfg.image_size))).astype(np.float32)
             classes.append(TaskClass(f"c{i}", load=lambda images=images: images))
-        return TaskDataset(classes=tuple(classes), image_size=cfg.image_size,
-                           train_ids=tuple(range(n_classes)), val_ids=())
+        return TaskDataset(classes=tuple(classes), train_ids=tuple(range(n_classes)),
+                           val_ids=())
 
     def test_outer_step_reads_its_settings_from_cfg(self):
         # MetaState holds only what a checkpoint restores
@@ -384,7 +384,7 @@ class TestMetaStep:
         from figr.data import EmptySplit, TaskDataset
         disc, gen = tiny_models(CFG32)
         state = init_meta_state(disc, gen, np.random.default_rng(0))
-        ds = TaskDataset(classes=(), image_size=8, train_ids=(), val_ids=())
+        ds = TaskDataset(classes=(), train_ids=(), val_ids=())
         with pytest.raises(EmptySplit):
             meta_step(state, disc, gen, ds, RunConfig(k=1, n=1), make_streams(0))
 
