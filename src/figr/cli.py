@@ -70,9 +70,10 @@ def _ckpt_path(out_dir: Path, step: int) -> Path:
     return out_dir / f"ckpt_{step:06d}.figr"
 
 
-def _restore(cfg: RunConfig, path) -> tuple[Discriminator, Generator, MetaState,
-                                           CheckpointData]:
-    """Load a checkpoint written under this config and rebuild its state."""
+def _restore(cfg: RunConfig, path) -> tuple[Discriminator, Generator,
+                                           tuple[ParameterSet, ParameterSet], CheckpointData]:
+    """Load a checkpoint written under this config: the models, φ = (φ_d, φ_g)
+    and the file's other fields (moments, step, rng states)."""
     data = load_checkpoint(path)
     if data.fingerprint != fingerprint(cfg):
         raise CliError("config fingerprint does not match the checkpoint; "
@@ -80,12 +81,9 @@ def _restore(cfg: RunConfig, path) -> tuple[Discriminator, Generator, MetaState,
     disc, gen = Discriminator(cfg), Generator(cfg)
     if data.phi_d.size != disc.param_count() or data.phi_g.size != gen.param_count():
         raise BadCheckpoint("checkpoint parameter counts do not match the config")
-    state = MetaState(
-        phi_d=ParameterSet(data.phi_d.astype(cfg.dtype, copy=False), disc.layout),
-        phi_g=ParameterSet(data.phi_g.astype(cfg.dtype, copy=False), gen.layout),
-        adam_d=data.adam_d, adam_g=data.adam_g, step=data.step,
-    )
-    return disc, gen, state, data
+    phi = (ParameterSet(data.phi_d.astype(cfg.dtype, copy=False), disc.layout),
+           ParameterSet(data.phi_g.astype(cfg.dtype, copy=False), gen.layout))
+    return disc, gen, phi, data
 
 
 def _reconcile_log(path: Path, step: int) -> None:
@@ -142,7 +140,8 @@ def cmd_train(args) -> int:
 
     dataset = build_dataset(cfg)
     if args.resume:
-        disc, gen, state, data = _restore(cfg, args.resume)
+        disc, gen, phi, data = _restore(cfg, args.resume)
+        state = MetaState(*phi, data.adam_d, data.adam_g, step=data.step)
         streams = restore_streams(data)
         print(f"resumed from {args.resume} at step {state.step}")
     else:
@@ -187,7 +186,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
-    disc, gen, state, _ = _restore(cfg, args.checkpoint)
+    disc, gen, phi = _restore(cfg, args.checkpoint)[:3]     # φ alone: no moments kept
     dataset = build_dataset(cfg)
 
     cfg = replace(cfg, k=cfg.k if args.k is None else args.k,
@@ -210,8 +209,7 @@ def cmd_generate(args) -> int:
     class_rng = rng.derive(args.seed, rng.GENERATE, cid)
     idx = class_rng.choice(task.images.shape[0], size=cfg.n, replace=False)
     x = task.images[idx]
-    generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, cfg,
-                              class_rng, count=args.count)
+    generated = figr_generate(*phi, disc, gen, x, cfg, class_rng, count=args.count)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -225,17 +223,17 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
+def evaluate_checkpoint(cfg: RunConfig, phi: tuple[ParameterSet, ParameterSet], dataset,
                         disc: Discriminator, gen: Generator, trials: int,
                         seed: int) -> list[EvalReport]:
-    """Adapt on each validation class and score EVAL_COUNT samples against
-    its held-out images.  A scored class needs more than n images, so that
-    n condition the adaptation and the rest are held out.
+    """Adapt φ = (φ_d, φ_g) on each validation class and score EVAL_COUNT
+    samples against its held-out images.  A scored class needs more than n
+    images, so that n condition the adaptation and the rest are held out.
 
     The baseline arm repeats the identical protocol from the run's own
-    starting point, the φ₀ that `figr train` draws from cfg.seed; both arms
-    share per-class rng, so the comparison is paired and asks what
-    meta-training added.
+    starting point, the φ₀ that `figr train` draws from cfg.seed (no Adam
+    moments are built); both arms share per-class rng, so the comparison
+    is paired and asks what meta-training added.
     """
     ids = dataset.class_ids("validation")
     if not ids:
@@ -251,7 +249,8 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
         if task.images.shape[0] <= cfg.n:
             raise InsufficientImages(f"validation class {task.name!r} has {task.images.shape[0]} "
                                      f"images; scoring needs more than n={cfg.n}")
-    base_state = init_meta_state(disc, gen, rng.make_streams(cfg.seed).init)
+    init = rng.make_streams(cfg.seed).init
+    base = disc.init_params(init), gen.init_params(init)
     reports = []
     for cid in ids[:trials]:
         task = dataset.classes[cid]
@@ -261,26 +260,23 @@ def evaluate_checkpoint(cfg: RunConfig, state: MetaState, dataset,
         held = np.delete(task.images, idx, axis=0)
         bandwidths = median_bandwidths(held)
 
-        samples = {}
-        for arm, phi_d, phi_g in (("meta", state.phi_d, state.phi_g),
-                                  ("base", base_state.phi_d, base_state.phi_g)):
-            samples[arm] = figr_generate(phi_d, phi_g, disc, gen, x, cfg,
-                                         rng.derive(seed, rng.EVAL_ARM, cid),
-                                         count=EVAL_COUNT)
+        meta, baseline = (figr_generate(*arm, disc, gen, x, cfg,
+                                        rng.derive(seed, rng.EVAL_ARM, cid), count=EVAL_COUNT)
+                          for arm in (phi, base))
         reports.append(EvalReport(
             task_id=cid, task_name=task.name,
-            mmd2=mmd_squared(samples["meta"], held, bandwidths),
-            baseline_mmd2=mmd_squared(samples["base"], held, bandwidths),
-            nn_min_distance=nn_distance(samples["meta"], x),
+            mmd2=mmd_squared(meta, held, bandwidths),
+            baseline_mmd2=mmd_squared(baseline, held, bandwidths),
+            nn_min_distance=nn_distance(meta, x),
         ))
     return reports
 
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    disc, gen, state, _ = _restore(cfg, args.checkpoint)
+    disc, gen, phi = _restore(cfg, args.checkpoint)[:3]     # φ alone: no moments kept
     dataset = build_dataset(cfg)
-    reports = evaluate_checkpoint(cfg, state, dataset, disc, gen,
+    reports = evaluate_checkpoint(cfg, phi, dataset, disc, gen,
                                   trials=args.trials, seed=args.seed)
     lines = ["task_id,name,mmd2,baseline_mmd2,nn_distance,win"]
     wins = 0
@@ -357,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--split", choices=("train", "validation"), default="validation")
     g.add_argument("--n", type=int, default=None, help="conditioning images")
     g.add_argument("--k", type=int, default=None, help="adaptation steps")
-    g.add_argument("--count", type=int, default=12, help="images to generate")
+    g.add_argument("--count", type=int, default=12, help="images to generate, in fixed-size chunks")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", default="generated")
     g.set_defaults(fn=cmd_generate)

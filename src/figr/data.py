@@ -11,7 +11,8 @@ Every binary format, IDX pairs, FGR8 shards and checkpoints
 (`figr.checkpoint`), is parsed from the open file through `ByteReader`,
 one bounds-checked cursor that names the byte offset at which a file
 ends early.  A class is a (name, uint8 [N, H, W] stack) pair, and each
-class's stack, like each checkpoint vector, is one array of its own.
+class's stack, like each checkpoint vector, is one array of its own.  A
+class is found by its name, so a shard refuses two classes of one name.
 
 A task class builds its float32 images the first time they are read and
 caches them, so splitting classes, looking one up by name or counting
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import io
 import struct
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -173,10 +175,17 @@ def _check_not_empty(name: str, images: np.ndarray) -> None:
         raise ValueError(f"class {name!r} has no images or no pixels: {images.shape}")
 
 
+def _check_unique(classes: list[tuple[str, np.ndarray]]) -> None:
+    repeated = sorted(k for k, n in Counter(name for name, _ in classes).items() if n > 1)
+    if repeated:
+        raise ValueError(f"class names {repeated} appear more than once in the shard")
+
+
 def pack_shard(classes: list[tuple[str, np.ndarray]]) -> bytes:
     """Serialize (name, uint8 image stack) pairs; load_shard inverts bit-exactly."""
     if not classes:
         raise ValueError("a shard needs at least one class")
+    _check_unique(classes)
     out = bytearray(SHARD_MAGIC + struct.pack("<II", SHARD_VERSION, len(classes)))
     for name, images in classes:
         images = np.asarray(images)
@@ -212,6 +221,7 @@ def load_shard(f) -> list[tuple[str, np.ndarray]]:
         images = r.array(n * h * w, np.uint8).reshape(n, h, w)
         _check_not_empty(name, images)
         classes.append((name, images))
+    _check_unique(classes)
     if r.pos != r.size:
         raise ValueError(f"shard has {r.size - r.pos} trailing bytes")
     return classes

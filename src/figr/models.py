@@ -200,6 +200,8 @@ class Generator(_ResNetBase):
     Dense projection of z to a 4x4 map at top width, optional extra
     residual blocks at 4x4, one upsampling residual block per scale
     (width halves each time), final 3x3 conv to one channel + tanh.
+    Each layer maps every sample on its own (conv2d: one GEMM per sample), so
+    a sample's output is bitwise the same in any batch, as figr_generate needs.
     """
 
     def _build_layout(self) -> tuple[Segment, ...]:

@@ -28,6 +28,8 @@ from .models import (
 )
 from .rng import RngStreams
 
+SAMPLE_CHUNK = 16      # latent rows per generator forward in figr_generate
+
 
 class NonFiniteStep(ValueError):
     """A meta-step's inner losses, Reptile deltas or updated phi hold a NaN or inf.
@@ -220,11 +222,17 @@ def figr_generate(phi_d: ParameterSet, phi_g: ParameterSet,
     """Adapt copies on the conditioning images, then sample `count` images.
 
     The one rng serves as the inner loop's latent and interpolation
-    stream, and then draws the sampling latents.  Returns an array in
-    (-1, 1); the callers' phi are untouched.
+    stream, and then draws the `count` sampling latents in one call.  The
+    generator maps them SAMPLE_CHUNK rows at a time into one array, bitwise
+    one batch-`count` forward's (every layer is per-sample), so memory past
+    the output does not grow with count.  Returns an array in (-1, 1); the
+    callers' phi are untouched.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg, rng, rng)
-    z = sample_latent(count, gen.cfg, rng)
-    return gen.forward(w_g.bind(trainable=False), z).data
+    z, bound = sample_latent(count, gen.cfg, rng).data, w_g.bind(trainable=False)
+    out = np.empty((count, 1) + (gen.cfg.image_size,) * 2, dtype=z.dtype)
+    for i in range(0, count, SAMPLE_CHUNK):
+        out[i:i + SAMPLE_CHUNK] = gen.forward(bound, Tensor(z[i:i + SAMPLE_CHUNK])).data
+    return out

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import figr.cli
 from figr.cli import CSV_HEADER, main
 from figr.config import build_dataset, load_config
 from figr.data import load_shard, pack_shard, read_pgm, write_pgm
+from figr.models import Discriminator, Generator
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -315,6 +317,22 @@ class TestTrain:
                        "--out", tmp_path / "run") == 2
         assert "'flat' has no images or no pixels" in capsys.readouterr().err
 
+    def test_refuses_shard_with_repeated_class_name(self, tmp_path, capsys):
+        # holding out "a" by name would leave its namesake in the train split
+        shard = tmp_path / "twice.fgr8"
+        shard.write_bytes(raw_shard([("a", (4, 8, 8)), ("b", (4, 8, 8)), ("c", (4, 8, 8)),
+                                     ("a", (4, 8, 8))]))
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(TINY_CFG.replace(
+            "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}")
+            + "validation_classes = a\n")
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg, "--steps", 1,
+                       "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert err == "error: class names ['a'] appear more than once in the shard\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("old,new", [("k = 2", "k = 0"),
                                          ("image_size = 8", "image_size = 32"),
                                          ("outer_lr = 0.0001", "outer_lr = inf")],
@@ -401,6 +419,19 @@ class TestGenerateEval:
             (_, images), = load_shard(f)
         assert images.shape == (4, 8, 8)
 
+    def test_generate_count_across_chunks(self, cfg_path, trained, tmp_path):
+        # 40 images are sampled in three chunks (16, 16, 8)
+        out = tmp_path / "gen"
+        assert run_cli("generate", "--config", cfg_path, "--checkpoint", trained,
+                       "--count", 40, "--seed", 7, "--out", out) == 0
+        img = read_pgm((out / "montage.pgm").read_bytes())
+        # n=2 conditioning + 40 generated in rows of 2: 21 rows, 20 separators
+        assert img.shape == (21 * 8 + 20 * 2, 2 * 8 + 2)
+        with open(out / "generated.fgr8", "rb") as f:
+            (_, images), = load_shard(f)
+        assert images.shape == (40, 8, 8)
+        assert len(np.unique(images.reshape(40, -1), axis=0)) == 40
+
     def test_generate_deterministic(self, cfg_path, trained, tmp_path):
         outs = []
         for name in ("g1", "g2"):
@@ -480,8 +511,8 @@ class TestGenerateEval:
         assert run_cli("train", "--config", cfg_path, "--steps", 0) == 0
         ckpt = out / "ckpt_000000.figr"
         cfg = load_config(cfg_path)
-        disc, gen, state, _ = figr.cli._restore(cfg, ckpt)
-        reports = figr.cli.evaluate_checkpoint(cfg, state, build_dataset(cfg), disc, gen,
+        disc, gen, phi, _ = figr.cli._restore(cfg, ckpt)
+        reports = figr.cli.evaluate_checkpoint(cfg, phi, build_dataset(cfg), disc, gen,
                                                trials=2, seed=5)
         assert len(reports) == 2
         assert all(r.mmd2 == r.baseline_mmd2 for r in reports)
@@ -491,6 +522,37 @@ class TestGenerateEval:
         rows = capsys.readouterr().out.splitlines()
         assert [row.rsplit(",", 1)[1] for row in rows[1:3]] == ["0", "0"]
         assert "on 0/2 classes" in rows[3]
+
+    def test_eval_holds_only_phi_while_scoring(self, tmp_path, monkeypatch):
+        # at the default config, what cmd_eval has allocated and still holds
+        # when scoring starts is phi and under 2 MiB besides, not also the
+        # checkpoint's Adam moments (four float64 vectors, 12.8 MB)
+        cfg_path = tmp_path / "default.cfg"
+        cfg_path.write_text("")
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--steps", 0, "--out", out) == 0
+        cfg = load_config(cfg_path)
+        phi_bytes = ((Discriminator(cfg).param_count() + Generator(cfg).param_count())
+                     * np.dtype(cfg.dtype).itemsize)
+
+        class Stop(Exception):
+            pass
+
+        held = []
+
+        def stop_at_scoring(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            raise Stop
+
+        monkeypatch.setattr(figr.cli, "evaluate_checkpoint", stop_at_scoring)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                run_cli("eval", "--config", cfg_path, "--checkpoint", out / "ckpt_000000.figr")
+        finally:
+            tracemalloc.stop()
+        assert held[0] < phi_bytes + 2 * 2**20, (
+            f"{held[0] / 2**20:.2f} MiB held, phi is {phi_bytes / 2**20:.2f} MiB")
 
     def test_eval_caps_trials(self, cfg_path, trained, tmp_path, capsys):
         capsys.readouterr()
@@ -580,6 +642,28 @@ class TestPackStats:
         assert run_cli("stats", "--shard", shard, "--csv", csv) == 2
         assert "'flat' has no images or no pixels" in capsys.readouterr().err
         assert not csv.exists()
+
+    def test_stats_refuses_repeated_class_name(self, tmp_path, capsys):
+        shard = tmp_path / "twice.fgr8"
+        shard.write_bytes(raw_shard([("a", (4, 8, 8)), ("b", (2, 8, 8)), ("a", (3, 8, 8))]))
+        csv = tmp_path / "density.csv"
+        capsys.readouterr()
+        assert run_cli("stats", "--shard", shard, "--csv", csv) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: class names ['a'] appear more than once in the shard\n"
+        assert out == "" and not csv.exists()
+
+    def test_pack_refuses_repeated_class_name(self, tmp_path, capsys, monkeypatch):
+        # directory names are distinct, so the classes read are replaced
+        image = np.zeros((1, 4, 4), np.uint8)
+        monkeypatch.setattr(figr.cli, "read_class_dirs",
+                            lambda root: [("a", image), ("b", image), ("a", image)])
+        shard = tmp_path / "data.fgr8"
+        capsys.readouterr()
+        assert run_cli("pack", "--input", tmp_path, "--output", shard) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: class names ['a'] appear more than once in the shard\n"
+        assert out == "" and not shard.exists()
 
     def test_stats_on_truncated_shard(self, tmp_path):
         shard = tmp_path / "broken.fgr8"

@@ -180,7 +180,9 @@ class TestShard:
             load_shard_bytes(blob + b"junk")
 
     def test_each_class_is_its_own_allocation(self):
-        loaded = load_shard_bytes(pack_shard(self.sample_classes() * 2))
+        twice = self.sample_classes() + [(f"{name}-2", images)
+                                         for name, images in self.sample_classes()]
+        loaded = load_shard_bytes(pack_shard(twice))
         for i, (_, images) in enumerate(loaded):
             own = images if images.base is None else images.base
             assert own.flags.owndata and own.nbytes == images.nbytes
@@ -192,6 +194,17 @@ class TestShard:
         with pytest.raises(ValueError, match=f"class '{name[:8]}.*does not fit a shard header"):
             pack_shard([("ok", np.zeros((1, 2, 2), np.uint8)),
                         (name, np.zeros(shape, np.uint8))])
+
+    def test_repeated_class_name_rejected(self):
+        # split_classes and `figr generate --class-name` find a class by its
+        # name, so a namesake would stay in the other split or go unseen
+        a, b = self.sample_classes()
+        with pytest.raises(ValueError, match=r"class names \['alpha'\] appear more than once"):
+            pack_shard([a, b, a])
+        blob = pack_shard([a, b])
+        blob = blob[:8] + struct.pack("<I", 3) + blob[12:] + blob[12:12 + 2 + 5 + 8 + 60]
+        with pytest.raises(ValueError, match=r"class names \['alpha'\] appear more than once"):
+            load_shard_bytes(blob)
 
     def test_shard_without_classes_rejected(self):
         with pytest.raises(ValueError, match="at least one class"):

@@ -20,8 +20,10 @@ from figr.models import (
     Generator,
     LayoutMismatch,
     params_delta,
+    sample_latent,
 )
 from figr.reptile import (
+    SAMPLE_CHUNK,
     AdamState,
     MetaState,
     adam_step,
@@ -425,6 +427,59 @@ class TestGenerate:
                       np.random.default_rng(0), count=2)
         np.testing.assert_array_equal(phi_d.vector, snap_d)
         np.testing.assert_array_equal(phi_g.vector, snap_g)
+
+    @pytest.mark.parametrize("cfg", [
+        CFG32, CFG64,
+        RunConfig(image_size=32, latent_dim=6, base_width=4, n_blocks=3, precision="single"),
+    ], ids=["tiny-single", "tiny-double", "32px"])
+    def test_chunks_equal_one_batch_forward(self, cfg):
+        # the generator runs over SAMPLE_CHUNK latent rows at a time; the
+        # rows must be bitwise those of one forward of every latent at once,
+        # from the same adapted w_g, at counts below, at and across a chunk
+        assert SAMPLE_CHUNK == 16
+        disc, gen = tiny_models(cfg)
+        rng = np.random.default_rng(44)
+        phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
+        x = task_images(cfg, 2, seed=7)
+        inner = RunConfig(k=1, n=2, inner_lr=1e-3)
+        adapted = np.random.default_rng(45)
+        _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, inner, adapted, adapted)
+        for count in (1, 15, 16, 17, 33):
+            got = figr_generate(phi_d, phi_g, disc, gen, x, inner,
+                                np.random.default_rng(45), count=count)
+            z_rng = np.random.default_rng()
+            z_rng.bit_generator.state = adapted.bit_generator.state
+            want = gen.forward(w_g.bind(trainable=False),
+                               sample_latent(count, gen.cfg, z_rng)).data
+            assert got.dtype == want.dtype == cfg.dtype
+            assert got.shape == want.shape == (count, 1, cfg.image_size, cfg.image_size)
+            np.testing.assert_array_equal(got, want)
+
+    def test_sampling_memory_does_not_grow_with_count(self):
+        # tracemalloc's peak while adapting (k=1) and sampling 256 images at
+        # the default config stays within the peak for 16 images plus the
+        # 256-image output and 1 MiB; one batch-256 forward would add about
+        # 0.5 MiB of activations per image
+        cfg = RunConfig(k=1)
+        disc, gen = tiny_models(cfg)
+        rng = np.random.default_rng(46)
+        phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
+        x = task_images(cfg, cfg.n, seed=8)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                out = figr_generate(phi_d, phi_g, disc, gen, x, cfg,
+                                    np.random.default_rng(47), count=count)
+                return tracemalloc.get_traced_memory()[1], out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        peak(SAMPLE_CHUNK)                   # warm-up
+        chunk_peak, _ = peak(SAMPLE_CHUNK)
+        many_peak, out_bytes = peak(256)
+        assert many_peak <= chunk_peak + out_bytes + 2**20, (
+            f"{many_peak / 2**20:.2f} MiB for 256 images, {chunk_peak / 2**20:.2f} MiB for 16")
 
 
 class TestTapeRelease:
