@@ -8,7 +8,10 @@ the labeled RNG stream states.  Version 1 files have no tag byte and
 float32 parameters; they still load.  `load_checkpoint` reads the file
 once through `figr.data.ByteReader`, each vector straight into the owned
 array returned for it (`readinto`, not a mapping, so a file cut while read
-raises BadCheckpoint): those arrays are its only large allocations.
+raises BadCheckpoint), and allocates nothing else that is large.  Only a
+resumed `figr train` needs the Adam moments, about four fifths of the file;
+`figr eval` and `figr generate` adapt φ alone, so their read seeks past the
+moments and φ is all it allocates.  Either read checks the whole layout.
 `deserialize` parses bytes on the same path, through `io.BytesIO`.
 """
 
@@ -39,6 +42,8 @@ class BadCheckpoint(ValueError):
 
 @dataclass
 class CheckpointData:
+    """A parsed file; a read without moments leaves adam_d/adam_g's m and v None."""
+
     fingerprint: bytes
     step: int
     phi_d: np.ndarray
@@ -81,9 +86,18 @@ def deserialize(data: bytes) -> CheckpointData:
     return _read(io.BytesIO(data))
 
 
-def _read(f) -> CheckpointData:
-    """Parse a checkpoint from the start of an open binary file."""
+def _read(f, moments: bool = True) -> CheckpointData:
+    """Parse a checkpoint from the start of an open binary file; without
+    `moments`, each moment vector's bytes are checked and seeked past."""
     r = ByteReader(f, BadCheckpoint, "checkpoint")
+
+    def moment() -> tuple[int, np.ndarray | None]:
+        (count,) = r.unpack("<Q")
+        if moments:
+            return count, r.array(count, np.float64)
+        r.skip(8 * count)          # float64
+        return count, None
+
     magic = r.take(4)
     if magic != MAGIC:
         raise BadCheckpoint(f"bad magic {magic!r}")
@@ -102,8 +116,8 @@ def _read(f) -> CheckpointData:
             dtype = _PHI_DTYPES[tag]
         vec = r.array(*r.unpack("<Q"), dtype)
         (t,) = r.unpack("<Q")
-        m, v = (r.array(*r.unpack("<Q"), np.float64) for _ in range(2))
-        if m.size != vec.size or v.size != vec.size:
+        (m_size, m), (v_size, v) = moment(), moment()
+        if m_size != vec.size or v_size != vec.size:
             raise BadCheckpoint("moment vectors do not match parameter length")
         nets.append((vec, AdamState(m, v, t)))
     states: dict[str, bytes] = {}
@@ -152,9 +166,12 @@ def save_checkpoint(path: Path, state: MetaState, streams: RngStreams,
     atomic_write(path, _parts(state, streams, fingerprint), durable)
 
 
-def load_checkpoint(path: Path) -> CheckpointData:
+def load_checkpoint(path: Path, moments: bool = True) -> CheckpointData:
+    """Read a checkpoint file.  A resumed `figr train` reads the Adam moments
+    to continue the outer loop; `figr eval` and `figr generate` pass
+    moments=False, because adapting φ to a class never uses them."""
     with open(path, "rb") as f:
-        return _read(f)
+        return _read(f, moments)
 
 
 def restore_streams(data: CheckpointData) -> RngStreams:

@@ -70,11 +70,12 @@ def _ckpt_path(out_dir: Path, step: int) -> Path:
     return out_dir / f"ckpt_{step:06d}.figr"
 
 
-def _restore(cfg: RunConfig, path) -> tuple[Discriminator, Generator,
-                                           tuple[ParameterSet, ParameterSet], CheckpointData]:
+def _restore(cfg: RunConfig, path, moments: bool = True) -> tuple[
+        Discriminator, Generator, tuple[ParameterSet, ParameterSet], CheckpointData]:
     """Load a checkpoint written under this config: the models, φ = (φ_d, φ_g)
-    and the file's other fields (moments, step, rng states)."""
-    data = load_checkpoint(path)
+    and the file's other fields (step, rng states, and the Adam moments,
+    which only `figr train --resume` reads; eval and generate skip them)."""
+    data = load_checkpoint(path, moments)
     if data.fingerprint != fingerprint(cfg):
         raise CliError("config fingerprint does not match the checkpoint; "
                        "refusing to use it with drifted hyperparameters")
@@ -186,7 +187,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
-    disc, gen, phi = _restore(cfg, args.checkpoint)[:3]     # φ alone: no moments kept
+    disc, gen, phi = _restore(cfg, args.checkpoint, moments=False)[:3]
     dataset = build_dataset(cfg)
 
     cfg = replace(cfg, k=cfg.k if args.k is None else args.k,
@@ -274,7 +275,10 @@ def evaluate_checkpoint(cfg: RunConfig, phi: tuple[ParameterSet, ParameterSet], 
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    disc, gen, phi = _restore(cfg, args.checkpoint)[:3]     # φ alone: no moments kept
+    if args.out:
+        # made before any work, so an --out that cannot be written loses none
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    disc, gen, phi = _restore(cfg, args.checkpoint, moments=False)[:3]
     dataset = build_dataset(cfg)
     reports = evaluate_checkpoint(cfg, phi, dataset, disc, gen,
                                   trials=args.trials, seed=args.seed)
@@ -390,6 +394,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "generate" and args.count < 1:
         parser.error("--count must be >= 1")
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
         return args.fn(args)
     except (CliError, ConfigError, BadCheckpoint, OSError, ValueError) as exc:

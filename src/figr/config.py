@@ -106,8 +106,10 @@ class RunConfig:
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
                 and self.adam_eps > 0 and self.outer_lr >= 0):
             raise ConfigError("need 0 <= beta1, beta2 < 1, adam_eps > 0, outer_lr >= 0")
-        # 0 is none or never; a negative cadence would pass `step % every == 0` at every step
-        for name in ("n_validation", "meta_steps", "checkpoint_every", "sample_every"):
+        # 0 is none or never; a negative cadence would pass `step % every == 0` at
+        # every step, and numpy refuses a negative seed without naming the key
+        for name in ("n_validation", "meta_steps", "checkpoint_every", "sample_every",
+                     "seed", "split_seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 

@@ -69,6 +69,7 @@ class ByteReader:
     Each call reads only its own bytes.  `array` checks the bytes left
     before it allocates the new array that `readinto` fills, so that array
     is the only copy of its bytes.  A file cut while it is read raises too.
+    `skip` checks the bytes left the same way, then seeks past them unread.
     """
 
     def __init__(self, f, error: type[ValueError], what: str):
@@ -93,6 +94,10 @@ class ByteReader:
         self._check(out.nbytes, self.pos + self.f.readinto(memoryview(out).cast("B")))
         self.pos += out.nbytes
         return out
+
+    def skip(self, n: int) -> None:
+        self._check(n, self.size)
+        self.pos = self.f.seek(self.pos + n)
 
 
 IDX_IMAGE_MAGIC = 0x00000803

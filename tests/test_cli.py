@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 import figr.cli
+from figr.checkpoint import save_checkpoint
 from figr.cli import CSV_HEADER, main
-from figr.config import build_dataset, load_config
+from figr.config import RunConfig, build_dataset, fingerprint, load_config
 from figr.data import load_shard, pack_shard, read_pgm, write_pgm
 from figr.models import Discriminator, Generator
+from figr.reptile import init_meta_state
+from figr.rng import make_streams
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -349,12 +352,15 @@ class TestTrain:
     @pytest.mark.parametrize("old,new", [("n_validation = 2", "n_validation = -1"),
                                          ("meta_steps = 6", "meta_steps = -1"),
                                          ("checkpoint_every = 3", "checkpoint_every = -1"),
-                                         ("sample_every = 3", "sample_every = -2")],
+                                         ("sample_every = 3", "sample_every = -2"),
+                                         ("seed = 11", "seed = -1"),
+                                         ("split_seed = 3", "split_seed = -1")],
                              ids=["n_validation", "meta_steps", "checkpoint_every",
-                                  "sample_every"])
+                                  "sample_every", "seed", "split_seed"])
     def test_negative_count_or_cadence_refused(self, tmp_path, capsys, old, new):
         # 0 means none or never; a negative value is refused at parse, where
-        # checkpoint_every = -1 would otherwise save at every step
+        # checkpoint_every = -1 would otherwise save at every step, and a
+        # negative seed would fail in numpy without naming its key
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TINY_CFG.replace(old, new))
         out = tmp_path / "run"
@@ -383,6 +389,24 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: --steps must be >= 0, got -3\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "generate", "gradcheck"])
+    def test_negative_seed_flag_refused_before_any_work(self, cfg_path, tmp_path,
+                                                         monkeypatch, capsys, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("load_config", "run_gradcheck"):
+            monkeypatch.setattr(figr.cli, name, no_work)
+        argv = {"eval": ("eval", "--config", cfg_path, "--checkpoint", tmp_path / "c.figr"),
+                "generate": ("generate", "--config", cfg_path, "--checkpoint",
+                             tmp_path / "c.figr", "--out", tmp_path / "gen"),
+                "gradcheck": ("gradcheck", "--trials", 1)}[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--seed", -1)
+        assert exc.value.code == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["train-config-dir", "train-out-file",
                                       "stats-shard-dir", "eval-checkpoint-dir"])
@@ -522,6 +546,45 @@ class TestGenerateEval:
         rows = capsys.readouterr().out.splitlines()
         assert [row.rsplit(",", 1)[1] for row in rows[1:3]] == ["0", "0"]
         assert "on 0/2 classes" in rows[3]
+
+    def test_eval_out_into_missing_directory(self, cfg_path, trained, tmp_path):
+        csv = tmp_path / "sub" / "dir" / "eval.csv"
+        assert run_cli("eval", "--config", cfg_path, "--checkpoint", trained,
+                       "--trials", 1, "--out", csv) == 0
+        assert csv.read_text().splitlines()[0] == "task_id,name,mmd2,baseline_mmd2,nn_distance,win"
+
+    def test_eval_out_that_cannot_be_made_fails_before_scoring(self, cfg_path, trained,
+                                                               tmp_path, monkeypatch, capsys):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored")
+
+        monkeypatch.setattr(figr.cli, "evaluate_checkpoint", no_scoring)
+        (tmp_path / "file").write_text("")
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg_path, "--checkpoint", trained,
+                       "--out", tmp_path / "file" / "eval.csv") == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_restore_without_moments_allocates_phi_alone(self, tmp_path):
+        # tracemalloc's peak of a φ-only restore of a default checkpoint is φ
+        # and under 1 MiB besides (3.09 MiB with φ at 3.06 MiB when this was
+        # set); the full read's was 15.35 MiB, the moments being 12.8 MB
+        cfg = RunConfig()
+        disc, gen = Discriminator(cfg), Generator(cfg)
+        streams = make_streams(cfg.seed)
+        path = tmp_path / "a.figr"
+        save_checkpoint(path, init_meta_state(disc, gen, streams.init), streams,
+                        fingerprint(cfg))
+        phi_bytes = (disc.param_count() + gen.param_count()) * np.dtype(cfg.dtype).itemsize
+        tracemalloc.start()
+        try:
+            data = figr.cli._restore(cfg, path, moments=False)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.adam_d.m is None and data.adam_g.v is None
+        assert peak <= phi_bytes + 2**20, (
+            f"peak {peak / 2**20:.2f} MiB, phi is {phi_bytes / 2**20:.2f} MiB")
 
     def test_eval_holds_only_phi_while_scoring(self, tmp_path, monkeypatch):
         # at the default config, what cmd_eval has allocated and still holds

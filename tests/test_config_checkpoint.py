@@ -296,9 +296,15 @@ def vectors(data):
 
 class TestLoadFromFile:
     """load_checkpoint reads the file itself; every damaged file is refused
-    with BadCheckpoint, as deserialize refuses the same bytes."""
+    with BadCheckpoint, as deserialize refuses the same bytes.  Each test
+    runs for the full read and for the φ-only read, which seeks past the
+    Adam moments but checks the same layout with the same messages."""
 
     CFG = RunConfig(image_size=8, latent_dim=1, base_width=1, n_blocks=1)
+
+    @pytest.fixture(params=[True, False], ids=["full", "phi-only"])
+    def moments(self, request):
+        return request.param
 
     @pytest.fixture()
     def path(self, tmp_path):
@@ -307,29 +313,29 @@ class TestLoadFromFile:
         save_checkpoint(path, state, streams, b"\x04" * 32)
         return path
 
-    def test_cut_at_every_offset_names_it(self, path):
+    def test_cut_at_every_offset_names_it(self, path, moments):
         # each cut shortens the same file, so every prefix is read from disk
         for end in range(path.stat().st_size - 1, -1, -1):
             os.truncate(path, end)
             try:
-                load_checkpoint(path)
+                load_checkpoint(path, moments)
             except BadCheckpoint as exc:
                 assert str(exc).endswith(f"but it ends at byte {end}"), (end, str(exc))
             else:
                 pytest.fail(f"a file cut at byte {end} loaded")
 
-    def test_empty_file(self, path):
+    def test_empty_file(self, path, moments):
         path.write_bytes(b"")
         with pytest.raises(BadCheckpoint, match="ends at byte 0"):
-            load_checkpoint(path)
+            load_checkpoint(path, moments)
 
-    def test_appended_byte(self, path):
+    def test_appended_byte(self, path, moments):
         with open(path, "ab") as f:
             f.write(b"\x00")
         with pytest.raises(BadCheckpoint, match="^1 trailing bytes$"):
-            load_checkpoint(path)
+            load_checkpoint(path, moments)
 
-    def test_huge_declared_length_refused_before_allocating(self, path):
+    def test_huge_declared_length_refused_before_allocating(self, path, moments):
         # the first moment's length field follows the tag, phi_d and Adam's t
         blob = bytearray(path.read_bytes())
         (n,) = struct.unpack_from("<Q", blob, 49)
@@ -340,31 +346,82 @@ class TestLoadFromFile:
         tracemalloc.start()
         try:
             with pytest.raises(BadCheckpoint, match=f"{2**43} bytes wanted at byte {at + 8}"):
-                load_checkpoint(path)
+                load_checkpoint(path, moments)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
-    def test_version_1_file_loads(self, tmp_path):
+    def test_moment_length_must_match_phi(self, path, moments):
+        # a shorter first moment, with the file cut to match, is refused by
+        # the length comparison once both moments' bytes are checked
+        blob = bytearray(path.read_bytes())
+        (n,) = struct.unpack_from("<Q", blob, 49)
+        at = 49 + 8 + 4 * n + 8
+        struct.pack_into("<Q", blob, at, n - 1)
+        del blob[at + 8:at + 16]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(BadCheckpoint, match="^moment vectors do not match parameter length$"):
+            load_checkpoint(path, moments)
+
+    def test_version_1_file_loads(self, tmp_path, moments):
         state, streams = small_state(self.CFG)
         path = tmp_path / "v1.figr"
         path.write_bytes(version_1_blob(state, streams, b"\x05" * 32))
-        data = load_checkpoint(path)
+        data = load_checkpoint(path, moments)
         assert data.fingerprint == b"\x05" * 32 and data.adam_d.t == 3
         assert data.phi_d.dtype == np.float32
         np.testing.assert_array_equal(data.phi_g, state.phi_g.vector)
-        np.testing.assert_array_equal(data.adam_d.m, state.adam_d.m)
+        if moments:
+            np.testing.assert_array_equal(data.adam_d.m, state.adam_d.m)
+        else:
+            assert data.adam_d.m is None
 
-    def test_fields_equal_deserialize_and_vectors_are_owned(self, path):
-        data, ref = load_checkpoint(path), deserialize(path.read_bytes())
+    def test_fields_equal_deserialize_and_vectors_are_owned(self, path, moments):
+        # deserialize reads the moments; the φ-only read returns None for them
+        data, ref = load_checkpoint(path, moments), deserialize(path.read_bytes())
         assert (data.fingerprint, data.step, data.stream_states) == (
             ref.fingerprint, ref.step, ref.stream_states)
         assert (data.adam_d.t, data.adam_g.t) == (ref.adam_d.t, ref.adam_g.t)
-        for vec, expected in zip(vectors(data), vectors(ref)):
+        read = vectors(data) if moments else (data.phi_d, data.phi_g)
+        for vec, expected in zip(read, vectors(ref)):
             assert vec.dtype == expected.dtype
             np.testing.assert_array_equal(vec, expected)
             assert vec.flags.owndata and vec.flags.writeable and vec.flags.aligned
+        if not moments:
+            assert [data.adam_d.m, data.adam_d.v, data.adam_g.m, data.adam_g.v] == [None] * 4
+
+    def test_cut_inside_a_moment_is_named_unread(self, path, monkeypatch):
+        # a file cut halfway through phi_d's first moment: the φ-only read
+        # names the offset where the moment starts, having read no byte of it
+        (n,) = struct.unpack_from("<Q", path.read_bytes(), 49)
+        start = 49 + 8 + 4 * n + 8 + 8
+        os.truncate(path, start + 4 * n)
+        read = []
+
+        class Counting:
+            def __init__(self, f):
+                self.f = f
+
+            def readinto(self, buf):
+                read.append(self.f.readinto(buf))
+                return read[-1]
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+        monkeypatch.setattr("figr.checkpoint.open", lambda *a, **k: Counting(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(BadCheckpoint, match=f"{8 * n} bytes wanted at byte {start}, "
+                                                f"but it ends at byte {start + 4 * n}$"):
+            load_checkpoint(path, moments=False)
+        assert sum(read) == start
 
 
 class TestAtomicWrite:

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -640,6 +640,29 @@ class TestInnerStepTape:
         finally:
             tracemalloc.stop()
         assert peak <= 30.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_tiny_inner_loop_memory_peak_ceiling(self):
+        # the dispatch-bound tiny loop (8 px, width 4, k=2, n=2): tracemalloc's
+        # peak after a warm-up loop read 0.29-0.30 MiB when this ceiling was
+        # set.  The same rule as above holds for changing it
+        cfg = replace(CFG32, k=2, n=2)
+        disc, gen = tiny_models(cfg)
+        rng = np.random.default_rng(53)
+        phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
+        x = task_images(cfg, 2, seed=54)
+
+        def adapt():
+            inner_loop(phi_d, phi_g, disc, gen, x, cfg,
+                       np.random.default_rng(55), np.random.default_rng(56))
+
+        adapt()
+        tracemalloc.start()
+        try:
+            adapt()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.35 * 2**20, f"peak {peak / 2**20:.3f} MiB"
 
     def test_meta_step_memory_peak_ceiling(self):
         # tracemalloc's peak over one default meta-step (k=2), measured from
