@@ -1,4 +1,5 @@
 import builtins
+import ctypes
 import io
 import os
 import struct
@@ -617,6 +618,17 @@ class TestGenerateEval:
         assert held[0] < phi_bytes + 2 * 2**20, (
             f"{held[0] / 2**20:.2f} MiB held, phi is {phi_bytes / 2**20:.2f} MiB")
 
+    def test_eval_releases_its_scratch_after_the_last_class(self, cfg_path, trained,
+                                                            monkeypatch):
+        events = []
+        scored = figr.cli.nn_distance
+        monkeypatch.setattr(figr.cli, "nn_distance",
+                            lambda *a: events.append("class") or scored(*a))
+        monkeypatch.setattr(figr.cli, "_release_free_heap", lambda: events.append("release"))
+        assert run_cli("eval", "--config", cfg_path, "--checkpoint", trained,
+                       "--trials", 2) == 0
+        assert events == ["class", "class", "release"]
+
     def test_eval_caps_trials(self, cfg_path, trained, tmp_path, capsys):
         capsys.readouterr()
         assert run_cli("eval", "--config", cfg_path, "--checkpoint", trained,
@@ -626,6 +638,29 @@ class TestGenerateEval:
         assert out.splitlines()[0] == "task_id,name,mmd2,baseline_mmd2,nn_distance,win"
         assert len(out.splitlines()) == 4
         assert "capped at 2" in err
+
+
+def _has_malloc_trim() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "malloc_trim")
+    except TypeError:
+        return False
+
+
+@pytest.mark.skipif(not (Path("/proc/self/statm").exists() and _has_malloc_trim()),
+                    reason="needs /proc/self/statm and glibc's malloc_trim")
+def test_release_free_heap_returns_freed_pages():
+    # 32 MiB of 64 KiB arrays, each below glibc's mmap threshold, freed under
+    # a live last array that keeps them off the heap's top: they stay
+    # resident until the release hands their pages back
+    def resident() -> int:
+        return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    arrays = [np.ones(8192) for _ in range(512)]
+    before = resident()
+    del arrays[:-1]
+    figr.cli._release_free_heap()
+    assert before - resident() > 16 * 2**20
 
 
 def test_no_derived_stream_repeats_a_glyph_stream(tmp_path, monkeypatch):

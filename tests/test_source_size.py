@@ -5,7 +5,7 @@ line that says why."""
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "figr"
-CEILING = 3219      # lines, as `wc -l src/figr/*.py` counts them
+CEILING = 3231      # lines, as `wc -l src/figr/*.py` counts them
 
 
 def test_package_line_count_ceiling():
