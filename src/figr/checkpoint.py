@@ -1,24 +1,26 @@
 """Bit-exact binary snapshots of the outer-loop state, and crash-safe writes.
 
-Layout (little-endian): magic "FIGR", version u32, config fingerprint
-(32 bytes), outer step u64, then for each network the parameter vector
-(a dtype tag byte, b"f" float32 or b"d" float64, then u64 length + data)
-and its Adam state (u64 timestep + float64 first/second moments), then
-the labeled RNG stream states.  Version 1 files have no tag byte and
-float32 parameters; they still load.  `load_checkpoint` reads the file
-once through `figr.data.ByteReader`, each vector straight into the owned
-array returned for it (`readinto`, not a mapping, so a file cut while read
-raises BadCheckpoint), and allocates nothing else that is large.  Only a
-resumed `figr train` needs the Adam moments, about four fifths of the file;
+Layout of format 3 (little-endian): magic "FIGR", version u32, config
+fingerprint (32 bytes), outer step u64, then for each network, critic
+first, the parameter vector (a dtype tag byte, b"f" float32 or b"d"
+float64, then u64 length + data) and its Adam state (u64 timestep, then
+u64 length + float64 data for the first and for the second moment).
+Nothing follows.  No rng state is stored: every draw of meta-step t is a
+function of (seed, t) (see `figr.rng`), so the step is all a resume needs.
+Versions 1 and 2 carried the states of streams that ran through the whole
+run; a resume from them could not continue those streams, so they are
+refused.  `load_checkpoint` reads the file once through
+`figr.data.ByteReader`, each vector straight into the owned array returned
+for it (`readinto`, not a mapping, so a file cut while read raises
+BadCheckpoint), and allocates nothing else that is large.  Only a resumed
+`figr train` needs the Adam moments, about four fifths of the file;
 `figr eval` and `figr generate` adapt φ alone, so their read seeks past the
 moments and φ is all it allocates.  Either read checks the whole layout.
-`deserialize` parses bytes on the same path, through `io.BytesIO`.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import struct
 from dataclasses import dataclass
@@ -28,12 +30,11 @@ import numpy as np
 
 from .data import ByteReader
 from .reptile import AdamState, MetaState
-from .rng import STATE_BYTES, STREAM_LABELS, RngStreams, streams_from_states, streams_to_states
 
 MAGIC = b"FIGR"
-VERSION = 2
+VERSION = 3
 FINGERPRINT_BYTES = 32
-_PHI_DTYPES = {b"f": np.float32, b"d": np.float64}     # version-2 tag byte -> dtype
+_PHI_DTYPES = {b"f": np.float32, b"d": np.float64}     # tag byte -> dtype
 
 
 class BadCheckpoint(ValueError):
@@ -50,7 +51,6 @@ class CheckpointData:
     phi_g: np.ndarray
     adam_d: AdamState
     adam_g: AdamState
-    stream_states: dict[str, bytes]
 
 
 def _pack_vector(vec: np.ndarray, dtype) -> list:
@@ -59,7 +59,7 @@ def _pack_vector(vec: np.ndarray, dtype) -> list:
     return [struct.pack("<Q", arr.size), arr]
 
 
-def _parts(state: MetaState, streams: RngStreams, fingerprint: bytes) -> list:
+def _parts(state: MetaState, fingerprint: bytes) -> list:
     """The file's header fields and the state's own arrays, in file order."""
     if len(fingerprint) != FINGERPRINT_BYTES:
         raise ValueError(f"fingerprint must be {FINGERPRINT_BYTES} bytes")
@@ -70,20 +70,7 @@ def _parts(state: MetaState, streams: RngStreams, fingerprint: bytes) -> list:
         parts.append(struct.pack("<Q", adam.t))
         parts += _pack_vector(adam.m, np.float64)
         parts += _pack_vector(adam.v, np.float64)
-    states = streams_to_states(streams)
-    parts.append(struct.pack("<I", len(STREAM_LABELS)))
-    for label in STREAM_LABELS:
-        encoded = label.encode("ascii")
-        parts += [struct.pack("<B", len(encoded)), encoded, states[label]]
     return parts
-
-
-def serialize(state: MetaState, streams: RngStreams, fingerprint: bytes) -> bytes:
-    return b"".join(_parts(state, streams, fingerprint))
-
-
-def deserialize(data: bytes) -> CheckpointData:
-    return _read(io.BytesIO(data))
 
 
 def _read(f, moments: bool = True) -> CheckpointData:
@@ -102,34 +89,27 @@ def _read(f, moments: bool = True) -> CheckpointData:
     if magic != MAGIC:
         raise BadCheckpoint(f"bad magic {magic!r}")
     (version,) = r.unpack("<I")
-    if version not in (1, VERSION):
-        raise BadCheckpoint(f"unsupported checkpoint version {version}")
+    if version != VERSION:
+        raise BadCheckpoint(f"unsupported checkpoint version {version} "
+                            f"(this figr reads only version {VERSION})")
     fingerprint = r.take(FINGERPRINT_BYTES)
     (step,) = r.unpack("<Q")
     nets = []
     for _ in range(2):
-        dtype = np.float32
-        if version > 1:
-            tag = r.take(1)
-            if tag not in _PHI_DTYPES:
-                raise BadCheckpoint(f"unknown parameter dtype tag {tag!r}")
-            dtype = _PHI_DTYPES[tag]
-        vec = r.array(*r.unpack("<Q"), dtype)
+        tag = r.take(1)
+        if tag not in _PHI_DTYPES:
+            raise BadCheckpoint(f"unknown parameter dtype tag {tag!r}")
+        vec = r.array(*r.unpack("<Q"), _PHI_DTYPES[tag])
         (t,) = r.unpack("<Q")
         (m_size, m), (v_size, v) = moment(), moment()
         if m_size != vec.size or v_size != vec.size:
             raise BadCheckpoint("moment vectors do not match parameter length")
         nets.append((vec, AdamState(m, v, t)))
-    states: dict[str, bytes] = {}
-    for _ in range(*r.unpack("<I")):
-        label = r.take(*r.unpack("<B")).decode("ascii")
-        states[label] = r.take(STATE_BYTES)
     if r.pos != r.size:
         raise BadCheckpoint(f"{r.size - r.pos} trailing bytes")
     return CheckpointData(fingerprint=fingerprint, step=step,
                           phi_d=nets[0][0], phi_g=nets[1][0],
-                          adam_d=nets[0][1], adam_g=nets[1][1],
-                          stream_states=states)
+                          adam_d=nets[0][1], adam_g=nets[1][1])
 
 
 def atomic_write(path, data: bytes | str | list, durable: bool = True) -> None:
@@ -159,11 +139,11 @@ def atomic_write(path, data: bytes | str | list, durable: bool = True) -> None:
         raise
 
 
-def save_checkpoint(path: Path, state: MetaState, streams: RngStreams,
-                    fingerprint: bytes, durable: bool = True) -> None:
-    """Write serialize()'s parts in turn: each array from the state's own
+def save_checkpoint(path: Path, state: MetaState, fingerprint: bytes,
+                    durable: bool = True) -> None:
+    """Write the file's parts in turn: each array from the state's own
     buffer, so only the small header fields are allocated."""
-    atomic_write(path, _parts(state, streams, fingerprint), durable)
+    atomic_write(path, _parts(state, fingerprint), durable)
 
 
 def load_checkpoint(path: Path, moments: bool = True) -> CheckpointData:
@@ -172,7 +152,3 @@ def load_checkpoint(path: Path, moments: bool = True) -> CheckpointData:
     moments=False, because adapting φ to a class never uses them."""
     with open(path, "rb") as f:
         return _read(f, moments)
-
-
-def restore_streams(data: CheckpointData) -> RngStreams:
-    return streams_from_states(data.stream_states)

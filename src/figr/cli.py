@@ -30,7 +30,6 @@ from .checkpoint import (
     CheckpointData,
     atomic_write,
     load_checkpoint,
-    restore_streams,
     save_checkpoint,
 )
 from .config import (
@@ -74,8 +73,8 @@ def _ckpt_path(out_dir: Path, step: int) -> Path:
 def _restore(cfg: RunConfig, path, moments: bool = True) -> tuple[
         Discriminator, Generator, tuple[ParameterSet, ParameterSet], CheckpointData]:
     """Load a checkpoint written under this config: the models, φ = (φ_d, φ_g)
-    and the file's other fields (step, rng states, and the Adam moments,
-    which only `figr train --resume` reads; eval and generate skip them)."""
+    and the file's other fields (the step, and the Adam moments, which only
+    `figr train --resume` reads; eval and generate skip them)."""
     data = load_checkpoint(path, moments)
     if data.fingerprint != fingerprint(cfg):
         raise CliError("config fingerprint does not match the checkpoint; "
@@ -112,22 +111,30 @@ def _reconcile_log(path: Path, step: int) -> None:
     atomic_write(path, "\n".join([CSV_HEADER, *rows]) + "\n", durable=False)
 
 
-def _checkpoint(log, path: Path, state, streams, fp: bytes) -> None:
+def _initial_phi(cfg: RunConfig, disc, gen) -> tuple[ParameterSet, ParameterSet]:
+    """The run's φ₀, drawn from key (INIT, 0) under cfg.seed: the start of
+    `figr train` and the baseline arm of `figr eval`."""
+    init = rng.derive(cfg.seed, rng.INIT, 0)
+    return disc.init_params(init), gen.init_params(init)
+
+
+def _checkpoint(log, path: Path, state, fp: bytes) -> None:
     """Flush the log's rows to disk, then write the checkpoint that claims them:
     a resume cuts the log back to its checkpoint but never fills it in."""
     log.flush()
     os.fsync(log.fileno())
-    save_checkpoint(path, state, streams, fp)
+    save_checkpoint(path, state, fp)
 
 
-def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, streams,
-                  out_path: Path) -> None:
-    """Conditioning row on top, generated rows below; isolated rng stream."""
+def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, out_path: Path) -> None:
+    """Conditioning row on top, generated rows below; drawn from key
+    (MONTAGE, step), which no training step reads."""
     split = "validation" if dataset.val_ids else "train"
-    _, task = sample_task(dataset, streams.sample, split=split)
-    x = sample_images(task, cfg.n, streams.sample)
+    draws = rng.derive(cfg.seed, rng.MONTAGE, state.step)
+    _, task = sample_task(dataset, draws, split=split)
+    x = sample_images(task, cfg.n, draws)
     generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, cfg,
-                              streams.sample, count=3 * cfg.n)
+                              draws, count=3 * cfg.n)
     tiles = np.concatenate([x, generated], axis=0)
     atomic_write(out_path, write_pgm(montage(tiles, columns=cfg.n, separator_px=2)))
 
@@ -144,19 +151,17 @@ def cmd_train(args) -> int:
     if args.resume:
         disc, gen, phi, data = _restore(cfg, args.resume)
         state = MetaState(*phi, data.adam_d, data.adam_g, step=data.step)
-        streams = restore_streams(data)
         print(f"resumed from {args.resume} at step {state.step}")
     else:
         disc, gen = Discriminator(cfg), Generator(cfg)
-        streams = rng.make_streams(cfg.seed)
-        state = init_meta_state(disc, gen, streams.init)
+        state = init_meta_state(*_initial_phi(cfg, disc, gen))
 
     # made only now, so a checkpoint the resume refuses leaves no directory
     out_dir.mkdir(parents=True, exist_ok=True)
     if not args.resume:
         # both are a function of the config alone and a fresh start rewrites
         # them, so they are renamed into place whole but not flushed to disk
-        save_checkpoint(_ckpt_path(out_dir, 0), state, streams, fp, durable=False)
+        save_checkpoint(_ckpt_path(out_dir, 0), state, fp, durable=False)
         atomic_write(out_dir / "config.cfg", canonical_text(cfg), durable=False)
 
     saved = None if args.resume else state.step      # the last step this run saved
@@ -165,23 +170,22 @@ def cmd_train(args) -> int:
     t_start = time.perf_counter()
     with open(log_path, "a", encoding="utf-8") as log:
         while state.step < target:
-            state, rec = meta_step(state, disc, gen, dataset, cfg, streams)
+            state, rec = meta_step(state, disc, gen, dataset, cfg)
             log.write(f"{rec.step},{rec.task_id},{rec.critic_loss:.9g},"
                       f"{rec.gen_loss:.9g},{rec.delta_d_norm:.9g},"
                       f"{rec.delta_g_norm:.9g},{rec.seconds:.6f}\n")
-            # montage first: its stream consumption must land in the checkpoint
             if cfg.sample_every and rec.step % cfg.sample_every == 0:
-                _emit_montage(cfg, dataset, disc, gen, state, streams,
+                _emit_montage(cfg, dataset, disc, gen, state,
                               out_dir / f"samples_{rec.step:06d}.pgm")
             if cfg.checkpoint_every and rec.step % cfg.checkpoint_every == 0:
-                _checkpoint(log, _ckpt_path(out_dir, rec.step), state, streams, fp)
+                _checkpoint(log, _ckpt_path(out_dir, rec.step), state, fp)
                 saved = rec.step
             if rec.step % 200 == 0:
                 elapsed = time.perf_counter() - t_start
                 print(f"step {rec.step}/{target} critic {rec.critic_loss:+.4f} "
                       f"gen {rec.gen_loss:+.4f} ({elapsed:.0f}s)", flush=True)
         if saved != state.step:
-            _checkpoint(log, _ckpt_path(out_dir, state.step), state, streams, fp)
+            _checkpoint(log, _ckpt_path(out_dir, state.step), state, fp)
     print(f"trained to step {state.step}; artifacts in {out_dir}")
     return 0
 
@@ -208,13 +212,14 @@ def cmd_generate(args) -> int:
         raise InsufficientImages(
             f"class {task.name!r} has {task.images.shape[0]} images, need n={cfg.n}")
 
+    out_dir = Path(args.out)
+    # made once the inputs are accepted, before the adaptation: a refused
+    # command leaves no directory, and an --out that cannot be made loses no work
+    out_dir.mkdir(parents=True, exist_ok=True)
     class_rng = rng.derive(args.seed, rng.GENERATE, cid)
     idx = class_rng.choice(task.images.shape[0], size=cfg.n, replace=False)
     x = task.images[idx]
     generated = figr_generate(*phi, disc, gen, x, cfg, class_rng, count=args.count)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tiles = np.concatenate([x, generated], axis=0)
     atomic_write(out_dir / "montage.pgm",
                  write_pgm(montage(tiles, columns=cfg.n, separator_px=2)))
@@ -261,8 +266,7 @@ def evaluate_checkpoint(cfg: RunConfig, phi: tuple[ParameterSet, ParameterSet], 
         if task.images.shape[0] <= cfg.n:
             raise InsufficientImages(f"validation class {task.name!r} has {task.images.shape[0]} "
                                      f"images; scoring needs more than n={cfg.n}")
-    init = rng.make_streams(cfg.seed).init
-    base = disc.init_params(init), gen.init_params(init)
+    base = _initial_phi(cfg, disc, gen)
     reports = []
     for cid in ids[:trials]:
         task = dataset.classes[cid]

@@ -26,7 +26,7 @@ from .models import (
     params_delta,
     sample_latent,
 )
-from .rng import RngStreams
+from .rng import STEP, derive
 
 SAMPLE_CHUNK = 16      # latent rows per generator forward in figr_generate
 
@@ -78,15 +78,10 @@ class TrainRecord:
     seconds: float
 
 
-def init_meta_state(disc: Discriminator, gen: Generator,
-                    rng: np.random.Generator) -> MetaState:
-    phi_d = disc.init_params(rng)
-    phi_g = gen.init_params(rng)
-    return MetaState(
-        phi_d=phi_d, phi_g=phi_g,
-        adam_d=AdamState.zeros(phi_d.total_len),
-        adam_g=AdamState.zeros(phi_g.total_len),
-    )
+def init_meta_state(phi_d: ParameterSet, phi_g: ParameterSet) -> MetaState:
+    """Step 0 at phi, with zero Adam moments."""
+    return MetaState(phi_d, phi_g, AdamState.zeros(phi_d.total_len),
+                     AdamState.zeros(phi_g.total_len))
 
 
 def adam_step(adam: AdamState, params: ParameterSet, pseudo_grad: np.ndarray,
@@ -123,15 +118,14 @@ class InnerStats:
 
 def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
                disc: Discriminator, gen: Generator,
-               x_task: np.ndarray, cfg: RunConfig,
-               latent_rng: np.random.Generator, eps_rng: np.random.Generator
+               x_task: np.ndarray, cfg: RunConfig, rng: np.random.Generator
                ) -> tuple[ParameterSet, ParameterSet, InnerStats]:
     """K alternating WGAN-GP critic/generator SGD steps on copies of phi.
 
-    The same n real images are reused at every iteration; a fresh latent
-    batch of size n is drawn before each critic step and again before
-    each generator step; eps_rng gives the penalty's n interpolation
-    weights ~ U(0,1) at each critic step.  The adapted copies are kept as
+    The same n real images are reused at every iteration.  Each critic
+    step draws from rng a fresh latent batch of size n and then the
+    penalty's n interpolation weights ~ U(0,1); each generator step draws
+    another latent batch.  The adapted copies are kept as
     w = phi - lr * (running f64 gradient sum), which is the exact SGD
     chain in real arithmetic but keeps the phi - w identity tight even
     in single precision.  The callers' phi are never mutated, so w starts
@@ -150,13 +144,13 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
 
     for _ in range(cfg.k):
         with Graph():
-            z = sample_latent(cfg.n, gen.cfg, latent_rng)
+            z = sample_latent(cfg.n, gen.cfg, rng)
             fake = gen.forward(w_g.bind(trainable=False), z).data
             bound_d = w_d.bind()
             # neither batch carries gradient to its input and every layer
             # is per-sample, so one forward scores real and fake together
             scores = disc.forward(bound_d, Tensor(np.concatenate([x_task, fake])))
-            eps = eps_rng.uniform(size=(cfg.n, 1, 1, 1))
+            eps = rng.uniform(size=(cfg.n, 1, 1, 1))
             loss_d = ad.add(
                 critic_loss(scores),
                 gradient_penalty(lambda v: disc.forward(bound_d, v),
@@ -167,7 +161,7 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
             w_d = w_d.with_vector(phi_d.vector - cfg.inner_lr * acc_d)
 
         with Graph():
-            z2 = sample_latent(cfg.n, gen.cfg, latent_rng)
+            z2 = sample_latent(cfg.n, gen.cfg, rng)
             bound_g = w_g.bind()
             fake2_scores = disc.forward(w_d.bind(trainable=False),
                                         gen.forward(bound_g, z2))
@@ -181,15 +175,17 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
 
 
 def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
-              cfg: RunConfig, streams: RngStreams
-              ) -> tuple[MetaState, TrainRecord]:
-    """One outer iteration: sample a task, adapt copies, move phi toward them."""
-    t0 = time.perf_counter()
-    task_id, task = sample_task(dataset, streams.task, split="train")
-    x = sample_images(task, cfg.n, streams.task)
+              cfg: RunConfig) -> tuple[MetaState, TrainRecord]:
+    """One outer iteration: sample a task, adapt copies, move phi toward them.
 
-    w_d, w_g, stats = inner_loop(state.phi_d, state.phi_g, disc, gen, x,
-                                 cfg, streams.latent, streams.eps)
+    Every draw of step t = state.step + 1 comes from key (STEP, t) under
+    cfg.seed, so the step is a function of the state and the config alone."""
+    t0 = time.perf_counter()
+    rng = derive(cfg.seed, STEP, state.step + 1)
+    task_id, task = sample_task(dataset, rng, split="train")
+    x = sample_images(task, cfg.n, rng)
+
+    w_d, w_g, stats = inner_loop(state.phi_d, state.phi_g, disc, gen, x, cfg, rng)
     pseudo_d = params_delta(state.phi_d, w_d)
     pseudo_g = params_delta(state.phi_g, w_g)
     _check_finite(state.step + 1, task_id, (("critic loss", stats.final_critic_loss),
@@ -221,8 +217,8 @@ def figr_generate(phi_d: ParameterSet, phi_g: ParameterSet,
                   rng: np.random.Generator, count: int) -> np.ndarray:
     """Adapt copies on the conditioning images, then sample `count` images.
 
-    The one rng serves as the inner loop's latent and interpolation
-    stream, and then draws the `count` sampling latents in one call.  The
+    The one rng serves the inner loop, and then draws the `count` sampling
+    latents in one call.  The
     generator maps them SAMPLE_CHUNK rows at a time into one array, bitwise
     one batch-`count` forward's (every layer is per-sample), so memory past
     the output does not grow with count.  Returns an array in (-1, 1); the
@@ -230,7 +226,7 @@ def figr_generate(phi_d: ParameterSet, phi_g: ParameterSet,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg, rng, rng)
+    _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg, rng)
     z, bound = sample_latent(count, gen.cfg, rng).data, w_g.bind(trainable=False)
     out = np.empty((count, 1) + (gen.cfg.image_size,) * 2, dtype=z.dtype)
     for i in range(0, count, SAMPLE_CHUNK):

@@ -18,7 +18,6 @@ from figr.config import RunConfig, build_dataset, fingerprint, load_config
 from figr.data import load_shard, pack_shard, read_pgm, write_pgm
 from figr.models import Discriminator, Generator
 from figr.reptile import init_meta_state
-from figr.rng import make_streams
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -65,6 +64,21 @@ def raw_shard(classes):
     return blob
 
 
+def log_rows(out):
+    """The train log's rows without their seconds field."""
+    lines = (out / "train_log.csv").read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    return [line.rsplit(",", 1)[0].split(",") for line in lines[1:]]
+
+
+def write_old_version(path, version):
+    """Overwrite the version word of the checkpoint at path (1 or 2: the
+    formats that stored rng stream states)."""
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 4, version)
+    path.write_bytes(bytes(blob))
+
+
 class TestTrain:
     def test_zero_steps_writes_initial_checkpoint_only(self, cfg_path, tmp_path):
         out = tmp_path / "zero"
@@ -92,27 +106,42 @@ class TestTrain:
             assert (a / f"ckpt_{step}.figr").read_bytes() == \
                    (b / f"ckpt_{step}.figr").read_bytes()
 
-    def test_resume_is_byte_identical_to_uninterrupted(self, cfg_path, tmp_path):
-        full, part = tmp_path / "full", tmp_path / "part"
-        run_cli("train", "--config", cfg_path, "--out", full)
-        run_cli("train", "--config", cfg_path, "--out", part, "--steps", 3)
-        run_cli("train", "--config", cfg_path, "--out", part,
-                "--resume", part / "ckpt_000003.figr")
-        assert (full / "ckpt_000006.figr").read_bytes() == \
-               (part / "ckpt_000006.figr").read_bytes()
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_resume_from_every_step_is_byte_identical(self, tmp_path, precision):
+        # step t's draws are a function of (seed, t), so a checkpoint needs
+        # no rng state and a resume from any step continues exactly; a
+        # double run's parameters are checkpointed at their own precision
+        cfg_path = tmp_path / "every.cfg"
+        cfg_path.write_text(TINY_CFG.replace("checkpoint_every = 3", "checkpoint_every = 1")
+                            + f"precision = {precision}\n")
+        full = tmp_path / "full"
+        assert run_cli("train", "--config", cfg_path, "--out", full) == 0
+        final, rows = (full / "ckpt_000006.figr").read_bytes(), log_rows(full)
+        assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "6"]
+        for step in range(6):
+            fresh = tmp_path / f"from{step}"
+            assert run_cli("train", "--config", cfg_path, "--out", fresh,
+                           "--resume", full / f"ckpt_{step:06d}.figr") == 0
+            assert (fresh / "ckpt_000006.figr").read_bytes() == final, step
+            assert log_rows(fresh) == rows[step:], step
 
-    def test_double_precision_resume_is_byte_identical(self, tmp_path):
-        # parameters are checkpointed at their own precision, so a double
-        # run resumes exactly where an uninterrupted one continues
-        cfg_path = tmp_path / "double.cfg"
-        cfg_path.write_text(TINY_CFG + "precision = double\n")
-        full, part = tmp_path / "full", tmp_path / "part"
-        run_cli("train", "--config", cfg_path, "--out", full, "--steps", 4)
-        run_cli("train", "--config", cfg_path, "--out", part, "--steps", 2)
-        run_cli("train", "--config", cfg_path, "--out", part, "--steps", 4,
-                "--resume", part / "ckpt_000002.figr")
-        assert (full / "ckpt_000004.figr").read_bytes() == \
-               (part / "ckpt_000004.figr").read_bytes()
+    def test_cadences_do_not_move_training(self, tmp_path):
+        # the montage draws from its own key and a checkpoint holds no rng
+        # state, so neither cadence changes what training computes
+        finals = set()
+        for sample_every in (0, 1, 3):
+            for checkpoint_every in (1, 6):
+                cfg_path = tmp_path / f"s{sample_every}c{checkpoint_every}.cfg"
+                cfg_path.write_text(TINY_CFG.replace("checkpoint_every = 3", "")
+                                    .replace("sample_every = 3", "")
+                                    + f"sample_every = {sample_every}\n"
+                                    + f"checkpoint_every = {checkpoint_every}\n")
+                out = tmp_path / cfg_path.stem
+                assert run_cli("train", "--config", cfg_path, "--out", out) == 0
+                assert len(list(out.glob("samples_*.pgm"))) == (
+                    0 if sample_every == 0 else 6 // sample_every)
+                finals.add((out / "ckpt_000006.figr").read_bytes())
+        assert len(finals) == 1
 
     def test_hard_kill_after_checkpoint_keeps_its_steps_in_the_log(self, cfg_path, tmp_path):
         # the log is cut back to a checkpoint on resume, never filled in, so
@@ -145,23 +174,18 @@ class TestTrain:
                (part / "ckpt_000003.figr").read_bytes()
 
     def test_resume_reconciles_log_with_checkpoint(self, cfg_path, tmp_path):
-        def rows(out):
-            lines = (out / "train_log.csv").read_text().splitlines()
-            assert lines[0].startswith("step,task_id")
-            return [line.split(",")[:-1] for line in lines[1:]]   # drop seconds
-
         full, fresh = tmp_path / "full", tmp_path / "fresh"
         run_cli("train", "--config", cfg_path, "--out", full)
-        uninterrupted = rows(full)
+        uninterrupted = log_rows(full)
         assert [r[0] for r in uninterrupted] == ["1", "2", "3", "4", "5", "6"]
         # resume in place from an earlier checkpoint than the log's last row
         assert run_cli("train", "--config", cfg_path, "--out", full,
                        "--resume", full / "ckpt_000003.figr") == 0
-        assert rows(full) == uninterrupted
+        assert log_rows(full) == uninterrupted
         # resume into a directory with no log
         assert run_cli("train", "--config", cfg_path, "--out", fresh,
                        "--resume", full / "ckpt_000003.figr") == 0
-        assert rows(fresh) == uninterrupted[3:]
+        assert log_rows(fresh) == uninterrupted[3:]
 
     def test_interrupted_log_rewrite_keeps_the_old_log(self, tmp_path, monkeypatch):
         # a rewrite that dies partway (a full disk, a kill) must not leave
@@ -266,6 +290,26 @@ class TestTrain:
         assert run_cli("train", "--config", cfg_path, "--out", out, "--resume", bad) == 2
         assert "bad magic" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_checkpoint_version_is_one_error_line(self, cfg_path, tmp_path, capsys,
+                                                      version):
+        # versions 1 and 2 stored rng streams that a resume could not continue
+        run = tmp_path / "run"
+        assert run_cli("train", "--config", cfg_path, "--out", run, "--steps", 0) == 0
+        ckpt = run / "ckpt_000000.figr"
+        write_old_version(ckpt, version)
+        fresh = tmp_path / "fresh"
+        capsys.readouterr()
+        for argv in (("train", "--config", cfg_path, "--out", fresh, "--resume", ckpt),
+                     ("eval", "--config", cfg_path, "--checkpoint", ckpt, "--trials", 1),
+                     ("generate", "--config", cfg_path, "--checkpoint", ckpt,
+                      "--out", tmp_path / "gen")):
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: unsupported checkpoint version {version} "
+                           "(this figr reads only version 3)\n"), argv[0]
+        assert not fresh.exists()
 
     def test_cut_checkpoint_is_one_error_line_naming_its_offset(self, cfg_path, tmp_path,
                                                                 capsys):
@@ -466,6 +510,19 @@ class TestGenerateEval:
             outs.append((out / "montage.pgm").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_generate_out_that_cannot_be_made_fails_before_adapting(
+            self, cfg_path, trained, tmp_path, monkeypatch, capsys):
+        def no_adapting(*args, **kwargs):
+            raise AssertionError("adapted")
+
+        monkeypatch.setattr(figr.cli, "figr_generate", no_adapting)
+        (tmp_path / "afile").write_text("")
+        capsys.readouterr()
+        assert run_cli("generate", "--config", cfg_path, "--checkpoint", trained,
+                       "--out", tmp_path / "afile" / "gen") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_generate_count_validated(self, cfg_path, trained, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("generate", "--config", cfg_path, "--checkpoint", trained,
@@ -572,9 +629,8 @@ class TestGenerateEval:
         # set); the full read's was 15.35 MiB, the moments being 12.8 MB
         cfg = RunConfig()
         disc, gen = Discriminator(cfg), Generator(cfg)
-        streams = make_streams(cfg.seed)
         path = tmp_path / "a.figr"
-        save_checkpoint(path, init_meta_state(disc, gen, streams.init), streams,
+        save_checkpoint(path, init_meta_state(*figr.cli._initial_phi(cfg, disc, gen)),
                         fingerprint(cfg))
         phi_bytes = (disc.param_count() + gen.param_count()) * np.dtype(cfg.dtype).itemsize
         tracemalloc.start()

@@ -4,27 +4,28 @@ import pytest
 import os
 import struct
 import tracemalloc
+from pathlib import Path
 
+import figr.cli
+from figr import rng
 from figr.checkpoint import (
     MAGIC,
     BadCheckpoint,
     atomic_write,
-    deserialize,
     load_checkpoint,
-    restore_streams,
     save_checkpoint,
-    serialize,
 )
 from figr.config import (
     ConfigError,
     RunConfig,
+    build_dataset,
     canonical_text,
     fingerprint,
+    load_config,
     parse_config,
 )
 from figr.models import Discriminator, Generator
 from figr.reptile import init_meta_state
-from figr.rng import STREAM_LABELS, make_streams, state_from_bytes, state_to_bytes, streams_to_states
 
 
 class TestConfig:
@@ -116,24 +117,55 @@ class TestConfig:
                                           checkpoint_every=3, sample_every=9))
 
 
-class TestRngStreams:
-    def test_streams_are_independent(self):
-        s = make_streams(0)
-        a = s.task.integers(1000)
-        s2 = make_streams(0)
-        _ = s2.latent.standard_normal(100)  # consuming another stream
-        assert s2.task.integers(1000) == a
+class TestRngKeys:
+    TAGS = {"INIT": 0, "EVAL_PICK": 1, "EVAL_ARM": 2, "GENERATE_PICK": 4, "GENERATE": 5,
+            "STEP": 6, "MONTAGE": 7}
 
-    def test_state_round_trip(self):
-        s = make_streams(3)
-        s.latent.standard_normal(17)
-        blob = state_to_bytes(s.latent)
-        clone = state_from_bytes(blob)
-        np.testing.assert_array_equal(clone.standard_normal(8),
-                                      s.latent.standard_normal(8))
+    def test_tags_are_distinct_and_no_glyph_key(self):
+        # a synthetic glyph draws from key (class,) or (class, image) under
+        # split_seed, often the run's seed; SeedSequence splits a key entry
+        # into 32-bit words, so a tag >= 2**32 gives every derived key
+        # (tag, index) one word more than any glyph key has.  The values are
+        # pinned: φ₀ and the eval and generate draws depend on them
+        tags = {name: value for name, value in vars(rng).items()
+                if name.isupper() and isinstance(value, int)}
+        assert tags == {name: 2**32 + offset for name, offset in self.TAGS.items()}
+        assert len(set(tags.values())) == len(tags)
+        assert min(tags.values()) >= 2**32
 
-    def test_state_length(self):
-        assert len(state_to_bytes(make_streams(0).eps)) == 40
+    def test_train_start_and_eval_baseline_are_the_init_key(self, tmp_path, monkeypatch):
+        # ckpt_000000's φ and the baseline arm `figr eval` adapts are both
+        # drawn from key (INIT, 0), critic first, through one helper
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("image_size = 8\nlatent_dim = 4\nbase_width = 4\nn_blocks = 1\n"
+                            "k = 1\nn = 2\nsynth_classes = 4\nsynth_per_class = 4\n"
+                            "n_validation = 2\nseed = 7\n")
+        out = tmp_path / "run"
+        assert figr.cli.main(["train", "--config", str(cfg_path), "--steps", "0",
+                              "--out", str(out)]) == 0
+        cfg = load_config(cfg_path)
+        disc, gen = Discriminator(cfg), Generator(cfg)
+        init = rng.derive(7, rng.INIT, 0)
+        expected = (disc.init_params(init).vector, gen.init_params(init).vector)
+        data = load_checkpoint(out / "ckpt_000000.figr")
+        for got, want in zip((data.phi_d, data.phi_g), expected):
+            np.testing.assert_array_equal(got, want)
+
+        arms = []
+
+        def recording(phi_d, phi_g, disc, gen, x, cfg, draws, count):
+            arms.append((phi_d.vector, phi_g.vector))
+            return np.zeros((count, 1, 8, 8))
+
+        monkeypatch.setattr(figr.cli, "figr_generate", recording)
+        trained = (disc.init_params(np.random.default_rng(1)),
+                   gen.init_params(np.random.default_rng(2)))
+        figr.cli.evaluate_checkpoint(cfg, trained, build_dataset(cfg), disc, gen,
+                                     trials=1, seed=0)
+        assert len(arms) == 2
+        for got, want in zip(arms[1], expected):
+            np.testing.assert_array_equal(got, want)
+        assert Path(figr.cli.__file__).read_text(encoding="utf-8").count("rng.INIT") == 1
 
 
 CFG = RunConfig(image_size=8, latent_dim=4, base_width=4, n_blocks=1)
@@ -141,123 +173,111 @@ CFG = RunConfig(image_size=8, latent_dim=4, base_width=4, n_blocks=1)
 
 def small_state(cfg=CFG):
     disc, gen = Discriminator(cfg), Generator(cfg)
-    streams = make_streams(5)
-    state = init_meta_state(disc, gen, streams.init)
+    init = np.random.default_rng(5)
+    state = init_meta_state(disc.init_params(init), gen.init_params(init))
     state.adam_d.m += 0.5
     state.adam_d.t = 3
-    return state, streams
+    return state
 
 
-def version_1_blob(state, streams, fp) -> bytes:
-    """A version-1 file: no dtype tag, parameters always float32."""
-    parts = [MAGIC, struct.pack("<I", 1), fp, struct.pack("<Q", state.step)]
-    for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
-        vec = phi.vector.astype(np.float32)
-        parts += [struct.pack("<Q", vec.size), vec.tobytes(), struct.pack("<Q", adam.t)]
-        for moment in (adam.m, adam.v):
-            parts += [struct.pack("<Q", moment.size), moment.tobytes()]
-    states = streams_to_states(streams)
-    parts.append(struct.pack("<I", len(STREAM_LABELS)))
-    for label in STREAM_LABELS:
-        parts += [struct.pack("<B", len(label)), label.encode("ascii"), states[label]]
-    return b"".join(parts)
+def saved(tmp_path, state, fp=b"\x00" * 32, name="a.figr"):
+    path = tmp_path / name
+    save_checkpoint(path, state, fp)
+    return path
+
+
+def write_old_version(path, version: int) -> None:
+    """Overwrite the version word of the file at path with 1 or 2, which
+    carried rng stream states after the Adam moments; the reader stops at
+    the version, so the rest of the file need not follow the old layout."""
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 4, version)
+    path.write_bytes(bytes(blob))
 
 
 class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
-        state, streams = small_state()
+        state = small_state()
         fp = fingerprint(RunConfig())
-        p1 = tmp_path / "a.figr"
-        save_checkpoint(p1, state, streams, fp)
+        p1 = saved(tmp_path, state, fp)
         data = load_checkpoint(p1)
-        streams2 = restore_streams(data)
-        rebuilt_state, _ = small_state()
+        rebuilt_state = small_state()
         rebuilt_state.phi_d = rebuilt_state.phi_d.with_vector(data.phi_d)
         rebuilt_state.phi_g = rebuilt_state.phi_g.with_vector(data.phi_g)
         rebuilt_state.adam_d, rebuilt_state.adam_g = data.adam_d, data.adam_g
         rebuilt_state.step = data.step
-        p2 = tmp_path / "b.figr"
-        save_checkpoint(p2, rebuilt_state, streams2, data.fingerprint)
+        p2 = saved(tmp_path, rebuilt_state, data.fingerprint, "b.figr")
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_fields_round_trip(self):
-        state, streams = small_state()
+    def test_fields_round_trip(self, tmp_path):
+        state = small_state()
         fp = fingerprint(RunConfig(seed=9))
-        data = deserialize(serialize(state, streams, fp))
+        data = load_checkpoint(saved(tmp_path, state, fp))
         assert data.fingerprint == fp
         assert data.step == 0
         np.testing.assert_array_equal(data.phi_d, state.phi_d.vector)
         np.testing.assert_array_equal(data.adam_d.m, state.adam_d.m)
         assert data.adam_d.t == 3
 
-    def test_vectors_are_owned_copies(self):
-        # the loaded state must outlive the file's bytes and be writable
-        state, streams = small_state()
-        data = deserialize(serialize(state, streams, b"\x00" * 32))
-        for vec in (data.phi_d, data.phi_g, data.adam_d.m, data.adam_d.v,
-                    data.adam_g.m, data.adam_g.v):
-            assert vec.flags.owndata and vec.flags.writeable
-
-    def test_bad_magic(self):
-        state, streams = small_state()
-        blob = serialize(state, streams, b"\x00" * 32)
+    def test_bad_magic(self, tmp_path):
+        path = saved(tmp_path, small_state())
+        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
         with pytest.raises(BadCheckpoint):
-            deserialize(b"XXXX" + blob[4:])
+            load_checkpoint(path)
 
-    def test_truncation(self):
-        state, streams = small_state()
-        blob = serialize(state, streams, b"\x00" * 32)
+    def test_truncation(self, tmp_path):
+        path = saved(tmp_path, small_state())
+        os.truncate(path, path.stat().st_size - 5)
         with pytest.raises(BadCheckpoint):
-            deserialize(blob[:-5])
+            load_checkpoint(path)
 
-    def test_trailing_garbage(self):
-        state, streams = small_state()
-        blob = serialize(state, streams, b"\x00" * 32)
+    def test_trailing_garbage(self, tmp_path):
+        path = saved(tmp_path, small_state())
+        with open(path, "ab") as f:
+            f.write(b"\x00")
         with pytest.raises(BadCheckpoint):
-            deserialize(blob + b"\x00")
+            load_checkpoint(path)
 
-    def test_restored_streams_continue_from_snapshot(self):
-        state, streams = small_state()
-        blob = serialize(state, streams, b"\x01" * 32)
-        expected = streams.latent.standard_normal(5)  # what comes next
-        clone = restore_streams(deserialize(blob))
-        np.testing.assert_array_equal(clone.latent.standard_normal(5), expected)
-
-    def test_double_parameters_round_trip_exactly(self):
-        state, streams = small_state(RunConfig(image_size=8, latent_dim=4, base_width=4,
-                                               n_blocks=1, precision="double"))
-        data = deserialize(serialize(state, streams, b"\x00" * 32))
+    def test_double_parameters_round_trip_exactly(self, tmp_path):
+        state = small_state(RunConfig(image_size=8, latent_dim=4, base_width=4,
+                                      n_blocks=1, precision="double"))
+        data = load_checkpoint(saved(tmp_path, state))
         assert data.phi_d.dtype == np.float64 and data.phi_g.dtype == np.float64
         np.testing.assert_array_equal(data.phi_d, state.phi_d.vector)
         np.testing.assert_array_equal(data.phi_g, state.phi_g.vector)
 
-    def test_version_1_still_loads(self):
-        state, streams = small_state()
-        fp = b"\x02" * 32
-        data = deserialize(version_1_blob(state, streams, fp))
-        assert data.fingerprint == fp and data.adam_d.t == 3
-        assert data.phi_d.dtype == np.float32
-        np.testing.assert_array_equal(data.phi_d, state.phi_d.vector)
-        np.testing.assert_array_equal(data.adam_d.m, state.adam_d.m)
-        assert serialize(state, streams, fp) == serialize(
-            state, restore_streams(data), fp)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_refused_by_name(self, tmp_path, version):
+        path = saved(tmp_path, small_state())
+        write_old_version(path, version)
+        with pytest.raises(BadCheckpoint,
+                           match=f"^unsupported checkpoint version {version} "
+                                 r"\(this figr reads only version 3\)$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("durable", [True, False])
-    def test_saved_file_equals_serialize(self, tmp_path, durable):
-        # save_checkpoint writes the parts that serialize() joins
-        state, streams = small_state()
+    def test_file_is_the_format_3_layout(self, tmp_path, durable):
+        # the header, then each network's tagged φ and its Adam state, and
+        # nothing after the generator's second moment
+        state = small_state()
         path = tmp_path / "a.figr"
-        save_checkpoint(path, state, streams, b"\x03" * 32, durable=durable)
-        assert path.read_bytes() == serialize(state, streams, b"\x03" * 32)
+        save_checkpoint(path, state, b"\x03" * 32, durable=durable)
+        expected = [MAGIC, struct.pack("<I", 3), b"\x03" * 32, struct.pack("<Q", 0)]
+        for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
+            expected += [b"f", struct.pack("<Q", phi.total_len), phi.vector.tobytes(),
+                         struct.pack("<Q", adam.t)]
+            for moment in (adam.m, adam.v):
+                expected += [struct.pack("<Q", moment.size), moment.tobytes()]
+        assert path.read_bytes() == b"".join(expected)
 
     def test_save_makes_no_whole_file_copy(self, tmp_path):
         # a default-config checkpoint is about 15 MB; joining it before the
         # write would make the save's peak that large
         cfg = RunConfig()
-        state, streams = small_state(cfg)
+        state = small_state(cfg)
         tracemalloc.start()
         try:
-            save_checkpoint(tmp_path / "a.figr", state, streams, fingerprint(cfg))
+            save_checkpoint(tmp_path / "a.figr", state, fingerprint(cfg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -268,9 +288,8 @@ class TestCheckpoint:
         # each vector is read straight into the array returned for it, so
         # the load's peak is those arrays and not a second copy of the file
         cfg = RunConfig()
-        state, streams = small_state(cfg)
-        path = tmp_path / "a.figr"
-        save_checkpoint(path, state, streams, fingerprint(cfg))
+        state = small_state(cfg)
+        path = saved(tmp_path, state, fingerprint(cfg))
         tracemalloc.start()
         try:
             data = load_checkpoint(path)
@@ -281,13 +300,14 @@ class TestCheckpoint:
         assert data.phi_g.size == state.phi_g.vector.size
         assert peak < size + 2**20, f"peak {peak / 2**20:.2f} MiB, file {size / 2**20:.2f} MiB"
 
-    def test_unknown_dtype_tag(self):
-        state, streams = small_state()
-        blob = bytearray(serialize(state, streams, b"\x00" * 32))
+    def test_unknown_dtype_tag(self, tmp_path):
+        path = saved(tmp_path, small_state())
+        blob = bytearray(path.read_bytes())
         assert blob[48:49] == b"f"
         blob[48:49] = b"h"
+        path.write_bytes(bytes(blob))
         with pytest.raises(BadCheckpoint, match="dtype"):
-            deserialize(bytes(blob))
+            load_checkpoint(path)
 
 
 def vectors(data):
@@ -295,10 +315,10 @@ def vectors(data):
 
 
 class TestLoadFromFile:
-    """load_checkpoint reads the file itself; every damaged file is refused
-    with BadCheckpoint, as deserialize refuses the same bytes.  Each test
-    runs for the full read and for the φ-only read, which seeks past the
-    Adam moments but checks the same layout with the same messages."""
+    """load_checkpoint reads the file itself, and every damaged file is
+    refused with BadCheckpoint.  Each test runs for the full read and for
+    the φ-only read, which seeks past the Adam moments but checks the same
+    layout with the same messages."""
 
     CFG = RunConfig(image_size=8, latent_dim=1, base_width=1, n_blocks=1)
 
@@ -308,10 +328,7 @@ class TestLoadFromFile:
 
     @pytest.fixture()
     def path(self, tmp_path):
-        state, streams = small_state(self.CFG)
-        path = tmp_path / "tiny.figr"
-        save_checkpoint(path, state, streams, b"\x04" * 32)
-        return path
+        return saved(tmp_path, small_state(self.CFG), b"\x04" * 32, "tiny.figr")
 
     def test_cut_at_every_offset_names_it(self, path, moments):
         # each cut shortens the same file, so every prefix is read from disk
@@ -364,27 +381,22 @@ class TestLoadFromFile:
         with pytest.raises(BadCheckpoint, match="^moment vectors do not match parameter length$"):
             load_checkpoint(path, moments)
 
-    def test_version_1_file_loads(self, tmp_path, moments):
-        state, streams = small_state(self.CFG)
-        path = tmp_path / "v1.figr"
-        path.write_bytes(version_1_blob(state, streams, b"\x05" * 32))
-        data = load_checkpoint(path, moments)
-        assert data.fingerprint == b"\x05" * 32 and data.adam_d.t == 3
-        assert data.phi_d.dtype == np.float32
-        np.testing.assert_array_equal(data.phi_g, state.phi_g.vector)
-        if moments:
-            np.testing.assert_array_equal(data.adam_d.m, state.adam_d.m)
-        else:
-            assert data.adam_d.m is None
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_refused(self, path, moments, version):
+        write_old_version(path, version)
+        with pytest.raises(BadCheckpoint, match=f"version {version}"):
+            load_checkpoint(path, moments)
 
-    def test_fields_equal_deserialize_and_vectors_are_owned(self, path, moments):
-        # deserialize reads the moments; the φ-only read returns None for them
-        data, ref = load_checkpoint(path, moments), deserialize(path.read_bytes())
-        assert (data.fingerprint, data.step, data.stream_states) == (
-            ref.fingerprint, ref.step, ref.stream_states)
-        assert (data.adam_d.t, data.adam_g.t) == (ref.adam_d.t, ref.adam_g.t)
+    def test_fields_equal_the_state_and_vectors_are_owned(self, path, moments):
+        # the full read returns every vector; the φ-only read returns None
+        # for the moments
+        state, data = small_state(self.CFG), load_checkpoint(path, moments)
+        assert (data.fingerprint, data.step) == (b"\x04" * 32, 0)
+        assert (data.adam_d.t, data.adam_g.t) == (3, 0)
+        ref = (state.phi_d.vector, state.phi_g.vector, state.adam_d.m, state.adam_d.v,
+               state.adam_g.m, state.adam_g.v)
         read = vectors(data) if moments else (data.phi_d, data.phi_g)
-        for vec, expected in zip(read, vectors(ref)):
+        for vec, expected in zip(read, ref):
             assert vec.dtype == expected.dtype
             np.testing.assert_array_equal(vec, expected)
             assert vec.flags.owndata and vec.flags.writeable and vec.flags.aligned

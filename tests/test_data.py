@@ -2,6 +2,8 @@ import hashlib
 import io
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import figr.data
-from figr.checkpoint import BadCheckpoint, deserialize, serialize
+from figr.checkpoint import BadCheckpoint, load_checkpoint, save_checkpoint
 from figr.config import RunConfig, build_dataset
 from figr.data import (
     BadMagic,
@@ -38,7 +40,6 @@ from figr.data import (
 from figr.config import RunConfig
 from figr.models import Discriminator, Generator
 from figr.reptile import init_meta_state
-from figr.rng import STATE_BYTES, STREAM_LABELS, make_streams
 
 
 def make_idx_pair(images: np.ndarray, labels: np.ndarray) -> tuple[bytes, bytes]:
@@ -558,9 +559,21 @@ class TestByteReader:
 
 def _tiny_checkpoint() -> bytes:
     cfg = RunConfig(image_size=8, latent_dim=4, base_width=4, n_blocks=1)
-    streams = make_streams(5)
-    state = init_meta_state(Discriminator(cfg), Generator(cfg), streams.init)
-    return serialize(state, streams, b"\x07" * 32)
+    init = np.random.default_rng(5)
+    state = init_meta_state(Discriminator(cfg).init_params(init),
+                            Generator(cfg).init_params(init))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiny.figr"
+        save_checkpoint(path, state, b"\x07" * 32)
+        return path.read_bytes()
+
+
+def load_checkpoint_bytes(blob: bytes):
+    """load_checkpoint of a file holding blob."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blob.figr"
+        path.write_bytes(blob)
+        return load_checkpoint(path)
 
 
 class TestCorruptFiles:
@@ -575,7 +588,7 @@ class TestCorruptFiles:
         "idx-images": (IDX_IMAGES, lambda b: parse_idx_bytes(b, TestCorruptFiles.IDX_LABELS)),
         "idx-labels": (IDX_LABELS, lambda b: parse_idx_bytes(TestCorruptFiles.IDX_IMAGES, b)),
         "shard": (SHARD, load_shard_bytes),
-        "checkpoint": (CKPT, deserialize),
+        "checkpoint": (CKPT, load_checkpoint_bytes),
     }
 
     @pytest.mark.parametrize("name", ["idx-images", "idx-labels", "shard"])
@@ -585,15 +598,13 @@ class TestCorruptFiles:
             with pytest.raises(ValueError):
                 parse(blob[:end])
 
-    def test_checkpoint_header_and_trailer_prefixes(self):
+    def test_checkpoint_header_and_tail_prefixes(self):
         # magic, version, fingerprint, step, dtype tag and the first length;
-        # then the stream-count word and every labeled stream state
-        trailer = 4 + sum(1 + len(label) + STATE_BYTES for label in STREAM_LABELS)
-        ends = [*range(4 + 4 + 32 + 8 + 1 + 8), *range(len(self.CKPT) - trailer,
-                                                      len(self.CKPT))]
+        # then the generator's last moment value, which ends the file
+        ends = [*range(4 + 4 + 32 + 8 + 1 + 8), *range(len(self.CKPT) - 8, len(self.CKPT))]
         for end in ends:
             with pytest.raises(BadCheckpoint):
-                deserialize(self.CKPT[:end])
+                load_checkpoint_bytes(self.CKPT[:end])
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(PARSERS)), st.data())

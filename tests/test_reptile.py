@@ -13,6 +13,7 @@ import pytest
 from figr import autodiff as ad
 from figr.autodiff import Graph, Tensor, add, backward
 from figr.config import RunConfig
+from figr.data import sample_task
 from figr.losses import critic_loss, generator_loss, gradient_penalty
 from figr.models import (
     BoundParams,
@@ -33,7 +34,7 @@ from figr.reptile import (
     inner_loop,
     meta_step,
 )
-from figr.rng import make_streams
+from figr.rng import STEP, derive
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 CFG64 = RunConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precision="double")
@@ -42,6 +43,10 @@ CFG32 = RunConfig(image_size=8, latent_dim=6, base_width=4, n_blocks=1, precisio
 
 def tiny_models(cfg):
     return Discriminator(cfg), Generator(cfg)
+
+
+def fresh_state(disc, gen, rng):
+    return init_meta_state(disc.init_params(rng), gen.init_params(rng))
 
 
 def task_images(cfg, n, seed=0):
@@ -148,7 +153,7 @@ class TestInnerLoop:
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         cfg = RunConfig(k=3, n=2, inner_lr=0.0)
         w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, task_images(CFG64, 2),
-                                 cfg, np.random.default_rng(6), np.random.default_rng(7))
+                                 cfg, np.random.default_rng(6))
         np.testing.assert_array_equal(w_d.vector, phi_d.vector)
         np.testing.assert_array_equal(w_g.vector, phi_g.vector)
 
@@ -159,7 +164,7 @@ class TestInnerLoop:
         before_d, before_g = phi_d.vector.copy(), phi_g.vector.copy()
         inner_loop(phi_d, phi_g, disc, gen, task_images(CFG64, 2),
                    RunConfig(k=2, n=2, inner_lr=1e-3),
-                   np.random.default_rng(9), np.random.default_rng(10))
+                   np.random.default_rng(9))
         np.testing.assert_array_equal(phi_d.vector, before_d)
         np.testing.assert_array_equal(phi_g.vector, before_g)
 
@@ -182,7 +187,7 @@ class TestInnerLoop:
             "    phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)\n"
             "    x = np.tanh(rng.standard_normal((4, 1, size, size))).astype(np.float32)\n"
             "    w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, cfg,\n"
-            "                             np.random.default_rng(2), np.random.default_rng(3))\n"
+            "                             np.random.default_rng(2))\n"
             "    h.update(w_d.vector.tobytes() + w_g.vector.tobytes())\n"
             "print(h.hexdigest())\n")
         digests = set()
@@ -201,7 +206,7 @@ class TestInnerLoop:
         x = task_images(CFG32, 2, seed=1)
         cfg = RunConfig(k=2, n=2, inner_lr=1e-4)
         run = lambda: inner_loop(phi_d, phi_g, disc, gen, x, cfg,
-                                 np.random.default_rng(12), np.random.default_rng(13))
+                                 np.random.default_rng(12))
         a_d, a_g, _ = run()
         b_d, b_g, _ = run()
         np.testing.assert_array_equal(a_d.vector, b_d.vector)
@@ -214,7 +219,7 @@ class TestInnerLoop:
         cfg = RunConfig(k=4, n=2, inner_lr=1e-3)
         (w_d, w_g, _), trace = traced_inner_loop(
             monkeypatch, phi_d, phi_g, disc, gen, task_images(CFG64, 2, 2),
-            cfg, np.random.default_rng(15), np.random.default_rng(16))
+            cfg, np.random.default_rng(15))
         assert len(trace) == 4
         sum_d = cfg.inner_lr * np.sum([gd for gd, _ in trace], axis=0)
         sum_g = cfg.inner_lr * np.sum([gg for _, gg in trace], axis=0)
@@ -232,7 +237,7 @@ class TestInnerLoop:
         cfg = RunConfig(k=4, n=2, inner_lr=1e-3)
         (w_d, w_g, _), trace = traced_inner_loop(
             monkeypatch, phi_d, phi_g, disc, gen, task_images(CFG32, 2, 2),
-            cfg, np.random.default_rng(15), np.random.default_rng(16))
+            cfg, np.random.default_rng(15))
         eps32 = np.finfo(np.float32).eps
         for phi, w, idx in ((phi_d, w_d, 0), (phi_g, w_g, 1)):
             s = cfg.inner_lr * np.sum([t[idx] for t in trace], axis=0)
@@ -259,21 +264,20 @@ class TestMetaStep:
         assert [f.name for f in fields(MetaState)] == [
             "phi_d", "phi_g", "adam_d", "adam_g", "step"]
         disc, gen = tiny_models(CFG32)
-        state = init_meta_state(disc, gen, np.random.default_rng(21))
+        state = fresh_state(disc, gen, np.random.default_rng(21))
         ds = self.make_dataset(CFG32)
-        still, _ = meta_step(state, disc, gen, ds, RunConfig(k=1, n=2, outer_lr=0.0),
-                             make_streams(0))
-        moved, _ = meta_step(state, disc, gen, ds, RunConfig(k=1, n=2), make_streams(0))
+        still, _ = meta_step(state, disc, gen, ds, RunConfig(k=1, n=2, outer_lr=0.0))
+        moved, _ = meta_step(state, disc, gen, ds, RunConfig(k=1, n=2))
         np.testing.assert_array_equal(still.phi_d.vector, state.phi_d.vector)
         assert still.adam_d.t == 1
         assert not np.array_equal(moved.phi_d.vector, state.phi_d.vector)
 
     def test_zero_inner_lr_leaves_phi(self):
         disc, gen = tiny_models(CFG32)
-        state = init_meta_state(disc, gen, np.random.default_rng(21))
+        state = fresh_state(disc, gen, np.random.default_rng(21))
         ds = self.make_dataset(CFG32)
         new, rec = meta_step(state, disc, gen, ds,
-                             RunConfig(k=2, n=2, inner_lr=0.0), make_streams(0))
+                             RunConfig(k=2, n=2, inner_lr=0.0))
         np.testing.assert_array_equal(new.phi_d.vector, state.phi_d.vector)
         np.testing.assert_array_equal(new.phi_g.vector, state.phi_g.vector)
         assert new.step == state.step + 1
@@ -288,31 +292,27 @@ class TestMetaStep:
         cfg = RunConfig(k=1, n=2, inner_lr=1e-3)
         x = task_images(CFG64, 2, seed=3)
 
-        lat_seed, eps_seed = 23, 24
-        w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, cfg,
-                                 np.random.default_rng(lat_seed),
-                                 np.random.default_rng(eps_seed))
+        w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, cfg, np.random.default_rng(23))
         pseudo_d = params_delta(phi_d, w_d).astype(np.float64)
         pseudo_g = params_delta(phi_g, w_g).astype(np.float64)
 
-        # replay by hand with identical rng streams
+        # replay by hand with the same draws in the same order: z, eps, z2
         from figr.models import sample_latent
-        lat = np.random.default_rng(lat_seed)
-        eps_rng = np.random.default_rng(eps_seed)
+        draws = np.random.default_rng(23)
         with Graph():
             xt = Tensor(x.astype(np.float64))
-            z = sample_latent(2, gen.cfg, lat)
+            z = sample_latent(2, gen.cfg, draws)
             fake = gen.forward(phi_g.bind(trainable=False), z)
             bound_d = phi_d.bind()
             scores = disc.forward(bound_d, Tensor(np.concatenate([xt.data, fake.data])))
             loss_d = add(critic_loss(scores),
                          gradient_penalty(lambda v: disc.forward(bound_d, v), xt.data,
-                                          fake.data, eps_rng.uniform(size=(2, 1, 1, 1)),
+                                          fake.data, draws.uniform(size=(2, 1, 1, 1)),
                                           cfg.gp_lambda))
             gd = bound_d.add_grads(backward(loss_d), np.zeros(phi_d.total_len))
         w_d_manual = phi_d.with_vector(phi_d.vector - cfg.inner_lr * gd)
         with Graph():
-            z2 = sample_latent(2, gen.cfg, lat)
+            z2 = sample_latent(2, gen.cfg, draws)
             bound_g = phi_g.bind()
             loss_g = generator_loss(
                 disc.forward(w_d_manual.bind(trainable=False), gen.forward(bound_g, z2)))
@@ -328,10 +328,9 @@ class TestMetaStep:
         cfg = RunConfig(k=2, n=2, inner_lr=1e-4)
 
         def run():
-            state = init_meta_state(disc, gen, np.random.default_rng(30))
-            streams = make_streams(31)
+            state = fresh_state(disc, gen, np.random.default_rng(30))
             for _ in range(10):
-                state, _ = meta_step(state, disc, gen, ds, cfg, streams)
+                state, _ = meta_step(state, disc, gen, ds, cfg)
             return state
 
         a, b = run(), run()
@@ -339,6 +338,21 @@ class TestMetaStep:
         np.testing.assert_array_equal(a.phi_g.vector, b.phi_g.vector)
         np.testing.assert_array_equal(a.adam_d.m, b.adam_d.m)
         assert a.step == b.step == 10
+
+    def test_step_is_a_function_of_seed_and_step(self):
+        # step t draws its task from key (STEP, t) under cfg.seed, whatever
+        # ran before it, so a state at step 4 steps the same from any history
+        disc, gen = tiny_models(CFG32)
+        ds = self.make_dataset(CFG32, n_classes=5)
+        cfg = RunConfig(k=1, n=2, seed=3)
+        state = replace(fresh_state(disc, gen, np.random.default_rng(33)), step=4)
+        a, rec = meta_step(state, disc, gen, ds, cfg)
+        b, _ = meta_step(state, disc, gen, ds, cfg)
+        assert rec.step == 5
+        assert rec.task_id == sample_task(ds, derive(3, STEP, 5), split="train")[0]
+        np.testing.assert_array_equal(a.phi_g.vector, b.phi_g.vector)
+        other, _ = meta_step(replace(state, step=5), disc, gen, ds, cfg)
+        assert not np.array_equal(other.phi_g.vector, a.phi_g.vector)
 
     def test_step_renders_only_the_sampled_class(self, monkeypatch):
         import figr.data
@@ -348,22 +362,20 @@ class TestMetaStep:
                             lambda *a: calls.append(a) or real(*a))
         ds = figr.data.synth_glyph_dataset(6, 4, CFG32.image_size, seed=0)
         disc, gen = tiny_models(CFG32)
-        state = init_meta_state(disc, gen, np.random.default_rng(0))
-        _, rec = meta_step(state, disc, gen, ds, RunConfig(k=1, n=2),
-                           make_streams(0))
+        state = fresh_state(disc, gen, np.random.default_rng(0))
+        _, rec = meta_step(state, disc, gen, ds, RunConfig(k=1, n=2))
         assert len(calls) == 4
         assert {c[1] for c in calls} == {rec.task_id}
 
     def test_non_finite_step_leaves_state(self):
         disc, gen = tiny_models(CFG32)
-        state = init_meta_state(disc, gen, np.random.default_rng(21))
+        state = fresh_state(disc, gen, np.random.default_rng(21))
         snap = (state.phi_d.vector.copy(), state.phi_g.vector.copy(),
                 state.adam_d.m.copy(), state.adam_g.v.copy())
         ds = self.make_dataset(CFG32, n_classes=1)
         ds.classes[0].images[:, 0, 0, 0] = np.nan
         with pytest.raises(NonFiniteStep, match=r"meta-step 1 on task 0: non-finite"):
-            meta_step(state, disc, gen, ds, RunConfig(k=2, n=2, inner_lr=1e-4),
-                      make_streams(0))
+            meta_step(state, disc, gen, ds, RunConfig(k=2, n=2, inner_lr=1e-4))
         for before, after in zip(snap, (state.phi_d.vector, state.phi_g.vector,
                                         state.adam_d.m, state.adam_g.v)):
             np.testing.assert_array_equal(before, after)
@@ -372,12 +384,12 @@ class TestMetaStep:
     def test_outer_step_overflow_leaves_state(self):
         # a finite outer step too large for float32 makes phi inf in the cast
         disc, gen = tiny_models(CFG32)
-        state = init_meta_state(disc, gen, np.random.default_rng(21))
+        state = fresh_state(disc, gen, np.random.default_rng(21))
         snap = (state.phi_d.vector.copy(), state.phi_g.vector.copy())
         with pytest.raises(NonFiniteStep,
                            match=r"meta-step 1 on task 0: non-finite critic phi, generator phi"):
             meta_step(state, disc, gen, self.make_dataset(CFG32, n_classes=1),
-                      RunConfig(k=1, n=2, outer_lr=1e300), make_streams(0))
+                      RunConfig(k=1, n=2, outer_lr=1e300))
         np.testing.assert_array_equal(snap[0], state.phi_d.vector)
         np.testing.assert_array_equal(snap[1], state.phi_g.vector)
         assert state.step == 0 and state.adam_d.t == 0
@@ -385,10 +397,10 @@ class TestMetaStep:
     def test_empty_dataset(self):
         from figr.data import EmptySplit, TaskDataset
         disc, gen = tiny_models(CFG32)
-        state = init_meta_state(disc, gen, np.random.default_rng(0))
+        state = fresh_state(disc, gen, np.random.default_rng(0))
         ds = TaskDataset(classes=(), train_ids=(), val_ids=())
         with pytest.raises(EmptySplit):
-            meta_step(state, disc, gen, ds, RunConfig(k=1, n=1), make_streams(0))
+            meta_step(state, disc, gen, ds, RunConfig(k=1, n=1))
 
 
 class TestGenerate:
@@ -443,7 +455,7 @@ class TestGenerate:
         x = task_images(cfg, 2, seed=7)
         inner = RunConfig(k=1, n=2, inner_lr=1e-3)
         adapted = np.random.default_rng(45)
-        _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, inner, adapted, adapted)
+        _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, inner, adapted)
         for count in (1, 15, 16, 17, 33):
             got = figr_generate(phi_d, phi_g, disc, gen, x, inner,
                                 np.random.default_rng(45), count=count)
@@ -494,7 +506,7 @@ class TestTapeRelease:
 
         def adapt_and_generate():
             inner_loop(phi_d, phi_g, disc, gen, x, cfg,
-                       np.random.default_rng(0), np.random.default_rng(1))
+                       np.random.default_rng(0))
             figr_generate(phi_d, phi_g, disc, gen, x, cfg,
                           np.random.default_rng(2), count=2)
 
@@ -533,7 +545,7 @@ class TestInnerStepTape:
         rng = np.random.default_rng(53)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         inner_loop(phi_d, phi_g, disc, gen, task_images(cfg, 2, seed=54),
-                   RunConfig(k=1, n=2), np.random.default_rng(55), np.random.default_rng(56))
+                   RunConfig(k=1, n=2), np.random.default_rng(55))
 
     def test_tape_nodes_per_step_pinned(self, monkeypatch):
         # nodes on the tape when each step's first-order backward starts, on
@@ -630,7 +642,7 @@ class TestInnerStepTape:
 
         def adapt():
             inner_loop(phi_d, phi_g, disc, gen, x, RunConfig(k=2, n=4),
-                       np.random.default_rng(55), np.random.default_rng(56))
+                       np.random.default_rng(55))
 
         adapt()
         tracemalloc.start()
@@ -653,7 +665,7 @@ class TestInnerStepTape:
 
         def adapt():
             inner_loop(phi_d, phi_g, disc, gen, x, cfg,
-                       np.random.default_rng(55), np.random.default_rng(56))
+                       np.random.default_rng(55))
 
         adapt()
         tracemalloc.start()
@@ -672,12 +684,11 @@ class TestInnerStepTape:
         cfg = RunConfig(k=2)
         disc, gen = tiny_models(cfg)
         ds = TestMetaStep().make_dataset(cfg)
-        state = init_meta_state(disc, gen, np.random.default_rng(57))
-        streams = make_streams(58)
-        state, _ = meta_step(state, disc, gen, ds, cfg, streams)
+        state = fresh_state(disc, gen, np.random.default_rng(57))
+        state, _ = meta_step(state, disc, gen, ds, cfg)
         tracemalloc.start()
         try:
-            meta_step(state, disc, gen, ds, cfg, streams)
+            meta_step(state, disc, gen, ds, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
