@@ -67,6 +67,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+LN_EPS = 1e-5       # layer_norm's variance floor
+
 
 class ShapeMismatch(ValueError):
     """Operand shapes are not compatible for the requested op."""
@@ -837,16 +839,14 @@ def _prelu(x: Tensor, a: Tensor, pos: np.ndarray) -> Tensor:
     return _apply("prelu", out_data, (x, a), vjp, rec)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each sample over all non-batch axes, then apply affine.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each sample over all non-batch axes (variance + LN_EPS), then apply affine.
 
     gain and bias must have shape x.shape[1:].  One node: the forward runs
     in numpy with the float operations of the composite mean / centre /
     variance / sqrt / divide / affine chain, so its output is bitwise what
     that chain gives.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     feat = x.shape[1:]
     if gain.shape != feat or bias.shape != feat:
         raise ShapeMismatch(
@@ -857,7 +857,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     inv_count = np.asarray(1.0 / math.prod(feat), dtype=xd.dtype)
     xc = xd - xd.sum(axis=axes, keepdims=True) * inv_count
     std = np.sqrt(np.square(xc).sum(axis=axes, keepdims=True) * inv_count
-                  + np.asarray(eps, dtype=xd.dtype))
+                  + np.asarray(LN_EPS, dtype=xd.dtype))
     xn = xc / std
     out_data = xn * gain.data + bias.data
 
@@ -879,7 +879,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if not needs[0]:
             return ()
         xc_t = sub(x, expand(tmean(x, axes, keepdims=True), x.shape))
-        std_t = expand(sqrt(add(tmean(square(xc_t), axes, keepdims=True), eps)), x.shape)
+        std_t = expand(sqrt(add(tmean(square(xc_t), axes, keepdims=True), LN_EPS)), x.shape)
         xn_t = div(xc_t, std_t)
         # d/dx of (x - mean) / std: centre the output gradient, remove its
         # component along xn, divide by std

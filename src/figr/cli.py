@@ -33,7 +33,6 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import (
-    ConfigError,
     RunConfig,
     build_dataset,
     canonical_text,
@@ -54,11 +53,7 @@ from .models import Discriminator, Generator, ParameterSet
 from .reptile import MetaState, figr_generate, init_meta_state, meta_step
 
 
-class CliError(RuntimeError):
-    pass
-
-
-class InsufficientImages(CliError):
+class CliError(ValueError):
     pass
 
 
@@ -135,8 +130,7 @@ def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, out_path: Path) -> 
     x = sample_images(task, cfg.n, draws)
     generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, cfg,
                               draws, count=3 * cfg.n)
-    tiles = np.concatenate([x, generated], axis=0)
-    atomic_write(out_path, write_pgm(montage(tiles, columns=cfg.n, separator_px=2)))
+    atomic_write(out_path, write_pgm(montage(x, generated)))
 
 
 def cmd_train(args) -> int:
@@ -209,20 +203,16 @@ def cmd_generate(args) -> int:
         cid = ids[int(rng.derive(args.seed, rng.GENERATE_PICK, 0).integers(len(ids)))]
     task = dataset.classes[cid]
     if task.images.shape[0] < cfg.n:
-        raise InsufficientImages(
-            f"class {task.name!r} has {task.images.shape[0]} images, need n={cfg.n}")
+        raise CliError(f"class {task.name!r} has {task.images.shape[0]} images, need n={cfg.n}")
 
     out_dir = Path(args.out)
     # made once the inputs are accepted, before the adaptation: a refused
     # command leaves no directory, and an --out that cannot be made loses no work
     out_dir.mkdir(parents=True, exist_ok=True)
     class_rng = rng.derive(args.seed, rng.GENERATE, cid)
-    idx = class_rng.choice(task.images.shape[0], size=cfg.n, replace=False)
-    x = task.images[idx]
+    x = sample_images(task, cfg.n, class_rng)
     generated = figr_generate(*phi, disc, gen, x, cfg, class_rng, count=args.count)
-    tiles = np.concatenate([x, generated], axis=0)
-    atomic_write(out_dir / "montage.pgm",
-                 write_pgm(montage(tiles, columns=cfg.n, separator_px=2)))
+    atomic_write(out_dir / "montage.pgm", write_pgm(montage(x, generated)))
     shard = pack_shard([(task.name, to_uint8(generated[:, 0]))])
     atomic_write(out_dir / "generated.fgr8", shard)
     print(f"adapted to class {task.name!r} (n={cfg.n}, k={cfg.k}); "
@@ -264,8 +254,8 @@ def evaluate_checkpoint(cfg: RunConfig, phi: tuple[ParameterSet, ParameterSet], 
     for cid in ids[:trials]:
         task = dataset.classes[cid]
         if task.images.shape[0] <= cfg.n:
-            raise InsufficientImages(f"validation class {task.name!r} has {task.images.shape[0]} "
-                                     f"images; scoring needs more than n={cfg.n}")
+            raise CliError(f"validation class {task.name!r} has {task.images.shape[0]} "
+                           f"images; scoring needs more than n={cfg.n}")
     base = _initial_phi(cfg, disc, gen)
     reports = []
     for cid in ids[:trials]:
@@ -314,6 +304,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    Path(args.output).parent.mkdir(parents=True, exist_ok=True)     # as cmd_eval's --out
     classes = read_class_dirs(Path(args.input))
     atomic_write(args.output, pack_shard(classes))
     total = sum(images.shape[0] for _, images in classes)
@@ -322,13 +313,15 @@ def cmd_pack(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.csv:
+        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)    # as cmd_eval's --out
     with open(args.shard, "rb") as f:
         classes = load_shard(f)
     sizes = np.array(sorted(images.shape[0] for _, images in classes))
     total = int(sizes.sum())
     print(f"classes: {len(classes)}")
     print(f"images: {total}")
-    print(f"class size min/median/max: {sizes.min()}/{int(np.median(sizes))}/{sizes.max()}")
+    print(f"class size min/median/max: {sizes.min()}/{np.median(sizes):.12g}/{sizes.max()}")
     lines = ["class_size,cumulative_fraction"]
     cum = np.cumsum(sizes) / total
     for size, frac in zip(sizes, cum):
@@ -342,7 +335,6 @@ def cmd_stats(args) -> int:
 def cmd_gradcheck(args) -> int:
     t0 = time.perf_counter()
     worst, _, ok = run_gradcheck(trials=args.trials, seed=args.seed,
-                                 corrupt=args.self_test_bug,
                                  log=print if args.verbose else None)
     print(f"gradcheck: {args.trials} trials, max relative error {worst:.3e} "
           f"({time.perf_counter() - t0:.1f}s)")
@@ -400,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--trials", type=int, default=20)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--verbose", action="store_true")
-    c.add_argument("--self-test-bug", action="store_true", help=argparse.SUPPRESS)
     c.set_defaults(fn=cmd_gradcheck)
     return p
 
@@ -414,7 +405,7 @@ def main(argv=None) -> int:
         parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
         return args.fn(args)
-    except (CliError, ConfigError, BadCheckpoint, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

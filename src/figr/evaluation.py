@@ -1,5 +1,9 @@
 """Quantitative proxies for generation quality, plus montage rendering.
 
+A montage is the one layout `figr train` and `figr generate` draw: the n
+conditioning images as the top row, the generated images in rows of n
+below, SEPARATOR_PX white pixels between tiles.
+
 There is no trustworthy automated judge for few-shot generation, so the
 artifact reports kernel MMD against held-out class images (lower is
 better) together with a conditioning-set nearest-neighbour distance that
@@ -11,6 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+BANDWIDTH_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
+SEPARATOR_PX = 2        # white gap between montage tiles
 
 
 class EmptySet(ValueError):
@@ -46,9 +53,9 @@ def _kernel(sq: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
     return out
 
 
-def median_bandwidths(reference: np.ndarray,
-                      factors=(0.25, 0.5, 1.0, 2.0, 4.0)) -> np.ndarray:
-    """Median-heuristic bandwidth ladder from a reference sample set."""
+def median_bandwidths(reference: np.ndarray) -> np.ndarray:
+    """Median-heuristic bandwidth ladder: BANDWIDTH_FACTORS times the median
+    pairwise distance of a reference sample set."""
     flat = _flatten(reference)
     if flat.shape[0] < 2:
         med = 1.0
@@ -58,7 +65,7 @@ def median_bandwidths(reference: np.ndarray,
         med = float(np.median(np.sqrt(off)))
         if med <= 0:
             med = 1.0
-    return np.asarray(factors, dtype=np.float64) * med
+    return np.asarray(BANDWIDTH_FACTORS, dtype=np.float64) * med
 
 
 def mmd_squared(a: np.ndarray, b: np.ndarray, bandwidths) -> float:
@@ -101,28 +108,17 @@ def to_uint8(images: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(127.5 * (np.asarray(images) + 1.0)), 0, 255).astype(np.uint8)
 
 
-def montage(images: np.ndarray, columns: int, separator_px: int = 1) -> np.ndarray:
-    """Tile images left-to-right, top-to-bottom into one 8-bit image.
-
-    Accepts [M,1,S,S] or [M,S,S] in [-1,1].  Separators (and any unused
-    trailing cells) are white (255).  No outer border.
-    """
-    arr = np.asarray(images)
-    if arr.ndim == 4:
-        arr = arr[:, 0]
-    if arr.ndim != 3 or arr.shape[0] < 1:
-        raise ValueError(f"montage expects at least one image, got shape {arr.shape}")
-    if columns < 1 or separator_px < 0:
-        raise ValueError("columns must be >= 1 and separator_px >= 0")
-    m, h, w = arr.shape
+def montage(conditioning: np.ndarray, generated: np.ndarray) -> np.ndarray:
+    """The module docstring's layout as one 8-bit image, from [M,1,S,S] arrays
+    in [-1,1]; separators and unused trailing cells are white, no border."""
+    columns = len(conditioning)
+    tiles = to_uint8(np.concatenate([conditioning, generated])[:, 0])
+    m, h, w = tiles.shape
     rows = -(-m // columns)
-    out_h = rows * h + (rows - 1) * separator_px
-    out_w = columns * w + (columns - 1) * separator_px
-    out = np.full((out_h, out_w), 255, dtype=np.uint8)
-    tiles = to_uint8(arr)
+    out = np.full((rows * (h + SEPARATOR_PX) - SEPARATOR_PX,
+                   columns * (w + SEPARATOR_PX) - SEPARATOR_PX), 255, dtype=np.uint8)
     for i in range(m):
         r, c = divmod(i, columns)
-        y = r * (h + separator_px)
-        x = c * (w + separator_px)
+        y, x = r * (h + SEPARATOR_PX), c * (w + SEPARATOR_PX)
         out[y:y + h, x:x + w] = tiles[i]
     return out

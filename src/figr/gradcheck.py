@@ -10,6 +10,10 @@ ParameterSet and a loss of its bound tensors (the critic's input is a
 one-segment set); one routine differentiates the loss and compares with
 finite differences at COORDS random entries; a run passes when every
 error is below DEFAULT_TOL.
+
+The tests show the checks have teeth by swapping this module's `backward`
+for one that negates every gradient it returns: each check must then
+fail.  The penalty's recorded backward, which `losses` imports, stays.
 """
 
 from __future__ import annotations
@@ -87,8 +91,7 @@ class CheckResult:
     max_rel_err: float
 
 
-def _check(params: ParameterSet, loss: Callable[[BoundParams], Tensor], rng,
-           sign: float) -> float:
+def _check(params: ParameterSet, loss: Callable[[BoundParams], Tensor], rng) -> float:
     """Agreement of loss's autodiff gradient in params with central differences
     at COORDS random entries of the parameter vector."""
     def value(vec):
@@ -97,7 +100,7 @@ def _check(params: ParameterSet, loss: Callable[[BoundParams], Tensor], rng,
 
     with Graph():
         bound = params.bind()
-        grad = sign * bound.add_grads(backward(loss(bound)), np.zeros(params.total_len))
+        grad = bound.add_grads(backward(loss(bound)), np.zeros(params.total_len))
     x = params.vector
     idxs = rng.choice(x.size, size=min(COORDS, x.size), replace=False)
     return agreement_error(grad[idxs], finite_difference_gradient(value, x, coords=idxs),
@@ -148,25 +151,20 @@ CHECKS = (
 )
 
 
-def run_gradcheck(trials: int = 20, seed: int = 0, corrupt: bool = False,
+def run_gradcheck(trials: int = 20, seed: int = 0,
                   log=None) -> tuple[float, list[CheckResult], bool]:
     """Returns (max error over all checks, per-check results, all under DEFAULT_TOL).
-
-    corrupt=True flips the sign of every reverse-mode gradient before the
-    comparison; the run must then fail, proving the check has teeth.  A
-    run of no trials would check nothing, so trials < 1 raises ValueError.
-    """
+    A run of no trials would check nothing, so trials < 1 raises ValueError."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     disc = Discriminator(CHECK_CFG)
     gen = Generator(CHECK_CFG)
-    sign = -1.0 if corrupt else 1.0
     results: list[CheckResult] = []
     worst = 0.0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
         for name, setup in CHECKS:
-            err = _check(*setup(disc, gen, rng), rng, sign)
+            err = _check(*setup(disc, gen, rng), rng)
             results.append(CheckResult(name, trial, err))
             worst = max(worst, err)
             if log is not None:

@@ -23,8 +23,6 @@ from . import autodiff as ad
 from .autodiff import Tensor, ShapeMismatch
 from .config import RunConfig
 
-LN_EPS = 1e-5
-
 
 class LayoutMismatch(ValueError):
     pass
@@ -104,38 +102,29 @@ def sample_latent(batch: int, cfg: RunConfig, rng: np.random.Generator) -> Tenso
     return Tensor(z)
 
 
-class _Layout:
-    def __init__(self):
-        self.segments: list[Segment] = []
-        self.offset = 0
-
-    def add(self, name: str, shape: tuple[int, ...]) -> None:
-        seg = Segment(name, self.offset, shape)
-        self.segments.append(seg)
-        self.offset += seg.size
-
-    def done(self) -> tuple[Segment, ...]:
-        return tuple(self.segments)
+def _add(lay: list[Segment], name: str, shape: tuple[int, ...]) -> None:
+    """Append a segment that starts where the last one ends."""
+    lay.append(Segment(name, lay[-1].offset + lay[-1].size if lay else 0, shape))
 
 
-def _add_conv(lay: _Layout, name: str, cin: int, cout: int) -> None:
-    lay.add(f"{name}.w", (cout, cin, 3, 3))
-    lay.add(f"{name}.b", (cout,))
+def _add_conv(lay: list[Segment], name: str, cin: int, cout: int) -> None:
+    _add(lay, f"{name}.w", (cout, cin, 3, 3))
+    _add(lay, f"{name}.b", (cout,))
 
 
-def _add_proj(lay: _Layout, name: str, cin: int, cout: int) -> None:
-    lay.add(f"{name}.w", (cin, cout))
-    lay.add(f"{name}.b", (cout,))
+def _add_proj(lay: list[Segment], name: str, cin: int, cout: int) -> None:
+    _add(lay, f"{name}.w", (cin, cout))
+    _add(lay, f"{name}.b", (cout,))
 
 
-def _add_norm_act(lay: _Layout, name: str, c: int, h: int, w: int) -> None:
-    lay.add(f"{name}.ln.g", (c, h, w))
-    lay.add(f"{name}.ln.b", (c, h, w))
-    lay.add(f"{name}.a", (c,))
+def _add_norm_act(lay: list[Segment], name: str, c: int, h: int, w: int) -> None:
+    _add(lay, f"{name}.ln.g", (c, h, w))
+    _add(lay, f"{name}.ln.b", (c, h, w))
+    _add(lay, f"{name}.a", (c,))
 
 
 def _norm_act(p, name: str, x: Tensor) -> Tensor:
-    y = ad.layer_norm(x, p[f"{name}.ln.g"], p[f"{name}.ln.b"], LN_EPS)
+    y = ad.layer_norm(x, p[f"{name}.ln.g"], p[f"{name}.ln.b"])
     return ad.prelu(y, p[f"{name}.a"])
 
 
@@ -150,7 +139,7 @@ class _ResNetBase:
     def _build_layout(self) -> tuple[Segment, ...]:
         raise NotImplementedError
 
-    def _add_block(self, lay: _Layout, name: str, cin: int, cout: int, size: int,
+    def _add_block(self, lay: list[Segment], name: str, cin: int, cout: int, size: int,
                    resample: bool) -> None:
         """conv -> norm_act -> conv -> norm_act, with a 1x1 skip where the width changes."""
         _add_conv(lay, f"{name}.c1", cin, cout)
@@ -206,7 +195,7 @@ class Generator(_ResNetBase):
 
     def _build_layout(self) -> tuple[Segment, ...]:
         cfg = self.cfg
-        lay = _Layout()
+        lay: list[Segment] = []
         w_top = cfg.base_width << cfg.n_scales
         self.w_top = w_top
         _add_proj(lay, "fc", cfg.latent_dim, w_top * 16)
@@ -221,7 +210,7 @@ class Generator(_ResNetBase):
             width //= 2
             size *= 2
         _add_conv(lay, "out", width, 1)
-        return lay.done()
+        return tuple(lay)
 
     def forward(self, p: BoundParams, z: Tensor) -> Tensor:
         cfg = self.cfg
@@ -247,7 +236,7 @@ class Discriminator(_ResNetBase):
 
     def _build_layout(self) -> tuple[Segment, ...]:
         cfg = self.cfg
-        lay = _Layout()
+        lay: list[Segment] = []
         s = cfg.image_size
         _add_conv(lay, "stem", 1, cfg.base_width)
         _add_norm_act(lay, "in0", cfg.base_width, s, s)
@@ -259,7 +248,7 @@ class Discriminator(_ResNetBase):
         for i in range(cfg.n_blocks - cfg.n_scales):
             self._add_block(lay, f"post{i}", width, width, s, resample=False)
         _add_proj(lay, "score", width * s * s, 1)
-        return lay.done()
+        return tuple(lay)
 
     def forward(self, p: BoundParams, images: Tensor) -> Tensor:
         cfg = self.cfg

@@ -110,17 +110,12 @@ def adam_step(adam: AdamState, params: ParameterSet, pseudo_grad: np.ndarray,
     return new, AdamState(m, v, t)
 
 
-@dataclass
-class InnerStats:
-    final_critic_loss: float
-    final_gen_loss: float
-
-
 def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
                disc: Discriminator, gen: Generator,
                x_task: np.ndarray, cfg: RunConfig, rng: np.random.Generator
-               ) -> tuple[ParameterSet, ParameterSet, InnerStats]:
-    """K alternating WGAN-GP critic/generator SGD steps on copies of phi.
+               ) -> tuple[ParameterSet, ParameterSet, float, float]:
+    """K alternating WGAN-GP critic/generator SGD steps on copies of phi;
+    returns the adapted (w_d, w_g) and the last critic and generator losses.
 
     The same n real images are reused at every iteration.  Each critic
     step draws from rng a fresh latent batch of size n and then the
@@ -171,7 +166,7 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
         if cfg.inner_lr > 0:
             w_g = w_g.with_vector(phi_g.vector - cfg.inner_lr * acc_g)
 
-    return w_d, w_g, InnerStats(d_val, g_val)
+    return w_d, w_g, d_val, g_val
 
 
 def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
@@ -185,11 +180,11 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
     task_id, task = sample_task(dataset, rng, split="train")
     x = sample_images(task, cfg.n, rng)
 
-    w_d, w_g, stats = inner_loop(state.phi_d, state.phi_g, disc, gen, x, cfg, rng)
+    w_d, w_g, loss_d, loss_g = inner_loop(state.phi_d, state.phi_g, disc, gen, x, cfg, rng)
     pseudo_d = params_delta(state.phi_d, w_d)
     pseudo_g = params_delta(state.phi_g, w_g)
-    _check_finite(state.step + 1, task_id, (("critic loss", stats.final_critic_loss),
-                                            ("generator loss", stats.final_gen_loss),
+    _check_finite(state.step + 1, task_id, (("critic loss", loss_d),
+                                            ("generator loss", loss_g),
                                             ("critic delta", pseudo_d),
                                             ("generator delta", pseudo_g)))
     phi_d, adam_d = adam_step(state.adam_d, state.phi_d, pseudo_d,
@@ -203,7 +198,7 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
     new_state = MetaState(phi_d, phi_g, adam_d, adam_g, step=state.step + 1)
     record = TrainRecord(
         step=new_state.step, task_id=task_id,
-        critic_loss=stats.final_critic_loss, gen_loss=stats.final_gen_loss,
+        critic_loss=loss_d, gen_loss=loss_g,
         delta_d_norm=float(np.linalg.norm(pseudo_d)),
         delta_g_norm=float(np.linalg.norm(pseudo_g)),
         seconds=time.perf_counter() - t0,
@@ -226,7 +221,7 @@ def figr_generate(phi_d: ParameterSet, phi_g: ParameterSet,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg, rng)
+    w_g = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg, rng)[1]
     z, bound = sample_latent(count, gen.cfg, rng).data, w_g.bind(trainable=False)
     out = np.empty((count, 1) + (gen.cfg.image_size,) * 2, dtype=z.dtype)
     for i in range(0, count, SAMPLE_CHUNK):

@@ -16,6 +16,7 @@ from figr.autodiff import (
     NoGraph,
     NotScalar,
     ShapeMismatch,
+    LN_EPS,
     Tensor,
     backward,
     conv2d,
@@ -451,13 +452,13 @@ X = RNG0.standard_normal((2, 3, 4, 4))
 A0 = RNG0.uniform(0.1, 0.5, size=3)
 
 
-def layer_norm_composite(x, gain, bias, eps):
+def layer_norm_composite(x, gain, bias):
     """layer_norm as the chain of primitive ops that it fuses into one node."""
     axes = tuple(range(1, x.ndim))
     mu = ad.tmean(x, axes=axes, keepdims=True)
     xc = ad.sub(x, ad.expand(mu, x.shape))
     var = ad.tmean(ad.square(xc), axes=axes, keepdims=True)
-    xn = ad.div(xc, ad.expand(ad.sqrt(ad.add(var, eps)), x.shape))
+    xn = ad.div(xc, ad.expand(ad.sqrt(ad.add(var, LN_EPS)), x.shape))
     bshape = (1,) + x.shape[1:]
     out = ad.mul(xn, ad.expand(ad.reshape(gain, bshape), x.shape))
     return ad.add(out, ad.expand(ad.reshape(bias, bshape), x.shape))
@@ -470,9 +471,9 @@ class TestLayerNorm:
         x = Tensor((3.0 * rng.standard_normal((3, 4, 5, 5)) + 1.0).astype(dtype))
         gain = Tensor(rng.standard_normal((4, 5, 5)).astype(dtype))
         bias = Tensor(rng.standard_normal((4, 5, 5)).astype(dtype))
-        out = layer_norm(x, gain, bias, 1e-5).data
+        out = layer_norm(x, gain, bias).data
         assert out.dtype == dtype
-        np.testing.assert_array_equal(out, layer_norm_composite(x, gain, bias, 1e-5).data)
+        np.testing.assert_array_equal(out, layer_norm_composite(x, gain, bias).data)
 
     def test_records_one_node(self):
         rng = np.random.default_rng(13)
@@ -496,14 +497,14 @@ class TestLayerNorm:
         def value(xv, gv):
             with Graph():
                 x = Tensor(xv.copy(), requires_grad=True)
-                y = layer_norm(x, Tensor(gv.copy()), Tensor(bias), 1e-5)
+                y = layer_norm(x, Tensor(gv.copy()), Tensor(bias))
                 gx = backward(ad.tsum(ad.mul(y, Tensor(c))))[x]
                 return float(np.sum(gx.data ** 2))
 
         with Graph():
             x = Tensor(x0.copy(), requires_grad=True)
             gain = Tensor(gain0.copy(), requires_grad=True)
-            gx = recorded_rule(layer_norm(x, gain, Tensor(bias), 1e-5), Tensor(c))
+            gx = recorded_rule(layer_norm(x, gain, Tensor(bias)), Tensor(c))
             grads = backward(ad.tsum(ad.square(gx)))
         fd_x = finite_difference_gradient(lambda xv: value(xv, gain0), x0)
         fd_gain = finite_difference_gradient(lambda gv: value(x0, gv), gain0)
@@ -512,26 +513,29 @@ class TestLayerNorm:
 
     def test_constant_input_zeroed(self):
         x = np.repeat(np.array([[2.0], [5.0]]), 6, axis=1).reshape(2, 6)
-        out = layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6)), eps=1e-5)
+        out = layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
     def test_two_point_standardization(self):
+        # variance 1, so the points land at -+1 / sqrt(1 + LN_EPS)
         out = layer_norm(
             Tensor(np.array([[1.0, 3.0]])),
-            Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12,
+            Tensor(np.ones(2)), Tensor(np.zeros(2)),
         )
-        np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
+        np.testing.assert_allclose(out.data, [[-1.0, 1.0]] / np.sqrt(1.0 + LN_EPS), atol=1e-6)
 
     def test_per_sample_statistics(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 3, 5, 5))
         out = layer_norm(
             Tensor(x),
-            Tensor(np.ones((3, 5, 5))), Tensor(np.zeros((3, 5, 5))), eps=1e-8,
+            Tensor(np.ones((3, 5, 5))), Tensor(np.zeros((3, 5, 5))),
         ).data
         flat = out.reshape(4, -1)
+        # each sample's variance v is scaled to v / (v + LN_EPS)
+        x_var = x.reshape(4, -1).var(axis=1)
         assert np.all(np.abs(flat.mean(axis=1)) < 1e-6)
-        assert np.all(np.abs(flat.var(axis=1) - 1.0) < 1e-5)
+        assert np.all(np.abs(flat.var(axis=1) - x_var / (x_var + LN_EPS)) < 1e-5)
 
     def test_affine_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -547,12 +551,12 @@ class TestLayerNorm:
             flat = x.reshape(2, -1)
             mu = flat.mean(axis=1, keepdims=True)
             var = flat.var(axis=1, keepdims=True)
-            xn = ((flat - mu) / np.sqrt(var + 1e-5)).reshape(x.shape)
+            xn = ((flat - mu) / np.sqrt(var + LN_EPS)).reshape(x.shape)
             return float(np.sum((xn * gain[None] + bias[None]) ** 2))
 
         fd_check(
             f_np,
-            lambda x: ad.tsum(ad.square(layer_norm(x, Tensor(gain), Tensor(bias), 1e-5))),
+            lambda x: ad.tsum(ad.square(layer_norm(x, Tensor(gain), Tensor(bias)))),
             x0,
             tol=1e-5,
         )
@@ -564,14 +568,14 @@ class TestLayerNorm:
             def f_np(p, which=which):
                 mu = x.mean(axis=1, keepdims=True)
                 var = x.var(axis=1, keepdims=True)
-                xn = (x - mu) / np.sqrt(var + 1e-5)
+                xn = (x - mu) / np.sqrt(var + LN_EPS)
                 out = xn * p + 0 if which == "gain" else xn + p
                 return float(np.sum(out ** 2))
 
             def f_ad(p, which=which):
                 gain = p if which == "gain" else Tensor(np.ones(4, dtype=np.float64))
                 bias = p if which == "bias" else Tensor(np.zeros(4, dtype=np.float64))
-                return ad.tsum(ad.square(layer_norm(Tensor(x), gain, bias, 1e-5)))
+                return ad.tsum(ad.square(layer_norm(Tensor(x), gain, bias)))
 
             fd_check(f_np, f_ad, rng.standard_normal(4), tol=1e-5)
 
@@ -660,7 +664,7 @@ class TestFirstOrderRules:
                   rng.standard_normal((4, 5, 5)).astype(dtype),
                   rng.standard_normal((4, 5, 5)).astype(dtype)]
         def build(x, g, b):
-            return layer_norm(x, g, b, 1e-5)
+            return layer_norm(x, g, b)
 
         first, recorded = vjp_and_rec(build, arrays, 31)
         assert_same_bits(first[0], recorded[0])
@@ -668,7 +672,7 @@ class TestFirstOrderRules:
             assert_same_bits(a, b)
         # the composite chain's backward: the same gain and bias gradients;
         # its input gradient takes another path and rounds differently
-        composite = first_order(lambda x, g, b: layer_norm_composite(x, g, b, 1e-5), arrays, 31)
+        composite = first_order(layer_norm_composite, arrays, 31)
         np.testing.assert_array_equal(first[1], composite[1])
         np.testing.assert_array_equal(first[2], composite[2])
         tol = 16 * np.finfo(dtype).eps * np.max(np.abs(composite[0]))

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 import figr.cli
+from figr import rng
 from figr.checkpoint import save_checkpoint
 from figr.cli import CSV_HEADER, main
 from figr.config import RunConfig, build_dataset, fingerprint, load_config
-from figr.data import load_shard, pack_shard, read_pgm, write_pgm
+from figr.data import load_shard, pack_shard, read_pgm, sample_images, sample_task, write_pgm
+from figr.evaluation import to_uint8
 from figr.models import Discriminator, Generator
-from figr.reptile import init_meta_state
+from figr.reptile import figr_generate, init_meta_state
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -97,6 +99,27 @@ class TestTrain:
         assert len(log) == 7  # header + 6 steps
         assert (out / "samples_000003.pgm").exists()
         read_pgm((out / "samples_000003.pgm").read_bytes())  # valid image
+
+    def test_training_montage_layout(self, cfg_path, tmp_path):
+        # samples_000003.pgm: the n = 2 images drawn from (MONTAGE, 3) as the
+        # top row, then three rows of the images generated from step 3's phi,
+        # with 2 px white separators between the 8 px tiles
+        assert run_cli("train", "--config", cfg_path, "--steps", 3) == 0
+        cfg = load_config(cfg_path)
+        img = read_pgm((tmp_path / "run" / "samples_000003.pgm").read_bytes())
+        assert img.shape == (4 * 8 + 3 * 2, 2 * 8 + 2)
+        draws = rng.derive(cfg.seed, rng.MONTAGE, 3)
+        _, task = sample_task(build_dataset(cfg), draws, split="validation")
+        x = sample_images(task, cfg.n, draws)
+        disc, gen, phi, _ = figr.cli._restore(cfg, tmp_path / "run" / "ckpt_000003.figr")
+        tiles = to_uint8(np.concatenate([x, figr_generate(*phi, disc, gen, x, cfg, draws,
+                                                          count=3 * cfg.n)])[:, 0])
+        for i, tile in enumerate(tiles):
+            r, c = divmod(i, 2)
+            np.testing.assert_array_equal(img[r * 10:r * 10 + 8, c * 10:c * 10 + 8], tile)
+        for gap in (8, 18, 28):
+            np.testing.assert_array_equal(img[gap:gap + 2], 255)
+        np.testing.assert_array_equal(img[:, 8:10], 255)
 
     def test_same_seed_runs_are_byte_identical(self, cfg_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -766,6 +789,46 @@ class TestPackStats:
         assert "images: 6" in out
         assert csv.read_text().startswith("class_size,cumulative_fraction")
 
+    def test_stats_prints_the_exact_median(self, tmp_path, capsys):
+        shard = tmp_path / "two.fgr8"
+        shard.write_bytes(raw_shard([("a", (3, 2, 2)), ("b", (4, 2, 2))]))
+        assert run_cli("stats", "--shard", shard) == 0
+        assert "class size min/median/max: 3/3.5/4\n" in capsys.readouterr().out
+        shard.write_bytes(raw_shard([("a", (3, 2, 2)), ("b", (4, 2, 2)), ("c", (6, 2, 2))]))
+        assert run_cli("stats", "--shard", shard) == 0
+        assert "class size min/median/max: 3/4/6\n" in capsys.readouterr().out
+        # a u32 count and its half stay exact, where :g would print 1e+06
+        shard.write_bytes(raw_shard([("a", (10**6, 1, 1)), ("b", (10**6 + 1, 1, 1))]))
+        assert run_cli("stats", "--shard", shard) == 0
+        assert "min/median/max: 1000000/1000000.5/1000001\n" in capsys.readouterr().out
+
+    def test_outputs_go_into_directories_that_do_not_exist(self, tmp_path):
+        src = tmp_path / "classes" / "one"
+        src.mkdir(parents=True)
+        (src / "0.pgm").write_bytes(write_pgm(np.zeros((3, 3), np.uint8)))
+        shard = tmp_path / "missing" / "dir" / "x.fgr8"
+        assert run_cli("pack", "--input", src.parent, "--output", shard) == 0
+        csv = tmp_path / "also" / "missing" / "density.csv"
+        assert run_cli("stats", "--shard", shard, "--csv", csv) == 0
+        assert csv.read_text().startswith("class_size,cumulative_fraction")
+
+    @pytest.mark.parametrize("command", ["pack", "stats"])
+    def test_output_parent_that_cannot_be_made_fails_before_reading(
+            self, tmp_path, capsys, monkeypatch, command):
+        # a regular file in the output's path: one error line, and no input read
+        (tmp_path / "afile").write_bytes(b"")
+        target = tmp_path / "afile" / "sub" / "out"
+        shard = tmp_path / "x.fgr8"
+        shard.write_bytes(raw_shard([("a", (3, 2, 2))]))
+        for reader in ("read_class_dirs", "load_shard"):
+            monkeypatch.setattr(figr.cli, reader, lambda *a, r=reader: pytest.fail(f"{r} ran"))
+        argv = (("pack", "--input", tmp_path, "--output", target) if command == "pack"
+                else ("stats", "--shard", shard, "--csv", target))
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "afile" in err
+
     def test_pack_refuses_image_without_pixels(self, tmp_path, capsys):
         src = tmp_path / "classes" / "blank"
         src.mkdir(parents=True)
@@ -849,13 +912,13 @@ class TestGradcheckCommand:
         assert run_cli("gradcheck", "--trials", 1) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_forced_bug_fails(self, capsys):
-        assert run_cli("gradcheck", "--trials", 1, "--self-test-bug") == 1
+    def test_forced_bug_fails(self, flipped_gradcheck, capsys):
+        assert run_cli("gradcheck", "--trials", 1) == 1
         assert "FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize("trials", [0, -3])
-    def test_no_trials_is_an_error(self, trials, capsys):
+    def test_no_trials_is_an_error(self, trials, flipped_gradcheck, capsys):
         # a run that checks nothing must not print PASS, even with a forced bug
-        assert run_cli("gradcheck", "--trials", trials, "--self-test-bug") == 2
+        assert run_cli("gradcheck", "--trials", trials) == 2
         out = capsys.readouterr()
         assert "PASS" not in out.out and "trials must be >= 1" in out.err

@@ -3,6 +3,7 @@ import pytest
 
 from figr.data import normalize
 from figr.evaluation import (
+    SEPARATOR_PX,
     EmptySet,
     median_bandwidths,
     mmd_squared,
@@ -95,36 +96,50 @@ class TestNnDistance:
 
 
 class TestMontage:
+    """montage(conditioning, generated): the conditioning images as the top
+    row, as many columns as there are of them, SEPARATOR_PX white between."""
+
     def test_single_image_identity(self):
         img = np.tanh(np.random.default_rng(7).standard_normal((1, 1, 5, 5)))
-        out = montage(img, columns=1, separator_px=2)
+        out = montage(img, img[:0])
         np.testing.assert_array_equal(out, to_uint8(img[0, 0]))
 
     def test_width_formula(self):
         imgs = np.zeros((4, 1, 6, 6))
-        out = montage(imgs, columns=4, separator_px=2)
-        assert out.shape == (6, 4 * 6 + 3 * 2)
+        out = montage(imgs, imgs[:0])
+        assert SEPARATOR_PX == 2 and out.shape == (6, 4 * 6 + 3 * 2)
 
     def test_constant_blocks_byte_exact(self):
         # straight-line fixture: two constant tiles and a white separator
         vals = np.array([-1.0, 0.5])
         imgs = np.stack([np.full((1, 3, 3), v) for v in vals])
-        out = montage(imgs, columns=2, separator_px=1)
+        out = montage(imgs, imgs[:0])
 
-        expected = np.full((3, 7), 255, dtype=np.uint8)
+        expected = np.full((3, 8), 255, dtype=np.uint8)
         for idx, v in enumerate(vals):
             byte = np.uint8(round(127.5 * (v + 1.0)))
-            expected[:, idx * 4:idx * 4 + 3] = byte
+            expected[:, idx * 5:idx * 5 + 3] = byte
         np.testing.assert_array_equal(out, expected)
 
     def test_incomplete_last_row_padded_white(self):
         imgs = np.full((3, 1, 2, 2), -1.0)
-        out = montage(imgs, columns=2, separator_px=1)
-        assert out.shape == (5, 5)
-        np.testing.assert_array_equal(out[3:, 3:], 255)
+        out = montage(imgs[:2], imgs[2:])
+        assert out.shape == (6, 6)
+        np.testing.assert_array_equal(out[4:, 4:], 255)
+
+    def test_generated_rows_follow_the_conditioning_row(self):
+        cond = np.full((2, 1, 2, 2), -1.0)
+        gen = np.zeros((4, 1, 2, 2))
+        out = montage(cond, gen)
+        assert out.shape == (3 * 2 + 2 * 2, 2 * 2 + 2)
+        np.testing.assert_array_equal(out[:2, [0, 1, 4, 5]], 0)
+        for y in (4, 8):
+            np.testing.assert_array_equal(out[y:y + 2, [0, 1, 4, 5]], 128)
+        np.testing.assert_array_equal(out[[2, 3, 6, 7]], 255)
+        np.testing.assert_array_equal(out[:, 2:4], 255)
 
     def test_pixel_mapping_round_trips_with_normalize(self):
         levels = np.arange(256, dtype=np.uint8)
         images = normalize(levels).reshape(1, 1, 16, 16)
-        out = montage(images, columns=1, separator_px=0)
+        out = montage(images, images[:0])
         np.testing.assert_array_equal(out.reshape(-1), levels)

@@ -23,8 +23,8 @@ class TestRunGradcheck:
         for trial in range(2):
             assert [r.name for r in results if r.trial == trial] == NAMES
 
-    def test_each_check_catches_a_sign_flip(self):
-        _, results, ok = run_gradcheck(trials=20, seed=0, corrupt=True)
+    def test_each_check_catches_a_sign_flip(self, flipped_gradcheck):
+        _, results, ok = run_gradcheck(trials=20, seed=0)
         assert not ok
         assert [r.name for r in results] == NAMES * 20
         for r in results:

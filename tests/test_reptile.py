@@ -152,8 +152,8 @@ class TestInnerLoop:
         rng = np.random.default_rng(5)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         cfg = RunConfig(k=3, n=2, inner_lr=0.0)
-        w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, task_images(CFG64, 2),
-                                 cfg, np.random.default_rng(6))
+        w_d, w_g, *_ = inner_loop(phi_d, phi_g, disc, gen, task_images(CFG64, 2),
+                                  cfg, np.random.default_rng(6))
         np.testing.assert_array_equal(w_d.vector, phi_d.vector)
         np.testing.assert_array_equal(w_g.vector, phi_g.vector)
 
@@ -186,8 +186,8 @@ class TestInnerLoop:
             "    rng = np.random.default_rng(1)\n"
             "    phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)\n"
             "    x = np.tanh(rng.standard_normal((4, 1, size, size))).astype(np.float32)\n"
-            "    w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, cfg,\n"
-            "                             np.random.default_rng(2))\n"
+            "    w_d, w_g, *_ = inner_loop(phi_d, phi_g, disc, gen, x, cfg,\n"
+            "                              np.random.default_rng(2))\n"
             "    h.update(w_d.vector.tobytes() + w_g.vector.tobytes())\n"
             "print(h.hexdigest())\n")
         digests = set()
@@ -207,8 +207,8 @@ class TestInnerLoop:
         cfg = RunConfig(k=2, n=2, inner_lr=1e-4)
         run = lambda: inner_loop(phi_d, phi_g, disc, gen, x, cfg,
                                  np.random.default_rng(12))
-        a_d, a_g, _ = run()
-        b_d, b_g, _ = run()
+        a_d, a_g, *_ = run()
+        b_d, b_g, *_ = run()
         np.testing.assert_array_equal(a_d.vector, b_d.vector)
         np.testing.assert_array_equal(a_g.vector, b_g.vector)
 
@@ -217,7 +217,7 @@ class TestInnerLoop:
         rng = np.random.default_rng(14)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         cfg = RunConfig(k=4, n=2, inner_lr=1e-3)
-        (w_d, w_g, _), trace = traced_inner_loop(
+        (w_d, w_g, *_), trace = traced_inner_loop(
             monkeypatch, phi_d, phi_g, disc, gen, task_images(CFG64, 2, 2),
             cfg, np.random.default_rng(15))
         assert len(trace) == 4
@@ -235,7 +235,7 @@ class TestInnerLoop:
         rng = np.random.default_rng(14)
         phi_d, phi_g = disc.init_params(rng), gen.init_params(rng)
         cfg = RunConfig(k=4, n=2, inner_lr=1e-3)
-        (w_d, w_g, _), trace = traced_inner_loop(
+        (w_d, w_g, *_), trace = traced_inner_loop(
             monkeypatch, phi_d, phi_g, disc, gen, task_images(CFG32, 2, 2),
             cfg, np.random.default_rng(15))
         eps32 = np.finfo(np.float32).eps
@@ -292,7 +292,7 @@ class TestMetaStep:
         cfg = RunConfig(k=1, n=2, inner_lr=1e-3)
         x = task_images(CFG64, 2, seed=3)
 
-        w_d, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, cfg, np.random.default_rng(23))
+        w_d, w_g, *_ = inner_loop(phi_d, phi_g, disc, gen, x, cfg, np.random.default_rng(23))
         pseudo_d = params_delta(phi_d, w_d).astype(np.float64)
         pseudo_g = params_delta(phi_g, w_g).astype(np.float64)
 
@@ -455,7 +455,7 @@ class TestGenerate:
         x = task_images(cfg, 2, seed=7)
         inner = RunConfig(k=1, n=2, inner_lr=1e-3)
         adapted = np.random.default_rng(45)
-        _, w_g, _ = inner_loop(phi_d, phi_g, disc, gen, x, inner, adapted)
+        _, w_g, *_ = inner_loop(phi_d, phi_g, disc, gen, x, inner, adapted)
         for count in (1, 15, 16, 17, 33):
             got = figr_generate(phi_d, phi_g, disc, gen, x, inner,
                                 np.random.default_rng(45), count=count)

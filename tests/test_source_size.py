@@ -5,9 +5,11 @@ line that says why."""
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "figr"
-CEILING = 3158      # lines, as `wc -l src/figr/*.py` counts them
+CEILING = 3127      # lines, as `wc -l src/figr/*.py` counts them
 
 
 def test_package_line_count_ceiling():
-    lines = sum(p.read_bytes().count(b"\n") for p in PACKAGE.glob("*.py"))
-    assert lines <= CEILING, f"src/figr has {lines} lines, ceiling {CEILING}"
+    counts = {p.name: p.read_bytes().count(b"\n") for p in sorted(PACKAGE.glob("*.py"))}
+    lines = sum(counts.values())
+    per_module = ", ".join(f"{name} {n}" for name, n in counts.items())
+    assert lines <= CEILING, f"src/figr has {lines} lines, ceiling {CEILING} ({per_module})"
