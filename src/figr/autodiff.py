@@ -50,12 +50,15 @@ every product (_gemm) zero-pad a GEMM reduction longer than 384 to a
 multiple of 32 (_blas_k), a length OpenBLAS blocks the same way at
 every thread count.
 
-A first-order backward (no ``create_graph``) consumes the tape and
-releases each node as soon as it visits it.  Each node's rules close
-over its input tensors and every tensor points back to its graph, so a
-live tape is a reference cycle; releasing the nodes lets reference
-counting free a saved activation once every rule that saved it has run,
-not at the next cyclic garbage collection.
+A node's rules keep only the arrays they read: add, sub, tsum, expand
+and reshape keep their operands' shapes, and conv2d, affine and prelu
+keep the input their weight or slope gradient reads only when that
+parameter has requires_grad, which a frozen network's have not.  A
+first-order backward (no ``create_graph``) consumes the tape and
+releases each node as soon as it visits it.  A rule that keeps a tensor
+keeps its graph, so a live tape is a reference cycle; releasing the
+nodes lets reference counting free a saved activation once every rule
+that saved it has run, not at the next cyclic garbage collection.
 """
 
 from __future__ import annotations
@@ -95,7 +98,9 @@ class Node:
 
     Only inputs a gradient flows to are on the tape: a constant input (no
     requires_grad) has the handle None, and an input wants a gradient
-    exactly when its handle is not None.
+    exactly when its handle is not None.  The rules keep only what they
+    read (a shape, not the operand that has it), so a node on a live tape
+    holds no activation that none of its rules needs.
     """
 
     __slots__ = ("op", "input_ids", "vjp", "rec", "leaf")
@@ -264,13 +269,13 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
 
-    def vjp(g, needs):
-        return (_grad(g, a.shape) if needs[0] else None,
-                _grad(g, b.shape) if needs[1] else None)
+    def vjp(g, needs, sa=a.shape, sb=b.shape):
+        return (_grad(g, sa) if needs[0] else None,
+                _grad(g, sb) if needs[1] else None)
 
-    def rec(g, needs):
-        return (_unbroadcast(g, a.shape) if needs[0] else None,
-                _unbroadcast(g, b.shape) if needs[1] else None)
+    def rec(g, needs, sa=a.shape, sb=b.shape):
+        return (_unbroadcast(g, sa) if needs[0] else None,
+                _unbroadcast(g, sb) if needs[1] else None)
 
     return _apply("add", a.data + b.data, (a, b), vjp, rec)
 
@@ -278,9 +283,9 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
 
-    def vjp(g, needs):
-        return (_grad(g, a.shape) if needs[0] else None,
-                _grad(-g, b.shape) if needs[1] else None)
+    def vjp(g, needs, sa=a.shape, sb=b.shape):
+        return (_grad(g, sa) if needs[0] else None,
+                _grad(-g, sb) if needs[1] else None)
 
     return _apply("sub", a.data - b.data, (a, b), vjp)
 
@@ -338,12 +343,12 @@ def tsum(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
     ax = _norm_axes(axes, a.ndim)
     kshape = tuple(1 if i in ax else d for i, d in enumerate(a.shape))
 
-    def vjp(g, needs):
-        return (_broadcast(g if keepdims else g.reshape(kshape), a.shape),)
+    def vjp(g, needs, shape=a.shape):
+        return (_broadcast(g if keepdims else g.reshape(kshape), shape),)
 
-    def rec(g, needs):
-        gk = g if keepdims or a.ndim == 0 else reshape(g, kshape)
-        return (expand(gk, a.shape),)
+    def rec(g, needs, shape=a.shape):
+        gk = g if keepdims or shape == () else reshape(g, kshape)
+        return (expand(gk, shape),)
 
     return _apply("sum", a.data.sum(axis=ax, keepdims=keepdims), (a,), vjp, rec)
 
@@ -356,8 +361,8 @@ def tmean(a: Tensor, axes=None, keepdims: bool = False) -> Tensor:
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     shape = tuple(int(s) for s in shape)
     return _apply("reshape", a.data.reshape(shape), (a,),
-                  lambda g, needs: (g.reshape(a.shape),),
-                  lambda g, needs: (reshape(g, a.shape),))
+                  lambda g, needs, s=a.shape: (g.reshape(s),),
+                  lambda g, needs, s=a.shape: (reshape(g, s),))
 
 
 def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -385,7 +390,7 @@ def expand(a: Tensor, shape) -> Tensor:
             raise ShapeMismatch(f"cannot expand {a.shape} to {shape}")
     axes = tuple(axes)
     return _apply("expand", _broadcast(a.data.reshape(src), shape), (a,),
-                  lambda g, needs: (g.sum(axis=axes, keepdims=True).reshape(a.shape),))
+                  lambda g, needs, s=a.shape: (g.sum(axis=axes, keepdims=True).reshape(s),))
 
 
 def _broadcast(base: np.ndarray, shape: tuple) -> np.ndarray:
@@ -466,10 +471,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # spatial primitives (3x3 windows, pad 1, stride 1 or 2)
 # ---------------------------------------------------------------------------
 
-def _out_hw(h: int, w: int, stride: int) -> tuple[int, int]:
-    return -(-h // stride), -(-w // stride)
-
-
 class _Geometry:
     """Where a [B,C,H,W] input and its 3x3 taps sit on the padded grid.
 
@@ -493,7 +494,7 @@ class _Geometry:
         b, c, h, w = shape
         s = stride
         self.b, self.c, self.h, self.w, self.s = b, c, h, w, s
-        self.h2, self.w2 = _out_hw(h, w, s)
+        self.h2, self.w2 = -(-h // s), -(-w // s)
         self.hg, self.wg = -(-(h + 1) // s), -(-(w + 1) // s)
         self.plane = self.hg * self.wg
         # the wide columns of the whole batch: each sample's H2 rows, and
@@ -724,7 +725,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
         else:
             np.add(wide[:, :, :w2], b.data[:, None, None], out=out_data[n])
 
-    def vjp(g, needs):
+    def vjp(g, needs, xd=x.data if w.requires_grad else None):
         dx = dw = db = None
         gw = _wide(g.reshape(bsz, f, h2, w2), geo)              # F, span
         if needs[0]:
@@ -734,7 +735,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
             dx = _col2im(dcols.reshape(c, 3, 3, geo.span), geo)
         if needs[1]:
             # laid out again rather than kept: the tape would hold a grid per conv
-            xgrid = _to_grid(x.data, geo)
+            xgrid = _to_grid(xd, geo)
             dwt = np.empty((3, 3, f, c), dtype=dtype)
             for i, j, ph, off in geo.taps:
                 np.matmul(gw, xgrid[:, ph, off:off + geo.span].T, out=dwt[i, j])
@@ -777,7 +778,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y = np.matmul(flat, w.data) + b.data
     out_data = y.reshape((bsz,) + space + (f,)).transpose(first)
 
-    def vjp(g, needs):
+    def vjp(g, needs, flat=flat if w.requires_grad else None):
         dx = dw = db = None
         g3 = g.transpose(last).reshape(bsz, p, f)
         if needs[0]:
@@ -826,7 +827,7 @@ def _prelu(x: Tensor, a: Tensor, pos: np.ndarray) -> Tensor:
     out_data = xd * (~pos * slopes + pos)
     red = (0,) + tuple(range(2, xd.ndim))
 
-    def vjp(g, needs):
+    def vjp(g, needs, xd=xd if a.requires_grad else None):
         neg = ~pos
         # a term of the slope sum differs from g * where(pos, 0, x) at
         # most in the sign of a zero, which a sum starting at +0 ignores

@@ -61,6 +61,16 @@ CSV_HEADER = "step,task_id,critic_loss,gen_loss,delta_d_norm,delta_g_norm,second
 EVAL_COUNT = 64     # images `figr eval` generates per class and arm
 
 
+def _destination(path) -> None:
+    """Make the parent directory of a file to write, or refuse a path that is
+    a directory; run before any input is read, so a refused path loses no work."""
+    if not path:
+        return
+    if Path(path).is_dir():
+        raise CliError(f"{path} is a directory, not a file to write")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def _ckpt_path(out_dir: Path, step: int) -> Path:
     return out_dir / f"ckpt_{step:06d}.figr"
 
@@ -280,10 +290,8 @@ def evaluate_checkpoint(cfg: RunConfig, phi: tuple[ParameterSet, ParameterSet], 
 
 
 def cmd_eval(args) -> int:
+    _destination(args.out)
     cfg = load_config(args.config)
-    if args.out:
-        # made before any work, so an --out that cannot be written loses none
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     disc, gen, phi = _restore(cfg, args.checkpoint, moments=False)[:3]
     dataset = build_dataset(cfg)
     reports = evaluate_checkpoint(cfg, phi, dataset, disc, gen,
@@ -304,7 +312,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    Path(args.output).parent.mkdir(parents=True, exist_ok=True)     # as cmd_eval's --out
+    _destination(args.output)
     classes = read_class_dirs(Path(args.input))
     atomic_write(args.output, pack_shard(classes))
     total = sum(images.shape[0] for _, images in classes)
@@ -313,8 +321,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    if args.csv:
-        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)    # as cmd_eval's --out
+    _destination(args.csv)
     with open(args.shard, "rb") as f:
         classes = load_shard(f)
     sizes = np.array(sorted(images.shape[0] for _, images in classes))
@@ -322,10 +329,8 @@ def cmd_stats(args) -> int:
     print(f"classes: {len(classes)}")
     print(f"images: {total}")
     print(f"class size min/median/max: {sizes.min()}/{np.median(sizes):.12g}/{sizes.max()}")
-    lines = ["class_size,cumulative_fraction"]
-    cum = np.cumsum(sizes) / total
-    for size, frac in zip(sizes, cum):
-        lines.append(f"{size},{frac:.6f}")
+    lines = ["class_size,cumulative_fraction"] + [
+        f"{size},{frac:.6f}" for size, frac in zip(sizes, np.cumsum(sizes) / total)]
     if args.csv:
         atomic_write(args.csv, "\n".join(lines) + "\n")
         print(f"cumulative density written to {args.csv}")

@@ -57,15 +57,11 @@ def median_bandwidths(reference: np.ndarray) -> np.ndarray:
     """Median-heuristic bandwidth ladder: BANDWIDTH_FACTORS times the median
     pairwise distance of a reference sample set."""
     flat = _flatten(reference)
-    if flat.shape[0] < 2:
-        med = 1.0
-    else:
+    med = 1.0
+    if flat.shape[0] >= 2:
         sq = _sq_dists(flat, flat)
-        off = sq[~np.eye(sq.shape[0], dtype=bool)]
-        med = float(np.median(np.sqrt(off)))
-        if med <= 0:
-            med = 1.0
-    return np.asarray(BANDWIDTH_FACTORS, dtype=np.float64) * med
+        med = float(np.median(np.sqrt(sq[~np.eye(sq.shape[0], dtype=bool)])))
+    return np.asarray(BANDWIDTH_FACTORS, dtype=np.float64) * (1.0 if med <= 0 else med)
 
 
 def mmd_squared(a: np.ndarray, b: np.ndarray, bandwidths) -> float:
@@ -79,16 +75,12 @@ def mmd_squared(a: np.ndarray, b: np.ndarray, bandwidths) -> float:
     bw = np.asarray(list(bandwidths), dtype=np.float64)
     if bw.size == 0 or np.any(bw <= 0):
         raise ValueError("bandwidths must be positive and non-empty")
-    m, n = fa.shape[0], fb.shape[0]
     total = 0.0
-    if m > 1:
-        kaa = _kernel(_sq_dists(fa, fa), bw)
-        total += (kaa.sum() - np.trace(kaa)) / (m * (m - 1))
-    if n > 1:
-        kbb = _kernel(_sq_dists(fb, fb), bw)
-        total += (kbb.sum() - np.trace(kbb)) / (n * (n - 1))
-    kab = _kernel(_sq_dists(fa, fb), bw)
-    total -= 2.0 * kab.mean()
+    for f in (fa, fb):
+        if f.shape[0] > 1:
+            m, kff = f.shape[0], _kernel(_sq_dists(f, f), bw)
+            total += (kff.sum() - np.trace(kff)) / (m * (m - 1))
+    total -= 2.0 * _kernel(_sq_dists(fa, fb), bw).mean()
     return float(total)
 
 

@@ -126,7 +126,9 @@ def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
     in single precision.  The callers' phi are never mutated, so w starts
     as phi itself.  Whole vectors allocated: the two float64 sums, which
     the gradients are added into, and per update lr * sum, phi - lr * sum
-    and, for float32 phi, its cast to the new w.
+    and, for float32 phi, its cast to the new w.  On the generator step's
+    tape the frozen critic keeps only its prelu masks and layer_norm's
+    arrays, not the inputs of its conv2d, affine and prelu nodes.
     """
     if x_task.shape[0] != cfg.n:
         raise ValueError(f"x_task has {x_task.shape[0]} images, expected n={cfg.n}")
@@ -181,8 +183,8 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
     x = sample_images(task, cfg.n, rng)
 
     w_d, w_g, loss_d, loss_g = inner_loop(state.phi_d, state.phi_g, disc, gen, x, cfg, rng)
-    pseudo_d = params_delta(state.phi_d, w_d)
-    pseudo_g = params_delta(state.phi_g, w_g)
+    pseudo_d, pseudo_g = params_delta(state.phi_d, w_d), params_delta(state.phi_g, w_g)
+    del w_d, w_g                # the adapted copies are freed before Adam's vectors
     _check_finite(state.step + 1, task_id, (("critic loss", loss_d),
                                             ("generator loss", loss_g),
                                             ("critic delta", pseudo_d),

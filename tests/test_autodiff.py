@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1181,6 +1182,57 @@ class TestGraph:
         b = Tensor(np.ones(2, dtype=np.float64))
         with pytest.raises(TypeError):
             ad.add(a, b)
+
+
+def run_and_drop(build, shape):
+    """Apply build to an intermediate h = 2x, drop the caller's h, and return
+    whether h's array is still alive while the tape is, and x's gradient."""
+    with Graph() as g:
+        x = Tensor(np.random.default_rng(0).standard_normal(shape), requires_grad=True)
+        h = ad.mul(x, 2.0)              # not a leaf: only a node's rules could keep it
+        ref = weakref.ref(h.data)
+        y = build(h)
+        del h
+        alive = ref() is not None
+        assert g.nodes[y.node].vjp is not None      # the node is on the live tape
+        return alive, backward(ad.tsum(y))[x].data
+
+
+class TestRetention:
+    """A node's rules keep only the arrays they read: an operand read only
+    for its shape, and a fused op's input when the parameter whose gradient
+    reads it is frozen, die with the caller's last reference to them."""
+
+    @pytest.mark.parametrize("build, grad", [
+        (lambda h: ad.add(h, 1.0), 2.0),
+        (lambda h: ad.add(1.0, h), 2.0),
+        (lambda h: ad.sub(1.0, h), -2.0),
+        (lambda h: ad.tsum(h, axes=(1,)), 2.0),
+        (lambda h: ad.tsum(h, axes=(0,), keepdims=True), 2.0),
+    ], ids=["add", "add-left", "sub", "tsum", "tsum-keepdims"])
+    def test_shape_only_operand_is_not_kept(self, build, grad):
+        alive, dx = run_and_drop(build, (3, 4))
+        assert not alive
+        np.testing.assert_array_equal(dx, np.full((3, 4), grad))
+
+    FUSED = {
+        "conv2d": ((2, 3, 5, 5), lambda h, p: conv2d(
+            h, p(np.linspace(-1, 1, 4 * 3 * 9).reshape(4, 3, 3, 3)), p(np.ones(4)), stride=2)),
+        "affine": ((2, 3), lambda h, p: ad.affine(
+            h, p(np.linspace(-1, 1, 12).reshape(3, 4)), p(np.zeros(4)))),
+        "prelu": ((2, 3, 4, 4), lambda h, p: prelu(h, p(np.array([0.25, -0.5, 2.0])))),
+    }
+
+    @pytest.mark.parametrize("op", sorted(FUSED))
+    def test_fused_input_is_kept_only_for_a_parameter_gradient(self, op):
+        shape, build = self.FUSED[op]
+        frozen, dx_frozen = run_and_drop(lambda h: build(h, Tensor), shape)
+        assert not frozen
+        # a trainable parameter's gradient reads the input, so it is kept,
+        # and the input gradient does not depend on which
+        trainable, dx = run_and_drop(lambda h: build(h, lambda a: Tensor(a, True)), shape)
+        assert trainable
+        assert_same_bits(dx_frozen, dx)
 
 
 @settings(max_examples=30, deadline=None)

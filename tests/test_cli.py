@@ -646,6 +646,17 @@ class TestGenerateEval:
                        "--out", tmp_path / "file" / "eval.csv") == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_eval_out_that_is_a_directory_fails_before_scoring(self, cfg_path, trained,
+                                                              tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(figr.cli, "evaluate_checkpoint",
+                            lambda *a, **k: pytest.fail("scored"))
+        (tmp_path / "outdir").mkdir()
+        capsys.readouterr()
+        assert run_cli("eval", "--config", cfg_path, "--checkpoint", trained,
+                       "--out", tmp_path / "outdir") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'outdir'} is a directory, not a file to write\n"
+
     def test_restore_without_moments_allocates_phi_alone(self, tmp_path):
         # tracemalloc's peak of a φ-only restore of a default checkpoint is φ
         # and under 1 MiB besides (3.09 MiB with φ at 3.06 MiB when this was
@@ -828,6 +839,23 @@ class TestPackStats:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "afile" in err
+
+    @pytest.mark.parametrize("command", ["pack", "stats"])
+    def test_output_that_is_a_directory_fails_before_reading(
+            self, tmp_path, capsys, monkeypatch, command):
+        # refused by name, not by the temporary file's rename over it
+        target = tmp_path / "outdir"
+        target.mkdir()
+        shard = tmp_path / "x.fgr8"
+        shard.write_bytes(raw_shard([("a", (3, 2, 2))]))
+        for reader in ("read_class_dirs", "load_shard"):
+            monkeypatch.setattr(figr.cli, reader, lambda *a, r=reader: pytest.fail(f"{r} ran"))
+        argv = (("pack", "--input", tmp_path, "--output", target) if command == "pack"
+                else ("stats", "--shard", shard, "--csv", target))
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {target} is a directory, not a file to write\n"
+        assert list(target.iterdir()) == []
 
     def test_pack_refuses_image_without_pixels(self, tmp_path, capsys):
         src = tmp_path / "classes" / "blank"

@@ -629,11 +629,12 @@ class TestInnerStepTape:
 
     def test_inner_loop_memory_peak_ceiling(self):
         # tracemalloc's peak over one default inner loop (k=2, n=4) after a
-        # warm-up loop; it read 29.2 MiB when this ceiling was set, 43.08 MiB
-        # when the loop kept float64 copies of phi and a flat gradient per
-        # step, and 47.90 MiB when backward kept every visited node to its
-        # end.  A later change may lower the ceiling; raising it needs a
-        # reason in CHANGES.md
+        # warm-up loop; it read 24.39 MiB when this ceiling was set, 29.22 MiB
+        # when the tape's rules kept operands they read only the shape of and
+        # a frozen critic's inputs, 43.08 MiB when the loop kept float64
+        # copies of phi and a flat gradient per step, and 47.90 MiB when
+        # backward kept every visited node to its end.  A later change may
+        # lower the ceiling; raising it needs a reason in CHANGES.md
         cfg = RunConfig()
         disc, gen = tiny_models(cfg)
         rng = np.random.default_rng(53)
@@ -651,12 +652,14 @@ class TestInnerStepTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 30.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak <= 25.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_tiny_inner_loop_memory_peak_ceiling(self):
         # the dispatch-bound tiny loop (8 px, width 4, k=2, n=2): tracemalloc's
-        # peak after a warm-up loop read 0.29-0.30 MiB when this ceiling was
-        # set.  The same rule as above holds for changing it
+        # peak after a warm-up loop read 0.254 MiB when this ceiling was set,
+        # and 0.29-0.30 MiB when the tape's rules kept operands they read only
+        # the shape of and a frozen critic's inputs.  The same rule as above
+        # holds for changing it
         cfg = replace(CFG32, k=2, n=2)
         disc, gen = tiny_models(cfg)
         rng = np.random.default_rng(53)
@@ -674,13 +677,15 @@ class TestInnerStepTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.35 * 2**20, f"peak {peak / 2**20:.3f} MiB"
+        assert peak <= 0.30 * 2**20, f"peak {peak / 2**20:.3f} MiB"
 
     def test_meta_step_memory_peak_ceiling(self):
         # tracemalloc's peak over one default meta-step (k=2), measured from
-        # its start after a warm-up step; it read 29.24 MiB when this ceiling
-        # was set, and 43.1 MiB when the inner loop and Adam copied whole
-        # vectors.  The same rule as above holds for changing it
+        # its start after a warm-up step; it read 24.67 MiB when this ceiling
+        # was set, 29.24 MiB when the tape's rules kept operands they read only
+        # the shape of and a frozen critic's inputs and the adapted copies
+        # outlived the deltas, and 43.1 MiB when the inner loop and Adam
+        # copied whole vectors.  The same rule as above holds for changing it
         cfg = RunConfig(k=2)
         disc, gen = tiny_models(cfg)
         ds = TestMetaStep().make_dataset(cfg)
@@ -692,4 +697,4 @@ class TestInnerStepTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 30.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert peak <= 26.0 * 2**20, f"peak {peak / 2**20:.2f} MiB"
