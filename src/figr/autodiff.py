@@ -73,26 +73,6 @@ import numpy as np
 LN_EPS = 1e-5       # layer_norm's variance floor
 
 
-class ShapeMismatch(ValueError):
-    """Operand shapes are not compatible for the requested op."""
-
-
-class NotScalar(ValueError):
-    """backward() was asked to differentiate a non-scalar tensor."""
-
-
-class DeadGraph(RuntimeError):
-    """The graph was already consumed by a backward() without create_graph."""
-
-
-class GraphMismatch(RuntimeError):
-    """A non-leaf tensor from one graph was used inside another graph."""
-
-
-class NoGraph(RuntimeError):
-    """An op on a requires_grad tensor ran outside any ``with Graph()`` block."""
-
-
 class Node:
     """One tape entry: op id, input node handles, and the saved backward rules.
 
@@ -118,9 +98,9 @@ class Graph:
 
     Acts as a context manager; ops of any dtype executed inside record
     onto it, and an op that needs recording outside every block raises
-    NoGraph.  A backward() without create_graph marks the graph dead and
-    empties ``nodes``, releasing every saved value; a later backward() on
-    it raises DeadGraph.
+    RuntimeError.  A backward() without create_graph marks the graph dead
+    and empties ``nodes``, releasing every saved value; a later backward()
+    on it raises RuntimeError.
     """
 
     __slots__ = ("nodes", "dead")
@@ -187,8 +167,8 @@ def _register(t: Tensor, g: Graph) -> int:
     if t.graph is g and t.node is not None:
         return t.node
     if not t.is_leaf and t.requires_grad:
-        raise GraphMismatch("a non-leaf tensor from another graph was used here; "
-                            "use Tensor(t.data) to make its value a constant")
+        raise RuntimeError("a non-leaf tensor from another graph was used here; "
+                           "use Tensor(t.data) to make its value a constant")
     t.graph = g
     t.node = g.append(Node("leaf", (), None, leaf=t))
     return t.node
@@ -201,8 +181,8 @@ def _apply(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
         return Tensor(out_data)
     stack = _TLS.stack
     if not stack:
-        raise NoGraph(f"{op} on a requires_grad tensor must run inside a "
-                      "`with Graph()` block")
+        raise RuntimeError(f"{op} on a requires_grad tensor must run inside a "
+                           "`with Graph()` block")
     g = stack[-1]
     out = Tensor(out_data, requires_grad=True)
     input_ids = tuple([_register(i, g) if i.requires_grad else None for i in inputs])
@@ -234,7 +214,7 @@ def _broadcast_shape(sa: tuple, sb: tuple) -> tuple:
         return sa
     if len(sb) > len(sa) and sb[len(sb) - len(sa):] == sa:
         return sb
-    raise ShapeMismatch(f"shapes {sa} and {sb} do not broadcast")
+    raise ValueError(f"shapes {sa} and {sb} do not broadcast")
 
 
 def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
@@ -378,7 +358,7 @@ def expand(a: Tensor, shape) -> Tensor:
         return a
     pad = len(shape) - a.ndim
     if pad < 0:
-        raise ShapeMismatch(f"cannot expand {a.shape} to {shape}")
+        raise ValueError(f"cannot expand {a.shape} to {shape}")
     src = (1,) * pad + a.shape
     axes = []
     for i, (s, t) in enumerate(zip(src, shape)):
@@ -387,7 +367,7 @@ def expand(a: Tensor, shape) -> Tensor:
         if s == 1:
             axes.append(i)
         else:
-            raise ShapeMismatch(f"cannot expand {a.shape} to {shape}")
+            raise ValueError(f"cannot expand {a.shape} to {shape}")
     axes = tuple(axes)
     return _apply("expand", _broadcast(a.data.reshape(src), shape), (a,),
                   lambda g, needs, s=a.shape: (g.sum(axis=axes, keepdims=True).reshape(s),))
@@ -453,11 +433,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     for an operand that had none.  The reduction runs at _blas_k's length.
     """
     if a.ndim not in (2, 3) or b.ndim not in (2, 3):
-        raise ShapeMismatch(f"matmul cannot combine {a.shape} x {b.shape}")
+        raise ValueError(f"matmul cannot combine {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch(f"inner dims differ: {a.shape} x {b.shape}")
+        raise ValueError(f"inner dims differ: {a.shape} x {b.shape}")
     if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"batched shapes differ: {a.shape} x {b.shape}")
+        raise ValueError(f"batched shapes differ: {a.shape} x {b.shape}")
     _check_same_dtype(a, b)
 
     def vjp(g, needs):
@@ -595,7 +575,7 @@ def unfold3x3(a: np.ndarray, stride: int) -> np.ndarray:
     of channel c.
     """
     if a.ndim != 4:
-        raise ShapeMismatch(f"unfold3x3 expects B,C,H,W, got {a.shape}")
+        raise ValueError(f"unfold3x3 expects B,C,H,W, got {a.shape}")
     _check_stride(stride)
     geo = _geometry(a.shape, stride)
     cols = np.empty((geo.b, geo.c, 3, 3, geo.h2, geo.w2), dtype=a.dtype)
@@ -611,7 +591,7 @@ def fold3x3(cols: Tensor, hw: tuple[int, int], stride: int) -> Tensor:
     the same nine adds that give conv2d its input gradient.
     """
     if cols.ndim != 3 or cols.shape[1] % 9:
-        raise ShapeMismatch(f"fold3x3 expects B,C*9,P, got {cols.shape}")
+        raise ValueError(f"fold3x3 expects B,C*9,P, got {cols.shape}")
     _check_stride(stride)
     hw = tuple(hw)
     bsz, k, _ = cols.shape
@@ -633,7 +613,7 @@ def upsample2(a: Tensor) -> Tensor:
     differentiates the critic alone.
     """
     if a.ndim != 4:
-        raise ShapeMismatch(f"upsample2 expects B,C,H,W, got {a.shape}")
+        raise ValueError(f"upsample2 expects B,C,H,W, got {a.shape}")
     b, c, h, w = a.shape
 
     def vjp(g, needs):
@@ -657,7 +637,7 @@ def _spread(d: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
 def subsample2(a: Tensor) -> Tensor:
     """Keep even-index rows/cols (spatial stride-2 identity)."""
     if a.ndim != 4:
-        raise ShapeMismatch(f"subsample2 expects B,C,H,W, got {a.shape}")
+        raise ValueError(f"subsample2 expects B,C,H,W, got {a.shape}")
     hw = a.shape[2:]
     return _apply("subsample2", _subsample(a.data), (a,),
                   lambda g, needs: (_spread(g, hw),),
@@ -692,16 +672,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
     Stride 2 changes only the grid's planes and tap offsets.
     """
     if x.ndim != 4 or w.ndim != 4:
-        raise ShapeMismatch(f"conv2d expects 4-d input and weight, got {x.shape}, {w.shape}")
+        raise ValueError(f"conv2d expects 4-d input and weight, got {x.shape}, {w.shape}")
     if w.shape[2:] != (3, 3):
-        raise ShapeMismatch(f"conv2d kernels are fixed at 3x3, got {w.shape}")
+        raise ValueError(f"conv2d kernels are fixed at 3x3, got {w.shape}")
     if x.shape[1] != w.shape[1]:
-        raise ShapeMismatch(f"channel mismatch: input {x.shape[1]}, weight {w.shape[1]}")
+        raise ValueError(f"channel mismatch: input {x.shape[1]}, weight {w.shape[1]}")
     _check_stride(stride)
     _check_same_dtype(x, w)
     f = w.shape[0]
     if b is not None and b.shape != (f,):
-        raise ShapeMismatch(f"bias shape {b.shape} != ({f},)")
+        raise ValueError(f"bias shape {b.shape} != ({f},)")
 
     geo = _geometry(x.shape, stride)
     bsz, c, h2, w2, wg = geo.b, geo.c, geo.h2, geo.w2, geo.wg
@@ -766,11 +746,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     alone from permute, reshape and matmul, differentiable in x, w and b.
     """
     if x.ndim < 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeMismatch(f"affine cannot map {x.shape} by {w.shape}")
+        raise ValueError(f"affine cannot map {x.shape} by {w.shape}")
     bsz, c, space = x.shape[0], x.shape[1], x.shape[2:]
     f, p, nd = w.shape[1], math.prod(space), x.ndim
     if b.shape != (f,):
-        raise ShapeMismatch(f"bias shape {b.shape} != ({f},)")
+        raise ValueError(f"bias shape {b.shape} != ({f},)")
     _check_same_dtype(x, w, b)
     last = (0,) + tuple(range(2, nd)) + (1,)            # channels to the last axis
     first = (0, nd - 1) + tuple(range(1, nd - 1))       # and back
@@ -803,7 +783,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def prelu(x: Tensor, a: Tensor) -> Tensor:
     """Parametric ReLU with one slope per channel: a is [C] for x [B,C,...]."""
     if a.ndim != 1 or x.ndim < 2 or a.shape[0] != x.shape[1]:
-        raise ShapeMismatch(f"prelu needs one slope per channel of {x.shape}, got {a.shape}")
+        raise ValueError(f"prelu needs one slope per channel of {x.shape}, got {a.shape}")
     _check_same_dtype(x, a)
     return _prelu(x, a, x.data >= 0)
 
@@ -850,7 +830,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """
     feat = x.shape[1:]
     if gain.shape != feat or bias.shape != feat:
-        raise ShapeMismatch(
+        raise ValueError(
             f"gain/bias {gain.shape}/{bias.shape} do not match normalized extent {feat}")
     _check_same_dtype(x, gain, bias)
     axes = tuple(range(1, x.ndim))
@@ -916,12 +896,12 @@ def backward(loss: Tensor, create_graph: bool = False) -> dict[Tensor, Tensor]:
     naming its op.
     """
     if loss.data.size != 1:
-        raise NotScalar(f"loss must be scalar, got shape {loss.shape}")
+        raise ValueError(f"loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad or loss.graph is None:
         return {}
     g = loss.graph
     if g.dead:
-        raise DeadGraph("graph already consumed by a previous backward()")
+        raise RuntimeError("graph already consumed by a previous backward()")
 
     nodes = g.nodes
     start = loss.node

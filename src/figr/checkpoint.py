@@ -5,14 +5,16 @@ fingerprint (32 bytes), outer step u64, then for each network, critic
 first, the parameter vector (a dtype tag byte, b"f" float32 or b"d"
 float64, then u64 length + data) and its Adam state (u64 timestep, then
 u64 length + float64 data for the first and for the second moment).
-Nothing follows.  No rng state is stored: every draw of meta-step t is a
+Nothing follows.  The Adam timestep is the outer step: both timestep
+fields are written as the step, and a file in which either differs from
+it is refused.  No rng state is stored: every draw of meta-step t is a
 function of (seed, t) (see `figr.rng`), so the step is all a resume needs.
 Versions 1 and 2 carried the states of streams that ran through the whole
 run; a resume from them could not continue those streams, so they are
 refused.  `load_checkpoint` reads the file once through
 `figr.data.ByteReader`, each vector straight into the owned array returned
 for it (`readinto`, not a mapping, so a file cut while read raises
-BadCheckpoint), and allocates nothing else that is large.  Only a resumed
+ValueError), and allocates nothing else that is large.  Only a resumed
 `figr train` needs the Adam moments, about four fifths of the file;
 `figr eval` and `figr generate` adapt φ alone, so their read seeks past the
 moments and φ is all it allocates.  Either read checks the whole layout.
@@ -35,10 +37,6 @@ MAGIC = b"FIGR"
 VERSION = 3
 FINGERPRINT_BYTES = 32
 _PHI_DTYPES = {b"f": np.float32, b"d": np.float64}     # tag byte -> dtype
-
-
-class BadCheckpoint(ValueError):
-    pass
 
 
 @dataclass
@@ -67,7 +65,7 @@ def _parts(state: MetaState, fingerprint: bytes) -> list:
     for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
         tag = np.dtype(phi.vector.dtype).char.encode()
         parts += [tag, *_pack_vector(phi.vector, _PHI_DTYPES[tag])]
-        parts.append(struct.pack("<Q", adam.t))
+        parts.append(struct.pack("<Q", state.step))      # the Adam timestep
         parts += _pack_vector(adam.m, np.float64)
         parts += _pack_vector(adam.v, np.float64)
     return parts
@@ -76,7 +74,7 @@ def _parts(state: MetaState, fingerprint: bytes) -> list:
 def _read(f, moments: bool = True) -> CheckpointData:
     """Parse a checkpoint from the start of an open binary file; without
     `moments`, each moment vector's bytes are checked and seeked past."""
-    r = ByteReader(f, BadCheckpoint, "checkpoint")
+    r = ByteReader(f, "checkpoint")
 
     def moment() -> tuple[int, np.ndarray | None]:
         (count,) = r.unpack("<Q")
@@ -87,26 +85,28 @@ def _read(f, moments: bool = True) -> CheckpointData:
 
     magic = r.take(4)
     if magic != MAGIC:
-        raise BadCheckpoint(f"bad magic {magic!r}")
+        raise ValueError(f"bad magic {magic!r}")
     (version,) = r.unpack("<I")
     if version != VERSION:
-        raise BadCheckpoint(f"unsupported checkpoint version {version} "
-                            f"(this figr reads only version {VERSION})")
+        raise ValueError(f"unsupported checkpoint version {version} "
+                         f"(this figr reads only version {VERSION})")
     fingerprint = r.take(FINGERPRINT_BYTES)
     (step,) = r.unpack("<Q")
     nets = []
     for _ in range(2):
         tag = r.take(1)
         if tag not in _PHI_DTYPES:
-            raise BadCheckpoint(f"unknown parameter dtype tag {tag!r}")
+            raise ValueError(f"unknown parameter dtype tag {tag!r}")
         vec = r.array(*r.unpack("<Q"), _PHI_DTYPES[tag])
         (t,) = r.unpack("<Q")
+        if t != step:
+            raise ValueError(f"Adam timestep {t} differs from the checkpoint's step {step}")
         (m_size, m), (v_size, v) = moment(), moment()
         if m_size != vec.size or v_size != vec.size:
-            raise BadCheckpoint("moment vectors do not match parameter length")
-        nets.append((vec, AdamState(m, v, t)))
+            raise ValueError("moment vectors do not match parameter length")
+        nets.append((vec, AdamState(m, v)))
     if r.pos != r.size:
-        raise BadCheckpoint(f"{r.size - r.pos} trailing bytes")
+        raise ValueError(f"{r.size - r.pos} trailing bytes")
     return CheckpointData(fingerprint=fingerprint, step=step,
                           phi_d=nets[0][0], phi_g=nets[1][0],
                           adam_d=nets[0][1], adam_g=nets[1][1])

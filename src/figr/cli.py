@@ -10,12 +10,21 @@
 Every command is deterministic under its seed.  Training writes a CSV log,
 reconciled on start to the checkpoint the run starts from, periodic
 checkpoints, and sample montages.
+
+Failures follow one contract.  Bad input (a config, a data file, a
+checkpoint, a flag, a path) raises ValueError or OSError, which `main`
+turns into one `error: <message>` line on stderr and exit code 2.  Misuse
+of the engine by code (an op outside a graph, mismatched dtypes) raises
+RuntimeError or TypeError, which no command catches, so it ends in a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
+import io
 import os
 import sys
 import time
@@ -25,13 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .checkpoint import (
-    BadCheckpoint,
-    CheckpointData,
-    atomic_write,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .checkpoint import atomic_write, load_checkpoint, save_checkpoint
 from .config import (
     RunConfig,
     build_dataset,
@@ -53,10 +56,6 @@ from .models import Discriminator, Generator, ParameterSet
 from .reptile import MetaState, figr_generate, init_meta_state, meta_step
 
 
-class CliError(ValueError):
-    pass
-
-
 CSV_HEADER = "step,task_id,critic_loss,gen_loss,delta_d_norm,delta_g_norm,seconds"
 EVAL_COUNT = 64     # images `figr eval` generates per class and arm
 
@@ -67,7 +66,7 @@ def _destination(path) -> None:
     if not path:
         return
     if Path(path).is_dir():
-        raise CliError(f"{path} is a directory, not a file to write")
+        raise ValueError(f"{path} is a directory, not a file to write")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
@@ -76,20 +75,21 @@ def _ckpt_path(out_dir: Path, step: int) -> Path:
 
 
 def _restore(cfg: RunConfig, path, moments: bool = True) -> tuple[
-        Discriminator, Generator, tuple[ParameterSet, ParameterSet], CheckpointData]:
-    """Load a checkpoint written under this config: the models, φ = (φ_d, φ_g)
-    and the file's other fields (the step, and the Adam moments, which only
-    `figr train --resume` reads; eval and generate skip them)."""
+        Discriminator, Generator, MetaState]:
+    """Load a checkpoint written under this config: the models and the
+    outer-loop state.  Only `figr train --resume` reads the Adam moments;
+    eval and generate skip them, which leaves the state's m and v None."""
     data = load_checkpoint(path, moments)
     if data.fingerprint != fingerprint(cfg):
-        raise CliError("config fingerprint does not match the checkpoint; "
-                       "refusing to use it with drifted hyperparameters")
+        raise ValueError("config fingerprint does not match the checkpoint; "
+                         "refusing to use it with drifted hyperparameters")
     disc, gen = Discriminator(cfg), Generator(cfg)
     if data.phi_d.size != disc.param_count() or data.phi_g.size != gen.param_count():
-        raise BadCheckpoint("checkpoint parameter counts do not match the config")
-    phi = (ParameterSet(data.phi_d.astype(cfg.dtype, copy=False), disc.layout),
-           ParameterSet(data.phi_g.astype(cfg.dtype, copy=False), gen.layout))
-    return disc, gen, phi, data
+        raise ValueError("checkpoint parameter counts do not match the config")
+    state = MetaState(ParameterSet(data.phi_d.astype(cfg.dtype, copy=False), disc.layout),
+                      ParameterSet(data.phi_g.astype(cfg.dtype, copy=False), gen.layout),
+                      data.adam_d, data.adam_g, step=data.step)
+    return disc, gen, state
 
 
 def _reconcile_log(path: Path, step: int) -> None:
@@ -106,8 +106,8 @@ def _reconcile_log(path: Path, step: int) -> None:
     width = CSV_HEADER.count(",") + 1
     lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
     if step > 0 and lines and lines[0] != CSV_HEADER:
-        raise CliError(f"{path} has header {lines[0]!r}, not {CSV_HEADER!r}; "
-                       "resume into a fresh --out")
+        raise ValueError(f"{path} has header {lines[0]!r}, not {CSV_HEADER!r}; "
+                         "resume into a fresh --out")
     rows = []
     for line in lines[1:]:
         fields = line.split(",")
@@ -145,7 +145,7 @@ def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, out_path: Path) -> 
 
 def cmd_train(args) -> int:
     if args.steps is not None and args.steps < 0:
-        raise CliError(f"--steps must be >= 0, got {args.steps}")
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
     cfg = load_config(args.config)
     fp = fingerprint(cfg)
     out_dir = Path(args.out or cfg.out_dir)
@@ -153,8 +153,7 @@ def cmd_train(args) -> int:
 
     dataset = build_dataset(cfg)
     if args.resume:
-        disc, gen, phi, data = _restore(cfg, args.resume)
-        state = MetaState(*phi, data.adam_d, data.adam_g, step=data.step)
+        disc, gen, state = _restore(cfg, args.resume)
         print(f"resumed from {args.resume} at step {state.step}")
     else:
         disc, gen = Discriminator(cfg), Generator(cfg)
@@ -196,24 +195,24 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = load_config(args.config)
-    disc, gen, phi = _restore(cfg, args.checkpoint, moments=False)[:3]
+    disc, gen, state = _restore(cfg, args.checkpoint, moments=False)
     dataset = build_dataset(cfg)
 
     cfg = replace(cfg, k=cfg.k if args.k is None else args.k,
                   n=cfg.n if args.n is None else args.n)
     ids = dataset.class_ids(args.split)
     if not ids:
-        raise CliError(f"{args.split} split is empty")
+        raise ValueError(f"{args.split} split is empty")
     if args.class_name:
         matches = [i for i in ids if dataset.classes[i].name == args.class_name]
         if not matches:
-            raise CliError(f"class {args.class_name!r} not in the {args.split} split")
+            raise ValueError(f"class {args.class_name!r} not in the {args.split} split")
         cid = matches[0]
     else:
         cid = ids[int(rng.derive(args.seed, rng.GENERATE_PICK, 0).integers(len(ids)))]
     task = dataset.classes[cid]
     if task.images.shape[0] < cfg.n:
-        raise CliError(f"class {task.name!r} has {task.images.shape[0]} images, need n={cfg.n}")
+        raise ValueError(f"class {task.name!r} has {task.images.shape[0]} images, need n={cfg.n}")
 
     out_dir = Path(args.out)
     # made once the inputs are accepted, before the adaptation: a refused
@@ -221,7 +220,8 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     class_rng = rng.derive(args.seed, rng.GENERATE, cid)
     x = sample_images(task, cfg.n, class_rng)
-    generated = figr_generate(*phi, disc, gen, x, cfg, class_rng, count=args.count)
+    generated = figr_generate(state.phi_d, state.phi_g, disc, gen, x, cfg, class_rng,
+                              count=args.count)
     atomic_write(out_dir / "montage.pgm", write_pgm(montage(x, generated)))
     shard = pack_shard([(task.name, to_uint8(generated[:, 0]))])
     atomic_write(out_dir / "generated.fgr8", shard)
@@ -254,9 +254,9 @@ def evaluate_checkpoint(cfg: RunConfig, phi: tuple[ParameterSet, ParameterSet], 
     """
     ids = dataset.class_ids("validation")
     if not ids:
-        raise CliError("validation split is empty")
+        raise ValueError("validation split is empty")
     if trials < 1:
-        raise CliError(f"--trials must be >= 1, got {trials}")
+        raise ValueError(f"--trials must be >= 1, got {trials}")
     if trials > len(ids):
         print(f"warning: --trials {trials} capped at {len(ids)} validation classes",
               file=sys.stderr)
@@ -264,8 +264,8 @@ def evaluate_checkpoint(cfg: RunConfig, phi: tuple[ParameterSet, ParameterSet], 
     for cid in ids[:trials]:
         task = dataset.classes[cid]
         if task.images.shape[0] <= cfg.n:
-            raise CliError(f"validation class {task.name!r} has {task.images.shape[0]} "
-                           f"images; scoring needs more than n={cfg.n}")
+            raise ValueError(f"validation class {task.name!r} has {task.images.shape[0]} "
+                             f"images; scoring needs more than n={cfg.n}")
     base = _initial_phi(cfg, disc, gen)
     reports = []
     for cid in ids[:trials]:
@@ -289,21 +289,30 @@ def evaluate_checkpoint(cfg: RunConfig, phi: tuple[ParameterSet, ParameterSet], 
     return reports
 
 
+def _csv_line(fields) -> str:
+    """One CSV row ending in "\\n".  csv quotes a field that holds a comma, a
+    quote or a line break, as a class name may; it is given the terminator
+    "\\r\\n", cut off here, so that it quotes a lone "\\r" too."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def cmd_eval(args) -> int:
     _destination(args.out)
     cfg = load_config(args.config)
-    disc, gen, phi = _restore(cfg, args.checkpoint, moments=False)[:3]
+    disc, gen, state = _restore(cfg, args.checkpoint, moments=False)
     dataset = build_dataset(cfg)
-    reports = evaluate_checkpoint(cfg, phi, dataset, disc, gen,
+    reports = evaluate_checkpoint(cfg, (state.phi_d, state.phi_g), dataset, disc, gen,
                                   trials=args.trials, seed=args.seed)
-    lines = ["task_id,name,mmd2,baseline_mmd2,nn_distance,win"]
+    lines = [_csv_line(["task_id", "name", "mmd2", "baseline_mmd2", "nn_distance", "win"])]
     wins = 0
     for r in reports:
         win = int(r.mmd2 < r.baseline_mmd2)
         wins += win
-        lines.append(f"{r.task_id},{r.task_name},{r.mmd2:.9g},"
-                     f"{r.baseline_mmd2:.9g},{r.nn_min_distance:.9g},{win}")
-    text = "\n".join(lines) + "\n"
+        lines.append(_csv_line([r.task_id, r.task_name, f"{r.mmd2:.9g}",
+                                f"{r.baseline_mmd2:.9g}", f"{r.nn_min_distance:.9g}", win]))
+    text = "".join(lines)
     if args.out:
         atomic_write(args.out, text)
     sys.stdout.write(text)

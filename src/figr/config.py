@@ -25,10 +25,6 @@ from .data import (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Every setting of a run: model, loss, inner and outer loop, data, cadence.
@@ -85,33 +81,33 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.dataset_format not in ("synth", "idx", "fgr8"):
-            raise ConfigError(f"unknown dataset_format {self.dataset_format!r}")
+            raise ValueError(f"unknown dataset_format {self.dataset_format!r}")
         if self.loss_mode != "wasserstein_gp":
-            raise ConfigError(f"loss_mode must be wasserstein_gp, not {self.loss_mode!r}")
+            raise ValueError(f"loss_mode must be wasserstein_gp, not {self.loss_mode!r}")
         if self.image_size not in (8, 16, 32, 64):
-            raise ConfigError(f"image_size must be 8/16/32/64, got {self.image_size}")
+            raise ValueError(f"image_size must be 8/16/32/64, got {self.image_size}")
         if self.n_blocks < self.n_scales:
-            raise ConfigError(
+            raise ValueError(
                 f"n_blocks={self.n_blocks} < {self.n_scales} scale changes for "
                 f"image_size={self.image_size}")
         if self.precision not in ("single", "double"):
-            raise ConfigError(f"unknown precision {self.precision!r}")
+            raise ValueError(f"unknown precision {self.precision!r}")
         if self.latent_dim < 1 or self.base_width < 1:
-            raise ConfigError("latent_dim and base_width must be positive")
+            raise ValueError("latent_dim and base_width must be positive")
         if not (self.k >= 1 and self.n >= 1 and self.inner_lr >= 0 and self.gp_lambda >= 0):
-            raise ConfigError("need k >= 1, n >= 1, inner_lr >= 0, gp_lambda >= 0")
+            raise ValueError("need k >= 1, n >= 1, inner_lr >= 0, gp_lambda >= 0")
         # beta = 1 leaves Adam's bias correction dividing 0 by 0 at step 1
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1
                 and self.adam_eps > 0 and self.outer_lr >= 0):
-            raise ConfigError("need 0 <= beta1, beta2 < 1, adam_eps > 0, outer_lr >= 0")
+            raise ValueError("need 0 <= beta1, beta2 < 1, adam_eps > 0, outer_lr >= 0")
         # 0 is none or never; a negative cadence would pass `step % every == 0` at
         # every step, and numpy refuses a negative seed without naming the key
         for name in ("n_validation", "meta_steps", "checkpoint_every", "sample_every",
                      "seed", "split_seed"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def n_scales(self) -> int:
@@ -152,21 +148,18 @@ def parse_config(text: str) -> RunConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in kinds:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
             seen[key] = casts[kinds[key]](value)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    try:
-        return RunConfig(**seen)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+    return RunConfig(**seen)
 
 
 def load_config(path: Path) -> RunConfig:

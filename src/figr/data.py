@@ -34,37 +34,13 @@ from typing import Callable
 import numpy as np
 
 
-class BadMagic(ValueError):
-    pass
-
-
-class TruncatedFile(ValueError):
-    pass
-
-
-class CountMismatch(ValueError):
-    pass
-
-
-class UnsupportedVersion(ValueError):
-    pass
-
-
-class TooManyValidation(ValueError):
-    pass
-
-
-class EmptySplit(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # binary files: the shared reader, then IDX (MNIST: big-endian magic, dims, bytes)
 # ---------------------------------------------------------------------------
 
 class ByteReader:
     """A cursor over an open binary file `f`, read from its start, that
-    raises `error` rather than read past its end.
+    raises ValueError naming `what` rather than read past its end.
 
     Each call reads only its own bytes.  `array` checks the bytes left
     before it allocates the new array that `readinto` fills, so that array
@@ -72,14 +48,14 @@ class ByteReader:
     `skip` checks the bytes left the same way, then seeks past them unread.
     """
 
-    def __init__(self, f, error: type[ValueError], what: str):
-        self.f, self.error, self.what = f, error, what
+    def __init__(self, f, what: str):
+        self.f, self.what = f, what
         self.size = f.seek(0, io.SEEK_END)
         self.pos = f.seek(0)
 
     def _check(self, n: int, end: int) -> None:
         if self.pos + n > end:
-            raise self.error(f"{self.what} truncated: {n} bytes wanted at byte {self.pos}, "
+            raise ValueError(f"{self.what} truncated: {n} bytes wanted at byte {self.pos}, "
                              f"but it ends at byte {end}")
 
     def take(self, n: int) -> bytes:
@@ -107,19 +83,19 @@ IDX_LABEL_MAGIC = 0x00000801
 def parse_idx(image_file, label_file) -> tuple[np.ndarray, np.ndarray]:
     """Parse paired IDX image/label files, open and binary, each read from
     its start -> (uint8 [N,H,W], uint8 [N])."""
-    r = ByteReader(image_file, TruncatedFile, "IDX image file")
+    r = ByteReader(image_file, "IDX image file")
     magic, count, rows, cols = r.unpack(">IIII")
     if magic != IDX_IMAGE_MAGIC:
-        raise BadMagic(f"image magic 0x{magic:08x} != 0x{IDX_IMAGE_MAGIC:08x}")
+        raise ValueError(f"image magic 0x{magic:08x} != 0x{IDX_IMAGE_MAGIC:08x}")
     images = r.array(count * rows * cols, np.uint8).reshape(count, rows, cols)
 
-    r = ByteReader(label_file, TruncatedFile, "IDX label file")
+    r = ByteReader(label_file, "IDX label file")
     lmagic, lcount = r.unpack(">II")
     if lmagic != IDX_LABEL_MAGIC:
-        raise BadMagic(f"label magic 0x{lmagic:08x} != 0x{IDX_LABEL_MAGIC:08x}")
+        raise ValueError(f"label magic 0x{lmagic:08x} != 0x{IDX_LABEL_MAGIC:08x}")
     labels = r.array(lcount, np.uint8)
     if lcount != count:
-        raise CountMismatch(f"{count} images vs {lcount} labels")
+        raise ValueError(f"{count} images vs {lcount} labels")
     return images, labels
 
 
@@ -130,12 +106,12 @@ def parse_idx(image_file, label_file) -> tuple[np.ndarray, np.ndarray]:
 def read_pgm(data: bytes) -> np.ndarray:
     """Parse binary PGM; '#' comments are skipped between header tokens."""
     if not data.startswith(b"P5"):
-        raise BadMagic("not a binary PGM (P5) file")
+        raise ValueError("not a binary PGM (P5) file")
     tokens: list[int] = []
     pos = 2
     while len(tokens) < 3:
         if pos >= len(data):
-            raise TruncatedFile("PGM header ended early")
+            raise ValueError("PGM header ended early")
         ch = data[pos:pos + 1]
         if ch.isspace():
             pos += 1
@@ -149,13 +125,13 @@ def read_pgm(data: bytes) -> np.ndarray:
             tokens.append(int(data[pos:end]))
             pos = end
         else:
-            raise BadMagic(f"unexpected byte {ch!r} in PGM header")
+            raise ValueError(f"unexpected byte {ch!r} in PGM header")
     width, height, maxval = tokens
     if maxval != 255:
-        raise UnsupportedVersion(f"only maxval 255 PGMs are supported, got {maxval}")
+        raise ValueError(f"only maxval 255 PGMs are supported, got {maxval}")
     pos += 1  # single whitespace byte separates header from raster
     if len(data) - pos < width * height:
-        raise TruncatedFile(f"PGM raster has {len(data) - pos} of {width * height} bytes")
+        raise ValueError(f"PGM raster has {len(data) - pos} of {width * height} bytes")
     return np.frombuffer(data, dtype=np.uint8, count=width * height,
                          offset=pos).reshape(height, width)
 
@@ -210,13 +186,13 @@ def pack_shard(classes: list[tuple[str, np.ndarray]]) -> bytes:
 def load_shard(f) -> list[tuple[str, np.ndarray]]:
     """Parse a shard from the start of an open binary file -> (name, uint8
     [N,H,W]) pairs, each class's images read into an array of their own."""
-    r = ByteReader(f, TruncatedFile, "shard")
+    r = ByteReader(f, "shard")
     magic = r.take(4)
     if magic != SHARD_MAGIC:
-        raise BadMagic(f"shard magic {magic!r} != {SHARD_MAGIC!r}")
+        raise ValueError(f"shard magic {magic!r} != {SHARD_MAGIC!r}")
     version, n_classes = r.unpack("<II")
     if version != SHARD_VERSION:
-        raise UnsupportedVersion(f"shard version {version} unsupported")
+        raise ValueError(f"shard version {version} unsupported")
     if n_classes == 0:
         raise ValueError("shard holds no classes")
     classes = []
@@ -363,10 +339,10 @@ def split_classes(ds: TaskDataset, n_validation: int, seed: int,
             raise ValueError(f"validation classes named more than once: {repeated}")
         val = tuple(sorted(byname[x] for x in explicit))
         if len(val) >= n:
-            raise TooManyValidation("every class would be validation")
+            raise ValueError("every class would be validation")
     else:
         if n_validation >= n:
-            raise TooManyValidation(f"{n_validation} validation of {n} classes")
+            raise ValueError(f"{n_validation} validation of {n} classes")
         rng = np.random.default_rng(seed)
         val = tuple(sorted(rng.choice(n, size=n_validation, replace=False).tolist()))
     train = tuple(i for i in range(n) if i not in set(val))
@@ -377,7 +353,7 @@ def sample_task(ds: TaskDataset, rng: np.random.Generator,
                 split: str = "train") -> tuple[int, TaskClass]:
     ids = ds.class_ids(split)
     if not ids:
-        raise EmptySplit(f"the {split} split has no classes")
+        raise ValueError(f"the {split} split has no classes")
     cid = ids[int(rng.integers(len(ids)))]
     return cid, ds.classes[cid]
 

@@ -20,10 +20,6 @@ BANDWIDTH_FACTORS = (0.25, 0.5, 1.0, 2.0, 4.0)
 SEPARATOR_PX = 2        # white gap between montage tiles
 
 
-class EmptySet(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class EvalReport:
     task_id: int
@@ -36,7 +32,7 @@ class EvalReport:
 def _flatten(images: np.ndarray) -> np.ndarray:
     arr = np.asarray(images, dtype=np.float64)
     if arr.size == 0:
-        raise EmptySet("image set is empty")
+        raise ValueError("image set is empty")
     return arr.reshape(arr.shape[0], -1)
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeMismatch, Tensor, backward
+from .autodiff import Tensor, backward
 
 NORM_FLOOR = 1e-12  # inside the sqrt, avoids the derivative singularity at 0
 
@@ -37,7 +37,7 @@ def critic_loss(scores: Tensor) -> Tensor:
     """
     rows = scores.shape[0] if scores.ndim else 0
     if rows == 0 or rows % 2:
-        raise ShapeMismatch(
+        raise ValueError(
             f"joint score batch needs equal real and fake halves, got {scores.shape}")
     n = rows // 2
     sums = ad.tsum(ad.reshape(scores, (2, -1)), axes=(1,))
@@ -63,7 +63,7 @@ def gradient_penalty(critic: Callable[[Tensor], Tensor],
     respect to xhat alone.
     """
     if x.shape != y.shape:
-        raise ShapeMismatch(f"real/fake batches differ: {x.shape} vs {y.shape}")
+        raise ValueError(f"real/fake batches differ: {x.shape} vs {y.shape}")
     b = x.shape[0]
     eps = np.asarray(eps, dtype=x.dtype).reshape((b,) + (1,) * (x.ndim - 1))
 

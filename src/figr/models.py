@@ -20,12 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, ShapeMismatch
+from .autodiff import Tensor
 from .config import RunConfig
-
-
-class LayoutMismatch(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class ParameterSet:
     def __init__(self, vector: np.ndarray, layout: tuple[Segment, ...]):
         total = layout[-1].offset + layout[-1].size if layout else 0
         if vector.ndim != 1 or vector.size != total:
-            raise LayoutMismatch(
+            raise ValueError(
                 f"vector of {vector.size} values does not cover layout of {total}")
         self.vector = vector
         self.layout = layout
@@ -90,7 +86,7 @@ class BoundParams(dict):
 def params_delta(phi: ParameterSet, w: ParameterSet) -> np.ndarray:
     """Elementwise phi - w as a flat vector (the Reptile pseudo-gradient)."""
     if phi.layout != w.layout:
-        raise LayoutMismatch("parameter sets have different layouts")
+        raise ValueError("parameter sets have different layouts")
     return phi.vector - w.vector
 
 
@@ -215,7 +211,7 @@ class Generator(_ResNetBase):
     def forward(self, p: BoundParams, z: Tensor) -> Tensor:
         cfg = self.cfg
         if z.ndim != 2 or z.shape[1] != cfg.latent_dim:
-            raise ShapeMismatch(f"latent batch {z.shape} != (B, {cfg.latent_dim})")
+            raise ValueError(f"latent batch {z.shape} != (B, {cfg.latent_dim})")
         b = z.shape[0]
         h = ad.affine(z, p["fc.w"], p["fc.b"])
         h = ad.reshape(h, (b, self.w_top, 4, 4))
@@ -254,7 +250,7 @@ class Discriminator(_ResNetBase):
         cfg = self.cfg
         expect = (1, cfg.image_size, cfg.image_size)
         if images.ndim != 4 or images.shape[1:] != expect:
-            raise ShapeMismatch(f"image batch {images.shape} != (B, {expect})")
+            raise ValueError(f"image batch {images.shape} != (B, {expect})")
         b = images.shape[0]
         h = ad.conv2d(images, p["stem.w"], p["stem.b"], stride=1)
         h = _norm_act(p, "in0", h)

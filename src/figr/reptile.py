@@ -18,40 +18,24 @@ from .autodiff import Graph, Tensor, backward
 from .config import RunConfig
 from .data import sample_images, sample_task
 from .losses import critic_loss, generator_loss, gradient_penalty
-from .models import (
-    Discriminator,
-    Generator,
-    LayoutMismatch,
-    ParameterSet,
-    params_delta,
-    sample_latent,
-)
+from .models import Discriminator, Generator, ParameterSet, params_delta, sample_latent
 from .rng import STEP, derive
 
 SAMPLE_CHUNK = 16      # latent rows per generator forward in figr_generate
 
 
-class NonFiniteStep(ValueError):
-    """A meta-step's inner losses, Reptile deltas or updated phi hold a NaN or inf.
-
-    Raised before the meta-step returns its new state, so the caller's phi
-    and moments keep the last finite values.
-    """
-
-
 def _check_finite(step: int, task_id: int, values) -> None:
     bad = [name for name, value in values if not np.isfinite(value).all()]
     if bad:
-        raise NonFiniteStep(f"meta-step {step} on task {task_id}: non-finite {', '.join(bad)}")
+        raise ValueError(f"meta-step {step} on task {task_id}: non-finite {', '.join(bad)}")
 
 
 @dataclass
 class AdamState:
-    """First/second moment vectors and the shared timestep."""
+    """First/second moment vectors; the timestep is the MetaState's step."""
 
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
 
     @classmethod
     def zeros(cls, size: int) -> "AdamState":
@@ -84,20 +68,19 @@ def init_meta_state(phi_d: ParameterSet, phi_g: ParameterSet) -> MetaState:
                      AdamState.zeros(phi_g.total_len))
 
 
-def adam_step(adam: AdamState, params: ParameterSet, pseudo_grad: np.ndarray,
+def adam_step(adam: AdamState, params: ParameterSet, pseudo_grad: np.ndarray, t: int,
               lr: float, beta1: float, beta2: float, eps: float
               ) -> tuple[ParameterSet, AdamState]:
-    """One bias-corrected Adam update; moments are kept in float64.
+    """Bias-corrected Adam update number t (from 1); moments are kept in float64.
 
     The textbook expression's operations run in its order, products only
     commuted, in place on four fresh float64 vectors: m, v, g (which then
     holds sqrt(v_hat) + eps) and the update (then the new parameters).
     """
     if pseudo_grad.shape != (params.total_len,):
-        raise LayoutMismatch(
+        raise ValueError(
             f"pseudo-gradient of {pseudo_grad.shape} for {params.total_len} parameters")
     g = pseudo_grad.astype(np.float64)
-    t = adam.t + 1
     m = adam.m * beta1
     m += g * (1.0 - beta1)
     v = adam.v * beta2
@@ -107,7 +90,7 @@ def adam_step(adam: AdamState, params: ParameterSet, pseudo_grad: np.ndarray,
     update /= np.add(np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=g), out=g), eps, out=g)
     with np.errstate(over="ignore"):    # meta_step refuses the inf this leaves
         new = params.with_vector(np.subtract(params.vector, update, out=update))
-    return new, AdamState(m, v, t)
+    return new, AdamState(m, v)
 
 
 def inner_loop(phi_d: ParameterSet, phi_g: ParameterSet,
@@ -176,28 +159,30 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
     """One outer iteration: sample a task, adapt copies, move phi toward them.
 
     Every draw of step t = state.step + 1 comes from key (STEP, t) under
-    cfg.seed, so the step is a function of the state and the config alone."""
+    cfg.seed, so the step is a function of the state and the config alone;
+    t is also the Adam timestep.  A step whose inner losses, Reptile deltas
+    or updated phi hold a NaN or inf raises ValueError before it returns,
+    so the caller's state keeps its last finite phi and moments."""
     t0 = time.perf_counter()
-    rng = derive(cfg.seed, STEP, state.step + 1)
+    t = state.step + 1
+    rng = derive(cfg.seed, STEP, t)
     task_id, task = sample_task(dataset, rng, split="train")
     x = sample_images(task, cfg.n, rng)
 
     w_d, w_g, loss_d, loss_g = inner_loop(state.phi_d, state.phi_g, disc, gen, x, cfg, rng)
     pseudo_d, pseudo_g = params_delta(state.phi_d, w_d), params_delta(state.phi_g, w_g)
     del w_d, w_g                # the adapted copies are freed before Adam's vectors
-    _check_finite(state.step + 1, task_id, (("critic loss", loss_d),
-                                            ("generator loss", loss_g),
-                                            ("critic delta", pseudo_d),
-                                            ("generator delta", pseudo_g)))
-    phi_d, adam_d = adam_step(state.adam_d, state.phi_d, pseudo_d,
+    _check_finite(t, task_id, (("critic loss", loss_d), ("generator loss", loss_g),
+                               ("critic delta", pseudo_d), ("generator delta", pseudo_g)))
+    phi_d, adam_d = adam_step(state.adam_d, state.phi_d, pseudo_d, t,
                               cfg.outer_lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    phi_g, adam_g = adam_step(state.adam_g, state.phi_g, pseudo_g,
+    phi_g, adam_g = adam_step(state.adam_g, state.phi_g, pseudo_g, t,
                               cfg.outer_lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     # a finite but huge step overflows phi's float32 cast
-    _check_finite(state.step + 1, task_id, (("critic phi", phi_d.vector),
-                                            ("generator phi", phi_g.vector)))
+    _check_finite(t, task_id, (("critic phi", phi_d.vector),
+                               ("generator phi", phi_g.vector)))
 
-    new_state = MetaState(phi_d, phi_g, adam_d, adam_g, step=state.step + 1)
+    new_state = MetaState(phi_d, phi_g, adam_d, adam_g, step=t)
     record = TrainRecord(
         step=new_state.step, task_id=task_id,
         critic_loss=loss_d, gen_loss=loss_g,

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 from figr import autodiff as ad
 from figr.autodiff import (
-    DeadGraph,
     Graph,
-    GraphMismatch,
-    NoGraph,
-    NotScalar,
-    ShapeMismatch,
     LN_EPS,
     Tensor,
     backward,
@@ -96,7 +91,7 @@ class TestElementwise:
         np.testing.assert_allclose(ad.div(1.0, ad.sub(3.0, x)).data, [0.5, 0.2])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"shapes \(2, 3\) and \(3, 2\) do not broadcast"):
             ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
 
     def test_broadcast_grad_reduces(self):
@@ -185,7 +180,7 @@ class TestMatmul:
         np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
 
     def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^inner dims differ"):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_grad_matches_fd(self):
@@ -205,7 +200,7 @@ class TestMatmul:
                  lambda a: ad.tsum(ad.square(matmul(a, Tensor(b0)))), a0)
         fd_check(lambda b: float(np.sum((a0 @ b) ** 2)),
                  lambda b: ad.tsum(ad.square(matmul(Tensor(a0), b))), b0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^inner dims differ"):
             matmul(Tensor(a0), Tensor(np.ones((4, 2, 5))))
 
     @pytest.mark.parametrize("sa,sb", [((5, 2, 3), (3, 4)), ((5, 2, 3), (5, 3, 4))],
@@ -293,7 +288,7 @@ class TestConv2d:
             np.testing.assert_array_equal(batch[n:n + 1], alone)
 
     def test_channel_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^channel mismatch: input 2, weight 3$"):
             conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))), None, 1)
 
     def test_gradients_independent_of_blas_threads(self):
@@ -372,9 +367,10 @@ class TestPRelu:
         np.testing.assert_array_equal(out.data, x)
 
     def test_slope_count_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^prelu needs one slope per channel"):
             prelu(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
-        with pytest.raises(ShapeMismatch):           # one slope per channel, not a scalar
+        # one slope per channel, not a scalar
+        with pytest.raises(ValueError, match="^prelu needs one slope per channel"):
             prelu(Tensor(np.ones((2, 3))), Tensor(np.array(0.25)))
 
     def test_slope_gradient(self):
@@ -539,7 +535,7 @@ class TestLayerNorm:
         assert np.all(np.abs(flat.var(axis=1) - x_var / (x_var + LN_EPS)) < 1e-5)
 
     def test_affine_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="do not match normalized extent"):
             layer_norm(Tensor(np.ones((2, 6))), Tensor(np.ones(5)), Tensor(np.zeros(6)))
 
     def test_input_gradient_matches_fd(self):
@@ -906,9 +902,9 @@ class TestAffine:
             assert [node.op for node in g.nodes if node.op != "leaf"] == ["affine"]
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^affine cannot map"):
             ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"^bias shape \(4,\) != \(5,\)$"):
             ad.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))), Tensor(np.ones(4)))
 
     def test_double_backward_matches_fd(self):
@@ -993,7 +989,7 @@ class TestBackward:
     def test_not_scalar(self):
         with Graph():
             x = Tensor(np.ones(3), requires_grad=True)
-            with pytest.raises(NotScalar):
+            with pytest.raises(ValueError, match="^loss must be scalar"):
                 backward(ad.square(x))
 
     def test_dead_graph(self):
@@ -1001,7 +997,7 @@ class TestBackward:
             x = Tensor(np.ones(3), requires_grad=True)
             loss = ad.tsum(ad.square(x))
             backward(loss)
-            with pytest.raises(DeadGraph):
+            with pytest.raises(RuntimeError, match="^graph already consumed"):
                 backward(loss)
 
     def test_first_order_backward_releases_each_visited_node(self):
@@ -1017,7 +1013,7 @@ class TestBackward:
             with pytest.raises(ArithmeticError):
                 backward(loss)
             assert g.dead and g.nodes[loss.node] is None
-            with pytest.raises(DeadGraph):
+            with pytest.raises(RuntimeError, match="^graph already consumed"):
                 backward(loss)
 
     def test_create_graph_keeps_graph_alive(self):
@@ -1161,7 +1157,7 @@ class TestGraph:
         # there is no implicit tape: an op a gradient would flow through
         # needs a `with Graph()` block, an op on constants does not
         x = Tensor(np.ones(2), requires_grad=True)
-        with pytest.raises(NoGraph, match="with Graph"):
+        with pytest.raises(RuntimeError, match=r"must run inside a `with Graph\(\)` block"):
             ad.square(x)
         assert x.graph is None
         np.testing.assert_array_equal(ad.square(Tensor(x.data)).data, [1.0, 1.0])
@@ -1171,7 +1167,7 @@ class TestGraph:
             x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
             y = ad.square(x)
         with Graph():
-            with pytest.raises(GraphMismatch, match="Tensor"):
+            with pytest.raises(RuntimeError, match="from another graph.*Tensor"):
                 ad.add(y, 1.0)
             # its value as a constant may be used, and a leaf joins any graph
             grads = backward(ad.tsum(ad.mul(Tensor(y.data), x)))

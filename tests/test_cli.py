@@ -1,7 +1,9 @@
 import builtins
+import csv
 import ctypes
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -111,9 +113,9 @@ class TestTrain:
         draws = rng.derive(cfg.seed, rng.MONTAGE, 3)
         _, task = sample_task(build_dataset(cfg), draws, split="validation")
         x = sample_images(task, cfg.n, draws)
-        disc, gen, phi, _ = figr.cli._restore(cfg, tmp_path / "run" / "ckpt_000003.figr")
-        tiles = to_uint8(np.concatenate([x, figr_generate(*phi, disc, gen, x, cfg, draws,
-                                                          count=3 * cfg.n)])[:, 0])
+        disc, gen, state = figr.cli._restore(cfg, tmp_path / "run" / "ckpt_000003.figr")
+        tiles = to_uint8(np.concatenate([x, figr_generate(state.phi_d, state.phi_g, disc, gen,
+                                                          x, cfg, draws, count=3 * cfg.n)])[:, 0])
         for i, tile in enumerate(tiles):
             r, c = divmod(i, 2)
             np.testing.assert_array_equal(img[r * 10:r * 10 + 8, c * 10:c * 10 + 8], tile)
@@ -476,21 +478,107 @@ class TestTrain:
         assert exc.value.code == 2
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["train-config-dir", "train-out-file",
-                                      "stats-shard-dir", "eval-checkpoint-dir"])
-    def test_bad_path_is_one_error_line(self, cfg_path, tmp_path, capsys, case):
-        # every OSError a path raises exits 2 with one line, not a traceback
-        argv = {"train-config-dir": ("train", "--config", tmp_path),
-                "train-out-file": ("train", "--config", cfg_path, "--out", cfg_path),
-                "stats-shard-dir": ("stats", "--shard", tmp_path),
-                "eval-checkpoint-dir": ("eval", "--config", cfg_path,
-                                        "--checkpoint", tmp_path)}[case]
-        text = cfg_path.read_text()
+    @pytest.mark.parametrize("case", [
+        "train-config-dir", "train-out-file", "stats-shard-dir", "eval-checkpoint-dir",
+        "config-bad-value", "config-unknown-key", "config-refused",
+        "shard-bad-magic", "shard-truncated", "idx-count-mismatch",
+        "checkpoint-truncated", "checkpoint-old-version", "checkpoint-foreign-fingerprint",
+        "validation-empty", "validation-too-many"])
+    def test_input_failure_is_one_error_line(self, cfg_path, tmp_path, capsys, case):
+        # every ValueError and OSError a command meets in its input exits 2
+        # with one line naming the failure, not a traceback, and writes nothing
+        argv, message = input_failure(case, cfg_path, tmp_path)
+        before = snapshot(tmp_path)
         capsys.readouterr()
         assert run_cli(*argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert cfg_path.read_text() == text
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(f"error: {message}\n", err), err
+        assert snapshot(tmp_path) == before
+
+
+def snapshot(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+
+def input_failure(case, cfg_path, tmp_path):
+    """The argv of a command whose input fails as `case` names, made ready
+    under tmp_path, and a regex for the message it must fail with."""
+    def config(text):
+        path = tmp_path / "case.cfg"
+        path.write_text(text)
+        return path
+
+    def dataset(fmt, path):
+        return config(TINY_CFG.replace("dataset_format = synth",
+                                       f"dataset_format = {fmt}\ndataset_path = {path}"))
+
+    def checkpoint(cfg):
+        assert run_cli("train", "--config", cfg, "--steps", 0, "--out", tmp_path / "ck") == 0
+        return tmp_path / "ck" / "ckpt_000000.figr"
+
+    def train(cfg):
+        return ("train", "--config", cfg, "--steps", 1, "--out", tmp_path / "out")
+
+    def evaluate(cfg, ckpt):
+        return ("eval", "--config", cfg, "--checkpoint", ckpt, "--trials", 1)
+
+    errno = r"\[Errno \d+\] [^\n]+"
+    if case == "train-config-dir":
+        return ("train", "--config", tmp_path), errno
+    if case == "train-out-file":
+        return ("train", "--config", cfg_path, "--out", cfg_path), errno
+    if case == "stats-shard-dir":
+        return ("stats", "--shard", tmp_path), errno
+    if case == "eval-checkpoint-dir":
+        return evaluate(cfg_path, tmp_path), errno
+    if case == "config-bad-value":
+        return (train(config(TINY_CFG.replace("k = 2", "k = soon"))),
+                r"line \d+: bad value for 'k': invalid literal for int\(\) with base 10: 'soon'")
+    if case == "config-unknown-key":
+        return train(config(TINY_CFG + "k_typo = 3\n")), r"line \d+: unknown key 'k_typo'"
+    if case == "config-refused":
+        return (train(config(TINY_CFG.replace("k = 2", "k = 0"))),
+                re.escape("need k >= 1, n >= 1, inner_lr >= 0, gp_lambda >= 0"))
+    if case == "shard-bad-magic":
+        (tmp_path / "bad.fgr8").write_bytes(b"NOPE" + bytes(20))
+        return (train(dataset("fgr8", tmp_path / "bad.fgr8")),
+                re.escape("shard magic b'NOPE' != b'FGR8'"))
+    if case == "shard-truncated":
+        blob = raw_shard([(name, (4, 8, 8)) for name in "abcd"])
+        (tmp_path / "cut.fgr8").write_bytes(blob[:-10])
+        return (train(dataset("fgr8", tmp_path / "cut.fgr8")),
+                f"shard truncated: 256 bytes wanted at byte {len(blob) - 256}, "
+                f"but it ends at byte {len(blob) - 10}")
+    if case == "idx-count-mismatch":
+        (tmp_path / "idx").mkdir()
+        (tmp_path / "idx" / "train-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 0x803, 2, 8, 8) + bytes(2 * 8 * 8))
+        (tmp_path / "idx" / "train-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 0x801, 3) + bytes(3))
+        return train(dataset("idx", tmp_path / "idx")), "2 images vs 3 labels"
+    if case == "checkpoint-truncated":
+        ckpt = checkpoint(cfg_path)
+        os.truncate(ckpt, 157)
+        return (evaluate(cfg_path, ckpt),
+                r"checkpoint truncated: \d+ bytes wanted at byte 57, but it ends at byte 157")
+    if case == "checkpoint-old-version":
+        ckpt = checkpoint(cfg_path)
+        write_old_version(ckpt, 2)
+        return (evaluate(cfg_path, ckpt),
+                re.escape("unsupported checkpoint version 2 (this figr reads only version 3)"))
+    if case == "checkpoint-foreign-fingerprint":
+        ckpt = checkpoint(cfg_path)
+        return (evaluate(config(TINY_CFG.replace("seed = 11", "seed = 12")), ckpt),
+                "config fingerprint does not match the checkpoint; "
+                "refusing to use it with drifted hyperparameters")
+    if case == "validation-empty":
+        cfg = config(TINY_CFG.replace("n_validation = 2", "n_validation = 0"))
+        return evaluate(cfg, checkpoint(cfg)), "validation split is empty"
+    assert case == "validation-too-many"
+    return (train(config(TINY_CFG.replace("n_validation = 2", "n_validation = 6"))),
+            "6 validation of 6 classes")
 
 
 class TestGenerateEval:
@@ -581,6 +669,30 @@ class TestGenerateEval:
         assert rows[0] == "task_id,name,mmd2,baseline_mmd2,nn_distance,win"
         assert len(rows) == 2
 
+    def test_eval_csv_reads_back_names_with_commas_quotes_and_line_breaks(self, tmp_path):
+        # a class name is any UTF-8 a directory or shard holds; split_seed 3
+        # holds out classes 0, 1 and 3 and trains on "train"
+        names = ["a,b", 'say "hi"', "train", "two\nlines\r"]
+        rng = np.random.default_rng(0)
+        shard = tmp_path / "names.fgr8"
+        shard.write_bytes(pack_shard([(name, rng.integers(0, 256, size=(4, 8, 8), dtype=np.uint8))
+                                      for name in names]))
+        cfg = tmp_path / "names.cfg"
+        cfg.write_text(TINY_CFG.replace("n_validation = 2", "n_validation = 3").replace(
+            "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}"))
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", cfg, "--steps", 1, "--out", out) == 0
+        table = tmp_path / "eval.csv"
+        assert run_cli("eval", "--config", cfg, "--checkpoint", out / "ckpt_000001.figr",
+                       "--trials", 3, "--out", table) == 0
+        with open(table, newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert [(int(r["task_id"]), r["name"]) for r in rows] == [
+            (0, "a,b"), (1, 'say "hi"'), (3, "two\nlines\r")]
+        assert all(len(r) == 6 and None not in r for r in rows)
+        assert table.read_bytes().startswith(
+            b'task_id,name,mmd2,baseline_mmd2,nn_distance,win\n0,"a,b",0.')
+
     @pytest.mark.parametrize("size", [3, 4])
     def test_eval_refuses_class_without_held_out_images(self, tmp_path, capsys, size):
         # n = 4 images condition the adaptation; a scored class needs at
@@ -616,9 +728,9 @@ class TestGenerateEval:
         assert run_cli("train", "--config", cfg_path, "--steps", 0) == 0
         ckpt = out / "ckpt_000000.figr"
         cfg = load_config(cfg_path)
-        disc, gen, phi, _ = figr.cli._restore(cfg, ckpt)
-        reports = figr.cli.evaluate_checkpoint(cfg, phi, build_dataset(cfg), disc, gen,
-                                               trials=2, seed=5)
+        disc, gen, state = figr.cli._restore(cfg, ckpt)
+        reports = figr.cli.evaluate_checkpoint(cfg, (state.phi_d, state.phi_g),
+                                               build_dataset(cfg), disc, gen, trials=2, seed=5)
         assert len(reports) == 2
         assert all(r.mmd2 == r.baseline_mmd2 for r in reports)
         capsys.readouterr()
@@ -669,11 +781,11 @@ class TestGenerateEval:
         phi_bytes = (disc.param_count() + gen.param_count()) * np.dtype(cfg.dtype).itemsize
         tracemalloc.start()
         try:
-            data = figr.cli._restore(cfg, path, moments=False)[3]
+            state = figr.cli._restore(cfg, path, moments=False)[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert data.adam_d.m is None and data.adam_g.v is None
+        assert state.adam_d.m is None and state.adam_g.v is None
         assert peak <= phi_bytes + 2**20, (
             f"peak {peak / 2**20:.2f} MiB, phi is {phi_bytes / 2**20:.2f} MiB")
 

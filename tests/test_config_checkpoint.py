@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import os
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -10,13 +11,11 @@ import figr.cli
 from figr import rng
 from figr.checkpoint import (
     MAGIC,
-    BadCheckpoint,
     atomic_write,
     load_checkpoint,
     save_checkpoint,
 )
 from figr.config import (
-    ConfigError,
     RunConfig,
     build_dataset,
     canonical_text,
@@ -26,6 +25,25 @@ from figr.config import (
 )
 from figr.models import Discriminator, Generator
 from figr.reptile import init_meta_state
+
+_INNER = "need k >= 1, n >= 1, inner_lr >= 0, gp_lambda >= 0"
+_ADAM = "need 0 <= beta1, beta2 < 1, adam_eps > 0, outer_lr >= 0"
+# a config line the parse refuses -> the whole message it refuses it with
+MODEL_REFUSALS = {
+    "image_size = 24": "image_size must be 8/16/32/64, got 24",
+    "n_blocks = 2": "n_blocks=2 < 3 scale changes for image_size=32",
+    "latent_dim = 0": "latent_dim and base_width must be positive",
+    "base_width = 0": "latent_dim and base_width must be positive",
+    "precision = half": "unknown precision 'half'",
+    "k = 0": _INNER, "n = 0": _INNER, "inner_lr = -1e-4": _INNER,
+    "inner_lr = nan": "inner_lr must be finite, got nan",
+    "gp_lambda = -1": _INNER,
+}
+ADAM_REFUSALS = {
+    "beta1 = 1.0": _ADAM, "beta1 = -0.1": _ADAM, "beta2 = 1.0": _ADAM, "beta2 = -0.5": _ADAM,
+    "beta1 = nan": "beta1 must be finite, got nan",
+    "adam_eps = 0.0": _ADAM, "adam_eps = -1e-8": _ADAM, "outer_lr = -1e-5": _ADAM,
+}
 
 
 class TestConfig:
@@ -45,19 +63,20 @@ class TestConfig:
         assert cfg.k == 3 and cfg.n == 2
 
     def test_unknown_key_is_hard_error(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^line 2: unknown key 'inner_lrate'$"):
             parse_config("inner_lr = 0.1\ninner_lrate = 0.2\n")
 
     def test_duplicate_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^line 2: duplicate key 'k'$"):
             parse_config("k = 1\nk = 2\n")
 
     def test_bad_value(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="^line 1: bad value for 'k': invalid literal"):
             parse_config("k = soon\n")
 
     def test_bad_format(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError,
+                           match="^line 1: expected 'key = value', got 'just words'$"):
             parse_config("just words\n")
 
     def test_fingerprint_tracks_hyperparameters(self):
@@ -68,28 +87,23 @@ class TestConfig:
 
     @pytest.mark.parametrize("mode", ["bce", "hinge"])
     def test_loss_mode_other_than_wgan_gp_rejected(self, mode):
-        with pytest.raises(ConfigError, match="loss_mode"):
+        with pytest.raises(ValueError, match=f"^loss_mode must be wasserstein_gp, not '{mode}'$"):
             parse_config(f"loss_mode = {mode}\n")
 
     def test_negative_gp_lambda_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=f"^{re.escape(_INNER)}$"):
             RunConfig(gp_lambda=-1.0)
 
-    @pytest.mark.parametrize("line", [
-        "image_size = 24", "n_blocks = 2", "latent_dim = 0", "base_width = 0",
-        "precision = half", "k = 0", "n = 0", "inner_lr = -1e-4", "inner_lr = nan",
-        "gp_lambda = -1"])
+    @pytest.mark.parametrize("line", list(MODEL_REFUSALS))
     def test_model_and_inner_loop_invariants_refused_at_parse(self, line):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=f"^{re.escape(MODEL_REFUSALS[line])}$"):
             parse_config(line + "\n")
 
-    @pytest.mark.parametrize("line", [
-        "beta1 = 1.0", "beta1 = -0.1", "beta2 = 1.0", "beta2 = -0.5", "beta1 = nan",
-        "adam_eps = 0.0", "adam_eps = -1e-8", "outer_lr = -1e-5"])
+    @pytest.mark.parametrize("line", list(ADAM_REFUSALS))
     def test_adam_settings_that_break_its_arithmetic_refused(self, line):
         # beta1 = 1 made step 1's bias correction divide 0 by 0 and wrote
-        # NaN into phi, which NonFiniteStep only caught at step 2
-        with pytest.raises(ConfigError):
+        # NaN into phi, which meta_step's finiteness check only caught at step 2
+        with pytest.raises(ValueError, match=f"^{re.escape(ADAM_REFUSALS[line])}$"):
             parse_config(line + "\n")
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -98,7 +112,7 @@ class TestConfig:
     def test_non_finite_float_settings_refused(self, key, value):
         # outer_lr = inf wrote NaN and inf into phi_d's first checkpoint, and
         # adam_eps = inf left phi where it was
-        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
             parse_config(f"{key} = {value}\n")
 
     def test_boundary_adam_settings_accepted(self):
@@ -176,7 +190,7 @@ def small_state(cfg=CFG):
     init = np.random.default_rng(5)
     state = init_meta_state(disc.init_params(init), gen.init_params(init))
     state.adam_d.m += 0.5
-    state.adam_d.t = 3
+    state.step = 3
     return state
 
 
@@ -214,28 +228,27 @@ class TestCheckpoint:
         fp = fingerprint(RunConfig(seed=9))
         data = load_checkpoint(saved(tmp_path, state, fp))
         assert data.fingerprint == fp
-        assert data.step == 0
+        assert data.step == 3
         np.testing.assert_array_equal(data.phi_d, state.phi_d.vector)
         np.testing.assert_array_equal(data.adam_d.m, state.adam_d.m)
-        assert data.adam_d.t == 3
 
     def test_bad_magic(self, tmp_path):
         path = saved(tmp_path, small_state())
         path.write_bytes(b"XXXX" + path.read_bytes()[4:])
-        with pytest.raises(BadCheckpoint):
+        with pytest.raises(ValueError, match="^bad magic b'XXXX'$"):
             load_checkpoint(path)
 
     def test_truncation(self, tmp_path):
         path = saved(tmp_path, small_state())
         os.truncate(path, path.stat().st_size - 5)
-        with pytest.raises(BadCheckpoint):
+        with pytest.raises(ValueError, match="^checkpoint truncated: "):
             load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path):
         path = saved(tmp_path, small_state())
         with open(path, "ab") as f:
             f.write(b"\x00")
-        with pytest.raises(BadCheckpoint):
+        with pytest.raises(ValueError, match="^1 trailing bytes$"):
             load_checkpoint(path)
 
     def test_double_parameters_round_trip_exactly(self, tmp_path):
@@ -250,22 +263,22 @@ class TestCheckpoint:
     def test_old_version_refused_by_name(self, tmp_path, version):
         path = saved(tmp_path, small_state())
         write_old_version(path, version)
-        with pytest.raises(BadCheckpoint,
+        with pytest.raises(ValueError,
                            match=f"^unsupported checkpoint version {version} "
                                  r"\(this figr reads only version 3\)$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("durable", [True, False])
     def test_file_is_the_format_3_layout(self, tmp_path, durable):
-        # the header, then each network's tagged φ and its Adam state, and
-        # nothing after the generator's second moment
+        # the header, then each network's tagged φ and its Adam state, whose
+        # timestep is the step, and nothing after the generator's second moment
         state = small_state()
         path = tmp_path / "a.figr"
         save_checkpoint(path, state, b"\x03" * 32, durable=durable)
-        expected = [MAGIC, struct.pack("<I", 3), b"\x03" * 32, struct.pack("<Q", 0)]
+        expected = [MAGIC, struct.pack("<I", 3), b"\x03" * 32, struct.pack("<Q", 3)]
         for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
             expected += [b"f", struct.pack("<Q", phi.total_len), phi.vector.tobytes(),
-                         struct.pack("<Q", adam.t)]
+                         struct.pack("<Q", 3)]
             for moment in (adam.m, adam.v):
                 expected += [struct.pack("<Q", moment.size), moment.tobytes()]
         assert path.read_bytes() == b"".join(expected)
@@ -306,7 +319,7 @@ class TestCheckpoint:
         assert blob[48:49] == b"f"
         blob[48:49] = b"h"
         path.write_bytes(bytes(blob))
-        with pytest.raises(BadCheckpoint, match="dtype"):
+        with pytest.raises(ValueError, match="^unknown parameter dtype tag b'h'$"):
             load_checkpoint(path)
 
 
@@ -316,7 +329,7 @@ def vectors(data):
 
 class TestLoadFromFile:
     """load_checkpoint reads the file itself, and every damaged file is
-    refused with BadCheckpoint.  Each test runs for the full read and for
+    refused with a ValueError.  Each test runs for the full read and for
     the φ-only read, which seeks past the Adam moments but checks the same
     layout with the same messages."""
 
@@ -336,24 +349,25 @@ class TestLoadFromFile:
             os.truncate(path, end)
             try:
                 load_checkpoint(path, moments)
-            except BadCheckpoint as exc:
+            except ValueError as exc:
                 assert str(exc).endswith(f"but it ends at byte {end}"), (end, str(exc))
             else:
                 pytest.fail(f"a file cut at byte {end} loaded")
 
     def test_empty_file(self, path, moments):
         path.write_bytes(b"")
-        with pytest.raises(BadCheckpoint, match="ends at byte 0"):
+        with pytest.raises(ValueError, match="^checkpoint truncated: 4 bytes wanted at byte 0, "
+                                             "but it ends at byte 0$"):
             load_checkpoint(path, moments)
 
     def test_appended_byte(self, path, moments):
         with open(path, "ab") as f:
             f.write(b"\x00")
-        with pytest.raises(BadCheckpoint, match="^1 trailing bytes$"):
+        with pytest.raises(ValueError, match="^1 trailing bytes$"):
             load_checkpoint(path, moments)
 
     def test_huge_declared_length_refused_before_allocating(self, path, moments):
-        # the first moment's length field follows the tag, phi_d and Adam's t
+        # the first moment's length field follows the tag, phi_d and Adam's timestep
         blob = bytearray(path.read_bytes())
         (n,) = struct.unpack_from("<Q", blob, 49)
         at = 49 + 8 + 4 * n + 8
@@ -362,7 +376,8 @@ class TestLoadFromFile:
         path.write_bytes(bytes(blob))
         tracemalloc.start()
         try:
-            with pytest.raises(BadCheckpoint, match=f"{2**43} bytes wanted at byte {at + 8}"):
+            with pytest.raises(ValueError, match=f"^checkpoint truncated: {2**43} bytes "
+                                                 f"wanted at byte {at + 8}, "):
                 load_checkpoint(path, moments)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -378,21 +393,38 @@ class TestLoadFromFile:
         struct.pack_into("<Q", blob, at, n - 1)
         del blob[at + 8:at + 16]
         path.write_bytes(bytes(blob))
-        with pytest.raises(BadCheckpoint, match="^moment vectors do not match parameter length$"):
+        with pytest.raises(ValueError, match="^moment vectors do not match parameter length$"):
             load_checkpoint(path, moments)
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_old_version_refused(self, path, moments, version):
         write_old_version(path, version)
-        with pytest.raises(BadCheckpoint, match=f"version {version}"):
+        with pytest.raises(ValueError, match=f"^unsupported checkpoint version {version} "):
+            load_checkpoint(path, moments)
+
+    @pytest.mark.parametrize("net", ["critic", "generator"])
+    def test_timestep_other_than_the_step_refused(self, path, moments, net):
+        # Adam's timestep is the outer step; a file whose timestep field says
+        # otherwise was written by hand, and is refused naming both
+        blob = bytearray(path.read_bytes())
+        (n,) = struct.unpack_from("<Q", blob, 49)
+        at = 49 + 8 + 4 * n
+        if net == "generator":
+            tag = at + 8 + 2 * (8 + 8 * n)
+            (n_g,) = struct.unpack_from("<Q", blob, tag + 1)
+            at = tag + 1 + 8 + 4 * n_g
+        assert struct.unpack_from("<Q", blob, at) == (3,)
+        struct.pack_into("<Q", blob, at, 4)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError,
+                           match="^Adam timestep 4 differs from the checkpoint's step 3$"):
             load_checkpoint(path, moments)
 
     def test_fields_equal_the_state_and_vectors_are_owned(self, path, moments):
         # the full read returns every vector; the φ-only read returns None
         # for the moments
         state, data = small_state(self.CFG), load_checkpoint(path, moments)
-        assert (data.fingerprint, data.step) == (b"\x04" * 32, 0)
-        assert (data.adam_d.t, data.adam_g.t) == (3, 0)
+        assert (data.fingerprint, data.step) == (b"\x04" * 32, 3)
         ref = (state.phi_d.vector, state.phi_g.vector, state.adam_d.m, state.adam_d.v,
                state.adam_g.m, state.adam_g.v)
         read = vectors(data) if moments else (data.phi_d, data.phi_g)
@@ -430,8 +462,9 @@ class TestLoadFromFile:
 
         monkeypatch.setattr("figr.checkpoint.open", lambda *a, **k: Counting(open(*a, **k)),
                             raising=False)
-        with pytest.raises(BadCheckpoint, match=f"{8 * n} bytes wanted at byte {start}, "
-                                                f"but it ends at byte {start + 4 * n}$"):
+        with pytest.raises(ValueError, match=f"^checkpoint truncated: {8 * n} bytes wanted "
+                                             f"at byte {start}, but it ends at byte "
+                                             f"{start + 4 * n}$"):
             load_checkpoint(path, moments=False)
         assert sum(read) == start
 

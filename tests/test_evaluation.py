@@ -4,7 +4,6 @@ import pytest
 from figr.data import normalize
 from figr.evaluation import (
     SEPARATOR_PX,
-    EmptySet,
     median_bandwidths,
     mmd_squared,
     montage,
@@ -60,7 +59,7 @@ class TestMmd:
         assert mmd_squared(similar, real, bw) < mmd_squared(far, real, bw)
 
     def test_empty_set(self):
-        with pytest.raises(EmptySet):
+        with pytest.raises(ValueError, match="^image set is empty$"):
             mmd_squared(np.zeros((0, 1, 2, 2)), np.zeros((2, 1, 2, 2)), [1.0])
 
     def test_bad_bandwidths(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from figr import autodiff as ad
 from figr.autodiff import (
     Graph,
-    ShapeMismatch,
     Tensor,
     backward,
     matmul,
@@ -41,9 +40,9 @@ class TestCriticLoss:
         assert critic_loss(joint(a, b)).item() == -critic_loss(joint(b, a)).item()
 
     def test_batch_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^joint score batch needs equal real and fake"):
             critic_loss(scores(1, 2, 3))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match="^joint score batch needs equal real and fake"):
             critic_loss(Tensor(np.float64(1.0)))
 
     def test_linearity_in_scale(self):
@@ -132,7 +131,7 @@ class TestGradientPenalty:
 
     def test_shape_mismatch(self):
         with Graph():
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(ValueError, match="^real/fake batches differ"):
                 gradient_penalty(linear_critic(np.ones(4)),
                                  np.ones((2, 1, 2, 2)), np.ones((3, 1, 2, 2)),
                                  draw_eps(0, 2), 10.0)
