@@ -18,6 +18,8 @@ ValueError), and allocates nothing else that is large.  Only a resumed
 `figr train` needs the Adam moments, about four fifths of the file;
 `figr eval` and `figr generate` adapt φ alone, so their read seeks past the
 moments and φ is all it allocates.  Either read checks the whole layout.
+A write leaves an all-zero array as a file hole (`atomic_write`), so a fresh
+run's zero moments are never copied, and the bytes read back are the same.
 """
 
 from __future__ import annotations
@@ -119,7 +121,10 @@ def atomic_write(path, data: bytes | str | list, durable: bool = True) -> None:
     The data goes to a temporary file in path's directory, which is
     renamed over path; a durable write fsyncs it first, so that it also
     survives a power loss.  On failure the temporary file is removed and
-    path is untouched.  Allocates only a str's encoding.
+    path is untouched.  Allocates only a str's encoding.  A numpy part
+    whose bytes are all zero (tested on its bytes, so -0.0 is written) is
+    seeked past, not written: the hole reads back as those bytes, and a
+    durable write fsyncs the file, holes and all, as before.
     """
     path = Path(path)
     if isinstance(data, str):
@@ -128,7 +133,11 @@ def atomic_write(path, data: bytes | str | list, durable: bool = True) -> None:
     try:
         with open(tmp, "wb") as f:
             for part in data if isinstance(data, list) else [data]:
-                f.write(part)
+                if isinstance(part, np.ndarray) and not part.view(np.uint8).any():
+                    f.seek(part.nbytes, os.SEEK_CUR)      # a hole, which reads as zeros
+                else:
+                    f.write(part)
+            f.truncate()            # a file that ends in a hole still has its length
             f.flush()
             if durable:
                 os.fsync(f.fileno())

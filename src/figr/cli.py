@@ -13,10 +13,12 @@ checkpoints, and sample montages.
 
 Failures follow one contract.  Bad input (a config, a data file, a
 checkpoint, a flag, a path) raises ValueError or OSError, which `main`
-turns into one `error: <message>` line on stderr and exit code 2.  Misuse
-of the engine by code (an op outside a graph, mismatched dtypes) raises
-RuntimeError or TypeError, which no command catches, so it ends in a
-traceback.
+turns into one `error: <message>` line on stderr and exit code 2.  An
+allocation that fails, as a config too large for memory makes it, raises
+MemoryError: one `error: out of memory: <message>` line, and exit code 2.
+Misuse of the engine by code (an op outside a graph, mismatched dtypes)
+raises RuntimeError or TypeError, which no command catches, so it ends in
+a traceback.
 """
 
 from __future__ import annotations
@@ -421,6 +423,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:      # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

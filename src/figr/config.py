@@ -8,6 +8,7 @@ config is checked once, at parse."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -176,5 +177,7 @@ def build_dataset(cfg: RunConfig) -> TaskDataset:
     else:
         with open(cfg.dataset_path, "rb") as f:
             ds = build_tasks(load_shard(f), cfg.image_size)
-    explicit = [s.strip() for s in cfg.validation_classes.split(",") if s.strip()] or None
+    # one CSV row, so a quoted name may hold a comma: "a,b", c names a,b and c
+    row = next(csv.reader([cfg.validation_classes], skipinitialspace=True))
+    explicit = [s.strip() for s in row if s.strip()] or None
     return split_classes(ds, cfg.n_validation, cfg.split_seed, explicit=explicit)

@@ -169,15 +169,17 @@ def meta_step(state: MetaState, disc: Discriminator, gen: Generator, dataset,
     task_id, task = sample_task(dataset, rng, split="train")
     x = sample_images(task, cfg.n, rng)
 
-    w_d, w_g, loss_d, loss_g = inner_loop(state.phi_d, state.phi_g, disc, gen, x, cfg, rng)
-    pseudo_d, pseudo_g = params_delta(state.phi_d, w_d), params_delta(state.phi_g, w_g)
-    del w_d, w_g                # the adapted copies are freed before Adam's vectors
-    _check_finite(t, task_id, (("critic loss", loss_d), ("generator loss", loss_g),
-                               ("critic delta", pseudo_d), ("generator delta", pseudo_g)))
-    phi_d, adam_d = adam_step(state.adam_d, state.phi_d, pseudo_d, t,
-                              cfg.outer_lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    phi_g, adam_g = adam_step(state.adam_g, state.phi_g, pseudo_g, t,
-                              cfg.outer_lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    # _check_finite refuses a diverging step; numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w_d, w_g, loss_d, loss_g = inner_loop(state.phi_d, state.phi_g, disc, gen, x, cfg, rng)
+        pseudo_d, pseudo_g = params_delta(state.phi_d, w_d), params_delta(state.phi_g, w_g)
+        del w_d, w_g                # the adapted copies are freed before Adam's vectors
+        _check_finite(t, task_id, (("critic loss", loss_d), ("generator loss", loss_g),
+                                   ("critic delta", pseudo_d), ("generator delta", pseudo_g)))
+        phi_d, adam_d = adam_step(state.adam_d, state.phi_d, pseudo_d, t,
+                                  cfg.outer_lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        phi_g, adam_g = adam_step(state.adam_g, state.phi_g, pseudo_g, t,
+                                  cfg.outer_lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     # a finite but huge step overflows phi's float32 cast
     _check_finite(t, task_id, (("critic phi", phi_d.vector),
                                ("generator phi", phi_g.vector)))

@@ -406,6 +406,46 @@ class TestTrain:
         assert err == "error: class names ['a'] appear more than once in the shard\n"
         assert not (tmp_path / "run").exists()
 
+    def test_holds_out_a_class_whose_name_holds_a_comma(self, tmp_path, capsys):
+        # validation_classes is one CSV row, so a quoted name may hold a comma
+        shard = tmp_path / "comma.fgr8"
+        shard.write_bytes(raw_shard([("a,b", (4, 8, 8)), ("c", (4, 8, 8)), ("d", (4, 8, 8))]))
+        cfg = tmp_path / "comma.cfg"
+        cfg.write_text(TINY_CFG.replace(
+            "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}")
+            + 'validation_classes = "a,b"\n')
+        ds = build_dataset(load_config(cfg))
+        assert [ds.classes[i].name for i in ds.val_ids] == ["a,b"]
+        assert run_cli("train", "--config", cfg, "--steps", 1,
+                       "--out", tmp_path / "run") == 0, capsys.readouterr().err
+
+    def test_failed_allocation_is_one_error_line(self, tmp_path):
+        # a child lowers its own address-space limit after its imports, so
+        # φ at base_width 4096 (3.5 GiB) is refused before any page is touched
+        pytest.importorskip("resource")
+        if not Path("/proc/self/statm").exists():
+            pytest.skip("the child reads its size from /proc/self/statm")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(TINY_CFG.replace("base_width = 4", "base_width = 4096"))
+        code = ("import os, resource, sys\n"
+                "import figr.cli\n"
+                "pages = int(open('/proc/self/statm').read().split()[0])\n"
+                "limit = pages * os.sysconf('SC_PAGE_SIZE') + 2**26\n"
+                "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                "if hard != resource.RLIM_INFINITY:\n"
+                "    limit = min(limit, hard)\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+                "sys.exit(figr.cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", code, "train", "--config", str(cfg),
+                               "--out", str(tmp_path / "run")],
+                              env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert re.fullmatch(r"error: out of memory: Unable to allocate [\d.]+ GiB for an array "
+                            r"with shape \(\d+,\) and data type float32\n",
+                            proc.stderr), proc.stderr
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("old,new", [("k = 2", "k = 0"),
                                          ("image_size = 8", "image_size = 32"),
                                          ("outer_lr = 0.0001", "outer_lr = inf")],
@@ -483,7 +523,7 @@ class TestTrain:
         "config-bad-value", "config-unknown-key", "config-refused",
         "shard-bad-magic", "shard-truncated", "idx-count-mismatch",
         "checkpoint-truncated", "checkpoint-old-version", "checkpoint-foreign-fingerprint",
-        "validation-empty", "validation-too-many"])
+        "validation-empty", "validation-too-many", "train-diverges"])
     def test_input_failure_is_one_error_line(self, cfg_path, tmp_path, capsys, case):
         # every ValueError and OSError a command meets in its input exits 2
         # with one line naming the failure, not a traceback, and writes nothing
@@ -576,9 +616,17 @@ def input_failure(case, cfg_path, tmp_path):
     if case == "validation-empty":
         cfg = config(TINY_CFG.replace("n_validation = 2", "n_validation = 0"))
         return evaluate(cfg, checkpoint(cfg)), "validation split is empty"
-    assert case == "validation-too-many"
-    return (train(config(TINY_CFG.replace("n_validation = 2", "n_validation = 6"))),
-            "6 validation of 6 classes")
+    if case == "validation-too-many":
+        return (train(config(TINY_CFG.replace("n_validation = 2", "n_validation = 6"))),
+                "6 validation of 6 classes")
+    assert case == "train-diverges"
+    # numpy's overflow warnings, errors under pytest, must not precede the
+    # line; the step-0 files the failing run rewrites are made first, so it
+    # leaves the tree as it found it
+    cfg = config(TINY_CFG.replace("inner_lr = 0.0001", "inner_lr = 1000"))
+    assert run_cli("train", "--config", cfg, "--steps", 0, "--out", tmp_path / "out") == 0
+    return train(cfg), r"meta-step 1 on task \d+: non-finite critic loss, generator loss, " \
+                       r"critic delta, generator delta"
 
 
 class TestGenerateEval:

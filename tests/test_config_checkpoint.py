@@ -269,19 +269,52 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("durable", [True, False])
-    def test_file_is_the_format_3_layout(self, tmp_path, durable):
+    @pytest.mark.parametrize("step", [3, 0])
+    def test_file_is_the_format_3_layout(self, tmp_path, durable, step):
         # the header, then each network's tagged φ and its Adam state, whose
-        # timestep is the step, and nothing after the generator's second moment
+        # timestep is the step, and nothing after the generator's second
+        # moment; at step 0 every moment is zero, so the file ends in a hole
         state = small_state()
+        if step == 0:
+            state.adam_d.m[:], state.step = 0.0, 0
         path = tmp_path / "a.figr"
         save_checkpoint(path, state, b"\x03" * 32, durable=durable)
-        expected = [MAGIC, struct.pack("<I", 3), b"\x03" * 32, struct.pack("<Q", 3)]
+        expected = [MAGIC, struct.pack("<I", 3), b"\x03" * 32, struct.pack("<Q", step)]
         for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
             expected += [b"f", struct.pack("<Q", phi.total_len), phi.vector.tobytes(),
-                         struct.pack("<Q", 3)]
+                         struct.pack("<Q", step)]
             for moment in (adam.m, adam.v):
                 expected += [struct.pack("<Q", moment.size), moment.tobytes()]
         assert path.read_bytes() == b"".join(expected)
+
+    def test_negative_zero_moments_read_back_bitwise(self, tmp_path):
+        # an all-zero part is found on its bytes: -0.0 equals 0.0 but is not
+        # a hole, so a check on values would read it back as +0.0
+        state = small_state()
+        state.adam_g.v[:] = -0.0
+        data = load_checkpoint(saved(tmp_path, state))
+        assert np.signbit(data.adam_g.v).all()
+        assert data.adam_g.v.tobytes() == state.adam_g.v.tobytes()
+        np.testing.assert_array_equal(data.adam_d.m, state.adam_d.m)
+
+    def test_step_0_moments_take_no_disk_blocks(self, tmp_path):
+        # a fresh run's zero Adam moments, four fifths of its first
+        # checkpoint, are file holes, so the file allocates about φ's bytes
+        probe = tmp_path / "probe"
+        with open(probe, "wb") as f:
+            f.seek(2**20)
+            f.write(b"\x01")
+        if getattr(probe.stat(), "st_blocks", 2**20) * 512 >= 2**20:
+            pytest.skip("this file system keeps no holes")
+        (tmp_path / "default.cfg").write_text("")
+        assert figr.cli.main(["train", "--config", str(tmp_path / "default.cfg"),
+                              "--steps", "0", "--out", str(tmp_path / "run")]) == 0
+        path = tmp_path / "run" / "ckpt_000000.figr"
+        data = load_checkpoint(path)        # the whole layout, zero moments included
+        assert not data.adam_g.v.any()
+        phi_bytes = data.phi_d.nbytes + data.phi_g.nbytes
+        assert path.stat().st_size == 5 * phi_bytes + 114      # float32 φ, float64 moments
+        assert path.stat().st_blocks * 512 < phi_bytes + 2**20, path.stat().st_blocks
 
     def test_save_makes_no_whole_file_copy(self, tmp_path):
         # a default-config checkpoint is about 15 MB; joining it before the
