@@ -5,22 +5,23 @@ appends one node to the active Graph, so node inputs always precede the
 node (topological order by construction).  Constants (no requires_grad)
 are not on the tape: an op on constants alone makes no node, and a
 constant input of a recorded op has the handle None, not a leaf node.
-Biases and gains reach their outputs by the suffix broadcasting of add
-and mul, and matmul has one backward rule for every operand form.  Ops
-are this module's functions (add, mul, tsum, ...); a Tensor has no
-operator overloads, and item() is its one method.  Each op computes in
-the dtype of its operands, which must agree, so the tape carries no
-precision of its own.  There is no implicit tape: an op on a
-requires_grad tensor must run inside a ``with Graph()`` block, and a
-leaf is made one way, ``Tensor(data, requires_grad)``.
+Elementwise ops broadcast one way: the right operand is a python scalar
+or has a suffix of the left one's shape, as a gain does, and matmul has
+one backward rule for every operand form.  Ops are this module's
+functions (add, mul, tsum, ...); a Tensor has no operator overloads, and
+item() is its one method.  Each op computes in the dtype of its
+operands, which must agree, so the tape carries no precision of its
+own.  There is no implicit tape: an op on a requires_grad tensor must
+run inside a ``with Graph()`` block, and a leaf is made one way,
+``Tensor(data, requires_grad)``.
 
 Every op has a first-order rule, its node's ``vjp``: numpy arrays in and
 out, no graph op.  A first-order backward seeds, passes and adds plain
 arrays and wraps only the leaves' gradients.  Eight ops also have a
 recorded rule, ``rec``, tensors in and out, written with the public ops:
-add, tsum, reshape and subsample2, and the fused conv2d, affine, prelu
-and layer_norm.  They are the ops a critic forward records, and the
-recorded rules exist only for the gradient penalty's second-order
+add of equal shapes, tsum, reshape, subsample2, and the fused conv2d,
+affine, prelu and layer_norm.  They are the ops a critic forward records,
+and the recorded rules exist only for the gradient penalty's second-order
 derivatives: ``backward(loss, create_graph=True)`` runs them onto the
 same tape, so the returned gradients are differentiable tensors, and it
 raises NotImplementedError naming the op at a node with no recorded
@@ -51,7 +52,7 @@ multiple of 32 (_blas_k), a length OpenBLAS blocks the same way at
 every thread count.
 
 A node's rules keep only the arrays they read: add, sub, tsum, expand
-and reshape keep their operands' shapes, and conv2d, affine and prelu
+and reshape keep an operand's shape at most, and conv2d, affine and prelu
 keep the input their weight or slope gradient reads only when that
 parameter has requires_grad, which a frozen network's have not.  A
 first-order backward (no ``create_graph``) consumes the tape and
@@ -200,45 +201,25 @@ def _check_same_dtype(*ts: Tensor):
 
 
 # ---------------------------------------------------------------------------
-# broadcasting (deliberately narrow: equal shapes, scalar, or suffix match)
+# broadcasting (one direction: the right operand's shape is a suffix of the left's)
 # ---------------------------------------------------------------------------
 
-def _broadcast_shape(sa: tuple, sb: tuple) -> tuple:
-    if sa == sb:
-        return sa
-    if sa == ():
-        return sb
-    if sb == ():
-        return sa
-    if len(sa) >= len(sb) and sa[len(sa) - len(sb):] == sb:
-        return sa
-    if len(sb) > len(sa) and sb[len(sb) - len(sa):] == sa:
-        return sb
-    raise ValueError(f"shapes {sa} and {sb} do not broadcast")
-
-
-def _unbroadcast(g: Tensor, shape: tuple) -> Tensor:
-    """Reduce an output-shaped gradient back to an operand's shape."""
-    if g.shape == shape:
-        return g
-    lead = tuple(range(g.ndim - len(shape)))
-    return tsum(g, axes=lead)
-
-
 def _grad(d: np.ndarray, shape: tuple) -> np.ndarray:
-    """_unbroadcast on arrays, in the same order."""
+    """Sum an output-shaped gradient over the leading axes the right operand lacks."""
     return d if d.shape == shape else d.sum(axis=tuple(range(d.ndim - len(shape))))
 
 
-def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """A python scalar on either side becomes a 0-d constant of the other's dtype."""
+def _operands(a: Tensor, b) -> tuple[Tensor, Tensor]:
+    """a has the result's shape, and b a suffix of it or is a python scalar, made
+    a 0-d constant of a's dtype; a python scalar a is misuse, a TypeError."""
     if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+        raise TypeError(f"the left operand must be a Tensor, got {type(a).__name__}")
     if not isinstance(b, Tensor):
         b = Tensor(np.asarray(b, dtype=a.data.dtype))
     _check_same_dtype(a, b)
-    if a.data.shape != b.data.shape:
-        _broadcast_shape(a.shape, b.shape)
+    sa, sb = a.shape, b.shape
+    if len(sb) > len(sa) or sa[len(sa) - len(sb):] != sb:
+        raise ValueError(f"shapes {sa} and {sb} do not broadcast")
     return a, b
 
 
@@ -246,52 +227,45 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
 # elementwise primitives
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
+def add(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
-    def vjp(g, needs, sa=a.shape, sb=b.shape):
-        return (_grad(g, sa) if needs[0] else None,
-                _grad(g, sb) if needs[1] else None)
+    def vjp(g, needs, sb=b.shape):
+        return (g if needs[0] else None, _grad(g, sb) if needs[1] else None)
 
-    def rec(g, needs, sa=a.shape, sb=b.shape):
-        return (_unbroadcast(g, sa) if needs[0] else None,
-                _unbroadcast(g, sb) if needs[1] else None)
+    def rec(g, needs):
+        return (g if needs[0] else None, g if needs[1] else None)
 
-    return _apply("add", a.data + b.data, (a, b), vjp, rec)
+    return _apply("add", a.data + b.data, (a, b), vjp, rec if a.shape == b.shape else None)
 
 
-def sub(a, b) -> Tensor:
+def sub(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
-    def vjp(g, needs, sa=a.shape, sb=b.shape):
-        return (_grad(g, sa) if needs[0] else None,
-                _grad(-g, sb) if needs[1] else None)
+    def vjp(g, needs, sb=b.shape):
+        return (g if needs[0] else None, _grad(-g, sb) if needs[1] else None)
 
     return _apply("sub", a.data - b.data, (a, b), vjp)
 
 
-def mul(a, b) -> Tensor:
+def mul(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
     def vjp(g, needs):
-        return (_grad(g * b.data, a.shape) if needs[0] else None,
+        return (g * b.data if needs[0] else None,
                 _grad(g * a.data, b.shape) if needs[1] else None)
 
     return _apply("mul", a.data * b.data, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
+def div(a: Tensor, b) -> Tensor:
     a, b = _operands(a, b)
 
     def vjp(g, needs):
-        return (_grad(g / b.data, a.shape) if needs[0] else None,
+        return (g / b.data if needs[0] else None,
                 _grad(-(g * a.data / np.square(b.data)), b.shape) if needs[1] else None)
 
     return _apply("div", a.data / b.data, (a, b), vjp)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _apply("neg", -a.data, (a,), lambda g, needs: (-g,))
 
 
 def square(a: Tensor) -> Tensor:
@@ -415,12 +389,6 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         b = np.concatenate([b, np.zeros(b.shape[:-2] + (pad, b.shape[-1]), dtype=b.dtype)],
                            axis=-2)
     return np.matmul(a, b)
-
-
-def _swap_last2(a: Tensor) -> Tensor:
-    """Transpose the two trailing axes (the matrices of a batch)."""
-    n = a.ndim
-    return permute(a, tuple(range(n - 2)) + (n - 1, n - 2))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -653,10 +621,10 @@ def spread2(a: Tensor, hw: tuple[int, int]) -> Tensor:
 # fused network ops: numpy first-order rules, differentiable input-only recorded rules
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
-    """3x3 cross-correlation, pad 1, stride 1 or 2.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
+    """3x3 cross-correlation, pad 1, stride 1 or 2, plus a bias per filter.
 
-    x: [B,C,H,W], w: [F,C,3,3], b: [F] or None -> [B,F,ceil(H/s),ceil(W/s)]
+    x: [B,C,H,W], w: [F,C,3,3], b: [F] -> [B,F,ceil(H/s),ceil(W/s)]
 
     x is laid out once on the padded grid (see _Geometry).  The forward
     copies a sample's wide columns out of it, one long run per polyphase
@@ -678,9 +646,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"channel mismatch: input {x.shape[1]}, weight {w.shape[1]}")
     _check_stride(stride)
-    _check_same_dtype(x, w)
+    _check_same_dtype(x, w, b)
     f = w.shape[0]
-    if b is not None and b.shape != (f,):
+    if b.shape != (f,):
         raise ValueError(f"bias shape {b.shape} != ({f},)")
 
     geo = _geometry(x.shape, stride)
@@ -700,10 +668,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
         for ti, tj, view in views:
             cols[:, ti, tj] = view[n]
         np.matmul(wk, colbuf, out=wide.reshape(f, p))
-        if b is None:
-            out_data[n] = wide[:, :, :w2]
-        else:
-            np.add(wide[:, :, :w2], b.data[:, None, None], out=out_data[n])
+        np.add(wide[:, :, :w2], b.data[:, None, None], out=out_data[n])
 
     def vjp(g, needs, xd=x.data if w.requires_grad else None):
         dx = dw = db = None
@@ -720,20 +685,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1) -> Tensor:
             for i, j, ph, off in geo.taps:
                 np.matmul(gw, xgrid[:, ph, off:off + geo.span].T, out=dwt[i, j])
             dw = np.ascontiguousarray(dwt.transpose(2, 3, 0, 1))
-        if len(needs) > 2 and needs[2]:
+        if needs[2]:
             db = g.sum(axis=(0, 2, 3))
-        return (dx, dw, db) if b is not None else (dx, dw)
+        return (dx, dw, db)
 
     def rec(g, needs):
         # the input gradient alone, differentiable in g, w and x
         if not needs[0]:
             return ()
         g3 = reshape(g, (bsz, f, h2 * w2))
-        wt = _swap_last2(reshape(w, (f, c * 9)))
+        wt = permute(reshape(w, (f, c * 9)), (1, 0))
         return (fold3x3(matmul(wt, g3), (geo.h, geo.w), stride),)
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return _apply("conv2d", out_data, inputs, vjp, rec)
+    return _apply("conv2d", out_data, (x, w, b), vjp, rec)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -775,7 +739,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             return ()
         move = (lambda t, axes: t) if nd == 2 else permute  # a dense layer has no axis to move
         g3 = reshape(move(g, last), (bsz, p, f))
-        return (move(reshape(matmul(g3, _swap_last2(w)), (bsz,) + space + (c,)), first),)
+        return (move(reshape(matmul(g3, permute(w, (1, 0))), (bsz,) + space + (c,)), first),)
 
     return _apply("affine", out_data, (x, w, b), vjp, rec)
 

@@ -46,8 +46,10 @@ def critic_loss(scores: Tensor) -> Tensor:
 
 
 def generator_loss(fake_scores: Tensor) -> Tensor:
-    """-mean(fake); the generator drives the critic's fake scores up."""
-    return ad.neg(ad.tmean(fake_scores))
+    """-mean(fake); the generator drives the critic's fake scores up.  As sum
+    * (-1/count) it is bitwise -(sum * (1/count)) in value and gradient, as
+    negation is exact and a product with a negated factor is negated."""
+    return ad.mul(ad.tsum(fake_scores), -1.0 / fake_scores.data.size)
 
 
 def gradient_penalty(critic: Callable[[Tensor], Tensor],

@@ -27,7 +27,9 @@ maps = st.integers(1, 7)
 
 def conv2d(data, stride, wrt):
     b, c, f, h, w = (data.draw(s) for s in (dims, dims, dims, maps, maps))
-    return (lambda x, k: ad.conv2d(x, k, None, stride)), [(b, c, h, w), (f, c, 3, 3)], wrt
+    # a zero bias adds exact zeros, so the op stays linear in x and in w
+    return ((lambda x, k, bias: ad.conv2d(x, k, bias, stride)),
+            [(b, c, h, w), (f, c, 3, 3), np.zeros(f)], wrt)
 
 
 def affine(data, wrt):

@@ -84,15 +84,27 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data, [[1, 2, 3], [1, 2, 3]])
 
     def test_scalar_broadcast_and_sugar(self):
-        # a python scalar on either side becomes a constant of the tensor's dtype
+        # a python scalar on the right becomes a constant of the tensor's dtype
         x = Tensor(np.array([1.0, -2.0]))
-        out = ad.sub(ad.add(ad.mul(2.0, x), 1.0), ad.div(x, 2.0))
+        out = ad.sub(ad.add(ad.mul(x, 2.0), 1.0), ad.div(x, 2.0))
         np.testing.assert_allclose(out.data, [2.5, -2.0])
-        np.testing.assert_allclose(ad.div(1.0, ad.sub(3.0, x)).data, [0.5, 0.2])
+        assert ad.div(Tensor(np.float32(3.0)), 2.0).data.dtype == np.float32
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match=r"shapes \(2, 3\) and \(3, 2\) do not broadcast"):
             ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+    def test_broadcasts_only_the_right_operand(self, op):
+        # the left operand has the result's shape: a python scalar there is
+        # misuse, and a tensor smaller than the right one does not broadcast
+        x = Tensor(np.ones((2, 3)))
+        with pytest.raises(TypeError, match="the left operand must be a Tensor, got float"):
+            op(2.0, x)
+        with pytest.raises(ValueError, match=r"shapes \(3,\) and \(2, 3\) do not broadcast"):
+            op(Tensor(np.ones(3)), x)
+        with pytest.raises(ValueError, match=r"shapes \(\) and \(2, 3\) do not broadcast"):
+            op(Tensor(np.float64(2.0)), x)
 
     def test_broadcast_grad_reduces(self):
         with Graph():
@@ -249,14 +261,14 @@ class TestConv2d:
     def test_zero_kernel(self):
         x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 4, 4)).astype(np.float32))
         w = Tensor(np.zeros((5, 3, 3, 3), dtype=np.float32))
-        out = conv2d(x, w, None, stride=1)
+        out = conv2d(x, w, Tensor(np.zeros(5, dtype=np.float32)), stride=1)
         assert out.shape == (2, 5, 4, 4)
         np.testing.assert_array_equal(out.data, 0)
 
     def test_ones_center_is_nine(self):
         x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float64))
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float64))
-        out = conv2d(x, w, None, stride=1)
+        out = conv2d(x, w, Tensor(np.zeros(1)), stride=1)
         assert out.data[0, 0, 1, 1] == 9.0
 
     @pytest.mark.parametrize("stride", [1, 2])
@@ -289,7 +301,8 @@ class TestConv2d:
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="^channel mismatch: input 2, weight 3$"):
-            conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))), None, 1)
+            conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))),
+                   Tensor(np.zeros(1)), 1)
 
     def test_gradients_independent_of_blas_threads(self):
         # the weight gradient reduces over the padded grid and the forward
@@ -305,7 +318,7 @@ class TestConv2d:
             "    x = ad.Tensor(rng.standard_normal((b, c, hw, hw)).astype(np.float32), requires_grad=True)\n"
             "    w = ad.Tensor(rng.standard_normal((f, c, 3, 3)).astype(np.float32), requires_grad=True)\n"
             "    with ad.Graph():\n"
-            "        y = ad.conv2d(x, w, None, s)\n"
+            "        y = ad.conv2d(x, w, ad.Tensor(np.zeros(f, dtype=np.float32)), s)\n"
             "        probe = ad.Tensor(rng.standard_normal(y.shape).astype(np.float32))\n"
             "        g = ad.backward(ad.tsum(ad.mul(y, probe)))\n"
             "    h.update(g[w].data.tobytes() + g[x].data.tobytes() + y.data.tobytes())\n"
@@ -623,7 +636,7 @@ DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single
 
 
 ALL_OPS = {"conv2d", "upsample2", "layer_norm", "prelu", "affine", "reshape", "expand",
-           "permute", "matmul", "square", "add", "sqrt", "tanh", "mul", "neg", "sub", "div",
+           "permute", "matmul", "square", "add", "sqrt", "tanh", "mul", "sub", "div",
            "sum", "subsample2", "fold3x3", "spread2"}
 # the ops a critic forward records, and the only ones with a recorded rule
 RECORDED_OPS = {"add", "sum", "reshape", "subsample2", "conv2d", "affine", "prelu",
@@ -642,7 +655,7 @@ def every_op_loss(rng):
     y = ad.affine(ad.reshape(y, (2, -1)), leaf(320, 1), leaf(1))
     p = matmul(ad.permute(ad.expand(leaf(1, 4), (3, 4)), (1, 0)), leaf(3, 5))
     p = ad.div(ad.mul(ad.sqrt(ad.add(ad.square(p), 1.0)), ad.tanh(p)),
-               ad.sub(3.0, ad.neg(leaf(5))))
+               ad.sub(leaf(5), -3.0))
     q = ad.spread2(ad.fold3x3(leaf(2, 18, 6), (5, 3), 2), (9, 5))
     return ad.add(ad.add(ad.tsum(y), ad.tsum(ad.subsample2(ad.reshape(p, (1, 1, 4, 5))))),
                   ad.tsum(q))
@@ -792,23 +805,20 @@ def normal(shape):
 
 
 # op, operand forms (a leaf drawn per entry), build from the leaves; every
-# binary op's forms: equal shapes, a suffix on either side, a 0-d operand,
-# and a Python scalar on either side
+# binary op's forms: equal shapes, and on the right a suffix, a 0-d operand
+# or a Python scalar
 BINARY_FORMS = {
     "same": ((normal((2, 3, 4)), positive((2, 3, 4))), lambda op: op),
     "suffix-right": ((normal((2, 3, 4)), positive((4,))), lambda op: op),
     "suffix-right-2d": ((normal((2, 3, 4)), positive((3, 4))), lambda op: op),
-    "suffix-left": ((positive((3, 4)), positive((2, 3, 4))), lambda op: op),
     "0d-right": ((normal((2, 3)), positive(())), lambda op: op),
     "scalar-right": ((positive((2, 3)),), lambda op: lambda a: op(a, 1.7)),
-    "scalar-left": ((positive((2, 3)),), lambda op: lambda a: op(1.7, a)),
 }
 PRIMITIVE_CASES = [
     (f"{name}-{form}", leaves, wrap(op))
     for name, op in [("add", ad.add), ("sub", ad.sub), ("mul", ad.mul), ("div", ad.div)]
     for form, (leaves, wrap) in BINARY_FORMS.items()
 ] + [
-    ("neg", (normal((2, 3)),), ad.neg),
     ("square", (normal((2, 3)),), ad.square),
     ("sqrt", (positive((2, 3)),), ad.sqrt),
     ("tanh", (normal((2, 3)),), ad.tanh),
@@ -836,9 +846,9 @@ PRIMITIVE_CASES = [
     ("fold3x3-stride1", (normal((2, 18, 12)),), lambda a: ad.fold3x3(a, (3, 4), 1)),
     ("fold3x3-stride2", (normal((2, 18, 6)),), lambda a: ad.fold3x3(a, (5, 3), 2)),
 ]
-# the cases whose output node has a recorded rule
+# the cases whose output node has a recorded rule: add's only at equal shapes
 RECORDED_CASES = [case for case in PRIMITIVE_CASES
-                  if case[0].split("-")[0] in RECORDED_OPS]
+                  if case[0].split("-")[0] in RECORDED_OPS - {"add"} or case[0] == "add-same"]
 
 
 class TestPrimitiveFirstOrderRules:
@@ -1073,20 +1083,25 @@ class TestBackward:
         assert "unfold3x3" not in ops
         assert grads[x].requires_grad
 
-    @pytest.mark.parametrize("op", ["upsample2", "mul", "tanh", "matmul"])
+    @pytest.mark.parametrize("op", ["upsample2", "mul", "tanh", "matmul", "add-suffix",
+                                    "add-0d", "add-scalar"])
     def test_recorded_backward_without_rule_raises(self, op):
-        # only the ops a critic forward records have a recorded rule
+        # only the ops a critic forward records have a recorded rule, and
+        # add's, which the critic runs on equal shapes, has it only there
         build, shapes = {
             "upsample2": (ad.upsample2, [(2, 3, 4, 4)]),
             "mul": (ad.mul, [(2, 3), (2, 3)]),
             "tanh": (ad.tanh, [(2, 3)]),
             "matmul": (matmul, [(2, 3), (3, 4)]),
+            "add-suffix": (ad.add, [(2, 3), (3,)]),
+            "add-0d": (ad.add, [(2, 3), ()]),
+            "add-scalar": (lambda a: ad.add(a, 1.0), [(2, 3)]),
         }[op]
         rng = np.random.default_rng(24)
         with Graph():
             leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
             loss = ad.tsum(build(*leaves))
-            with pytest.raises(NotImplementedError, match=op):
+            with pytest.raises(NotImplementedError, match=f"differentiate {op.split('-')[0]}$"):
                 backward(loss, create_graph=True)
 
 
@@ -1201,11 +1216,11 @@ class TestRetention:
 
     @pytest.mark.parametrize("build, grad", [
         (lambda h: ad.add(h, 1.0), 2.0),
-        (lambda h: ad.add(1.0, h), 2.0),
-        (lambda h: ad.sub(1.0, h), -2.0),
+        (lambda h: ad.add(h, Tensor(np.ones(4))), 2.0),
+        (lambda h: ad.sub(h, 1.0), 2.0),
         (lambda h: ad.tsum(h, axes=(1,)), 2.0),
         (lambda h: ad.tsum(h, axes=(0,), keepdims=True), 2.0),
-    ], ids=["add", "add-left", "sub", "tsum", "tsum-keepdims"])
+    ], ids=["add", "add-suffix", "sub", "tsum", "tsum-keepdims"])
     def test_shape_only_operand_is_not_kept(self, build, grad):
         alive, dx = run_and_drop(build, (3, 4))
         assert not alive

@@ -61,6 +61,22 @@ class TestGeneratorLoss:
     def test_balanced(self):
         assert generator_loss(scores(1, -1)).item() == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["single", "double"])
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    def test_bitwise_the_negated_mean(self, dtype, batch):
+        # value and gradient are bitwise those of -(sum * (1/count)), the
+        # negated mean, with 1/count cast to the scores' dtype
+        x = np.random.default_rng(batch).standard_normal((batch, 1)).astype(dtype)
+        inv = np.asarray(1.0 / batch, dtype=dtype)
+        with Graph():
+            fake = Tensor(x.copy(), requires_grad=True)
+            loss = generator_loss(fake)
+            grad = backward(loss)[fake].data
+        want = np.asarray(-(x.sum() * inv))
+        assert (loss.data.dtype, loss.data.tobytes()) == (want.dtype, want.tobytes())
+        want = np.full(x.shape, -(np.ones((), dtype) * inv))
+        assert (grad.dtype, grad.shape, grad.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     def test_gradient_through_critic_of_generator(self):
         # finite differences through a tanh critic composed with a linear generator
         rng = np.random.default_rng(2)
