@@ -413,13 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate" and args.count < 1:
-        parser.error("--count must be >= 1")
-    if getattr(args, "seed", 0) < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "generate" and args.count < 1:
+            raise ValueError(f"--count must be >= 1, got {args.count}")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -140,12 +141,14 @@ def fingerprint(cfg: RunConfig) -> bytes:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse "key = value" lines; '#' starts a comment; unknown keys fail."""
+    """Parse "key = value" lines; unknown keys fail.  A '#' at the start of a
+    line or after whitespace starts a comment, so a value may hold one that
+    follows no whitespace, as in ``dataset_path = /data/run#1/x.fgr8``."""
     kinds = {f.name: f.type for f in fields(RunConfig)}
     casts = {"int": int, "float": float, "str": str}
     seen: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -513,17 +513,16 @@ class TestTrain:
                              tmp_path / "c.figr", "--out", tmp_path / "gen"),
                 "gradcheck": ("gradcheck", "--trials", 1)}[command]
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*argv, "--seed", -1)
-        assert exc.value.code == 2
-        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert run_cli(*argv, "--seed", -1) == 2
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
 
     @pytest.mark.parametrize("case", [
         "train-config-dir", "train-out-file", "stats-shard-dir", "eval-checkpoint-dir",
         "config-bad-value", "config-unknown-key", "config-refused",
         "shard-bad-magic", "shard-truncated", "idx-count-mismatch",
         "checkpoint-truncated", "checkpoint-old-version", "checkpoint-foreign-fingerprint",
-        "validation-empty", "validation-too-many", "train-diverges"])
+        "validation-empty", "validation-too-many", "train-diverges", "eval-seed-negative",
+        "generate-seed-negative", "gradcheck-seed-negative", "generate-count-zero"])
     def test_input_failure_is_one_error_line(self, cfg_path, tmp_path, capsys, case):
         # every ValueError and OSError a command meets in its input exits 2
         # with one line naming the failure, not a traceback, and writes nothing
@@ -563,6 +562,10 @@ def input_failure(case, cfg_path, tmp_path):
 
     def evaluate(cfg, ckpt):
         return ("eval", "--config", cfg, "--checkpoint", ckpt, "--trials", 1)
+
+    def generate(*flags):
+        return ("generate", "--config", cfg_path, "--checkpoint", tmp_path / "c.figr",
+                "--out", tmp_path / "gen", *flags)
 
     errno = r"\[Errno \d+\] [^\n]+"
     if case == "train-config-dir":
@@ -616,6 +619,12 @@ def input_failure(case, cfg_path, tmp_path):
     if case == "validation-empty":
         cfg = config(TINY_CFG.replace("n_validation = 2", "n_validation = 0"))
         return evaluate(cfg, checkpoint(cfg)), "validation split is empty"
+    if case.endswith("-seed-negative"):
+        argv = {"eval": evaluate(cfg_path, tmp_path / "c.figr"), "generate": generate(),
+                "gradcheck": ("gradcheck", "--trials", 1)}[case.split("-")[0]]
+        return argv + ("--seed", -1), re.escape("--seed must be >= 0, got -1")
+    if case == "generate-count-zero":
+        return generate("--count", 0), re.escape("--count must be >= 1, got 0")
     if case == "validation-too-many":
         return (train(config(TINY_CFG.replace("n_validation = 2", "n_validation = 6"))),
                 "6 validation of 6 classes")
@@ -682,10 +691,12 @@ class TestGenerateEval:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_generate_count_validated(self, cfg_path, trained, tmp_path):
-        with pytest.raises(SystemExit):
-            run_cli("generate", "--config", cfg_path, "--checkpoint", trained,
-                    "--count", 0, "--out", tmp_path / "x")
+    def test_generate_count_validated(self, cfg_path, trained, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli("generate", "--config", cfg_path, "--checkpoint", trained,
+                       "--count", 0, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr() == ("", "error: --count must be >= 1, got 0\n")
+        assert not (tmp_path / "x").exists()
 
     def test_generate_insufficient_images(self, cfg_path, trained, tmp_path):
         rc = run_cli("generate", "--config", cfg_path, "--checkpoint", trained,

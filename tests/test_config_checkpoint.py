@@ -59,8 +59,16 @@ class TestConfig:
         assert parse_config(canonical_text(cfg)) == cfg
 
     def test_comments_and_blank_lines(self):
-        cfg = parse_config("# full comment\n\nk = 3  # trailing\nn = 2\n")
+        cfg = parse_config("# full comment\n\nk = 3  # trailing\nn = 2\t# tab\n  # indented\n")
         assert cfg.k == 3 and cfg.n == 2
+
+    def test_hash_inside_a_value_is_kept(self):
+        # a '#' starts a comment only at a line's start or after whitespace
+        cfg = parse_config('validation_classes = "a#b", c\n'
+                           "dataset_path = /data/run#1/x.fgr8  # where the shard is\n")
+        assert cfg.validation_classes == '"a#b", c'
+        assert cfg.dataset_path == "/data/run#1/x.fgr8"
+        assert parse_config(canonical_text(cfg)) == cfg
 
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ValueError, match="^line 2: unknown key 'inner_lrate'$"):
