@@ -124,6 +124,7 @@ class RunConfig:
 # out of the fingerprint lets a resumed run change them without tripping the
 # hyperparameter-drift check
 _OPERATIONAL = {"meta_steps", "checkpoint_every", "sample_every", "out_dir"}
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _lines(cfg: RunConfig, skip=frozenset()) -> list[str]:
@@ -141,14 +142,13 @@ def fingerprint(cfg: RunConfig) -> bytes:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse "key = value" lines; unknown keys fail.  A '#' at the start of a
-    line or after whitespace starts a comment, so a value may hold one that
-    follows no whitespace, as in ``dataset_path = /data/run#1/x.fgr8``."""
+    """Parse "key = value" lines; unknown keys fail.  A '#' at a line's start
+    or after whitespace starts a comment; a value may hold any other '#'."""
     kinds = {f.name: f.type for f in fields(RunConfig)}
     casts = {"int": int, "float": float, "str": str}
     seen: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        line = (_COMMENT.split(raw, maxsplit=1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         if "=" not in line:

@@ -1193,6 +1193,10 @@ class TestGraph:
         b = Tensor(np.ones(2, dtype=np.float64))
         with pytest.raises(TypeError):
             ad.add(a, b)
+        # conv2d's bias too: a float64 one would have cast its sum silently
+        with pytest.raises(TypeError, match="mixed dtypes float32 and float64"):
+            conv2d(Tensor(np.ones((1, 1, 3, 3), np.float32)),
+                   Tensor(np.ones((1, 1, 3, 3), np.float32)), Tensor(np.ones(1)), 1)
 
 
 def run_and_drop(build, shape):

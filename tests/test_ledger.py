@@ -17,7 +17,8 @@ and that the old value was checked against the parent commit.
 The digests hold for one numpy and BLAS build (OpenBLAS picks its kernels
 by build and CPU), recorded in BUILD; on another build each check fails
 and names both.  `python tests/test_ledger.py` prints the table this build
-computes, to update both in a commit of their own.
+computes (run it with `src` on PYTHONPATH), to update both in a commit
+of their own.
 """
 
 import contextlib
