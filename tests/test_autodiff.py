@@ -1221,10 +1221,14 @@ class TestRetention:
     @pytest.mark.parametrize("build, grad", [
         (lambda h: ad.add(h, 1.0), 2.0),
         (lambda h: ad.add(h, Tensor(np.ones(4))), 2.0),
+        (lambda h: ad.add(h, Tensor(np.float64(1.0))), 2.0),
         (lambda h: ad.sub(h, 1.0), 2.0),
+        (lambda h: ad.sub(h, Tensor(np.ones(4))), 2.0),
+        (lambda h: ad.sub(h, Tensor(np.float64(1.0))), 2.0),
         (lambda h: ad.tsum(h, axes=(1,)), 2.0),
         (lambda h: ad.tsum(h, axes=(0,), keepdims=True), 2.0),
-    ], ids=["add", "add-suffix", "sub", "tsum", "tsum-keepdims"])
+    ], ids=["add", "add-suffix", "add-0d", "sub", "sub-suffix", "sub-0d", "tsum",
+            "tsum-keepdims"])
     def test_shape_only_operand_is_not_kept(self, build, grad):
         alive, dx = run_and_drop(build, (3, 4))
         assert not alive
