@@ -60,6 +60,8 @@ from .reptile import MetaState, figr_generate, init_meta_state, meta_step
 
 CSV_HEADER = "step,task_id,critic_loss,gen_loss,delta_d_norm,delta_g_norm,seconds"
 EVAL_COUNT = 64     # images `figr eval` generates per class and arm
+# the least value of each integer flag, by argparse dest, refused before any work
+FLOORS = {"steps": 0, "count": 1, "trials": 1, "k": 1, "n": 1, "seed": 0}
 
 
 def _destination(path) -> None:
@@ -146,8 +148,6 @@ def _emit_montage(cfg: RunConfig, dataset, disc, gen, state, out_path: Path) -> 
 
 
 def cmd_train(args) -> int:
-    if args.steps is not None and args.steps < 0:
-        raise ValueError(f"--steps must be >= 0, got {args.steps}")
     cfg = load_config(args.config)
     fp = fingerprint(cfg)
     out_dir = Path(args.out or cfg.out_dir)
@@ -257,12 +257,9 @@ def evaluate_checkpoint(cfg: RunConfig, phi: tuple[ParameterSet, ParameterSet], 
     ids = dataset.class_ids("validation")
     if not ids:
         raise ValueError("validation split is empty")
-    if trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {trials}")
     if trials > len(ids):
         print(f"warning: --trials {trials} capped at {len(ids)} validation classes",
               file=sys.stderr)
-        trials = len(ids)
     for cid in ids[:trials]:
         task = dataset.classes[cid]
         if task.images.shape[0] <= cfg.n:
@@ -361,8 +358,13 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # refused as bad input by `main`, in one line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="figr",
+    p = _Parser(prog="figr",
                                 description="few-shot image generation trainer")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -413,14 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate" and args.count < 1:
-            raise ValueError(f"--count must be >= 1, got {args.count}")
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        args = build_parser().parse_args(argv)
+        for name, floor in FLOORS.items():
+            value = getattr(args, name, None)
+            if value is not None and value < floor:
+                raise ValueError(f"--{name} must be >= {floor}, got {value}")
         return args.fn(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:      # numpy's message names the array it could not allocate

@@ -208,8 +208,6 @@ def figr_generate(phi_d: ParameterSet, phi_g: ParameterSet,
     the output does not grow with count.  Returns an array in (-1, 1); the
     callers' phi are untouched.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     w_g = inner_loop(phi_d, phi_g, disc, gen, x_task, cfg, rng)[1]
     z, bound = sample_latent(count, gen.cfg, rng).data, w_g.bind(trainable=False)
     out = np.empty((count, 1) + (gen.cfg.image_size,) * 2, dtype=z.dtype)

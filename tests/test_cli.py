@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import csv
 import ctypes
@@ -81,6 +82,26 @@ def write_old_version(path, version):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, 4, version)
     path.write_bytes(bytes(blob))
+
+
+def _int_flags():
+    """(command, flag, floor) of every integer flag of every command."""
+    sub = next(a for a in figr.cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[0], figr.cli.FLOORS[action.dest])
+            for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is int]
+
+
+INT_FLAGS = _int_flags()
+
+
+def test_every_integer_flag_is_swept():
+    # a new integer flag needs a floor; a KeyError in _int_flags names it
+    assert sorted({(c, f) for c, f, _ in INT_FLAGS}) == [
+        ("eval", "--seed"), ("eval", "--trials"), ("generate", "--count"),
+        ("generate", "--k"), ("generate", "--n"), ("generate", "--seed"),
+        ("gradcheck", "--seed"), ("gradcheck", "--trials"), ("train", "--steps")]
 
 
 class TestTrain:
@@ -516,13 +537,47 @@ class TestTrain:
         assert run_cli(*argv, "--seed", -1) == 2
         assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
 
+    @pytest.mark.parametrize("command,flag,value", [
+        (command, flag, value) for command, flag, floor in INT_FLAGS
+        for value in ("x", "1.5", "", str(floor - 1))])
+    def test_integer_flag_refused_before_any_work(self, cfg_path, tmp_path, monkeypatch,
+                                                  capsys, command, flag, value):
+        # a value that is not an integer, or is below the flag's floor, is
+        # refused in one line naming the flag before any input is read
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("load_config", "run_gradcheck"):
+            monkeypatch.setattr(figr.cli, name, no_work)
+        argv = {"train": ("train", "--config", cfg_path, "--out", tmp_path / "run"),
+                "generate": ("generate", "--config", cfg_path, "--checkpoint",
+                             tmp_path / "c.figr", "--out", tmp_path / "gen"),
+                "eval": ("eval", "--config", cfg_path, "--checkpoint", tmp_path / "c.figr"),
+                "gradcheck": ("gradcheck",)}[command]
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        assert run_cli(*argv, flag, value) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err
+        assert snapshot(tmp_path) == before
+
+    def test_help_exits_zero_with_usage_on_stdout(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train", "--help")
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: figr train") and err == ""
+
     @pytest.mark.parametrize("case", [
         "train-config-dir", "train-out-file", "stats-shard-dir", "eval-checkpoint-dir",
         "config-bad-value", "config-unknown-key", "config-refused",
         "shard-bad-magic", "shard-truncated", "idx-count-mismatch",
         "checkpoint-truncated", "checkpoint-old-version", "checkpoint-foreign-fingerprint",
-        "validation-empty", "validation-too-many", "train-diverges", "eval-seed-negative",
-        "generate-seed-negative", "gradcheck-seed-negative", "generate-count-zero"])
+        "validation-empty", "validation-too-many", "train-diverges", "train-n-overflow",
+        "eval-seed-negative", "generate-seed-negative", "gradcheck-seed-negative",
+        "generate-count-zero", "eval-trials-zero", "generate-k-zero", "generate-n-zero",
+        "no-command", "unknown-command", "unknown-flag", "missing-config", "split-bogus"])
     def test_input_failure_is_one_error_line(self, cfg_path, tmp_path, capsys, case):
         # every ValueError and OSError a command meets in its input exits 2
         # with one line naming the failure, not a traceback, and writes nothing
@@ -625,13 +680,38 @@ def input_failure(case, cfg_path, tmp_path):
         return argv + ("--seed", -1), re.escape("--seed must be >= 0, got -1")
     if case == "generate-count-zero":
         return generate("--count", 0), re.escape("--count must be >= 1, got 0")
+    # refused before the checkpoint, which does not exist, is read
+    if case == "eval-trials-zero":
+        return (evaluate(cfg_path, tmp_path / "c.figr") + ("--trials", 0),
+                re.escape("--trials must be >= 1, got 0"))
+    if case in ("generate-k-zero", "generate-n-zero"):
+        flag = "--" + case.split("-")[1]
+        return generate(flag, 0), re.escape(f"{flag} must be >= 1, got 0")
+    # argparse's refusals
+    if case == "no-command":
+        return (), "the following arguments are required: command"
+    if case == "unknown-command":
+        return ("bogus",), r"argument command: invalid choice: 'bogus' \(choose from .+\)"
+    if case == "unknown-flag":
+        return train(cfg_path) + ("--bogus",), "unrecognized arguments: --bogus"
+    if case == "missing-config":
+        return ("train", "--steps", 1), "the following arguments are required: --config"
+    if case == "split-bogus":
+        return (generate("--split", "bogus"),
+                re.escape("argument --split: invalid choice: 'bogus' "
+                          "(choose from 'train', 'validation')"))
     if case == "validation-too-many":
         return (train(config(TINY_CFG.replace("n_validation = 2", "n_validation = 6"))),
                 "6 validation of 6 classes")
+    # the step-0 files the failing run rewrites are made first, so it leaves
+    # the tree as it found it
+    if case == "train-n-overflow":
+        # an n no C long holds is accepted at parse and overflows in numpy's first draw
+        cfg = config(TINY_CFG.replace("\nn = 2\n", "\nn = 100000000000000000000\n"))
+        assert run_cli("train", "--config", cfg, "--steps", 0, "--out", tmp_path / "out") == 0
+        return train(cfg), "Python int too large to convert to C long"
     assert case == "train-diverges"
-    # numpy's overflow warnings, errors under pytest, must not precede the
-    # line; the step-0 files the failing run rewrites are made first, so it
-    # leaves the tree as it found it
+    # numpy's overflow warnings, errors under pytest, must not precede the line
     cfg = config(TINY_CFG.replace("inner_lr = 0.0001", "inner_lr = 1000"))
     assert run_cli("train", "--config", cfg, "--steps", 0, "--out", tmp_path / "out") == 0
     return train(cfg), r"meta-step 1 on task \d+: non-finite critic loss, generator loss, " \
@@ -714,10 +794,12 @@ class TestGenerateEval:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--k", "--n"])
-    def test_generate_rejects_zero_k_and_n(self, cfg_path, trained, tmp_path, flag):
+    def test_generate_rejects_zero_k_and_n(self, cfg_path, trained, tmp_path, flag, capsys):
         out = tmp_path / "x"
+        capsys.readouterr()
         assert run_cli("generate", "--config", cfg_path, "--checkpoint", trained,
                        flag, 0, "--out", out) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} must be >= 1, got 0\n")
         assert not out.exists()
 
     def test_eval_emits_rows(self, cfg_path, trained, tmp_path, capsys):
