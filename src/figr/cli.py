@@ -11,9 +11,11 @@ Every command is deterministic under its seed.  Training writes a CSV log,
 reconciled on start to the checkpoint the run starts from, periodic
 checkpoints, and sample montages.
 
-Failures follow one contract.  Bad input (a config, a data file, a
-checkpoint, a flag, a path) raises ValueError or OSError, which `main`
-turns into one `error: <message>` line on stderr and exit code 2.  An
+Failures follow one contract.  Bad input raises ValueError, OSError or
+OverflowError: a config, a data file, a checkpoint, a path, an integer
+too large for numpy, a command line that argparse refuses, or an integer
+flag below its floor in FLOORS (these two before any work).  `main` turns
+each into one `error: <message>` line on stderr and exit code 2.  An
 allocation that fails, as a config too large for memory makes it, raises
 MemoryError: one `error: out of memory: <message>` line, and exit code 2.
 Misuse of the engine by code (an op outside a graph, mismatched dtypes)
@@ -365,7 +367,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="figr",
-                                description="few-shot image generation trainer")
+                description="few-shot image generation trainer")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="run meta-training")

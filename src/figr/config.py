@@ -4,7 +4,9 @@ and a fingerprint that pins every trajectory-relevant hyperparameter.
 RunConfig is figr's one settings type: the networks, the inner loop, the
 outer Adam step and the run all read their settings from it, and it
 refuses a config whose invariants cannot hold when it is built, so a
-config is checked once, at parse."""
+config is checked once, at parse.  Among them: a str value holds no line
+break, no whitespace at either end and no '#' at its start or after
+whitespace, so that `canonical_text` parses back to the config."""
 
 from __future__ import annotations
 
@@ -82,8 +84,12 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if f.type == "str" and (value != value.strip() or len(value.splitlines()) > 1
+                                    or _COMMENT.search(value)):
+                raise ValueError(f"{f.name} cannot be written to a config file: {value!r}")
         if self.dataset_format not in ("synth", "idx", "fgr8"):
             raise ValueError(f"unknown dataset_format {self.dataset_format!r}")
         if self.loss_mode != "wasserstein_gp":
@@ -143,7 +149,8 @@ def fingerprint(cfg: RunConfig) -> bytes:
 
 def parse_config(text: str) -> RunConfig:
     """Parse "key = value" lines; unknown keys fail.  A '#' at a line's start
-    or after whitespace starts a comment; a value may hold any other '#'."""
+    or after whitespace starts a comment; a value may hold any other '#', so
+    a class whose name holds ' #' cannot be named in validation_classes."""
     kinds = {f.name: f.type for f in fields(RunConfig)}
     casts = {"int": int, "float": float, "str": str}
     seen: dict[str, object] = {}

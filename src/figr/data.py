@@ -33,6 +33,8 @@ from typing import Callable
 
 import numpy as np
 
+from .rng import derive
+
 
 # ---------------------------------------------------------------------------
 # binary files: the shared reader, then IDX (MNIST: big-endian magic, dims, bytes)
@@ -343,8 +345,7 @@ def split_classes(ds: TaskDataset, n_validation: int, seed: int,
     else:
         if n_validation >= n:
             raise ValueError(f"{n_validation} validation of {n} classes")
-        rng = np.random.default_rng(seed)
-        val = tuple(sorted(rng.choice(n, size=n_validation, replace=False).tolist()))
+        val = tuple(sorted(derive(seed).choice(n, size=n_validation, replace=False).tolist()))
     train = tuple(i for i in range(n) if i not in set(val))
     return replace(ds, train_ids=train, val_ids=val)
 
@@ -435,10 +436,8 @@ def _class_strokes(rng: np.random.Generator) -> list[dict]:
 
 def synth_glyph_image(seed: int, class_idx: int, sample_idx: int, size: int) -> np.ndarray:
     """One deterministic 8-bit glyph: class strokes + per-sample jitter."""
-    class_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(class_idx,)))
-    strokes = _class_strokes(class_rng)
-    jit = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(class_idx, sample_idx)))
+    strokes = _class_strokes(derive(seed, class_idx))
+    jit = derive(seed, class_idx, sample_idx)
     rot = float(jit.uniform(-0.15, 0.15))
     scale = float(jit.uniform(0.88, 1.12))
     shift = jit.uniform(-0.06, 0.06, size=2)

@@ -28,6 +28,7 @@ from .autodiff import Graph, Tensor, backward
 from .config import RunConfig
 from .losses import critic_loss, generator_loss, gradient_penalty
 from .models import BoundParams, Discriminator, Generator, ParameterSet, Segment
+from .rng import derive
 
 CHECK_CFG = RunConfig(image_size=8, latent_dim=5, base_width=4, n_blocks=1,
                       precision="double")
@@ -162,7 +163,7 @@ def run_gradcheck(trials: int = 20, seed: int = 0,
     results: list[CheckResult] = []
     worst = 0.0
     for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
+        rng = derive(seed, trial)
         for name, setup in CHECKS:
             err = _check(*setup(disc, gen, rng), rng)
             results.append(CheckResult(name, trial, err))

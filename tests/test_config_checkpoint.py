@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import os
 import re
@@ -69,6 +71,27 @@ class TestConfig:
         assert cfg.validation_classes == '"a#b", c'
         assert cfg.dataset_path == "/data/run#1/x.fgr8"
         assert parse_config(canonical_text(cfg)) == cfg
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(["dataset_path", "validation_classes", "out_dir"]),
+           value=st.text(alphabet='ab#,"= \t\n\r\x0b\x0c\x1c\x85\u2028', max_size=8))
+    def test_str_value_is_refused_or_reads_back(self, key, value):
+        # the run's config.cfg is canonical_text, so an accepted value must read back
+        try:
+            cfg = RunConfig(**{key: value})
+        except ValueError as exc:
+            assert str(exc) == f"{key} cannot be written to a config file: {value!r}"
+            return
+        assert parse_config(canonical_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("build,key", [
+        (lambda: RunConfig(validation_classes='"a #b", c'), "validation_classes"),
+        (lambda: parse_config("dataset_path =#x"), "dataset_path")],
+        ids=["hash-after-space", "hash-at-start"])
+    def test_value_a_config_file_cannot_hold_is_refused(self, build, key):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert re.fullmatch(f"{key} cannot be written to a config file: '[^\n]*'", str(exc.value))
 
     def test_unknown_key_is_hard_error(self):
         with pytest.raises(ValueError, match="^line 2: unknown key 'inner_lrate'$"):
