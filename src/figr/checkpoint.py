@@ -1,17 +1,19 @@
 """Bit-exact binary snapshots of the outer-loop state, and crash-safe writes.
 
-Layout of format 3 (little-endian): magic "FIGR", version u32, config
+Layout of format 4 (little-endian): magic "FIGR", version u32, config
 fingerprint (32 bytes), outer step u64, then for each network, critic
 first, the parameter vector (a dtype tag byte, b"f" float32 or b"d"
-float64, then u64 length + data) and its Adam state (u64 timestep, then
-u64 length + float64 data for the first and for the second moment).
-Nothing follows.  The Adam timestep is the outer step: both timestep
-fields are written as the step, and a file in which either differs from
-it is refused.  No rng state is stored: every draw of meta-step t is a
+float64, then u64 length n + data) and its Adam state (u64 timestep, then
+n float64 for the first and n for the second moment).  Nothing follows.
+The Adam timestep is the outer step: both timestep fields are written as
+the step, and a file in which either differs from it is refused; they
+stay because, with no checksum in the file, they are what catches a
+flipped step.  No rng state is stored: every draw of meta-step t is a
 function of (seed, t) (see `figr.rng`), so the step is all a resume needs.
 Versions 1 and 2 carried the states of streams that ran through the whole
-run; a resume from them could not continue those streams, so they are
-refused.  `load_checkpoint` reads the file once through
+run, which a resume could not continue; version 3 wrote n again before
+each moment, and its fingerprints cover two config keys since deleted.
+All three are refused.  `load_checkpoint` reads the file once through
 `figr.data.ByteReader`, each vector straight into the owned array returned
 for it (`readinto`, not a mapping, so a file cut while read raises
 ValueError), and allocates nothing else that is large.  Only a resumed
@@ -36,7 +38,7 @@ from .data import ByteReader
 from .reptile import AdamState, MetaState
 
 MAGIC = b"FIGR"
-VERSION = 3
+VERSION = 4
 FINGERPRINT_BYTES = 32
 _PHI_DTYPES = {b"f": np.float32, b"d": np.float64}     # tag byte -> dtype
 
@@ -53,12 +55,6 @@ class CheckpointData:
     adam_g: AdamState
 
 
-def _pack_vector(vec: np.ndarray, dtype) -> list:
-    """Length header and the array itself, written or joined from its own buffer."""
-    arr = np.ascontiguousarray(vec, dtype=dtype)
-    return [struct.pack("<Q", arr.size), arr]
-
-
 def _parts(state: MetaState, fingerprint: bytes) -> list:
     """The file's header fields and the state's own arrays, in file order."""
     if len(fingerprint) != FINGERPRINT_BYTES:
@@ -66,10 +62,10 @@ def _parts(state: MetaState, fingerprint: bytes) -> list:
     parts = [MAGIC, struct.pack("<I", VERSION), fingerprint, struct.pack("<Q", state.step)]
     for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
         tag = np.dtype(phi.vector.dtype).char.encode()
-        parts += [tag, *_pack_vector(phi.vector, _PHI_DTYPES[tag])]
+        vec = np.ascontiguousarray(phi.vector, dtype=_PHI_DTYPES[tag])
+        parts += [tag, struct.pack("<Q", vec.size), vec]
         parts.append(struct.pack("<Q", state.step))      # the Adam timestep
-        parts += _pack_vector(adam.m, np.float64)
-        parts += _pack_vector(adam.v, np.float64)
+        parts += [np.ascontiguousarray(x, dtype=np.float64) for x in (adam.m, adam.v)]
     return parts
 
 
@@ -78,12 +74,11 @@ def _read(f, moments: bool = True) -> CheckpointData:
     `moments`, each moment vector's bytes are checked and seeked past."""
     r = ByteReader(f, "checkpoint")
 
-    def moment() -> tuple[int, np.ndarray | None]:
-        (count,) = r.unpack("<Q")
+    def moment(count: int) -> np.ndarray | None:
         if moments:
-            return count, r.array(count, np.float64)
+            return r.array(count, np.float64)
         r.skip(8 * count)          # float64
-        return count, None
+        return None
 
     magic = r.take(4)
     if magic != MAGIC:
@@ -103,10 +98,7 @@ def _read(f, moments: bool = True) -> CheckpointData:
         (t,) = r.unpack("<Q")
         if t != step:
             raise ValueError(f"Adam timestep {t} differs from the checkpoint's step {step}")
-        (m_size, m), (v_size, v) = moment(), moment()
-        if m_size != vec.size or v_size != vec.size:
-            raise ValueError("moment vectors do not match parameter length")
-        nets.append((vec, AdamState(m, v)))
+        nets.append((vec, AdamState(moment(vec.size), moment(vec.size))))
     if r.pos != r.size:
         raise ValueError(f"{r.size - r.pos} trailing bytes")
     return CheckpointData(fingerprint=fingerprint, step=step,

@@ -55,8 +55,7 @@ class RunConfig:
     base_width: int = 16
     n_blocks: int = 3
     precision: str = "single"
-    # loss; WGAN-GP is the only mode, the key stays so fingerprints hold
-    loss_mode: str = "wasserstein_gp"
+    # loss
     gp_lambda: float = 10.0
     # inner loop
     k: int = 10
@@ -68,7 +67,6 @@ class RunConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     # data
-    dataset_format: str = "synth"
     dataset_path: str = ""
     synth_classes: int = 200
     synth_per_class: int = 16
@@ -90,10 +88,6 @@ class RunConfig:
             if f.type == "str" and (value != value.strip() or len(value.splitlines()) > 1
                                     or _COMMENT.search(value)):
                 raise ValueError(f"{f.name} cannot be written to a config file: {value!r}")
-        if self.dataset_format not in ("synth", "idx", "fgr8"):
-            raise ValueError(f"unknown dataset_format {self.dataset_format!r}")
-        if self.loss_mode != "wasserstein_gp":
-            raise ValueError(f"loss_mode must be wasserstein_gp, not {self.loss_mode!r}")
         if self.image_size not in (8, 16, 32, 64):
             raise ValueError(f"image_size must be 8/16/32/64, got {self.image_size}")
         if self.n_blocks < self.n_scales:
@@ -178,11 +172,13 @@ def load_config(path: Path) -> RunConfig:
 
 
 def build_dataset(cfg: RunConfig) -> TaskDataset:
-    """Materialize + split the dataset the config names."""
-    if cfg.dataset_format == "synth":
+    """Materialize + split the dataset the config names.  `dataset_path`
+    picks the reader: empty is the synthetic glyphs, a directory an IDX
+    pair, and anything else an FGR8 shard."""
+    if not cfg.dataset_path:
         ds = synth_glyph_dataset(cfg.synth_classes, cfg.synth_per_class,
                                  cfg.image_size, seed=cfg.split_seed)
-    elif cfg.dataset_format == "idx":
+    elif Path(cfg.dataset_path).is_dir():
         ds = build_tasks(load_idx_dir(Path(cfg.dataset_path)), cfg.image_size)
     else:
         with open(cfg.dataset_path, "rb") as f:

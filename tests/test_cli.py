@@ -36,7 +36,6 @@ k = 2
 n = 2
 inner_lr = 0.0001
 outer_lr = 0.0001
-dataset_format = synth
 synth_classes = 6
 synth_per_class = 4
 n_validation = 2
@@ -78,7 +77,8 @@ def log_rows(out):
 
 def write_old_version(path, version):
     """Overwrite the version word of the checkpoint at path (1 or 2: the
-    formats that stored rng stream states)."""
+    formats that stored rng stream states; 3: the one that wrote φ's length
+    again before each moment)."""
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, 4, version)
     path.write_bytes(bytes(blob))
@@ -337,10 +337,11 @@ class TestTrain:
         assert "bad magic" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_checkpoint_version_is_one_error_line(self, cfg_path, tmp_path, capsys,
                                                       version):
-        # versions 1 and 2 stored rng streams that a resume could not continue
+        # versions 1 and 2 stored rng streams that a resume could not continue,
+        # and version 3's fingerprints cover two keys since deleted
         run = tmp_path / "run"
         assert run_cli("train", "--config", cfg_path, "--out", run, "--steps", 0) == 0
         ckpt = run / "ckpt_000000.figr"
@@ -354,7 +355,7 @@ class TestTrain:
             assert run_cli(*argv) == 2
             err = capsys.readouterr().err
             assert err == (f"error: unsupported checkpoint version {version} "
-                           "(this figr reads only version 3)\n"), argv[0]
+                           "(this figr reads only version 4)\n"), argv[0]
         assert not fresh.exists()
 
     def test_cut_checkpoint_is_one_error_line_naming_its_offset(self, cfg_path, tmp_path,
@@ -404,8 +405,7 @@ class TestTrain:
         shard.write_bytes(raw_shard([("a", (4, 8, 8)), ("b", (4, 8, 8)), ("c", (4, 8, 8)),
                                      ("flat", (4, 0, 8))]))
         cfg = tmp_path / "flat.cfg"
-        cfg.write_text(TINY_CFG.replace(
-            "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}"))
+        cfg.write_text(TINY_CFG + f"dataset_path = {shard}\n")
         capsys.readouterr()
         assert run_cli("train", "--config", cfg, "--steps", 1,
                        "--out", tmp_path / "run") == 2
@@ -417,9 +417,7 @@ class TestTrain:
         shard.write_bytes(raw_shard([("a", (4, 8, 8)), ("b", (4, 8, 8)), ("c", (4, 8, 8)),
                                      ("a", (4, 8, 8))]))
         cfg = tmp_path / "twice.cfg"
-        cfg.write_text(TINY_CFG.replace(
-            "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}")
-            + "validation_classes = a\n")
+        cfg.write_text(TINY_CFG + f"dataset_path = {shard}\nvalidation_classes = a\n")
         capsys.readouterr()
         assert run_cli("train", "--config", cfg, "--steps", 1,
                        "--out", tmp_path / "run") == 2
@@ -432,9 +430,7 @@ class TestTrain:
         shard = tmp_path / "comma.fgr8"
         shard.write_bytes(raw_shard([("a,b", (4, 8, 8)), ("c", (4, 8, 8)), ("d", (4, 8, 8))]))
         cfg = tmp_path / "comma.cfg"
-        cfg.write_text(TINY_CFG.replace(
-            "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}")
-            + 'validation_classes = "a,b"\n')
+        cfg.write_text(TINY_CFG + f'dataset_path = {shard}\nvalidation_classes = "a,b"\n')
         ds = build_dataset(load_config(cfg))
         assert [ds.classes[i].name for i in ds.val_ids] == ["a,b"]
         assert run_cli("train", "--config", cfg, "--steps", 1,
@@ -572,7 +568,7 @@ class TestTrain:
     @pytest.mark.parametrize("case", [
         "train-config-dir", "train-out-file", "stats-shard-dir", "eval-checkpoint-dir",
         "config-bad-value", "config-unknown-key", "config-refused",
-        "shard-bad-magic", "shard-truncated", "idx-count-mismatch",
+        "shard-bad-magic", "shard-truncated", "idx-count-mismatch", "idx-dir-without-files",
         "checkpoint-truncated", "checkpoint-old-version", "checkpoint-foreign-fingerprint",
         "validation-empty", "validation-too-many", "train-diverges", "train-n-overflow",
         "eval-seed-negative", "generate-seed-negative", "gradcheck-seed-negative",
@@ -604,9 +600,8 @@ def input_failure(case, cfg_path, tmp_path):
         path.write_text(text)
         return path
 
-    def dataset(fmt, path):
-        return config(TINY_CFG.replace("dataset_format = synth",
-                                       f"dataset_format = {fmt}\ndataset_path = {path}"))
+    def dataset(path):
+        return config(TINY_CFG + f"dataset_path = {path}\n")
 
     def checkpoint(cfg):
         assert run_cli("train", "--config", cfg, "--steps", 0, "--out", tmp_path / "ck") == 0
@@ -641,12 +636,12 @@ def input_failure(case, cfg_path, tmp_path):
                 re.escape("need k >= 1, n >= 1, inner_lr >= 0, gp_lambda >= 0"))
     if case == "shard-bad-magic":
         (tmp_path / "bad.fgr8").write_bytes(b"NOPE" + bytes(20))
-        return (train(dataset("fgr8", tmp_path / "bad.fgr8")),
+        return (train(dataset(tmp_path / "bad.fgr8")),
                 re.escape("shard magic b'NOPE' != b'FGR8'"))
     if case == "shard-truncated":
         blob = raw_shard([(name, (4, 8, 8)) for name in "abcd"])
         (tmp_path / "cut.fgr8").write_bytes(blob[:-10])
-        return (train(dataset("fgr8", tmp_path / "cut.fgr8")),
+        return (train(dataset(tmp_path / "cut.fgr8")),
                 f"shard truncated: 256 bytes wanted at byte {len(blob) - 256}, "
                 f"but it ends at byte {len(blob) - 10}")
     if case == "idx-count-mismatch":
@@ -655,7 +650,12 @@ def input_failure(case, cfg_path, tmp_path):
             struct.pack(">IIII", 0x803, 2, 8, 8) + bytes(2 * 8 * 8))
         (tmp_path / "idx" / "train-labels-idx1-ubyte").write_bytes(
             struct.pack(">II", 0x801, 3) + bytes(3))
-        return train(dataset("idx", tmp_path / "idx")), "2 images vs 3 labels"
+        return train(dataset(tmp_path / "idx")), "2 images vs 3 labels"
+    if case == "idx-dir-without-files":
+        # a directory is read as an IDX pair, so its missing images file is named
+        (tmp_path / "empty").mkdir()
+        return (train(dataset(tmp_path / "empty")),
+                r"\[Errno 2\] No such file or directory: '[^']*/empty/train-images-idx3-ubyte'")
     if case == "checkpoint-truncated":
         ckpt = checkpoint(cfg_path)
         os.truncate(ckpt, 157)
@@ -665,7 +665,7 @@ def input_failure(case, cfg_path, tmp_path):
         ckpt = checkpoint(cfg_path)
         write_old_version(ckpt, 2)
         return (evaluate(cfg_path, ckpt),
-                re.escape("unsupported checkpoint version 2 (this figr reads only version 3)"))
+                re.escape("unsupported checkpoint version 2 (this figr reads only version 4)"))
     if case == "checkpoint-foreign-fingerprint":
         ckpt = checkpoint(cfg_path)
         return (evaluate(config(TINY_CFG.replace("seed = 11", "seed = 12")), ckpt),
@@ -819,8 +819,8 @@ class TestGenerateEval:
         shard.write_bytes(pack_shard([(name, rng.integers(0, 256, size=(4, 8, 8), dtype=np.uint8))
                                       for name in names]))
         cfg = tmp_path / "names.cfg"
-        cfg.write_text(TINY_CFG.replace("n_validation = 2", "n_validation = 3").replace(
-            "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}"))
+        cfg.write_text(TINY_CFG.replace("n_validation = 2", "n_validation = 3")
+                       + f"dataset_path = {shard}\n")
         out = tmp_path / "run"
         assert run_cli("train", "--config", cfg, "--steps", 1, "--out", out) == 0
         table = tmp_path / "eval.csv"
@@ -844,9 +844,8 @@ class TestGenerateEval:
         shard = tmp_path / "small.fgr8"
         shard.write_bytes(pack_shard(classes))
         cfg = tmp_path / "small.cfg"
-        cfg.write_text(TINY_CFG.replace("n = 2", "n = 4").replace(
-            "dataset_format = synth", f"dataset_format = fgr8\ndataset_path = {shard}")
-            + "validation_classes = c0\n")
+        cfg.write_text(TINY_CFG.replace("n = 2", "n = 4")
+                       + f"dataset_path = {shard}\nvalidation_classes = c0\n")
         out = tmp_path / "small"
         assert run_cli("train", "--config", cfg, "--steps", 0, "--out", out) == 0
         capsys.readouterr()

@@ -118,8 +118,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("mode", ["bce", "hinge"])
     def test_loss_mode_other_than_wgan_gp_rejected(self, mode):
-        with pytest.raises(ValueError, match=f"^loss_mode must be wasserstein_gp, not '{mode}'$"):
-            parse_config(f"loss_mode = {mode}\n")
+        # WGAN-GP is the only objective and dataset_path picks the reader, so
+        # neither key is left; a config that still names one fails at parse
+        for key, value in (("loss_mode", mode), ("loss_mode", "wasserstein_gp"),
+                           ("dataset_format", "synth")):
+            with pytest.raises(ValueError, match=f"^line 1: unknown key '{key}'$"):
+                parse_config(f"{key} = {value}\n")
 
     def test_negative_gp_lambda_rejected(self):
         with pytest.raises(ValueError, match=f"^{re.escape(_INNER)}$"):
@@ -151,10 +155,10 @@ class TestConfig:
         assert (cfg.beta1, cfg.beta2, cfg.outer_lr) == (0.0, 0.0, 0.0)
 
     def test_default_fingerprint_pinned(self):
-        # loss_mode stays a key so that this, and every checkpoint's
-        # fingerprint, does not change
+        # deleting loss_mode and dataset_format took their lines out of the
+        # hashed text, so this changed with checkpoint format 4
         assert fingerprint(RunConfig()).hex() == (
-            "0feeac716134481a6bae72f16017bdb1200d345b30d32700ef818d7117395a29")
+            "d82045df2d00203b625ced34df4f71b8ce4580d329092420f91d2b5cd054db02")
 
     def test_fingerprint_ignores_operational_fields(self):
         a = fingerprint(RunConfig())
@@ -233,8 +237,9 @@ def saved(tmp_path, state, fp=b"\x00" * 32, name="a.figr"):
 
 def write_old_version(path, version: int) -> None:
     """Overwrite the version word of the file at path with 1 or 2, which
-    carried rng stream states after the Adam moments; the reader stops at
-    the version, so the rest of the file need not follow the old layout."""
+    carried rng stream states after the Adam moments, or 3, which wrote φ's
+    length again before each moment; the reader stops at the version, so
+    the rest of the file need not follow the old layout."""
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, 4, version)
     path.write_bytes(bytes(blob))
@@ -290,32 +295,31 @@ class TestCheckpoint:
         np.testing.assert_array_equal(data.phi_d, state.phi_d.vector)
         np.testing.assert_array_equal(data.phi_g, state.phi_g.vector)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_refused_by_name(self, tmp_path, version):
         path = saved(tmp_path, small_state())
         write_old_version(path, version)
         with pytest.raises(ValueError,
                            match=f"^unsupported checkpoint version {version} "
-                                 r"\(this figr reads only version 3\)$"):
+                                 r"\(this figr reads only version 4\)$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("durable", [True, False])
     @pytest.mark.parametrize("step", [3, 0])
-    def test_file_is_the_format_3_layout(self, tmp_path, durable, step):
+    def test_file_is_the_format_4_layout(self, tmp_path, durable, step):
         # the header, then each network's tagged φ and its Adam state, whose
-        # timestep is the step, and nothing after the generator's second
-        # moment; at step 0 every moment is zero, so the file ends in a hole
+        # timestep is the step and whose moments take φ's length, and nothing
+        # after the generator's second moment; at step 0 every moment is
+        # zero, so the file ends in a hole
         state = small_state()
         if step == 0:
             state.adam_d.m[:], state.step = 0.0, 0
         path = tmp_path / "a.figr"
         save_checkpoint(path, state, b"\x03" * 32, durable=durable)
-        expected = [MAGIC, struct.pack("<I", 3), b"\x03" * 32, struct.pack("<Q", step)]
+        expected = [MAGIC, struct.pack("<I", 4), b"\x03" * 32, struct.pack("<Q", step)]
         for phi, adam in ((state.phi_d, state.adam_d), (state.phi_g, state.adam_g)):
             expected += [b"f", struct.pack("<Q", phi.total_len), phi.vector.tobytes(),
-                         struct.pack("<Q", step)]
-            for moment in (adam.m, adam.v):
-                expected += [struct.pack("<Q", moment.size), moment.tobytes()]
+                         struct.pack("<Q", step), adam.m.tobytes(), adam.v.tobytes()]
         assert path.read_bytes() == b"".join(expected)
 
     def test_negative_zero_moments_read_back_bitwise(self, tmp_path):
@@ -344,7 +348,7 @@ class TestCheckpoint:
         data = load_checkpoint(path)        # the whole layout, zero moments included
         assert not data.adam_g.v.any()
         phi_bytes = data.phi_d.nbytes + data.phi_g.nbytes
-        assert path.stat().st_size == 5 * phi_bytes + 114      # float32 φ, float64 moments
+        assert path.stat().st_size == 5 * phi_bytes + 82       # float32 φ, float64 moments
         assert path.stat().st_blocks * 512 < phi_bytes + 2**20, path.stat().st_blocks
 
     def test_save_makes_no_whole_file_copy(self, tmp_path):
@@ -431,16 +435,14 @@ class TestLoadFromFile:
             load_checkpoint(path, moments)
 
     def test_huge_declared_length_refused_before_allocating(self, path, moments):
-        # the first moment's length field follows the tag, phi_d and Adam's timestep
+        # phi_d's length field follows the header and the tag; its moments take it too
         blob = bytearray(path.read_bytes())
-        (n,) = struct.unpack_from("<Q", blob, 49)
-        at = 49 + 8 + 4 * n + 8
-        assert struct.unpack_from("<Q", blob, at) == (n,)
+        at = 49
         struct.pack_into("<Q", blob, at, 2**40)
         path.write_bytes(bytes(blob))
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"^checkpoint truncated: {2**43} bytes "
+            with pytest.raises(ValueError, match=f"^checkpoint truncated: {2**42} bytes "
                                                  f"wanted at byte {at + 8}, "):
                 load_checkpoint(path, moments)
             peak = tracemalloc.get_traced_memory()[1]
@@ -449,18 +451,25 @@ class TestLoadFromFile:
         assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_moment_length_must_match_phi(self, path, moments):
-        # a shorter first moment, with the file cut to match, is refused by
-        # the length comparison once both moments' bytes are checked
-        blob = bytearray(path.read_bytes())
-        (n,) = struct.unpack_from("<Q", blob, 49)
-        at = 49 + 8 + 4 * n + 8
-        struct.pack_into("<Q", blob, at, n - 1)
-        del blob[at + 8:at + 16]
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="^moment vectors do not match parameter length$"):
-            load_checkpoint(path, moments)
+        # the moments take φ's length, so a φ length off by one misplaces
+        # every field after it, and the read refuses the file at one of them:
+        # here the Adam timestep, which a step-0 file's zeros can pass
+        good = path.read_bytes()
+        (n_d,) = struct.unpack_from("<Q", good, 49)
+        gen_at = 49 + 8 + 4 * n_d + 8 + 2 * 8 * n_d + 1
+        for at in (49, gen_at):
+            (n,) = struct.unpack_from("<Q", good, at)
+            for wrong in (n - 1, n + 1):
+                blob = bytearray(good)
+                struct.pack_into("<Q", blob, at, wrong)
+                path.write_bytes(bytes(blob))
+                with pytest.raises(ValueError, match=r"^(checkpoint truncated: |\d+ trailing "
+                                                     r"bytes$|unknown parameter dtype tag |Adam "
+                                                     r"timestep \d+ differs from the "
+                                                     r"checkpoint's step 3$)"):
+                    load_checkpoint(path, moments)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_refused(self, path, moments, version):
         write_old_version(path, version)
         with pytest.raises(ValueError, match=f"^unsupported checkpoint version {version} "):
@@ -474,7 +483,7 @@ class TestLoadFromFile:
         (n,) = struct.unpack_from("<Q", blob, 49)
         at = 49 + 8 + 4 * n
         if net == "generator":
-            tag = at + 8 + 2 * (8 + 8 * n)
+            tag = at + 8 + 2 * 8 * n
             (n_g,) = struct.unpack_from("<Q", blob, tag + 1)
             at = tag + 1 + 8 + 4 * n_g
         assert struct.unpack_from("<Q", blob, at) == (3,)
@@ -503,7 +512,7 @@ class TestLoadFromFile:
         # a file cut halfway through phi_d's first moment: the φ-only read
         # names the offset where the moment starts, having read no byte of it
         (n,) = struct.unpack_from("<Q", path.read_bytes(), 49)
-        start = 49 + 8 + 4 * n + 8 + 8
+        start = 49 + 8 + 4 * n + 8
         os.truncate(path, start + 4 * n)
         read = []
 

@@ -3,6 +3,7 @@ import io
 import os
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,38 @@ class TestLazyTasks:
         for c in ds.classes:
             h.update(c.images.tobytes())
         assert h.hexdigest() == digest
+
+
+class TestBuildDataset:
+    """`dataset_path` picks the reader: empty is the synthetic glyphs, a
+    directory an IDX pair, and anything else a shard."""
+
+    CFG = RunConfig(image_size=8, latent_dim=4, base_width=4, n_blocks=1,
+                    synth_classes=6, synth_per_class=4, n_validation=1)
+
+    def test_empty_path_is_synth(self):
+        ds = build_dataset(self.CFG)
+        assert [c.name for c in ds.classes] == [
+            c.name for c in synth_glyph_dataset(6, 4, 8, seed=0).classes]
+
+    def test_directory_is_an_idx_pair(self, tmp_path):
+        images = np.random.default_rng(1).integers(0, 256, size=(5, 4, 4), dtype=np.uint8)
+        for name, blob in zip(("images-idx3", "labels-idx1"),
+                              make_idx_pair(images, [7, 1, 7, 3, 1])):
+            (tmp_path / f"train-{name}-ubyte").write_bytes(blob)
+        ds = build_dataset(replace(self.CFG, dataset_path=str(tmp_path)))
+        assert [c.name for c in ds.classes] == ["1", "3", "7"]
+        assert [len(c.images) for c in ds.classes] == [2, 1, 2]
+
+    def test_file_is_a_shard(self, tmp_path):
+        classes = TestShard().sample_classes()
+        (tmp_path / "a.fgr8").write_bytes(pack_shard(classes))
+        ds = build_dataset(replace(self.CFG, dataset_path=str(tmp_path / "a.fgr8")))
+        assert [c.name for c in ds.classes] == [name for name, _ in classes]
+
+    def test_directory_without_idx_files_names_the_images_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="train-images-idx3-ubyte"):
+            build_dataset(replace(self.CFG, dataset_path=str(tmp_path)))
 
 
 class TestSynthGlyphs:

@@ -61,7 +61,6 @@ k = 2
 n = 2
 inner_lr = 0.0001
 outer_lr = 0.0001
-dataset_format = synth
 synth_classes = 6
 synth_per_class = 4
 n_validation = 2
