@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,11 +94,12 @@ class Node:
 
 
 class Graph:
-    """Append-only tape confined to one thread, with no settings of its own.
+    """Append-only tape with no settings of its own.
 
     Acts as a context manager; ops of any dtype executed inside record
     onto it, and an op that needs recording outside every block raises
-    RuntimeError.  A backward() without create_graph marks the graph dead
+    RuntimeError.  The open blocks form one stack per process, so a Graph
+    is used from one Python thread; parallel work takes processes.  A backward() without create_graph marks the graph dead
     and empties ``nodes``, releasing every saved value; a later backward()
     on it raises RuntimeError.
     """
@@ -115,20 +115,15 @@ class Graph:
         return len(self.nodes) - 1
 
     def __enter__(self) -> "Graph":
-        _TLS.stack.append(self)
+        _STACK.append(self)
         return self
 
     def __exit__(self, *exc):
-        _TLS.stack.pop()
+        _STACK.pop()
         return False
 
 
-class _ThreadState(threading.local):
-    def __init__(self):
-        self.stack: list[Graph] = []
-
-
-_TLS = _ThreadState()
+_STACK: list[Graph] = []       # the open `with Graph()` blocks, innermost last
 
 
 class Tensor:
@@ -180,11 +175,10 @@ def _apply(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     """Create the result tensor, recording a node when gradients may flow."""
     if not any([i.requires_grad for i in inputs]):
         return Tensor(out_data)
-    stack = _TLS.stack
-    if not stack:
+    if not _STACK:
         raise RuntimeError(f"{op} on a requires_grad tensor must run inside a "
                            "`with Graph()` block")
-    g = stack[-1]
+    g = _STACK[-1]
     out = Tensor(out_data, requires_grad=True)
     input_ids = tuple([_register(i, g) if i.requires_grad else None for i in inputs])
     out.is_leaf = False

@@ -83,6 +83,9 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            # numpy takes no int past a C long; SeedSequence takes a seed of any size
+            if f.type == "int" and value >= 2**63 and f.name not in ("seed", "split_seed"):
+                raise ValueError(f"{f.name} must be < 2**63, got {value}")
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if f.type == "str" and (value != value.strip() or len(value.splitlines()) > 1

@@ -558,6 +558,18 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err
         assert snapshot(tmp_path) == before
 
+    @pytest.mark.parametrize("key", ["n", "k", "synth_classes"])
+    def test_int_past_a_c_long_refused_before_any_file(self, tmp_path, capsys, key):
+        # numpy takes no such int: n failed at step 1's first draw, after the
+        # step-0 files were written, and k and synth_classes ran for minutes
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(re.sub(rf"^{key} = \d+$", f"{key} = {10**20}", TINY_CFG, flags=re.M))
+        before = snapshot(tmp_path)
+        capsys.readouterr()
+        assert run_cli("train", "--config", cfg, "--steps", 1, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {key} must be < 2**63, got {10**20}\n"
+        assert snapshot(tmp_path) == before
+
     def test_help_exits_zero_with_usage_on_stdout(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("train", "--help")
@@ -703,13 +715,12 @@ def input_failure(case, cfg_path, tmp_path):
     if case == "validation-too-many":
         return (train(config(TINY_CFG.replace("n_validation = 2", "n_validation = 6"))),
                 "6 validation of 6 classes")
+    if case == "train-n-overflow":
+        # an n no C long holds is refused at parse, before any file is written
+        cfg = config(TINY_CFG.replace("\nn = 2\n", "\nn = 100000000000000000000\n"))
+        return train(cfg), re.escape("n must be < 2**63, got 100000000000000000000")
     # the step-0 files the failing run rewrites are made first, so it leaves
     # the tree as it found it
-    if case == "train-n-overflow":
-        # an n no C long holds is accepted at parse and overflows in numpy's first draw
-        cfg = config(TINY_CFG.replace("\nn = 2\n", "\nn = 100000000000000000000\n"))
-        assert run_cli("train", "--config", cfg, "--steps", 0, "--out", tmp_path / "out") == 0
-        return train(cfg), "Python int too large to convert to C long"
     assert case == "train-diverges"
     # numpy's overflow warnings, errors under pytest, must not precede the line
     cfg = config(TINY_CFG.replace("inner_lr = 0.0001", "inner_lr = 1000"))

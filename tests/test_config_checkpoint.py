@@ -150,6 +150,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
             parse_config(f"{key} = {value}\n")
 
+    def test_int_bound_is_a_c_long_but_a_seed_takes_any_size(self):
+        # numpy takes no int past a C long; SeedSequence takes a seed of any size
+        with pytest.raises(ValueError, match=r"^n must be < 2\*\*63, got 9223372036854775808$"):
+            parse_config(f"n = {2**63}\n")
+        assert parse_config(f"n = {2**63 - 1}\n").n == 2**63 - 1
+        cfg = parse_config(f"seed = {10**20}\nsplit_seed = {10**20}\n")
+        assert (cfg.seed, cfg.split_seed) == (10**20, 10**20)
+        assert parse_config(canonical_text(cfg)) == cfg
+
     def test_boundary_adam_settings_accepted(self):
         cfg = parse_config("beta1 = 0.0\nbeta2 = 0.0\nouter_lr = 0.0\n")
         assert (cfg.beta1, cfg.beta2, cfg.outer_lr) == (0.0, 0.0, 0.0)

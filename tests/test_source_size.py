@@ -5,7 +5,7 @@ line that says why."""
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "figr"
-CEILING = 3060      # lines, as `wc -l src/figr/*.py` counts them
+CEILING = 3045      # lines, as `wc -l src/figr/*.py` counts them
 
 
 def test_package_line_count_ceiling():
