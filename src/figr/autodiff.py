@@ -98,10 +98,10 @@ class Graph:
 
     Acts as a context manager; ops of any dtype executed inside record
     onto it, and an op that needs recording outside every block raises
-    RuntimeError.  The open blocks form one stack per process, so a Graph
-    is used from one Python thread; parallel work takes processes.  A backward() without create_graph marks the graph dead
-    and empties ``nodes``, releasing every saved value; a later backward()
-    on it raises RuntimeError.
+    RuntimeError.  The open blocks are one stack per process, so a Graph
+    is used from one thread.  A backward() without create_graph marks the
+    graph dead and empties ``nodes``, releasing every saved value; a later
+    backward() on it raises RuntimeError.
     """
 
     __slots__ = ("nodes", "dead")

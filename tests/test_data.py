@@ -491,10 +491,6 @@ class TestBuildDataset:
         ds = build_dataset(replace(self.CFG, dataset_path=str(tmp_path / "a.fgr8")))
         assert [c.name for c in ds.classes] == [name for name, _ in classes]
 
-    def test_directory_without_idx_files_names_the_images_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="train-images-idx3-ubyte"):
-            build_dataset(replace(self.CFG, dataset_path=str(tmp_path)))
-
 
 class TestSynthGlyphs:
     def test_deterministic(self):
